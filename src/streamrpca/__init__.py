@@ -23,7 +23,6 @@ from .streams import ObservationStream, ingest_stream, write_csv, write_raw_f64
 from .trackers import (DecompositionResult, StepOutput, SubspaceModel,
                        TrackerConfig, WindowBuffer, continue_tracker,
                        init_tracker, omw_init, omw_step, run_tracker,
-                       state_element_count, stoc_init, stoc_init_from_burnin,
-                       stoc_step)
+                       state_element_count, stoc_init_from_burnin, stoc_step)
 
 __version__ = "0.1.0"

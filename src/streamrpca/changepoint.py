@@ -1,6 +1,6 @@
 """Change-point detection wrapped around the moving-window tracker.
 
-The driver monitors the support size of each sparse estimate. A tracked
+The pipeline monitors the support size of each sparse estimate. A tracked
 segment goes through three phases:
 
   CP_BURNIN    let the freshly initialized subspace settle; nothing recorded.
@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ContractViolation
-from .pcp import PcpConfig, burnin_initialize
-from .projection import ProjectionConfig
-from .trackers import DecompositionResult, omw_init, omw_step
+# burnin_initialize and omw_step are unused here; bench/tracer.py wraps them.
+from .pcp import burnin_initialize
+from .trackers import (DecompositionResult, Tracker, TrackerConfig, omw_step,
+                       seed_tracker)
 
 
 class CpPhase(enum.Enum):
@@ -47,17 +48,14 @@ class CpPhase(enum.Enum):
     MONITORING = "monitoring"
 
 
-@dataclass
-class CpConfig:
-    """Tuning parameters of the detector plus the underlying tracker.
+@dataclass(kw_only=True)
+class CpConfig(TrackerConfig):
+    """The tracker's configuration plus the detector's (keyword-only) fields.
 
-    lambda1/lambda2 default to 1/sqrt(max(m, n_win)) and
-    100/sqrt(max(m, n_win)). n_check should stay below n_win/2 to avoid
-    missing change points (tuning guidance, not enforced).
+    n_check should stay below n_win/2 to avoid missing change points
+    (tuning guidance, not enforced).
     """
 
-    n_burnin: int
-    n_win: int
     n_cp_burnin: int
     n_test: int
     n_check: int
@@ -65,18 +63,12 @@ class CpConfig:
     alpha_prop: float = 0.5
     n_positive: int = 3
     n_tol: int = 0
-    lambda1: float | None = None
-    lambda2: float | None = None
-    pcp: PcpConfig = field(default_factory=PcpConfig)
-    projection: ProjectionConfig = field(default_factory=ProjectionConfig)
-    rank_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.n_burnin, self.n_win, self.n_cp_burnin, self.n_test,
-               self.n_check, self.n_positive) < 1:
+        super().__post_init__()
+        if min(self.n_cp_burnin, self.n_test, self.n_check,
+               self.n_positive) < 1:
             raise ContractViolation("CpConfig: counts must be >= 1")
-        if self.n_win > self.n_burnin:
-            raise ContractViolation("CpConfig: n_win must be <= n_burnin")
         if not (0 < self.alpha < 1):
             raise ContractViolation("CpConfig: alpha must be in (0, 1)")
         if not (0 < self.alpha_prop <= 1):
@@ -85,12 +77,6 @@ class CpConfig:
             raise ContractViolation("CpConfig: n_positive must be <= n_check")
         if self.n_tol < 0:
             raise ContractViolation("CpConfig: n_tol must be >= 0")
-
-    def resolved_lambdas(self, m):
-        scale = 1.0 / np.sqrt(max(m, self.n_win))
-        lambda1 = self.lambda1 if self.lambda1 is not None else scale
-        lambda2 = self.lambda2 if self.lambda2 is not None else 100.0 * scale
-        return lambda1, lambda2
 
 
 class SupportHistogram:
@@ -217,163 +203,106 @@ def scan_for_changepoint(flags, alpha_prop, n_check, n_positive, current_t):
 
 
 class OmwCpPipeline:
-    """Resumable driver for the tracking + detection loop.
+    """Resumable tracking + detection: the detector of a trackers.Tracker.
 
-    The pipeline owns the tracked estimates because a restart rewrites
-    recent columns with the fresh burn-in decomposition; snapshots therefore
-    carry the accumulated columns along with the tracker and detector state.
+    run() seeds a moving-window Tracker and runs it with this pipeline as
+    its detector: after each step the tracker calls observe() (phases,
+    histogram, flag FIFOs, scan). Because a restart rewrites recent
+    columns, snapshots carry the tracker's column list along with the
+    tracker and detector state.
     """
 
     STATUS_OK = "ok"
     STATUS_INSUFFICIENT = "insufficient-stream"
 
-    def __init__(self, config, pcp_config=None):
+    def __init__(self, config):
         self.config = config
-        self.pcp_config = pcp_config if pcp_config is not None else config.pcp
-        self.initialized = False
-        self.model = None
-        self.buffer = None
+        self.tracker = None    # built once a full burn-in block was read
         self.hist = None
-        self.flag_buffers = None
-        self.t_start = 1       # first tracked time of the current segment
-        self.t = 1             # next tracked time to process
-        self.cols_l = {}       # tracked time -> low-rank column
-        self.cols_s = {}
+        self.flag_buffers = FlagBuffers(config.n_check)
         self.change_points = []
         self.detection_enabled = True
         self.status = self.STATUS_OK
         self.warnings = []
 
-    # -- phase bookkeeping -------------------------------------------------
-
-    def phase_of(self, t):
-        offset = t - self.t_start
-        if offset < self.config.n_cp_burnin:
-            return CpPhase.CP_BURNIN
-        if offset < self.config.n_cp_burnin + self.config.n_test:
-            return CpPhase.TEST_FILL
-        return CpPhase.MONITORING
-
-    # -- stream geometry: tracked time t lives at stream index n_burnin+t-1
-
-    def _stream_index(self, t):
-        return self.config.n_burnin + t - 1
-
-    def _read_block(self, stream, first_t, count):
-        """Tracked samples [first_t, first_t+count), or None if the stream
-        ends first."""
-        cols = []
-        for t in range(first_t, first_t + count):
-            x = stream.get(self._stream_index(t))
-            if x is None:
-                return None
-            cols.append(x)
-        return np.column_stack(cols)
-
-    def _start_segment(self, stream, first_t, record_outputs):
-        """Run batch burn-in on tracked samples [first_t, first_t+n_burnin)
-        and reinitialize tracker and detector state. Returns False if the
-        stream is too short. The initial segment passes first_t = 1-n_burnin,
-        which maps onto the leading burn-in block of the stream."""
-        cfg = self.config
-        M_b = self._read_block(stream, first_t, cfg.n_burnin)
-        if M_b is None:
-            return False
-        m = M_b.shape[0]
-        lambda1, lambda2 = cfg.resolved_lambdas(m)
-        init = burnin_initialize(M_b, lambda1, lambda2, cfg.n_win,
-                                 pcp_config=self.pcp_config,
-                                 rank_rel_tol=cfg.rank_rel_tol)
-        self.model, self.buffer = omw_init(init, lambda1, lambda2, cfg.n_win)
-        if record_outputs:
-            for k in range(cfg.n_burnin):
-                self.cols_l[first_t + k] = init.L_b[:, k].copy()
-                self.cols_s[first_t + k] = init.S_b[:, k].copy()
-        self.hist = SupportHistogram(m)
-        self.flag_buffers = FlagBuffers(cfg.n_check)
-        self.t_start = first_t + cfg.n_burnin
-        self.t = self.t_start
-        return True
-
-    # -- main loop ----------------------------------------------------------
+    @property
+    def t(self):  # tracked time of the next sample
+        return self.tracker.t if self.tracker is not None else 1
 
     def run(self, stream):
         """Consume the stream to exhaustion; resumable across calls."""
-        cfg = self.config
-        diagnostics = []
-
-        if not self.initialized:
-            ok = self._start_segment(stream, 1 - cfg.n_burnin,
-                                     record_outputs=False)
-            if not ok:
-                self.status = self.STATUS_INSUFFICIENT
-                self.warnings.append(
-                    f"stream shorter than n_burnin={cfg.n_burnin}; "
-                    "nothing tracked")
-                return self._result(diagnostics)
-            self.initialized = True
-
-        while True:
-            x = stream.get(self._stream_index(self.t))
-            if x is None:
-                break
-            out = omw_step(self.model, self.buffer, x, cfg.projection)
-            t = self.t
-            self.cols_l[t] = out.l
-            self.cols_s[t] = out.s
-            c_t = support_size(out.s)
-            phase = self.phase_of(t)
-            p = f = None
-            t0 = None
-            if phase is CpPhase.TEST_FILL and self.detection_enabled:
-                self.hist.record(c_t)
-            elif phase is CpPhase.MONITORING and self.detection_enabled:
-                p = p_value(self.hist, c_t, cfg.n_tol)
-                f = flag_observation(p, cfg.alpha)
-                buffer_advance(self.flag_buffers, self.hist, c_t, f)
-                if len(self.flag_buffers) == cfg.n_check:
-                    t0 = scan_for_changepoint(
-                        self.flag_buffers.flags, cfg.alpha_prop, cfg.n_check,
-                        cfg.n_positive, current_t=t)
-            diagnostics.append(CpDiagnostic(
-                t=t, support_size=c_t, p=p, flag=f, phase=phase.value))
-            if t0 is not None:
-                self.change_points.append(t0)
-                if self._start_segment(stream, t0, record_outputs=True):
-                    continue
-                # Too close to the stream end for a fresh burn-in: finish
-                # the tail with the current tracker, detection off.
-                self.warnings.append(
-                    f"change point at t={t0} leaves fewer than "
-                    f"n_burnin={cfg.n_burnin} samples; tail processed in "
-                    "tracking-only mode")
-                self.detection_enabled = False
-            self.t = t + 1
-        return self._result(diagnostics)
-
-    def _result(self, diagnostics):
-        if self.cols_l:
-            t_max = max(self.cols_l)
-            L = np.column_stack([self.cols_l[t] for t in range(1, t_max + 1)])
-            S = np.column_stack([self.cols_s[t] for t in range(1, t_max + 1)])
+        self.diagnostics = []
+        if self.tracker is None and not self._seed(stream):
+            self.status = self.STATUS_INSUFFICIENT
+            self.warnings.append(f"stream shorter than n_burnin="
+                                 f"{self.config.n_burnin}; nothing tracked")
+            L = S = np.zeros((0, 0))
         else:
-            m = self.model.m if self.model is not None else 0
-            L = np.zeros((m, 0))
-            S = np.zeros((m, 0))
+            self.tracker.run(stream, detector=self)
+            L, S = self.tracker.outputs()
         result = DecompositionResult(L=L, S=S,
                                      change_points=list(self.change_points))
         report = ChangePointReport(change_points=list(self.change_points),
-                                   diagnostics=diagnostics,
+                                   diagnostics=self.diagnostics,
                                    status=self.status,
                                    warnings=list(self.warnings))
         return result, report
 
+    def _seed(self, stream):
+        # its own frame, so that the BurninInit is freed before tracking
+        seeded = seed_tracker(stream, 0, self.config, evict=True)
+        if seeded is None:
+            return False
+        _, model, buffer = seeded
+        self.hist = SupportHistogram(model.m)
+        self.tracker = Tracker(model, buffer, self.config.n_burnin,
+                               self.config.projection)
+        return True
 
-def run_omw_cp(stream, config, pcp_config=None):
+    def observe(self, tracker, stream, t, s):
+        """Detector step after the tracker stepped tracked time t with
+        sparse output s; a change point restarts the tracker."""
+        cfg = self.config
+        c_t = support_size(s)
+        offset = t - tracker.t_start
+        if offset < cfg.n_cp_burnin:
+            phase = CpPhase.CP_BURNIN
+        elif offset < cfg.n_cp_burnin + cfg.n_test:
+            phase = CpPhase.TEST_FILL
+        else:
+            phase = CpPhase.MONITORING
+        p = f = t0 = None
+        if phase is CpPhase.TEST_FILL and self.detection_enabled:
+            self.hist.record(c_t)
+        elif phase is CpPhase.MONITORING and self.detection_enabled:
+            p = p_value(self.hist, c_t, cfg.n_tol)
+            f = flag_observation(p, cfg.alpha)
+            buffer_advance(self.flag_buffers, self.hist, c_t, f)
+            if len(self.flag_buffers) == cfg.n_check:
+                t0 = scan_for_changepoint(
+                    self.flag_buffers.flags, cfg.alpha_prop, cfg.n_check,
+                    cfg.n_positive, current_t=t)
+        self.diagnostics.append(CpDiagnostic(
+            t=t, support_size=c_t, p=p, flag=f, phase=phase.value))
+        if t0 is None:
+            return
+        self.change_points.append(t0)
+        if tracker.restart(stream, t0, cfg):
+            self.hist = SupportHistogram(self.hist.m)
+            self.flag_buffers.clear()
+            return
+        self.warnings.append(
+            f"change point at t={t0} leaves fewer than "
+            f"n_burnin={cfg.n_burnin} samples; tail processed in "
+            "tracking-only mode")
+        self.detection_enabled = False
+
+
+def run_omw_cp(stream, config):
     """Run the moving-window tracker with change-point detection.
 
     Returns (DecompositionResult, ChangePointReport). The stream must hold
     the burn-in block in its first n_burnin samples; tracked estimates cover
     everything after it.
     """
-    return OmwCpPipeline(config, pcp_config).run(stream)
+    return OmwCpPipeline(config).run(stream)

@@ -4,13 +4,15 @@ Subcommands: simulate, pcp, track (--mode stoc|omw|omw-cp), bench,
 experiment. The default output directory is taken from the
 STREAMRPCA_OUT_DIR environment variable when --out-dir is omitted.
 
-Exit codes: 0 success, 1 contract violation, 2 I/O or parse error.
+Exit codes: 0 success, 1 contract violation or failed tracker step, 2 I/O
+or parse error.
 """
 
 import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +20,15 @@ import numpy as np
 from . import experiments
 from .changepoint import CpConfig, OmwCpPipeline
 from .exceptions import (ContractViolation, InitializationError, ParseError,
-                         SnapshotError)
-from .pcp import PcpConfig, burnin_initialize, pcp_alm
+                         SnapshotError, TrackerStepError)
+from .pcp import PcpConfig, pcp_alm
 from .simgen import (ChangePoints, Drift, SimSpec, Stable,
                      full_stream_matrix, generate)
 from .state import (load_state, restore_cp_pipeline, save_state,
                     snapshot_cp_pipeline, snapshot_tracker)
-from .streams import ingest_stream, write_raw_f64
+from .streams import ObservationStream, ingest_stream, write_raw_f64
 from .trackers import (TrackerConfig, continue_tracker, init_tracker,
-                       omw_init, state_element_count, time_steps)
+                       omw_step, state_element_count)
 
 OUT_DIR_ENV = "STREAMRPCA_OUT_DIR"
 
@@ -179,32 +181,23 @@ def _cp_config(args):
 def _cmd_track(args):
     retain = args.n_burnin + args.n_check + 8
     stream = ingest_stream(args.input, args.format, retain=retain)
-    report = None
-    pipeline = None
-    tracker_state = None
+    config = _cp_config(args)
+    snapshot = load_state(args.resume) if args.resume else None
+    if snapshot is not None and snapshot.kind != args.mode:
+        raise ContractViolation(
+            f"snapshot was taken in mode {snapshot.kind!r}, "
+            f"not {args.mode!r}")
     if args.mode == "omw-cp":
-        if args.resume:
-            pipeline = restore_cp_pipeline(load_state(args.resume),
-                                           _cp_config(args))
-        else:
-            pipeline = OmwCpPipeline(_cp_config(args))
+        pipeline = (restore_cp_pipeline(snapshot, config) if snapshot
+                    else OmwCpPipeline(config))
         result, report = pipeline.run(stream)
     else:
-        if args.resume:
-            snapshot = load_state(args.resume)
-            if snapshot.kind != args.mode:
-                raise ContractViolation(
-                    f"snapshot was taken in mode {snapshot.kind!r}, "
-                    f"not {args.mode!r}")
-            model, buffer, start = snapshot.model, snapshot.buffer, \
-                snapshot.cursor
-        else:
-            config = TrackerConfig(n_burnin=args.n_burnin, n_win=args.n_win,
-                                   lambda1=args.lambda1, lambda2=args.lambda2)
-            model, buffer, start = init_tracker(stream, args.mode, config)
+        model, buffer, start = (
+            (snapshot.model, snapshot.buffer, snapshot.cursor) if snapshot
+            else init_tracker(stream, args.mode, config))
         result, cursor = continue_tracker(stream, args.mode, model, buffer,
-                                          start)
-        tracker_state = (model, buffer, cursor)
+                                          start, config.projection)
+        report = None
 
     out = _out_dir(args)
     write_raw_f64(out / "L.f64", result.L)
@@ -216,12 +209,9 @@ def _cmd_track(args):
         experiments._write_diagnostics(out / "diagnostics.jsonl",
                                        report.diagnostics)
     if args.save_state:
-        if pipeline is not None:
-            save_state(args.save_state, snapshot_cp_pipeline(pipeline))
-        else:
-            model, buffer, cursor = tracker_state
-            save_state(args.save_state,
-                       snapshot_tracker(args.mode, model, buffer, cursor))
+        save_state(args.save_state,
+                   snapshot_cp_pipeline(pipeline) if report is not None
+                   else snapshot_tracker(args.mode, model, buffer, cursor))
     print(f"tracked {result.L.shape[1]} samples; "
           f"change points: {result.change_points}")
     return 0
@@ -230,15 +220,15 @@ def _cmd_track(args):
 def _cmd_bench(args):
     spec = SimSpec(m=args.m, t=args.t, n_burnin=args.n_burnin, rho=args.rho,
                    seed=args.seed, variant=Stable(r=args.r))
-    gt = generate(spec)
-    M = full_stream_matrix(gt)
-    lambda1 = 1.0 / np.sqrt(max(args.m, args.n_win))
-    lambda2 = 100.0 * lambda1
-    init = burnin_initialize(M[:, :args.n_burnin], lambda1, lambda2,
-                             args.n_win)
-    model, buffer = omw_init(init, lambda1, lambda2, args.n_win)
-    samples = [M[:, args.n_burnin + k] for k in range(args.t)]
-    times = time_steps(model, buffer, samples)
+    stream = ObservationStream.from_matrix(full_stream_matrix(generate(spec)))
+    config = TrackerConfig(n_burnin=args.n_burnin, n_win=args.n_win)
+    model, buffer, i = init_tracker(stream, "omw", config)
+    times = []
+    while (x := stream.get(i)) is not None:
+        start = time.perf_counter()
+        omw_step(model, buffer, x, config.projection)
+        times.append(time.perf_counter() - start)
+        i += 1
     times = np.array(times)
     summary = {
         "steps": len(times),
@@ -281,7 +271,7 @@ def main(argv=None):
     except (ParseError, SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ContractViolation, InitializationError) as exc:
+    except (ContractViolation, InitializationError, TrackerStepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,9 @@ class InitializationError(RuntimeError):
 
 
 class TrackerStepError(RuntimeError):
-    """A tracker step failed; carries the 1-based sample index."""
+    """A tracker step failed. t is the sample's absolute 1-based tracked
+    time (t = 1 right after the initial burn-in block, not re-based after a
+    resume or a restart), the index CpDiagnostic.t uses."""
 
     def __init__(self, t, message):
         super().__init__(f"step t={t}: {message}")

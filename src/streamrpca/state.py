@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .changepoint import FlagBuffers, OmwCpPipeline, SupportHistogram
+from .changepoint import OmwCpPipeline, SupportHistogram
 from .exceptions import SnapshotError
-from .trackers import SubspaceModel, WindowBuffer
+from .trackers import SubspaceModel, Tracker, WindowBuffer
 
 SNAPSHOT_VERSION = 1
 
@@ -37,20 +37,16 @@ def snapshot_tracker(kind, model, buffer=None, cursor=0):
 
 def snapshot_cp_pipeline(pipeline):
     """Capture an OmwCpPipeline between steps."""
-    if not pipeline.initialized:
+    tracker = pipeline.tracker
+    if tracker is None:
         raise SnapshotError("cannot snapshot an uninitialized pipeline")
-    t_max = max(pipeline.cols_l) if pipeline.cols_l else 0
-    m = pipeline.model.m
-    L = np.column_stack([pipeline.cols_l[t] for t in range(1, t_max + 1)]) \
-        if t_max else np.zeros((m, 0))
-    S = np.column_stack([pipeline.cols_s[t] for t in range(1, t_max + 1)]) \
-        if t_max else np.zeros((m, 0))
+    L, S = tracker.outputs()
     detector = {
         "hist_counts": pipeline.hist.counts.copy(),
         "fb_sizes": np.array(list(pipeline.flag_buffers.sizes), dtype=np.int64),
         "fb_flags": np.array(list(pipeline.flag_buffers.flags), dtype=np.int64),
-        "t_start": pipeline.t_start,
-        "next_t": pipeline.t,
+        "t_start": tracker.t_start,
+        "next_t": tracker.t,
         "change_points": np.array(pipeline.change_points, dtype=np.int64),
         "detection_enabled": pipeline.detection_enabled,
         "status": pipeline.status,
@@ -58,35 +54,29 @@ def snapshot_cp_pipeline(pipeline):
         "L_partial": L,
         "S_partial": S,
     }
-    cursor = pipeline.config.n_burnin + pipeline.t - 1
     return StateSnapshot(version=SNAPSHOT_VERSION, kind="omw-cp",
-                         model=pipeline.model, buffer=pipeline.buffer,
-                         cursor=cursor, detector=detector)
+                         model=tracker.model, buffer=tracker.buffer,
+                         cursor=tracker.cursor, detector=detector)
 
 
-def restore_cp_pipeline(snapshot, config, pcp_config=None):
+def restore_cp_pipeline(snapshot, config):
     """Rebuild an OmwCpPipeline from a snapshot taken with the same config."""
     if snapshot.kind != "omw-cp" or snapshot.detector is None:
         raise SnapshotError(f"snapshot kind {snapshot.kind!r} is not omw-cp")
     det = snapshot.detector
-    pipeline = OmwCpPipeline(config, pcp_config)
-    pipeline.initialized = True
-    pipeline.model = snapshot.model
-    pipeline.buffer = snapshot.buffer
+    pipeline = OmwCpPipeline(config)
     pipeline.hist = SupportHistogram(snapshot.model.m, det["hist_counts"])
-    pipeline.flag_buffers = FlagBuffers(config.n_check)
     pipeline.flag_buffers.sizes.extend(int(c) for c in det["fb_sizes"])
     pipeline.flag_buffers.flags.extend(int(f) for f in det["fb_flags"])
-    pipeline.t_start = int(det["t_start"])
-    pipeline.t = int(det["next_t"])
     pipeline.change_points = [int(c) for c in det["change_points"]]
     pipeline.detection_enabled = bool(det["detection_enabled"])
     pipeline.status = str(det["status"])
     pipeline.warnings = list(det["warnings"])
-    L, S = det["L_partial"], det["S_partial"]
-    for k in range(L.shape[1]):
-        pipeline.cols_l[k + 1] = L[:, k].copy()
-        pipeline.cols_s[k + 1] = S[:, k].copy()
+    tracker = Tracker(snapshot.model, snapshot.buffer, snapshot.cursor,
+                      config.projection)
+    tracker.t_start = int(det["t_start"])
+    tracker.cols = list(zip(det["L_partial"].T, det["S_partial"].T))
+    pipeline.tracker = tracker
     return pipeline
 
 
@@ -145,10 +135,9 @@ def load_state(path):
                                   t=int(data["t"]))
             buffer = None
             if bool(data["has_buffer"]):
-                buffer = WindowBuffer(int(data["buffer_capacity"]))
-                for m_i, v_i, s_i in zip(data["buffer_m"], data["buffer_v"],
-                                         data["buffer_s"]):
-                    buffer.push(m_i, v_i, s_i)
+                buffer = WindowBuffer.from_seed(
+                    list(zip(data["buffer_m"], data["buffer_v"],
+                             data["buffer_s"])), int(data["buffer_capacity"]))
             detector = None
             if "det_hist_counts" in data:
                 detector = {

@@ -7,12 +7,14 @@ keeps growing sums; the moving-window tracker additionally subtracts the
 contribution of the sample falling out of a ring buffer of the most recent
 n_win samples, so its state size is independent of how long it has run.
 
+One driver, Tracker, runs every mode. Its two switches are eviction (a
+window buffer) and an optional detector (changepoint.OmwCpPipeline).
+
 A tracker is single-owner mutable state: one step at a time, no concurrent
 steps. Independent instances can run on different threads, and state can be
 handed between threads between steps.
 """
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -131,7 +133,7 @@ class DecompositionResult:
 
 @dataclass
 class TrackerConfig:
-    """Configuration for run_tracker.
+    """Configuration shared by every mode; changepoint.CpConfig extends it.
 
     lambda1/lambda2 default to the rule-of-thumb 1/sqrt(max(m, n_win)) and
     100/sqrt(max(m, n_win)) once the sample dimension is known.
@@ -144,29 +146,19 @@ class TrackerConfig:
     pcp: PcpConfig = field(default_factory=PcpConfig)
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
     rank_rel_tol: float = 1e-6
-    stoc_zero_init: bool = False
-    stoc_zero_init_rank: int | None = None
 
     def __post_init__(self):
+        name = type(self).__name__
         if self.n_burnin < 1 or self.n_win < 1:
-            raise ContractViolation("TrackerConfig: n_burnin, n_win must be >= 1")
+            raise ContractViolation(f"{name}: n_burnin, n_win must be >= 1")
         if self.n_win > self.n_burnin:
-            raise ContractViolation("TrackerConfig: n_win must be <= n_burnin")
+            raise ContractViolation(f"{name}: n_win must be <= n_burnin")
 
     def resolved_lambdas(self, m):
         scale = 1.0 / np.sqrt(max(m, self.n_win))
         lambda1 = self.lambda1 if self.lambda1 is not None else scale
         lambda2 = self.lambda2 if self.lambda2 is not None else 100.0 * scale
         return lambda1, lambda2
-
-
-def stoc_init(m, r, lambda1, lambda2):
-    """Literal zero initialization (degenerate: the basis never leaves zero
-    without an external seed; kept for completeness and bookkeeping tests)."""
-    if m < 1 or r < 1:
-        raise ContractViolation("stoc_init: m, r must be >= 1")
-    return SubspaceModel(U=np.zeros((m, r)), A=np.zeros((r, r)),
-                         B=np.zeros((m, r)), lambda1=lambda1, lambda2=lambda2)
 
 
 def stoc_init_from_burnin(init, lambda1, lambda2):
@@ -193,15 +185,8 @@ def stoc_step(model, m_t, projection_config=None):
 
 def omw_init(init, lambda1, lambda2, n_win):
     """Seed the moving-window tracker: model plus preloaded ring buffer."""
-    if len(init.window_seed) != n_win:
-        raise ContractViolation(
-            f"omw_init: window seed length {len(init.window_seed)} != "
-            f"n_win {n_win}"
-        )
-    model = SubspaceModel(U=init.U0.copy(), A=init.A0.copy(),
-                          B=init.B0.copy(), lambda1=lambda1, lambda2=lambda2)
-    buffer = WindowBuffer.from_seed(init.window_seed, n_win)
-    return model, buffer
+    return (stoc_init_from_burnin(init, lambda1, lambda2),
+            WindowBuffer.from_seed(init.window_seed, n_win))
 
 
 def omw_step(model, buffer, m_t, projection_config=None):
@@ -240,6 +225,90 @@ def state_element_count(model, buffer=None):
     return count
 
 
+def seed_tracker(stream, index, config, evict):
+    """Batch burn-in on stream samples [index, index + n_burnin): returns
+    (BurninInit, model, buffer), buffer None unless evict, or None if the
+    stream ends first."""
+    burn = []
+    for i in range(index, index + config.n_burnin):
+        x = stream.get(i)
+        if x is None:
+            return None
+        burn.append(x)
+    M_b = np.column_stack(burn)
+    lambda1, lambda2 = config.resolved_lambdas(M_b.shape[0])
+    init = burnin_initialize(M_b, lambda1, lambda2, config.n_win,
+                             pcp_config=config.pcp,
+                             rank_rel_tol=config.rank_rel_tol)
+    if evict:
+        model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
+    else:
+        model, buffer = stoc_init_from_burnin(init, lambda1, lambda2), None
+    return init, model, buffer
+
+
+class Tracker:
+    """The driver of every mode: steps a stream from index `cursor` to its end.
+
+    A window buffer selects the moving-window step, None the cumulative one.
+    An optional detector passed to run() observes each step and may
+    restart() the tracker at a change point. The next sample has tracked time t_start + model.t;
+    cols holds the (l, s) outputs in tracked-time order up to it.
+    """
+
+    def __init__(self, model, buffer, cursor, projection_config=None):
+        self.model = model
+        self.buffer = buffer
+        self.cursor = cursor
+        self.projection_config = projection_config
+        self.t_start = 1
+        self.cols = []
+
+    @property
+    def t(self):
+        return self.t_start + self.model.t
+
+    def run(self, stream, detector=None):
+        """Step to the end of the stream. A failing step raises
+        TrackerStepError carrying its tracked time."""
+        while (x := stream.get(self.cursor)) is not None:
+            t = self.t
+            try:
+                if self.buffer is None:
+                    out = stoc_step(self.model, x, self.projection_config)
+                else:
+                    out = omw_step(self.model, self.buffer, x,
+                                   self.projection_config)
+            except Exception as exc:
+                raise TrackerStepError(t, str(exc)) from exc
+            self.cols.append((out.l, out.s))
+            self.cursor += 1
+            if detector is not None:
+                detector.observe(self, stream, t, out.s)
+
+    def restart(self, stream, t0, config):
+        """Seed afresh from tracked time t0; False, changing nothing, if the
+        stream ends inside the burn-in."""
+        back = self.t - t0              # samples from t0 up to the cursor
+        index = self.cursor - back
+        seeded = seed_tracker(stream, index, config, self.buffer is not None)
+        if seeded is None:
+            return False
+        init, self.model, self.buffer = seeded
+        del self.cols[len(self.cols) - back:]
+        self.cols.extend(zip(init.L_b.T, init.S_b.T))
+        self.cursor = index + config.n_burnin
+        self.t_start = t0 + config.n_burnin
+        return True
+
+    def outputs(self):
+        """(L, S): cols stacked into one column per tracked time."""
+        if not self.cols:
+            return np.zeros((self.model.m, 0)), np.zeros((self.model.m, 0))
+        L, S = zip(*self.cols)
+        return np.column_stack(L), np.column_stack(S)
+
+
 def init_tracker(stream, mode, config):
     """Consume the leading n_burnin samples and build the tracker state.
 
@@ -247,33 +316,11 @@ def init_tracker(stream, mode, config):
     """
     if mode not in ("stoc", "omw"):
         raise ContractViolation(f"init_tracker: unknown mode {mode!r}")
-    burn = []
-    for i in range(config.n_burnin):
-        x = stream.get(i)
-        if x is None:
-            raise ContractViolation(
-                f"init_tracker: stream ended inside burn-in "
-                f"({i} of {config.n_burnin} samples)"
-            )
-        burn.append(x)
-    M_b = np.column_stack(burn)
-    m = M_b.shape[0]
-    lambda1, lambda2 = config.resolved_lambdas(m)
-
-    buffer = None
-    if mode == "stoc" and config.stoc_zero_init:
-        if config.stoc_zero_init_rank is None:
-            raise ContractViolation(
-                "init_tracker: stoc_zero_init requires stoc_zero_init_rank")
-        model = stoc_init(m, config.stoc_zero_init_rank, lambda1, lambda2)
-    else:
-        init = burnin_initialize(M_b, lambda1, lambda2, config.n_win,
-                                 pcp_config=config.pcp,
-                                 rank_rel_tol=config.rank_rel_tol)
-        if mode == "stoc":
-            model = stoc_init_from_burnin(init, lambda1, lambda2)
-        else:
-            model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
+    seeded = seed_tracker(stream, 0, config, evict=mode == "omw")
+    if seeded is None:
+        raise ContractViolation(
+            f"init_tracker: stream shorter than n_burnin={config.n_burnin}")
+    _, model, buffer = seeded
     return model, buffer, config.n_burnin
 
 
@@ -282,31 +329,15 @@ def continue_tracker(stream, mode, model, buffer, start_index,
     """Step from stream index start_index to exhaustion.
 
     Mutates model (and buffer); returns (DecompositionResult, next_index).
-    Step failures carry the 1-based offset from start_index.
+    Step failures carry the absolute tracked time, model.t + 1.
     """
-    L_cols, S_cols = [], []
-    i = start_index
-    while True:
-        x = stream.get(i)
-        if x is None:
-            break
-        try:
-            if mode == "stoc":
-                out = stoc_step(model, x, projection_config)
-            else:
-                out = omw_step(model, buffer, x, projection_config)
-        except Exception as exc:
-            raise TrackerStepError(i - start_index + 1, str(exc)) from exc
-        L_cols.append(out.l)
-        S_cols.append(out.s)
-        i += 1
-    if L_cols:
-        L = np.column_stack(L_cols)
-        S = np.column_stack(S_cols)
-    else:
-        L = np.zeros((model.m, 0))
-        S = np.zeros((model.m, 0))
-    return DecompositionResult(L=L, S=S, change_points=[]), i
+    if (mode == "omw") != (buffer is not None):
+        raise ContractViolation(
+            f"continue_tracker: mode {mode!r} does not match the buffer")
+    tracker = Tracker(model, buffer, start_index, projection_config)
+    tracker.run(stream)
+    L, S = tracker.outputs()
+    return DecompositionResult(L=L, S=S), tracker.cursor
 
 
 def run_tracker(stream, mode, config):
@@ -319,13 +350,3 @@ def run_tracker(stream, mode, config):
     result, _ = continue_tracker(stream, mode, model, buffer, start,
                                  config.projection)
     return result
-
-
-def time_steps(model, buffer, samples, projection_config=None):
-    """Run omw steps over `samples`, returning per-step wall times (seconds)."""
-    times = []
-    for x in samples:
-        t0 = time.perf_counter()
-        omw_step(model, buffer, x, projection_config)
-        times.append(time.perf_counter() - t0)
-    return times

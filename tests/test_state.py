@@ -10,7 +10,8 @@ from streamrpca.state import (SNAPSHOT_VERSION, load_state,
                               restore_cp_pipeline, save_state,
                               snapshot_cp_pipeline, snapshot_tracker)
 from streamrpca.streams import ObservationStream
-from streamrpca.trackers import omw_init, omw_step
+from streamrpca.trackers import (TrackerConfig, continue_tracker, init_tracker,
+                                 omw_init, omw_step, run_tracker)
 
 
 def build_omw(seed=80, m=25, t=150, n_burnin=20, n_win=20):
@@ -88,21 +89,47 @@ def test_cp_pipeline_snapshot_resume_spans_restart(tmp_path):
     ref_result, _ = ref_pipeline.run(ObservationStream.from_matrix(full))
     assert len(ref_result.change_points) == 1
 
-    # run only the first 180 tracked samples, snapshot, then resume over the
-    # full stream (the detection and restart happen after the resume point)
-    head = ObservationStream.from_matrix(full[:, :50 + 180])
-    pipeline = OmwCpPipeline(config)
-    pipeline.run(head)
-    assert pipeline.t == 181
-    path = tmp_path / "cp.npz"
-    save_state(path, snapshot_cp_pipeline(pipeline))
+    # run only the first `cut` tracked samples, snapshot, then resume over
+    # the full stream. Cuts fall inside CP_BURNIN, TEST_FILL and MONITORING
+    # (the detection and restart happen after the resume point), and just
+    # after the restart's burn-in block.
+    t0 = ref_result.change_points[0]
+    for cut in (30, 80, 180, t0 + config.n_burnin - 1):
+        head = ObservationStream.from_matrix(full[:, :50 + cut])
+        pipeline = OmwCpPipeline(config)
+        pipeline.run(head)
+        assert pipeline.t == cut + 1
+        path = tmp_path / f"cp{cut}.npz"
+        save_state(path, snapshot_cp_pipeline(pipeline))
 
+        snap = load_state(path)
+        resumed = restore_cp_pipeline(snap, config)
+        result, report = resumed.run(ObservationStream.from_matrix(full))
+        assert result.change_points == ref_result.change_points, cut
+        np.testing.assert_array_equal(result.L, ref_result.L, err_msg=cut)
+        np.testing.assert_array_equal(result.S, ref_result.S, err_msg=cut)
+
+
+@pytest.mark.parametrize("mode", ["stoc", "omw"])
+def test_tracker_snapshot_resume_matches_single_run(tmp_path, mode):
+    gt, _ = cp_setup()
+    full = full_stream_matrix(gt)
+    config = TrackerConfig(n_burnin=50, n_win=50)
+    ref = run_tracker(ObservationStream.from_matrix(full), mode, config)
+
+    head = ObservationStream.from_matrix(full[:, :50 + 120])
+    model, buffer, start = init_tracker(head, mode, config)
+    first, cursor = continue_tracker(head, mode, model, buffer, start,
+                                     config.projection)
+    path = tmp_path / "snap.npz"
+    save_state(path, snapshot_tracker(mode, model, buffer, cursor))
     snap = load_state(path)
-    resumed = restore_cp_pipeline(snap, config)
-    result, report = resumed.run(ObservationStream.from_matrix(full))
-    assert result.change_points == ref_result.change_points
-    np.testing.assert_array_equal(result.L, ref_result.L)
-    np.testing.assert_array_equal(result.S, ref_result.S)
+    rest, _ = continue_tracker(ObservationStream.from_matrix(full), mode,
+                               snap.model, snap.buffer, snap.cursor,
+                               config.projection)
+    np.testing.assert_array_equal(np.hstack([first.L, rest.L]), ref.L)
+    np.testing.assert_array_equal(np.hstack([first.S, rest.S]), ref.S)
+    assert first.change_points == rest.change_points == ref.change_points
 
 
 def test_restore_rejects_wrong_kind(tmp_path):

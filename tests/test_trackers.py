@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from streamrpca.exceptions import ContractViolation
+from streamrpca.changepoint import CpConfig, run_omw_cp
+from streamrpca.cli import main
+from streamrpca.exceptions import ContractViolation, TrackerStepError
 from streamrpca.pcp import burnin_initialize
 from streamrpca.simgen import SimSpec, Stable, full_stream_matrix, generate
-from streamrpca.streams import ObservationStream
-from streamrpca.trackers import (TrackerConfig, WindowBuffer, omw_init,
-                                 omw_step, run_tracker, state_element_count,
-                                 stoc_init, stoc_init_from_burnin, stoc_step)
+from streamrpca.streams import ObservationStream, write_raw_f64
+from streamrpca.trackers import (TrackerConfig, WindowBuffer, continue_tracker,
+                                 init_tracker, omw_init, omw_step, run_tracker,
+                                 state_element_count, stoc_init_from_burnin,
+                                 stoc_step)
 
 
 def make_burnin_init(m=20, n=15, r=2, n_win=10, seed=40, rho=0.0):
@@ -16,15 +19,6 @@ def make_burnin_init(m=20, n=15, r=2, n_win=10, seed=40, rho=0.0):
     mask = rng.random((m, n)) < rho
     M_b = L + np.where(mask, rng.uniform(-100, 100, (m, n)), 0.0)
     return burnin_initialize(M_b, 0.1, 1.0, n_win=n_win)
-
-
-def test_stoc_init_literal_zeros():
-    model = stoc_init(4, 2, 0.1, 0.3)
-    assert np.all(model.U == 0) and np.all(model.A == 0) and np.all(model.B == 0)
-    assert model.t == 0
-    np.testing.assert_array_equal(model.A, model.A.T)
-    tiny = stoc_init(1, 1, 0.1, 0.3)
-    assert tiny.U.shape == (1, 1)
 
 
 def test_stoc_init_from_burnin_passthrough():
@@ -36,14 +30,6 @@ def test_stoc_init_from_burnin_passthrough():
     assert model.t == 0
     assert model.r == init.r
     assert np.linalg.eigvalsh(model.A).min() >= -1e-8
-
-
-def test_stoc_zero_sample_leaves_zero_state():
-    model = stoc_init(3, 2, 0.1, 0.5)
-    out = stoc_step(model, np.zeros(3))
-    assert np.all(out.v == 0) and np.all(out.s == 0)
-    assert np.all(model.U == 0) and np.all(model.A == 0) and np.all(model.B == 0)
-    assert model.t == 1
 
 
 def test_stoc_accumulators_reconstruct_from_logged_coefficients():
@@ -205,20 +191,6 @@ def test_step_output_low_rank_uses_post_update_basis():
         np.testing.assert_array_equal(out.l, model.U @ out.v)
 
 
-def test_run_tracker_stoc_zero_init_is_degenerate():
-    # the literal zero initialization never leaves the origin: v stays 0 and
-    # the basis never updates, so L is identically zero
-    spec = SimSpec(m=12, t=30, n_burnin=10, rho=0.05, seed=46,
-                   variant=Stable(r=2))
-    gt = generate(spec)
-    full = full_stream_matrix(gt)
-    config = TrackerConfig(n_burnin=10, n_win=10, stoc_zero_init=True,
-                           stoc_zero_init_rank=2)
-    res = run_tracker(ObservationStream.from_matrix(full), "stoc", config)
-    assert np.all(res.L == 0.0)
-    assert res.S.shape == (12, 30)
-
-
 def test_window_buffer_fifo_and_capacity():
     buf = WindowBuffer(2)
     buf.push(np.ones(3), np.ones(1), np.zeros(3))
@@ -228,3 +200,44 @@ def test_window_buffer_fifo_and_capacity():
     oldest = buf.pop_oldest()
     np.testing.assert_array_equal(oldest[0], np.ones(3))
     assert len(buf) == 1
+
+
+@pytest.mark.parametrize("mode,resume", [("stoc", False), ("omw", False),
+                                         ("omw-cp", False), ("omw", True)],
+                         ids=["stoc", "omw", "omw-cp", "omw-resumed"])
+def test_step_failure_names_tracked_time(tmp_path, capsys, mode, resume):
+    # a NaN at stream index 120 behind a 50-sample burn-in is tracked time
+    # 71 in every mode, also when the run resumes at stream index 100
+    spec = SimSpec(m=20, t=100, n_burnin=50, rho=0.02, seed=93,
+                   variant=Stable(r=2))
+    full = full_stream_matrix(generate(spec))
+    full[3, 120] = np.nan
+    config = CpConfig(n_burnin=50, n_win=50, n_cp_burnin=50, n_test=50,
+                      n_check=10)
+    with pytest.raises(TrackerStepError) as err:
+        if mode == "omw-cp":
+            run_omw_cp(ObservationStream.from_matrix(full), config)
+        elif resume:
+            head = ObservationStream.from_matrix(full[:, :100])
+            model, buffer, start = init_tracker(head, mode, config)
+            _, cursor = continue_tracker(head, mode, model, buffer, start)
+            continue_tracker(ObservationStream.from_matrix(full), mode, model,
+                             buffer, cursor)
+        else:
+            run_tracker(ObservationStream.from_matrix(full), mode, config)
+    assert err.value.t == 71
+
+    def track(matrix, name, *extra):
+        src = tmp_path / f"{name}.f64"
+        write_raw_f64(src, matrix)
+        return main(["track", "--input", str(src), "--format", "raw-f64",
+                     "--mode", mode, "--n-burnin", "50", "--n-win", "50",
+                     "--out-dir", str(tmp_path / name), *extra])
+
+    snap = tmp_path / "snap.npz"
+    if resume:
+        assert track(full[:, :100], "head", "--save-state", str(snap)) == 0
+    capsys.readouterr()
+    assert track(full, "whole", *(["--resume", str(snap)] if resume
+                                  else [])) == 1
+    assert "error: step t=71: " in capsys.readouterr().err
