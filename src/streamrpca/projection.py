@@ -4,28 +4,25 @@ Solves, for a fixed basis U and one observation m_t,
 
     min_{v, s}  0.5*||m_t - U v - s||^2 + (lambda1/2)*||v||^2 + lambda2*||s||_1
 
-by alternating an exact ridge solve in v with an exact shrinkage step in s.
-The problem is jointly strictly convex for lambda1 > 0, so the alternation
-descends monotonically to the unique minimizer.
+The problem is jointly strictly convex for lambda1 > 0, so a point that
+meets the KKT conditions is the unique minimizer.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import prox
 from .exceptions import ContractViolation
-from .prox import shrink_matrix
+from .prox import _gram_solve, shrink_matrix
 
 
 @dataclass
 class ProjectionConfig:
-    """Stopping rule: quit once the max-norm change of both v and s is < tol.
-
-    The iteration cap is a backstop: the alternation's linear rate degrades
-    when a shrinkage boundary stays active, and a cap of 100 can leave an
-    objective gap above 1e-6 on small adversarial instances.
-    """
+    """Stopping rule of the alternation: quit once the max-norm change of
+    both v and s is < tol, or after max_iter alternations (a backstop: the
+    linear rate degrades while a shrinkage boundary stays active). tol does
+    not bound the exact finish on a support, which passes a KKT check."""
 
     tol: float = 1e-7
     max_iter: int = 1000
@@ -48,11 +45,16 @@ def projection_objective(U, m_t, v, s, lambda1, lambda2):
 def project_sample(U, m_t, lambda1, lambda2, config=None):
     """Return the coefficient vector v and sparse vector s for one sample.
 
-    Starts from s = 0 and alternates
-        v <- (U'U + lambda1*I)^{-1} U'(m_t - s)
-        s <- shrink(m_t - U v, lambda2)
-    until the stopping rule fires. The Gram factorization is computed once
-    and reused across iterations (U is fixed within a call).
+    Factors P = (U'U + lambda1*I)^{-1} U' once, starts from s = 0 and
+    alternates v <- P (m_t - s), s <- shrink(m_t - U v, lambda2). Once two
+    alternations in a row give the same sign pattern sigma, or the stopping
+    rule fires, it solves for v exactly on the support S of sigma:
+    (U_off'U_off + lambda1*I) v = U_off'm_off + lambda2*U'sigma, the r x r
+    Woodbury form of (I - U_S P_S) s_S = m_S - U_S P m_t - lambda2*sigma_S.
+    If s = shrink(m_t - U v, lambda2) has the signs sigma, the KKT
+    conditions hold and it returns s and v = P (m_t - s). If not, it takes
+    the longest halving of the step toward that v that lowers the objective
+    (a damped Newton step in v) and alternates on.
     """
     if config is None:
         config = ProjectionConfig()
@@ -67,23 +69,36 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
     if lambda1 <= 0 or lambda2 <= 0:
         raise ContractViolation("project_sample: lambda1, lambda2 must be > 0")
 
-    r = U.shape[1]
-    G = U.T @ U + lambda1 * np.eye(r)
-    try:
-        factor = scipy.linalg.cho_factor(G)
-        solve = lambda rhs: scipy.linalg.cho_solve(factor, rhs)
-    except scipy.linalg.LinAlgError:
-        lu = scipy.linalg.lu_factor(G)
-        solve = lambda rhs: scipy.linalg.lu_solve(lu, rhs)
-
-    v = np.zeros(r)
+    P = _gram_solve(U, lambda1, U.T)
+    v = np.zeros(U.shape[1])
     s = np.zeros_like(m_t)
+    signs = None
     for _ in range(config.max_iter):
-        v_new = solve(U.T @ (m_t - s))
+        v_new = P @ (m_t - s)
         s_new = shrink_matrix(m_t - U @ v_new, lambda2)
-        dv = np.max(np.abs(v_new - v)) if r else 0.0
-        ds = np.max(np.abs(s_new - s))
+        step = max(np.abs(v_new - v).max(initial=0.0), np.abs(s_new - s).max())
         v, s = v_new, s_new
-        if max(dv, ds) < config.tol:
+        if step == 0:  # a fixed point: the KKT conditions hold exactly
             break
+        prev, signs = signs, np.sign(s)
+        converged = step < config.tol
+        if not (converged or np.array_equal(prev, signs)):
+            continue
+        off = signs == 0
+        v_sup = _gram_solve(U[off], lambda1,
+                            U[off].T @ m_t[off] + lambda2 * (U.T @ signs))
+        # via prox: calls of this module's shrink_matrix count alternations
+        s_sup = prox.shrink_matrix(m_t - U @ v_sup, lambda2)
+        if np.array_equal(np.sign(s_sup), signs):
+            return P @ (m_t - s_sup), s_sup
+        if converged:
+            break
+        f = projection_objective(U, m_t, v, s, lambda1, lambda2)
+        for _ in range(30):
+            if projection_objective(U, m_t, v_sup, s_sup, lambda1,
+                                    lambda2) < f:
+                v, s = v_sup, s_sup
+                break
+            v_sup = 0.5 * (v + v_sup)
+            s_sup = prox.shrink_matrix(m_t - U @ v_sup, lambda2)
     return v, s

@@ -26,7 +26,8 @@ def shrink_matrix(X, tau):
     X = np.asarray(X, dtype=float)
     if tau == 0.0:
         return X.copy()
-    return np.sign(X) * np.maximum(np.abs(X) - tau, 0.0)
+    out = np.clip(X, -tau, tau)
+    return np.subtract(X, out, out=out)
 
 
 def svt(X, tau):
@@ -40,24 +41,27 @@ def svt(X, tau):
 
 
 def ridge_regress(U, y, lambda1):
-    """Solve min_v 0.5*||y - U v||^2 + (lambda1/2)*||v||^2.
-
-    Returns (U'U + lambda1*I)^{-1} U'y via a Cholesky solve on the r x r Gram
-    matrix (cost O(m r^2 + r^3)); falls back to a pivoted solve if the
-    factorization fails.
-    """
+    """Solve min_v 0.5*||y - U v||^2 + (lambda1/2)*||v||^2: returns
+    (U'U + lambda1*I)^{-1} U'y (cost O(m r^2 + r^3))."""
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
     if U.ndim != 2 or y.ndim != 1 or U.shape[0] != y.shape[0]:
         raise ContractViolation(
             f"ridge_regress: incompatible shapes U{U.shape} vs y{y.shape}"
         )
+    if not (np.isfinite(U).all() and np.isfinite(y).all()):
+        raise ContractViolation("ridge_regress: non-finite input")
     if lambda1 <= 0:
         raise ContractViolation("ridge_regress: lambda1 must be > 0")
+    return _gram_solve(U, lambda1, U.T @ y)
+
+
+def _gram_solve(U, lambda1, rhs):
+    """(U'U + lambda1*I)^{-1} rhs by one Cholesky factorization: LAPACK's
+    potrf/potrs, which cho_factor/cho_solve wrap in per-call checks. A
+    pivoted solve if it fails, or if r = 0, which potrs rejects."""
     G = U.T @ U + lambda1 * np.eye(U.shape[1])
-    rhs = U.T @ y
-    try:
-        c, low = scipy.linalg.cho_factor(G)
-        return scipy.linalg.cho_solve((c, low), rhs)
-    except scipy.linalg.LinAlgError:
+    factor, info = scipy.linalg.lapack.dpotrf(G)
+    if info != 0 or not G.size:
         return scipy.linalg.solve(G, rhs)
+    return scipy.linalg.lapack.dpotrs(factor, rhs)[0]

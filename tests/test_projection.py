@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import streamrpca.projection
 from streamrpca.exceptions import ContractViolation
 from streamrpca.projection import (ProjectionConfig, project_sample,
                                    projection_objective)
@@ -133,3 +136,119 @@ def test_non_finite_input_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ContractViolation):
         project_sample(np.zeros((3, 1)), np.zeros(4), 0.1, 0.1)
+
+
+def plain_alternation(U, m_t, lambda1, lambda2, tol=1e-13, max_iter=100000):
+    """The v/s alternation from s = 0 with an explicit Gram inverse, run
+    until the max-norm step is below tol."""
+    r = U.shape[1]
+    P = np.linalg.inv(U.T @ U + lambda1 * np.eye(r)) @ U.T
+    v = np.zeros(r)
+    s = np.zeros_like(m_t)
+    for _ in range(max_iter):
+        v_new = P @ (m_t - s)
+        resid = m_t - U @ v_new
+        s_new = np.sign(resid) * np.maximum(np.abs(resid) - lambda2, 0.0)
+        step = max(np.max(np.abs(v_new - v)), np.max(np.abs(s_new - s)))
+        v, s = v_new, s_new
+        if step < tol:
+            break
+    return v, s
+
+
+def count_alternations(monkeypatch):
+    """Count calls through projection.shrink_matrix, one per alternation."""
+    calls = []
+
+    def counted(X, tau):
+        calls.append(1)
+        return shrink_matrix(X, tau)
+
+    monkeypatch.setattr(streamrpca.projection, "shrink_matrix", counted)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+# The alternation alone needs thousands of steps here (small lambda1, the
+# outlier rows carry most of U), and it stops at tol short of KKT on the
+# second; the damped Newton step and the exact finish at tol handle them.
+@example(m=5, r=1, n_outliers=2, seed=4, lambda1=0.0078125, lambda2=0.25)
+@example(m=21, r=1, n_outliers=2, seed=22075, lambda1=0.81640625,
+         lambda2=0.01)
+@given(m=st.integers(1, 40), r=st.integers(1, 6),
+       n_outliers=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       lambda1=st.floats(1e-3, 10.0), lambda2=st.floats(1e-2, 10.0))
+def test_output_meets_kkt_conditions(m, r, n_outliers, seed, lambda1,
+                                     lambda2):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    U = rng.standard_normal((m, r))
+    m_t = U @ rng.standard_normal(r) + 0.1 * rng.standard_normal(m)
+    idx = rng.choice(m, size=min(n_outliers, m), replace=False)
+    m_t[idx] += rng.uniform(5, 50, idx.size) * rng.choice([-1, 1], idx.size)
+    v, s = project_sample(U, m_t, lambda1, lambda2)
+
+    resid = m_t - U @ v - s
+    # stationarity in v: U'(m_t - U v - s) = lambda1 v
+    np.testing.assert_allclose(U.T @ resid, lambda1 * v, rtol=0, atol=1e-8)
+    # subgradient of lambda2*||s||_1: the residual is lambda2*sign(s) on
+    # the support and at most lambda2 in magnitude off it
+    on = s != 0
+    np.testing.assert_allclose(resid[on], lambda2 * np.sign(s[on]), rtol=0,
+                               atol=1e-8)
+    assert np.all(np.abs(resid[~on]) <= lambda2 + 1e-8)
+
+
+def test_matches_plain_alternation():
+    rng = np.random.Generator(np.random.PCG64(26))
+    m, r = 100, 10
+    worst = 0.0
+    for _ in range(200):
+        U = rng.standard_normal((m, r)) / np.sqrt(m)
+        m_t = U @ rng.standard_normal(r) * 3 + 0.01 * rng.standard_normal(m)
+        idx = rng.random(m) < 0.01
+        m_t[idx] += rng.uniform(-50, 50, idx.sum())
+        v, s = project_sample(U, m_t, 0.1, 0.5)
+        v_ref, s_ref = plain_alternation(U, m_t, 0.1, 0.5)
+        worst = max(worst, np.max(np.abs(v - v_ref)),
+                    np.max(np.abs(s - s_ref)))
+    assert worst <= 1e-9
+
+
+def test_failed_support_guess_falls_back_to_alternation(monkeypatch):
+    # Alternations 1 and 2 both put both entries on the support with sign
+    # (+, +). Solved exactly on that support, v is held only by the ridge
+    # (lambda1 v = lambda2 U'sigma, v = 5) and s_2 comes out negative, so
+    # the KKT check fails. The minimizer has support {0} alone.
+    U = np.array([[-2.5], [3.0]])
+    m_t = np.array([4.0, 2.3])
+    lam1, lam2 = 0.1, 1.0
+    P = np.linalg.inv(U.T @ U + lam1 * np.eye(1)) @ U.T
+    s1 = shrink_matrix(m_t - U @ (P @ m_t), lam2)
+    s2 = shrink_matrix(m_t - U @ (P @ (m_t - s1)), lam2)
+    assert np.array_equal(np.sign(s1), [1, 1])
+    assert np.array_equal(np.sign(s2), [1, 1])
+    sigma = np.array([1.0, 1.0])
+    # (I - U_S P_S) s_S = m_S - U_S P m_t - lambda2 sigma on S = {0, 1}
+    s_guess = np.linalg.solve(np.eye(2) - U @ P, m_t - U @ (P @ m_t)
+                              - lam2 * sigma)
+    assert s_guess[1] < 0
+
+    calls = count_alternations(monkeypatch)
+    v, s = project_sample(U, m_t, lam1, lam2)
+    assert len(calls) > 2
+    v_ref, s_ref = plain_alternation(U, m_t, lam1, lam2)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-9)
+    assert s[1] == 0.0 and s[0] > 0
+
+
+def test_max_iter_one_is_one_alternation(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(27))
+    U = rng.standard_normal((20, 3))
+    m_t = rng.standard_normal(20) * 3
+    calls = count_alternations(monkeypatch)
+    v, s = project_sample(U, m_t, 0.1, 0.5, ProjectionConfig(max_iter=1))
+    assert len(calls) == 1
+    v_ref = np.linalg.solve(U.T @ U + 0.1 * np.eye(3), U.T @ m_t)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(s, shrink_matrix(m_t - U @ v, 0.5))
