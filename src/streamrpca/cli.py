@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Subcommands: simulate, pcp, track (--mode stoc|omw|omw-cp), bench,
-experiment. The default output directory is taken from the
-STREAMRPCA_OUT_DIR environment variable when --out-dir is omitted.
+Subcommands: simulate, pcp, track (--mode stoc|omw|omw-cp), experiment.
+The default output directory is taken from the STREAMRPCA_OUT_DIR
+environment variable when --out-dir is omitted.
 
 Exit codes: 0 success, 1 contract violation or failed tracker step, 2 I/O
 or parse error.
@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +21,11 @@ from .changepoint import CpConfig, OmwCpPipeline
 from .exceptions import (ContractViolation, InitializationError, ParseError,
                          SnapshotError, TrackerStepError)
 from .pcp import PcpConfig, pcp_alm
-from .simgen import (ChangePoints, Drift, SimSpec, Stable,
-                     full_stream_matrix, generate)
+from .simgen import ChangePoints, Drift, SimSpec, Stable, generate
 from .state import (load_state, restore_cp_pipeline, save_state,
                     snapshot_cp_pipeline, snapshot_tracker)
-from .streams import ObservationStream, ingest_stream, write_raw_f64
-from .trackers import (TrackerConfig, continue_tracker, init_tracker,
-                       omw_step, state_element_count)
+from .streams import ingest_stream, write_raw_f64
+from .trackers import continue_tracker, init_tracker
 
 OUT_DIR_ENV = "STREAMRPCA_OUT_DIR"
 
@@ -99,15 +96,6 @@ def _build_parser():
     p.add_argument("--resume", default=None,
                    help="resume from a snapshot written by --save-state")
     p.add_argument("--out-dir", default=None)
-
-    p = sub.add_parser("bench", help="per-step timing of the window tracker")
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--r", type=int, default=5)
-    p.add_argument("--t", type=int, default=1000)
-    p.add_argument("--n-burnin", type=int, default=100)
-    p.add_argument("--n-win", type=int, default=100)
-    p.add_argument("--rho", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("experiment", help="run a full study")
     p.add_argument("--study", type=int, choices=[1, 2, 3], required=True)
@@ -217,32 +205,6 @@ def _cmd_track(args):
     return 0
 
 
-def _cmd_bench(args):
-    spec = SimSpec(m=args.m, t=args.t, n_burnin=args.n_burnin, rho=args.rho,
-                   seed=args.seed, variant=Stable(r=args.r))
-    stream = ObservationStream.from_matrix(full_stream_matrix(generate(spec)))
-    config = TrackerConfig(n_burnin=args.n_burnin, n_win=args.n_win)
-    model, buffer, i = init_tracker(stream, "omw", config)
-    times = []
-    while (x := stream.get(i)) is not None:
-        start = time.perf_counter()
-        omw_step(model, buffer, x, config.projection)
-        times.append(time.perf_counter() - start)
-        i += 1
-    times = np.array(times)
-    summary = {
-        "steps": len(times),
-        "mean_ms": float(times.mean() * 1e3),
-        "p50_ms": float(np.percentile(times, 50) * 1e3),
-        "p95_ms": float(np.percentile(times, 95) * 1e3),
-        "first_100_mean_ms": float(times[:100].mean() * 1e3),
-        "last_100_mean_ms": float(times[-100:].mean() * 1e3),
-        "state_elements": state_element_count(model, buffer),
-    }
-    print(json.dumps(summary, sort_keys=True))
-    return 0
-
-
 def _cmd_experiment(args):
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     out = _out_dir(args)
@@ -258,7 +220,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "pcp": _cmd_pcp,
     "track": _cmd_track,
-    "bench": _cmd_bench,
     "experiment": _cmd_experiment,
 }
 

@@ -142,8 +142,7 @@ def estimate_rank(L, rel_tol=1e-6):
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None,
-                      rank_rel_tol=1e-6):
+def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
     """Build tracker seed state from a burn-in sample block.
 
     Runs the batch solver on M_b, takes the thin SVD of the low-rank part
@@ -173,7 +172,7 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None,
     U_hat, s, Vh = np.linalg.svd(result.L, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise InitializationError("burn-in produced a zero low-rank part")
-    r = int(np.count_nonzero(s > rank_rel_tol * s[0]))
+    r = int(np.count_nonzero(s > 1e-6 * s[0]))  # estimate_rank's default
     if r == 0:
         raise InitializationError("burn-in produced a zero-rank low-rank part")
 

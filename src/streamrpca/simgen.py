@@ -126,58 +126,46 @@ def gen_stable(spec):
 
 
 def gen_drift(spec):
-    """Generate a slowly drifting stream; burn-in uses the undrifted basis."""
+    """Generate a slowly drifting stream: one ChangePoints piece, no cps."""
     if not isinstance(spec.variant, Drift):
         raise ContractViolation("gen_drift: spec.variant must be Drift")
     var = spec.variant
-    if var.r0 > var.r:
-        raise ContractViolation("gen_drift: r0 must be <= r")
-    rng = _rng(spec.seed)
-    U0 = rng.standard_normal((spec.m, var.r))
-    n_inc = -(-spec.t // var.t_p)  # ceil
-    increments = [rng.standard_normal((spec.m, var.r0)) for _ in range(n_inc)]
-    V_b = rng.standard_normal((var.r, spec.n_burnin))
-    V = rng.standard_normal((var.r, spec.t))
-    S_b = _sparse(rng, spec.m, spec.n_burnin, spec.rho)
-    S = _sparse(rng, spec.m, spec.t, spec.rho)
-    L = _piece_low_rank(U0, increments, V, var.r0, var.t_p)
-    return GroundTruth(M=L + S, L=L, S=S, M_b=U0 @ V_b + S_b, cps=[],
-                       U_trace=[U0])
+    return _gen_pieces(spec, [var.r], [], var.r0, var.t_p)
 
 
 def gen_changepoints(spec):
-    """Generate a piecewise stream with independent per-piece subspaces.
-
-    The burn-in block uses the first piece's starting basis, undrifted.
-    """
+    """Generate a piecewise stream with independent per-piece subspaces."""
     if not isinstance(spec.variant, ChangePoints):
         raise ContractViolation(
             "gen_changepoints: spec.variant must be ChangePoints")
     var = spec.variant
-    cps = list(var.cps)
-    ranks = list(var.ranks)
-    if len(ranks) != len(cps) + 1:
+    if len(var.ranks) != len(var.cps) + 1:
         raise ContractViolation(
             "gen_changepoints: need exactly one more rank than change points")
-    if any(c2 <= c1 for c1, c2 in zip(cps, cps[1:])):
-        raise ContractViolation("gen_changepoints: cps must be increasing")
-    if cps and not (0 < cps[0] and cps[-1] < spec.t):
-        raise ContractViolation("gen_changepoints: cps must lie in (0, T)")
-    bounds = [0] + cps + [spec.t]
-    lengths = [b2 - b1 for b1, b2 in zip(bounds, bounds[1:])]
-    if any(n < 1 for n in lengths):
-        raise ContractViolation("gen_changepoints: every piece needs >= 1 sample")
-    if any(var.r0 > r for r in ranks):
-        raise ContractViolation("gen_changepoints: r0 must be <= every rank")
+    bounds = [0, *var.cps, spec.t]
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ContractViolation(
+            "gen_changepoints: cps must increase inside (0, T), leaving "
+            "every piece >= 1 sample")
+    return _gen_pieces(spec, list(var.ranks), list(var.cps), var.r0, var.t_p)
 
+
+def _gen_pieces(spec, ranks, cps, r0, t_p):
+    """Pieces with fresh drifting bases split at cps; the burn-in block uses
+    the first piece's starting basis, undrifted."""
+    if any(r0 > r for r in ranks):
+        raise ContractViolation(
+            f"{type(spec.variant).__name__}: r0 must be <= every rank")
+    bounds = [0, *cps, spec.t]
+    lengths = [b2 - b1 for b1, b2 in zip(bounds, bounds[1:])]
     rng = _rng(spec.seed)
     bases = []
     increments = []
     for r_p, length in zip(ranks, lengths):
         bases.append(rng.standard_normal((spec.m, r_p)))
-        n_inc = -(-length // var.t_p)
+        n_inc = -(-length // t_p)  # ceil
         increments.append(
-            [rng.standard_normal((spec.m, var.r0)) for _ in range(n_inc)])
+            [rng.standard_normal((spec.m, r0)) for _ in range(n_inc)])
     V_b = rng.standard_normal((ranks[0], spec.n_burnin))
     Vs = [rng.standard_normal((r_p, length))
           for r_p, length in zip(ranks, lengths)]
@@ -185,9 +173,9 @@ def gen_changepoints(spec):
     S = _sparse(rng, spec.m, spec.t, spec.rho)
 
     L = np.hstack([
-        _piece_low_rank(U0, inc, V, var.r0, var.t_p)
+        _piece_low_rank(U0, inc, V, r0, t_p)
         for U0, inc, V in zip(bases, increments, Vs)
-    ]) if spec.t else np.zeros((spec.m, 0))
+    ])
     return GroundTruth(M=L + S, L=L, S=S, M_b=bases[0] @ V_b + S_b, cps=cps,
                        U_trace=bases)
 

@@ -36,7 +36,8 @@ def snapshot_tracker(kind, model, buffer=None, cursor=0):
 
 
 def snapshot_cp_pipeline(pipeline):
-    """Capture an OmwCpPipeline between steps."""
+    """Capture an OmwCpPipeline between steps. The detector dict is the one
+    list of detector keys: save_state stores each as a det_<key> entry."""
     tracker = pipeline.tracker
     if tracker is None:
         raise SnapshotError("cannot snapshot an uninitialized pipeline")
@@ -50,7 +51,7 @@ def snapshot_cp_pipeline(pipeline):
         "change_points": np.array(pipeline.change_points, dtype=np.int64),
         "detection_enabled": pipeline.detection_enabled,
         "status": pipeline.status,
-        "warnings": list(pipeline.warnings),
+        "warnings": np.array(pipeline.warnings, dtype=str),
         "L_partial": L,
         "S_partial": S,
     }
@@ -71,7 +72,7 @@ def restore_cp_pipeline(snapshot, config):
     pipeline.change_points = [int(c) for c in det["change_points"]]
     pipeline.detection_enabled = bool(det["detection_enabled"])
     pipeline.status = str(det["status"])
-    pipeline.warnings = list(det["warnings"])
+    pipeline.warnings = [str(w) for w in det["warnings"]]
     tracker = Tracker(snapshot.model, snapshot.buffer, snapshot.cursor,
                       config.projection)
     tracker.t_start = int(det["t_start"])
@@ -99,19 +100,8 @@ def save_state(path, snapshot):
         arrays["buffer_m"] = np.stack([e[0] for e in snapshot.buffer])
         arrays["buffer_v"] = np.stack([e[1] for e in snapshot.buffer])
         arrays["buffer_s"] = np.stack([e[2] for e in snapshot.buffer])
-    if snapshot.detector is not None:
-        det = snapshot.detector
-        arrays["det_hist_counts"] = det["hist_counts"]
-        arrays["det_fb_sizes"] = det["fb_sizes"]
-        arrays["det_fb_flags"] = det["fb_flags"]
-        arrays["det_t_start"] = np.int64(det["t_start"])
-        arrays["det_next_t"] = np.int64(det["next_t"])
-        arrays["det_change_points"] = det["change_points"]
-        arrays["det_detection_enabled"] = np.bool_(det["detection_enabled"])
-        arrays["det_status"] = np.str_(det["status"])
-        arrays["det_warnings"] = np.array(det["warnings"], dtype=str)
-        arrays["det_L_partial"] = det["L_partial"]
-        arrays["det_S_partial"] = det["S_partial"]
+    for key, value in (snapshot.detector or {}).items():
+        arrays[f"det_{key}"] = np.asarray(value)
     np.savez(path, **arrays)
 
 
@@ -138,21 +128,8 @@ def load_state(path):
                 buffer = WindowBuffer.from_seed(
                     list(zip(data["buffer_m"], data["buffer_v"],
                              data["buffer_s"])), int(data["buffer_capacity"]))
-            detector = None
-            if "det_hist_counts" in data:
-                detector = {
-                    "hist_counts": data["det_hist_counts"].copy(),
-                    "fb_sizes": data["det_fb_sizes"].copy(),
-                    "fb_flags": data["det_fb_flags"].copy(),
-                    "t_start": int(data["det_t_start"]),
-                    "next_t": int(data["det_next_t"]),
-                    "change_points": data["det_change_points"].copy(),
-                    "detection_enabled": bool(data["det_detection_enabled"]),
-                    "status": str(data["det_status"]),
-                    "warnings": [str(w) for w in data["det_warnings"]],
-                    "L_partial": data["det_L_partial"].copy(),
-                    "S_partial": data["det_S_partial"].copy(),
-                }
+            detector = {key[4:]: data[key].copy() for key in data.files
+                        if key.startswith("det_")} or None
             return StateSnapshot(version=version, kind=kind, model=model,
                                  buffer=buffer, cursor=int(data["cursor"]),
                                  detector=detector)

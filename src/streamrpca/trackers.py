@@ -1,11 +1,11 @@
 """Online trackers: cumulative ("stoc") and moving-window ("omw").
 
-Both trackers consume one sample per step: project it onto the current
-basis, fold the coefficient/sparse pair into the accumulators A and B, and
-run one block-coordinate sweep of the basis update. The cumulative tracker
-keeps growing sums; the moving-window tracker additionally subtracts the
-contribution of the sample falling out of a ring buffer of the most recent
-n_win samples, so its state size is independent of how long it has run.
+One step function, omw_step, serves both: project the sample onto the
+current basis, fold the coefficient/sparse pair into the accumulators A and
+B, and run one block-coordinate sweep of the basis update. Without a window
+the sums keep growing (cumulative); with a ring buffer of the most recent
+n_win samples the step also subtracts the contribution of the sample falling
+out, so the state size is independent of how long the tracker has run.
 
 One driver, Tracker, runs every mode. Its two switches are eviction (a
 window buffer) and an optional detector (changepoint.OmwCpPipeline).
@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import update_basis
 from .exceptions import ContractViolation, TrackerStepError
-from .pcp import PcpConfig, burnin_initialize
+from .pcp import burnin_initialize
 from .projection import ProjectionConfig, project_sample
 
 # Recompute A/B from the ring buffer every DRIFT_CORRECTION_FACTOR * n_win
@@ -143,9 +143,7 @@ class TrackerConfig:
     n_win: int
     lambda1: float | None = None
     lambda2: float | None = None
-    pcp: PcpConfig = field(default_factory=PcpConfig)
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
-    rank_rel_tol: float = 1e-6
 
     def __post_init__(self):
         name = type(self).__name__
@@ -168,19 +166,8 @@ def stoc_init_from_burnin(init, lambda1, lambda2):
 
 
 def stoc_step(model, m_t, projection_config=None):
-    """One cumulative step: project, grow A and B, update the basis."""
-    m_t = np.asarray(m_t, dtype=float)
-    if m_t.shape != (model.m,):
-        raise ContractViolation(
-            f"stoc_step: sample dimension {m_t.shape} != ({model.m},)"
-        )
-    v, s = project_sample(model.U, m_t, model.lambda1, model.lambda2,
-                          projection_config)
-    model.A += np.outer(v, v)
-    model.B += np.outer(m_t - s, v)
-    update_basis(model.U, model.A, model.B, model.lambda1)
-    model.t += 1
-    return StepOutput(v=v, s=s, l=model.U @ v)
+    """One cumulative step: omw_step without a window."""
+    return omw_step(model, None, m_t, projection_config)
 
 
 def omw_init(init, lambda1, lambda2, n_win):
@@ -190,13 +177,14 @@ def omw_init(init, lambda1, lambda2, n_win):
 
 
 def omw_step(model, buffer, m_t, projection_config=None):
-    """One moving-window step.
+    """One tracker step; buffer None is the cumulative tracker.
 
-    Projects the sample, swaps its contribution for the evicted ring entry
-    in A and B, updates the basis, and pushes the new tuple. Periodically
-    recomputes A and B from the buffer to cancel float drift.
+    Projects the sample, adds its outer products to A and B less those of
+    the evicted ring entry, if any, updates the basis, and pushes the new
+    tuple. Every DRIFT_CORRECTION_FACTOR * n_win steps a window recomputes
+    A and B from the buffer to cancel float drift.
     """
-    if not buffer.is_full:
+    if buffer is not None and not buffer.is_full:
         raise ContractViolation("omw_step: window buffer is not full")
     m_t = np.asarray(m_t, dtype=float)
     if m_t.shape != (model.m,):
@@ -205,14 +193,22 @@ def omw_step(model, buffer, m_t, projection_config=None):
         )
     v, s = project_sample(model.U, m_t, model.lambda1, model.lambda2,
                           projection_config)
-    m_old, v_old, s_old = buffer.pop_oldest()
-    model.A += np.outer(v, v) - np.outer(v_old, v_old)
-    model.B += np.outer(m_t - s, v) - np.outer(m_old - s_old, v_old)
+    # the evicted terms are subtracted from the increment before it is
+    # added, so A += outer(v, v) - outer(v_old, v_old) keeps its bits
+    dA = np.outer(v, v)
+    dB = np.outer(m_t - s, v)
+    if buffer is not None:
+        m_old, v_old, s_old = buffer.pop_oldest()
+        dA -= np.outer(v_old, v_old)
+        dB -= np.outer(m_old - s_old, v_old)
+    model.A += dA
+    model.B += dB
     update_basis(model.U, model.A, model.B, model.lambda1)
-    buffer.push(m_t, v, s)
     model.t += 1
-    if model.t % (DRIFT_CORRECTION_FACTOR * buffer.capacity) == 0:
-        model.A, model.B = buffer.recompute_accumulators()
+    if buffer is not None:
+        buffer.push(m_t, v, s)
+        if model.t % (DRIFT_CORRECTION_FACTOR * buffer.capacity) == 0:
+            model.A, model.B = buffer.recompute_accumulators()
     return StepOutput(v=v, s=s, l=model.U @ v)
 
 
@@ -237,9 +233,7 @@ def seed_tracker(stream, index, config, evict):
         burn.append(x)
     M_b = np.column_stack(burn)
     lambda1, lambda2 = config.resolved_lambdas(M_b.shape[0])
-    init = burnin_initialize(M_b, lambda1, lambda2, config.n_win,
-                             pcp_config=config.pcp,
-                             rank_rel_tol=config.rank_rel_tol)
+    init = burnin_initialize(M_b, lambda1, lambda2, config.n_win)
     if evict:
         model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
     else:
@@ -250,10 +244,11 @@ def seed_tracker(stream, index, config, evict):
 class Tracker:
     """The driver of every mode: steps a stream from index `cursor` to its end.
 
-    A window buffer selects the moving-window step, None the cumulative one.
-    An optional detector passed to run() observes each step and may
-    restart() the tracker at a change point. The next sample has tracked time t_start + model.t;
-    cols holds the (l, s) outputs in tracked-time order up to it.
+    A window buffer makes the step evict, None makes it cumulative. An
+    optional detector passed to run() observes each step and may restart()
+    the tracker at a change point. The next sample has tracked time
+    t_start + model.t; cols holds the (l, s) outputs in tracked-time order
+    up to it.
     """
 
     def __init__(self, model, buffer, cursor, projection_config=None):
@@ -274,11 +269,8 @@ class Tracker:
         while (x := stream.get(self.cursor)) is not None:
             t = self.t
             try:
-                if self.buffer is None:
-                    out = stoc_step(self.model, x, self.projection_config)
-                else:
-                    out = omw_step(self.model, self.buffer, x,
-                                   self.projection_config)
+                out = omw_step(self.model, self.buffer, x,
+                               self.projection_config)
             except Exception as exc:
                 raise TrackerStepError(t, str(exc)) from exc
             self.cols.append((out.l, out.s))

@@ -210,7 +210,7 @@ def test_restart_soundness_fresh_state():
     # post-t0 block alone
     from streamrpca.pcp import pcp_alm
     block = full[:, cut:cut + config.n_burnin]
-    pcp = pcp_alm(block, config.pcp)
+    pcp = pcp_alm(block)
     np.testing.assert_array_equal(
         result.L[:, t0 - 1:t0 - 1 + config.n_burnin], pcp.L)
 

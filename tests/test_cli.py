@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import streamrpca
 from streamrpca.cli import main
 from streamrpca.simgen import SimSpec, Stable, full_stream_matrix, generate
 from streamrpca.streams import ingest_stream, write_csv, write_raw_f64
@@ -111,16 +114,6 @@ def test_track_save_and_resume_matches_single_run(tmp_path):
     np.testing.assert_array_equal(np.hstack([L_head, L_tail]), L_once)
 
 
-def test_bench_command(capsys):
-    rc = main(["bench", "--m", "20", "--r", "2", "--t", "60",
-               "--n-burnin", "15", "--n-win", "15"])
-    assert rc == 0
-    summary = json.loads(capsys.readouterr().out.strip())
-    assert summary["steps"] == 60
-    assert summary["state_elements"] == (2 * 20 * 2 + 2 * 2
-                                         + 15 * (2 * 20 + 2))
-
-
 def test_experiment_command_smoke(tmp_path):
     # tiny surrogate for the experiment path: desk study 1 with the full
     # sample budget is exercised in the acceptance suite
@@ -135,10 +128,14 @@ def test_experiment_command_smoke(tmp_path):
 def test_console_entry_point(tmp_path):
     src = tmp_path / "m.csv"
     write_csv(src, np.outer(np.arange(1, 5, dtype=float), np.ones(8)))
+    # the child imports the package this suite tests, installed or not
+    path = os.pathsep.join(filter(None, [
+        str(Path(streamrpca.__file__).parents[1]),
+        os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "streamrpca.cli", "pcp", "--input", str(src),
          "--out-dir", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
 
 

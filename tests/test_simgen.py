@@ -117,6 +117,23 @@ def test_drift_burnin_from_base():
     assert np.linalg.norm(resid) <= 1e-8
 
 
+def test_drift_empty_stream_keeps_burnin():
+    # t=0 yields an empty tracked stream and a burn-in block in the span of
+    # the undrifted base; the same layout is no valid ChangePoints spec
+    spec = SimSpec(m=40, t=0, n_burnin=30, rho=0.0, seed=3,
+                   variant=Drift(r=6, r0=2, t_p=125))
+    gt = gen_drift(spec)
+    assert gt.L.shape == gt.S.shape == gt.M.shape == (40, 0)
+    assert gt.cps == []
+    U0 = gt.U_trace[0]
+    resid = gt.M_b - U0 @ np.linalg.pinv(U0) @ gt.M_b
+    assert np.linalg.norm(resid) <= 1e-8
+    with pytest.raises(ContractViolation):
+        gen_changepoints(SimSpec(m=40, t=0, n_burnin=30, rho=0.0, seed=3,
+                                 variant=ChangePoints(ranks=(6,), cps=(),
+                                                      r0=2, t_p=125)))
+
+
 def cp_spec(seed=4, t=300, cps=(100, 200), ranks=(3, 5, 4)):
     return SimSpec(m=30, t=t, n_burnin=20, rho=0.01, seed=seed,
                    variant=ChangePoints(ranks=ranks, cps=cps, r0=2, t_p=50))

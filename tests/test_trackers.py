@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamrpca.changepoint import CpConfig, run_omw_cp
 from streamrpca.cli import main
@@ -7,7 +9,8 @@ from streamrpca.exceptions import ContractViolation, TrackerStepError
 from streamrpca.pcp import burnin_initialize
 from streamrpca.simgen import SimSpec, Stable, full_stream_matrix, generate
 from streamrpca.streams import ObservationStream, write_raw_f64
-from streamrpca.trackers import (TrackerConfig, WindowBuffer, continue_tracker,
+from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
+                                 TrackerConfig, WindowBuffer, continue_tracker,
                                  init_tracker, omw_init, omw_step, run_tracker,
                                  state_element_count, stoc_init_from_burnin,
                                  stoc_step)
@@ -133,6 +136,49 @@ def test_omw_bookkeeping_500_steps_with_drift_correction():
         assert np.linalg.norm(model.A - A_re) <= 1e-8 * scale
         scale_b = max(np.linalg.norm(B_re), 1.0)
         assert np.linalg.norm(model.B - B_re) <= 1e-8 * scale_b
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 8), r=st.integers(1, 3), n_win=st.integers(1, 4),
+       lambda2=st.floats(0.05, 3.0), seed=st.integers(0, 2**32 - 1),
+       window=st.booleans())
+def test_step_accumulators_match_their_terms(m, r, n_win, lambda2, seed,
+                                             window):
+    # with a window, A and B track the buffer's recomputation (the ring
+    # wraps and the drift correction at 10 * n_win fires) and keep the bits
+    # of A += vv' - v_old v_old'; without one, they are A0/B0 plus every
+    # logged term
+    rng = np.random.Generator(np.random.PCG64(seed))
+    U = rng.standard_normal((m, r))
+    seed_entries = [(rng.standard_normal(m), rng.standard_normal(r),
+                     np.zeros(m)) for _ in range(n_win)]
+    buffer = WindowBuffer.from_seed(seed_entries, n_win)
+    A0, B0 = buffer.recompute_accumulators()
+    model = SubspaceModel(U=U, A=A0.copy(), B=B0.copy(), lambda1=0.1,
+                          lambda2=lambda2)
+    if not window:
+        buffer = None
+    A_exp, B_exp = A0.copy(), B0.copy()
+    for _ in range((DRIFT_CORRECTION_FACTOR + 1) * n_win + 1):
+        x = U @ rng.standard_normal(r) + np.where(
+            rng.random(m) < 0.2, rng.uniform(-10, 10, m), 0.0)
+        if buffer is not None:
+            m_old, v_old, s_old = next(iter(buffer))
+        out = omw_step(model, buffer, x)
+        A_exp += np.outer(out.v, out.v) - (
+            np.outer(v_old, v_old) if buffer is not None else 0.0)
+        B_exp += np.outer(x - out.s, out.v) - (
+            np.outer(m_old - s_old, v_old) if buffer is not None else 0.0)
+        if buffer is not None:
+            A_re, B_re = buffer.recompute_accumulators()
+            assert np.abs(model.A - A_re).max() <= 1e-8 * max(
+                1.0, np.abs(A_re).max())
+            assert np.abs(model.B - B_re).max() <= 1e-8 * max(
+                1.0, np.abs(B_re).max())
+            if model.t % (DRIFT_CORRECTION_FACTOR * n_win) == 0:
+                A_exp, B_exp = A_re, B_re
+        np.testing.assert_array_equal(model.A, A_exp)
+        np.testing.assert_array_equal(model.B, B_exp)
 
 
 def test_state_element_count_structure_independent_of_t():
