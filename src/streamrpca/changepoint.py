@@ -253,11 +253,17 @@ class OmwCpPipeline:
         seeded = seed_tracker(stream, 0, self.config, evict=True)
         if seeded is None:
             return False
-        _, model, buffer = seeded
+        init, model, buffer = seeded
+        self._check_burnin(init, "before t=1")
         self.hist = SupportHistogram(model.m)
         self.tracker = Tracker(model, buffer, self.config.n_burnin,
                                self.config.projection)
         return True
+
+    def _check_burnin(self, init, where):
+        if not init.converged:
+            self.warnings.append(f"burn-in {where}: batch solve unconverged "
+                                 f"after {init.iterations} iterations")
 
     def observe(self, tracker, stream, t, s):
         """Detector step after the tracker stepped tracked time t with
@@ -287,7 +293,8 @@ class OmwCpPipeline:
         if t0 is None:
             return
         self.change_points.append(t0)
-        if tracker.restart(stream, t0, cfg):
+        if (init := tracker.restart(stream, t0, cfg)) is not None:
+            self._check_burnin(init, f"from t={t0}")
             self.hist = SupportHistogram(self.hist.m)
             self.flag_buffers.clear()
             return

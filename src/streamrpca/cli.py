@@ -77,7 +77,7 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["csv", "raw-f64"], default="csv")
     p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--mu", type=float, help="initial penalty; 1.25/||M||_2")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--out-dir", default=None)

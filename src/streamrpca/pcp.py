@@ -1,9 +1,10 @@
 """Batch low-rank + sparse decomposition and burn-in model construction.
 
-The batch solver alternates a singular-value-thresholding step for the
-low-rank part, an elementwise shrinkage step for the sparse part, and a dual
-update, with a fixed penalty parameter mu, until the relative primal residual
-||M - L - S||_F / ||M||_F drops below ``tol``.
+The batch solver is the inexact ALM of Lin, Chen & Ma (2010) with a penalty
+mu that grows only while the primal residual outweighs the dual one (residual
+balancing, Boyd et al. 2011, 3.4.1; growing it every sweep stalls short of
+the optimum). The rank is read at a loose-tolerance iterate, because a large
+final mu leaves small spurious singular values in L.
 
 ``burnin_initialize`` turns the batch decomposition of an initial sample
 block into the seed state of the online trackers: estimated rank, a scaled
@@ -18,14 +19,18 @@ import numpy as np
 from .exceptions import ContractViolation, InitializationError
 from .prox import shrink_matrix, svt
 
+MU_GROWTH = 1.2     # penalty growth per sweep (Lin et al. use 1.5)
+DUAL_WEIGHT = 3.0   # the dual residual is relative to DUAL_WEIGHT * sqrt(m*n)
+RANK_TOL = 1e-3     # relative primal residual at which the rank is read
+
 
 @dataclass
 class PcpConfig:
     """Solver configuration.
 
     lam: sparse-penalty weight; None picks 1/sqrt(max(m, n)).
-    mu: penalty parameter; "auto" picks m*n / (4 * ||M||_1).
-    tol: relative primal-residual stopping threshold (must be < 1).
+    mu: initial penalty parameter; "auto" picks 1.25 / ||M||_2.
+    tol: threshold of the relative primal and dual residuals (must be < 1).
     max_iter: iteration cap.
     """
 
@@ -51,6 +56,7 @@ class PcpResult:
     S: np.ndarray
     iterations: int
     converged: bool
+    rank: int
 
 
 @dataclass
@@ -69,6 +75,8 @@ class BurninInit:
     window_seed: list = field(repr=False)
     L_b: np.ndarray = field(default=None, repr=False)
     S_b: np.ndarray = field(default=None, repr=False)
+    iterations: int = 0
+    converged: bool = True
 
 
 def default_pcp_lambda(m, n):
@@ -79,24 +87,24 @@ def default_pcp_lambda(m, n):
 
 
 def default_mu(M):
-    """Default penalty parameter: m*n / (4*||M||_1), or 1.0 for a zero matrix."""
-    M = np.asarray(M, dtype=float)
-    l1 = np.abs(M).sum()
-    if l1 == 0.0:
-        return 1.0
-    return M.size / (4.0 * l1)
+    """Default initial penalty: 1.25 / ||M||_2, or 1.0 for a zero matrix."""
+    norm_two = np.linalg.norm(np.asarray(M, dtype=float), 2)
+    return 1.25 / norm_two if norm_two > 0.0 else 1.0
 
 
 def pcp_alm(M, config=None):
     """Decompose M into low-rank L plus sparse S.
 
-    Iterates, starting from S = Y = 0:
+    Iterates, from S = 0, Y = M / max(||M||_2, ||M||_inf / lam), mu = mu0:
         L <- svt(M - S + Y/mu, 1/mu)
         S <- shrink(M - L + Y/mu, lam/mu)
         Y <- Y + mu*(M - L - S)
-    until ||M - L - S||_F <= tol * ||M||_F or max_iter sweeps.
+    and mu *= MU_GROWTH while p > d, until p <= tol and d <= tol or max_iter
+    sweeps; p = ||M - L - S||_F / ||M||_F, d = mu*||S - S_prev||_F /
+    (DUAL_WEIGHT * sqrt(m*n)). rank is estimate_rank of the first L with
+    p <= RANK_TOL, or of the last L.
 
-    Non-convergence is not an error: the best iterate is returned with
+    Non-convergence is not an error: the last iterate is returned with
     converged=False and the caller decides.
     """
     M = np.asarray(M, dtype=float)
@@ -107,32 +115,38 @@ def pcp_alm(M, config=None):
     if config is None:
         config = PcpConfig()
     lam = config.lam if config.lam is not None else default_pcp_lambda(*M.shape)
-    mu = default_mu(M) if config.mu == "auto" else float(config.mu)
-
-    norm_M = np.linalg.norm(M)
-    stop = config.tol * norm_M
+    norm_two = np.linalg.norm(M, 2)
+    mu0 = 1.25 / norm_two if norm_two > 0.0 else 1.0   # default_mu(M)
+    mu = mu0 if config.mu == "auto" else float(config.mu)
+    norm_M = np.linalg.norm(M) or 1.0
+    dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
+    Y = M / (max(norm_two, np.abs(M).max(initial=0.0) / lam) or 1.0)
     S = np.zeros_like(M)
-    Y = np.zeros_like(M)
-    L = np.zeros_like(M)
-    converged = False
-    k = 0
+    rank = None
     for k in range(1, config.max_iter + 1):
         L = svt(M - S + Y / mu, 1.0 / mu)
-        S = shrink_matrix(M - L + Y / mu, lam / mu)
+        S_prev, S = S, shrink_matrix(M - L + Y / mu, lam / mu)
         residual = M - L - S
         Y += mu * residual
-        if np.linalg.norm(residual) <= stop:
-            converged = True
+        primal = np.linalg.norm(residual) / norm_M
+        dual = mu * np.linalg.norm(S - S_prev) / dual_scale
+        if rank is None and primal <= RANK_TOL:
+            rank = estimate_rank(L)
+        converged = bool(primal <= config.tol and dual <= config.tol)
+        if converged:
             break
-    return PcpResult(L=L, S=S, iterations=k, converged=converged)
+        if primal > dual:
+            mu *= MU_GROWTH
+    return PcpResult(L=L, S=S, iterations=k, converged=converged,
+                     rank=estimate_rank(L) if rank is None else rank)
 
 
 def estimate_rank(L, rel_tol=1e-6):
     """Count singular values above rel_tol times the largest one.
 
-    Returns 0 for the zero matrix. The batch solver leaves trailing singular
-    values numerically zero, so the count is insensitive to rel_tol over a
-    wide range.
+    Returns 0 for the zero matrix. pcp_alm applies it to a loose-tolerance
+    iterate, whose trailing singular values are still exactly zero, so the
+    count is insensitive to rel_tol over a wide range.
     """
     if not (0 < rel_tol < 1):
         raise ContractViolation("estimate_rank: rel_tol must be in (0, 1)")
@@ -145,8 +159,8 @@ def estimate_rank(L, rel_tol=1e-6):
 def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
     """Build tracker seed state from a burn-in sample block.
 
-    Runs the batch solver on M_b, takes the thin SVD of the low-rank part
-    L_b = U_hat * diag(s) * Vh, estimates the rank r, and forms:
+    Runs the batch solver on M_b, takes its rank r and the thin SVD of the
+    low-rank part L_b = U_hat * diag(s) * Vh, and forms:
 
         U0   = U_hat[:, :r] * sqrt(s[:r])
         v_i  = sqrt(s[:r]) * Vh[:r, i]          (per-sample coefficients)
@@ -170,11 +184,9 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
 
     result = pcp_alm(M_b, config=pcp_config)
     U_hat, s, Vh = np.linalg.svd(result.L, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    r = result.rank
+    if r == 0 or s[0] == 0.0:
         raise InitializationError("burn-in produced a zero low-rank part")
-    r = int(np.count_nonzero(s > 1e-6 * s[0]))  # estimate_rank's default
-    if r == 0:
-        raise InitializationError("burn-in produced a zero-rank low-rank part")
 
     scale = np.sqrt(s[:r])
     U0 = U_hat[:, :r] * scale
@@ -193,4 +205,5 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
         window_seed.append((m_i, v_i, s_i))
 
     return BurninInit(r=r, U0=U0, A0=A0, B0=B0, window_seed=window_seed,
-                      L_b=result.L, S_b=result.S)
+                      L_b=result.L, S_b=result.S,
+                      iterations=result.iterations, converged=result.converged)

@@ -279,19 +279,19 @@ class Tracker:
                 detector.observe(self, stream, t, out.s)
 
     def restart(self, stream, t0, config):
-        """Seed afresh from tracked time t0; False, changing nothing, if the
-        stream ends inside the burn-in."""
+        """Seed afresh from tracked time t0: returns the BurninInit, or None,
+        changing nothing, if the stream ends inside the burn-in."""
         back = self.t - t0              # samples from t0 up to the cursor
         index = self.cursor - back
         seeded = seed_tracker(stream, index, config, self.buffer is not None)
         if seeded is None:
-            return False
+            return None
         init, self.model, self.buffer = seeded
         del self.cols[len(self.cols) - back:]
         self.cols.extend(zip(init.L_b.T, init.S_b.T))
         self.cursor = index + config.n_burnin
         self.t_start = t0 + config.n_burnin
-        return True
+        return init
 
     def outputs(self):
         """(L, S): cols stacked into one column per tracked time."""

@@ -6,6 +6,7 @@ from streamrpca.changepoint import (CpConfig, FlagBuffers, SupportHistogram,
                                     p_value, run_omw_cp,
                                     scan_for_changepoint, support_size)
 from streamrpca.exceptions import ContractViolation
+from streamrpca.pcp import PcpConfig
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.streams import ObservationStream
@@ -255,3 +256,22 @@ def test_config_validation():
         desk_cp_config(alpha_prop=0.0)
     with pytest.raises(ContractViolation):
         desk_cp_config(n_win=51)  # exceeds n_burnin = 50
+
+
+def test_unconverged_burnin_is_reported(monkeypatch):
+    import streamrpca.pcp as pcp
+    from streamrpca.trackers import seed_tracker
+    solve = pcp.pcp_alm
+    monkeypatch.setattr(pcp, "pcp_alm",
+                        lambda M, config=None: solve(M, PcpConfig(max_iter=15)))
+    gt = make_cp_stream(seed=54)
+    full = full_stream_matrix(gt)
+    config = desk_cp_config()
+    init, _, _ = seed_tracker(ObservationStream.from_matrix(full), 0, config,
+                              evict=True)
+    assert not init.converged and init.iterations == 15
+    result, report = run_omw_cp(ObservationStream.from_matrix(full), config)
+    assert result.change_points
+    note = ": batch solve unconverged after 15 iterations"
+    assert report.warnings == ["burn-in before t=1" + note] + [
+        f"burn-in from t={t0}" + note for t0 in result.change_points]
