@@ -11,6 +11,8 @@ the ball gives the exact constrained block minimizer, so g never increases
 across a sweep (for feasible warm starts).
 """
 
+import math
+
 import numpy as np
 
 from .exceptions import ContractViolation
@@ -31,23 +33,26 @@ def update_basis(U, A, B, lambda1, sweeps=1):
         u_tilde = (B[:, j] - U @ At[:, j]) / At[j, j] + U[:, j]
         U[:, j] = u_tilde / max(||u_tilde||, 1)
 
-    U is mutated column by column and returned. Not safe for concurrent
-    mutation of the same array.
+    It sweeps contiguous rows of U', B' and At' (row j of At' is At[:, j])
+    and writes them back into U, which is returned (unchanged if r = 0).
+    Not safe for concurrent mutation of the same array.
     """
     if A.shape[0] != A.shape[1] or U.shape[1] != A.shape[0] or B.shape != U.shape:
         raise ContractViolation(
             f"update_basis: inconsistent shapes U{U.shape} A{A.shape} B{B.shape}"
         )
-    scale = 1.0 + np.max(np.abs(A))
-    if np.max(np.abs(A - A.T)) > _SYM_TOL * scale:
+    scale = 1.0 + np.abs(A).max(initial=0.0)
+    if np.abs(A - A.T).max(initial=0.0) > _SYM_TOL * scale:
         raise ContractViolation("update_basis: A is not symmetric")
     if lambda1 <= 0:
         raise ContractViolation("update_basis: lambda1 must be > 0")
 
-    r = U.shape[1]
-    At = A + lambda1 * np.eye(r)
+    At = A + lambda1 * np.eye(U.shape[1])
+    diag = At.diagonal().tolist()
+    Att, Bt, Ut = (np.ascontiguousarray(X.T) for X in (At, B, U))
     for _ in range(sweeps):
-        for j in range(r):
-            u_tilde = (B[:, j] - U @ At[:, j]) / At[j, j] + U[:, j]
-            U[:, j] = u_tilde / max(np.linalg.norm(u_tilde), 1.0)
+        for j, d in enumerate(diag):
+            u = (Bt[j] - Att[j] @ Ut) / d + Ut[j]
+            Ut[j] = u / max(math.sqrt(u @ u), 1.0)
+    U[...] = Ut.T
     return U

@@ -190,8 +190,10 @@ def _cmd_track(args):
     out = _out_dir(args)
     write_raw_f64(out / "L.f64", result.L)
     write_raw_f64(out / "S.f64", result.S)
+    n_samples, change_points = result.L.shape[1], result.change_points
+    del result  # an omw-cp snapshot stacks the output columns again
     (out / "changepoints.json").write_text(
-        json.dumps({"change_points": result.change_points}, sort_keys=True)
+        json.dumps({"change_points": change_points}, sort_keys=True)
         + "\n", encoding="ascii")
     if report is not None:
         experiments._write_diagnostics(out / "diagnostics.jsonl",
@@ -200,8 +202,7 @@ def _cmd_track(args):
         save_state(args.save_state,
                    snapshot_cp_pipeline(pipeline) if report is not None
                    else snapshot_tracker(args.mode, model, buffer, cursor))
-    print(f"tracked {result.L.shape[1]} samples; "
-          f"change points: {result.change_points}")
+    print(f"tracked {n_samples} samples; change points: {change_points}")
     return 0
 
 

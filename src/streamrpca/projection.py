@@ -14,7 +14,7 @@ import numpy as np
 
 from . import prox
 from .exceptions import ContractViolation
-from .prox import _gram_solve, shrink_matrix
+from .prox import _cholesky_solver, shrink_matrix
 
 
 @dataclass
@@ -45,16 +45,17 @@ def projection_objective(U, m_t, v, s, lambda1, lambda2):
 def project_sample(U, m_t, lambda1, lambda2, config=None):
     """Return the coefficient vector v and sparse vector s for one sample.
 
-    Factors P = (U'U + lambda1*I)^{-1} U' once, starts from s = 0 and
-    alternates v <- P (m_t - s), s <- shrink(m_t - U v, lambda2). Once two
-    alternations in a row give the same sign pattern sigma, or the stopping
-    rule fires, it solves for v exactly on the support S of sigma:
-    (U_off'U_off + lambda1*I) v = U_off'm_off + lambda2*U'sigma, the r x r
-    Woodbury form of (I - U_S P_S) s_S = m_S - U_S P m_t - lambda2*sigma_S.
-    If s = shrink(m_t - U v, lambda2) has the signs sigma, the KKT
-    conditions hold and it returns s and v = P (m_t - s). If not, it takes
-    the longest halving of the step toward that v that lowers the objective
-    (a damped Newton step in v) and alternates on.
+    Factors G = U'U + lambda1*I and forms U'm_t once, starts from s = 0 and
+    alternates v <- G^{-1}(U'm_t - U's) (an r-vector solve on the factor),
+    s <- shrink(m_t - U v, lambda2). Once two alternations in a row give the
+    same sign pattern sigma, or the stopping rule fires, it solves for v
+    exactly on the support S of sigma: (G - U_S'U_S) v = U'm_t - U_S'm_S +
+    lambda2*U_S'sigma_S, G downdated to the Gram matrix of the rows off S
+    (formed from those rows if the downdate fails to factor). If
+    s = shrink(m_t - U v, lambda2) has the signs sigma, the KKT conditions
+    hold and it returns s and v = G^{-1}U'(m_t - s). If not, it takes the
+    longest halving of the step toward that v that lowers the objective (a
+    damped Newton step in v) and alternates on.
     """
     if config is None:
         config = ProjectionConfig()
@@ -69,12 +70,15 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
     if lambda1 <= 0 or lambda2 <= 0:
         raise ContractViolation("project_sample: lambda1, lambda2 must be > 0")
 
-    P = _gram_solve(U, lambda1, U.T)
+    ridge = lambda1 * np.eye(U.shape[1])
+    G = U.T @ U + ridge
+    solve = _cholesky_solver(G)[1]
+    Um = U.T @ m_t
     v = np.zeros(U.shape[1])
     s = np.zeros_like(m_t)
     signs = None
     for _ in range(config.max_iter):
-        v_new = P @ (m_t - s)
+        v_new = solve(Um - U.T @ s)
         s_new = shrink_matrix(m_t - U @ v_new, lambda2)
         step = max(np.abs(v_new - v).max(initial=0.0), np.abs(s_new - s).max())
         v, s = v_new, s_new
@@ -84,13 +88,17 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
         converged = step < config.tol
         if not (converged or np.array_equal(prev, signs)):
             continue
-        off = signs == 0
-        v_sup = _gram_solve(U[off], lambda1,
-                            U[off].T @ m_t[off] + lambda2 * (U.T @ signs))
+        on = signs != 0
+        U_on = U[on]
+        factor, solve_off = _cholesky_solver(G - U_on.T @ U_on)
+        if factor is None:
+            U_off = U[~on]
+            solve_off = _cholesky_solver(U_off.T @ U_off + ridge)[1]
+        v_sup = solve_off(Um - U_on.T @ (m_t[on] - lambda2 * signs[on]))
         # via prox: calls of this module's shrink_matrix count alternations
         s_sup = prox.shrink_matrix(m_t - U @ v_sup, lambda2)
         if np.array_equal(np.sign(s_sup), signs):
-            return P @ (m_t - s_sup), s_sup
+            return solve(Um - U.T @ s_sup), s_sup
         if converged:
             break
         f = projection_objective(U, m_t, v, s, lambda1, lambda2)

@@ -53,15 +53,15 @@ def ridge_regress(U, y, lambda1):
         raise ContractViolation("ridge_regress: non-finite input")
     if lambda1 <= 0:
         raise ContractViolation("ridge_regress: lambda1 must be > 0")
-    return _gram_solve(U, lambda1, U.T @ y)
+    return _cholesky_solver(U.T @ U + lambda1 * np.eye(U.shape[1]))[1](U.T @ y)
 
 
-def _gram_solve(U, lambda1, rhs):
-    """(U'U + lambda1*I)^{-1} rhs by one Cholesky factorization: LAPACK's
-    potrf/potrs, which cho_factor/cho_solve wrap in per-call checks. A
-    pivoted solve if it fails, or if r = 0, which potrs rejects."""
-    G = U.T @ U + lambda1 * np.eye(U.shape[1])
+def _cholesky_solver(G):
+    """(factor, solve) for a symmetric r x r G: solve(rhs) returns
+    G^{-1} rhs by LAPACK's potrs on the Cholesky factor from potrf, which
+    cho_factor/cho_solve wrap in per-call checks. If potrf fails, or r = 0
+    (which potrs rejects), factor is None and solve is a pivoted solve."""
     factor, info = scipy.linalg.lapack.dpotrf(G)
     if info != 0 or not G.size:
-        return scipy.linalg.solve(G, rhs)
-    return scipy.linalg.lapack.dpotrs(factor, rhs)[0]
+        return None, lambda rhs: scipy.linalg.solve(G, rhs)
+    return factor, lambda rhs: scipy.linalg.lapack.dpotrs(factor, rhs)[0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamrpca.basis import basis_objective, update_basis
 from streamrpca.exceptions import ContractViolation
@@ -105,3 +107,45 @@ def test_updates_in_place():
     U, A, B, lam = random_instance(rng)
     out = update_basis(U, A, B, lam)
     assert out is U
+
+
+def column_sweep(U, A, B, lambda1, sweeps):
+    """The sweep column by column over U itself, as first written."""
+    At = A + lambda1 * np.eye(A.shape[0])
+    for _ in range(sweeps):
+        for j in range(U.shape[1]):
+            u_tilde = (B[:, j] - U @ At[:, j]) / At[j, j] + U[:, j]
+            U[:, j] = u_tilde / max(np.linalg.norm(u_tilde), 1.0)
+    return U
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 40), r=st.integers(1, 8), sweeps=st.integers(1, 3),
+       ball=st.sampled_from(["inside", "mixed", "onto"]),
+       lambda1=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_sweep_matches_column_formula(m, r, sweeps, ball, lambda1, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    U, A, B, _ = random_instance(rng, m=m, r=r)
+    if ball == "inside":
+        # the sweeps never raise g, which bounds ||U|| by a multiple of the
+        # scale of U and B: every column stays strictly inside the ball
+        U *= 1e-6
+        B *= 1e-6
+    elif ball == "onto":
+        B *= 1e4
+    expected = column_sweep(U.copy(), A, B, lambda1, sweeps)
+    U_in = U.copy()
+    out = update_basis(U_in, A, B, lambda1, sweeps=sweeps)
+    assert out is U_in
+    np.testing.assert_allclose(U_in, expected, rtol=1e-12, atol=1e-12)
+    norms = np.linalg.norm(U_in, axis=0)
+    if ball == "inside":
+        assert norms.max() < 1.0
+    elif ball == "onto":
+        assert abs(norms.max() - 1.0) <= 1e-12
+
+
+def test_zero_rank_basis_is_unchanged():
+    U = np.zeros((5, 0))
+    out = update_basis(U, np.zeros((0, 0)), np.zeros((5, 0)), 0.1, sweeps=2)
+    assert out is U and out.shape == (5, 0)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamrpca.projection
+import streamrpca.prox
 from streamrpca.exceptions import ContractViolation
 from streamrpca.projection import (ProjectionConfig, project_sample,
                                    projection_objective)
@@ -175,6 +176,11 @@ def count_alternations(monkeypatch):
 @example(m=5, r=1, n_outliers=2, seed=4, lambda1=0.0078125, lambda2=0.25)
 @example(m=21, r=1, n_outliers=2, seed=22075, lambda1=0.81640625,
          lambda2=0.01)
+# The support covers most rows and lambda1 is small, so the support solve
+# works on a Gram matrix downdated to near lambda1*I.
+@example(m=12, r=3, n_outliers=10, seed=0, lambda1=1e-3, lambda2=0.01)
+@example(m=40, r=6, n_outliers=36, seed=2, lambda1=1e-3, lambda2=0.01)
+@example(m=40, r=1, n_outliers=40, seed=7, lambda1=1e-3, lambda2=0.01)
 @given(m=st.integers(1, 40), r=st.integers(1, 6),
        n_outliers=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
        lambda1=st.floats(1e-3, 10.0), lambda2=st.floats(1e-2, 10.0))
@@ -252,3 +258,80 @@ def test_max_iter_one_is_one_alternation(monkeypatch):
     v_ref = np.linalg.solve(U.T @ U + 0.1 * np.eye(3), U.T @ m_t)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(s, shrink_matrix(m_t - U @ v, 0.5))
+
+
+def outlier_instance(m, r, n_outliers, seed):
+    """The sample of test_output_meets_kkt_conditions."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    U = rng.standard_normal((m, r))
+    m_t = U @ rng.standard_normal(r) + 0.1 * rng.standard_normal(m)
+    idx = rng.choice(m, size=min(n_outliers, m), replace=False)
+    m_t[idx] += rng.uniform(5, 50, idx.size) * rng.choice([-1, 1], idx.size)
+    return U, m_t
+
+
+def test_downdated_support_solve_matches_off_support_rows(monkeypatch):
+    # Each support solve factors G - U_S'U_S, the Gram matrix G = U'U +
+    # lambda1*I downdated by the rows on the support S of the last
+    # alternation's signs. It must agree with forming the Gram matrix of the
+    # rows off S: (U_off'U_off + lambda1*I) v = U_off'm_off + lambda2*U'sigma.
+    U, m_t = outlier_instance(40, 6, 36, seed=2)
+    lam1, lam2 = 1e-3, 0.01
+    G_full = U.T @ U + lam1 * np.eye(6)
+    last_s, support_solves = [], []
+
+    def shrink(X, tau):
+        last_s.append(shrink_matrix(X, tau))
+        return last_s[-1]
+
+    def solver(G):
+        factor, solve = streamrpca.prox._cholesky_solver(G)
+        if np.array_equal(G, G_full):
+            return factor, solve
+        signs = np.sign(last_s[-1])
+
+        def recorded(rhs):
+            x = solve(rhs)
+            support_solves.append((signs, G, rhs, x, factor is not None))
+            return x
+
+        return factor, recorded
+
+    monkeypatch.setattr(streamrpca.projection, "shrink_matrix", shrink)
+    monkeypatch.setattr(streamrpca.projection, "_cholesky_solver", solver)
+    project_sample(U, m_t, lam1, lam2)
+
+    assert support_solves
+    for signs, G, rhs, x, factored in support_solves:
+        assert factored and (signs != 0).sum() >= 30
+        off = signs == 0
+        G_off = U[off].T @ U[off] + lam1 * np.eye(6)
+        rhs_off = U[off].T @ m_t[off] + lam2 * (U.T @ signs)
+        np.testing.assert_allclose(G, G_off, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rhs, rhs_off, rtol=0, atol=1e-12)
+        x_off = np.linalg.solve(G_off, rhs_off)
+        np.testing.assert_allclose(x, x_off, rtol=0,
+                                   atol=1e-10 * max(1.0, np.abs(x_off).max()))
+
+
+def test_support_solve_falls_back_when_the_downdate_fails(monkeypatch):
+    U, m_t = outlier_instance(40, 6, 36, seed=2)
+    v_ref, s_ref = project_sample(U, m_t, 1e-3, 0.01)
+    G = U.T @ U + 1e-3 * np.eye(6)
+    formed = []
+
+    def solver(M):
+        factor, solve = streamrpca.prox._cholesky_solver(M)
+        if np.array_equal(M, G):
+            return factor, solve
+        if formed and formed[-1] is None:  # the fallback's own factor
+            formed[-1] = M
+            return factor, solve
+        formed.append(None)  # a downdate: report it as failed
+        return None, solve
+
+    monkeypatch.setattr(streamrpca.projection, "_cholesky_solver", solver)
+    v, s = project_sample(U, m_t, 1e-3, 0.01)
+    assert formed and all(M is not None for M in formed)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from streamrpca.changepoint import CpConfig, OmwCpPipeline
 from streamrpca.exceptions import SnapshotError
@@ -141,3 +146,54 @@ def test_restore_rejects_wrong_kind(tmp_path):
                       n_check=5)
     with pytest.raises(SnapshotError, match="not omw-cp"):
         restore_cp_pipeline(snap, config)
+
+
+@pytest.fixture(scope="module")
+def single_runs():
+    """Uninterrupted run of each mode over cp_setup's stream."""
+    gt, config = cp_setup()
+    full = full_stream_matrix(gt)
+    runs = {mode: run_tracker(ObservationStream.from_matrix(full), mode,
+                              config) for mode in ("stoc", "omw")}
+    runs["omw-cp"] = OmwCpPipeline(config).run(
+        ObservationStream.from_matrix(full))[0]
+    return runs
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(["stoc", "omw", "omw-cp"]),
+       cut=st.integers(1, 399))
+def test_resume_at_any_cut_is_bit_identical(single_runs, mode, cut):
+    # Saving after `cut` tracked samples and resuming from the file must
+    # reproduce the uninterrupted run bit for bit: nothing a step uses may
+    # live outside the snapshot.
+    gt, config = cp_setup()
+    full = full_stream_matrix(gt)
+    ref = single_runs[mode]
+    head = ObservationStream.from_matrix(full[:, :50 + cut])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.npz"
+        if mode == "omw-cp":
+            pipeline = OmwCpPipeline(config)
+            pipeline.run(head)
+            # a head that ends inside a restart's burn-in block leaves the
+            # pipeline in tracking-only mode, a state the full run never has
+            assume(pipeline.detection_enabled)
+            save_state(path, snapshot_cp_pipeline(pipeline))
+            resumed = restore_cp_pipeline(load_state(path), config)
+            result, _ = resumed.run(ObservationStream.from_matrix(full))
+            L, S = result.L, result.S
+        else:
+            model, buffer, start = init_tracker(head, mode, config)
+            first, cursor = continue_tracker(head, mode, model, buffer, start,
+                                             config.projection)
+            save_state(path, snapshot_tracker(mode, model, buffer, cursor))
+            snap = load_state(path)
+            rest, _ = continue_tracker(ObservationStream.from_matrix(full),
+                                       mode, snap.model, snap.buffer,
+                                       snap.cursor, config.projection)
+            L, S = np.hstack([first.L, rest.L]), np.hstack([first.S, rest.S])
+            result = rest
+    assert result.change_points == ref.change_points
+    np.testing.assert_array_equal(L, ref.L)
+    np.testing.assert_array_equal(S, ref.S)

@@ -102,6 +102,19 @@ def test_omw_zero_sample_only_evicts():
                                atol=1e-12)
 
 
+def test_zero_rank_model_steps_as_pure_shrinkage():
+    # an all-sparse burn-in can leave r = 0: each step is the soft threshold
+    model = SubspaceModel(U=np.zeros((4, 0)), A=np.zeros((0, 0)),
+                          B=np.zeros((4, 0)), lambda1=0.1, lambda2=0.5)
+    m_t = np.array([3.0, -0.2, 0.0, -1.5])
+    for t in range(1, 4):
+        out = omw_step(model, None, m_t)
+        assert out.v.shape == (0,) and model.t == t
+        np.testing.assert_array_equal(out.s, [2.5, 0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(out.l, np.zeros(4))
+    assert model.U.shape == (4, 0) and model.B.shape == (4, 0)
+
+
 def test_omw_window_identity_and_stationary_repeats():
     # burn-in and stream are literal repeats of one small-norm vector, so
     # the window contents never change statistically: A stays put and the
