@@ -6,6 +6,14 @@ balancing, Boyd et al. 2011, 3.4.1; growing it every sweep stalls short of
 the optimum). The rank is read at a loose-tolerance iterate, because a large
 final mu leaves small spurious singular values in L.
 
+The solve takes one full SVD, of M, in its first sweep; it gives ||M||_2
+and the first thresholded iterate. Every later sweep thresholds through
+``prox.svt_factors``, warm-started from the previous sweep's leading right
+singular vectors: a few block subspace-iteration steps sized to the kept
+count plus a few guard columns, with an accuracy check and a full-SVD
+fallback. The solve returns its last thresholded factors, from which the
+rank and the burn-in basis are read without another SVD.
+
 ``burnin_initialize`` turns the batch decomposition of an initial sample
 block into the seed state of the online trackers: estimated rank, a scaled
 basis, the two accumulator matrices, and the ring-buffer seed covering the
@@ -17,11 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ContractViolation, InitializationError
-from .prox import shrink_matrix, svt
+from .prox import SvtFactors, shrink_matrix, threshold_factors
+from .prox import svt_factors as svt
 
 MU_GROWTH = 1.2     # penalty growth per sweep (Lin et al. use 1.5)
 DUAL_WEIGHT = 3.0   # the dual residual is relative to DUAL_WEIGHT * sqrt(m*n)
 RANK_TOL = 1e-3     # relative primal residual at which the rank is read
+RANK_REL_TOL = 1e-6  # singular values counted: above this times the largest
 
 
 @dataclass
@@ -52,11 +62,19 @@ class PcpConfig:
 
 @dataclass
 class PcpResult:
+    """Batch decomposition M ~ L + S.
+
+    rank is counted at sweep rank_iteration; factors is the last sweep's
+    thresholded SVD, L == (factors.U * factors.s) @ factors.Vh.
+    """
+
     L: np.ndarray
     S: np.ndarray
     iterations: int
     converged: bool
     rank: int
+    rank_iteration: int
+    factors: SvtFactors = field(repr=False)
 
 
 @dataclass
@@ -88,21 +106,34 @@ def default_pcp_lambda(m, n):
 
 def default_mu(M):
     """Default initial penalty: 1.25 / ||M||_2, or 1.0 for a zero matrix."""
-    norm_two = np.linalg.norm(np.asarray(M, dtype=float), 2)
+    return _mu_for_norm(np.linalg.norm(np.asarray(M, dtype=float), 2))
+
+
+def _mu_for_norm(norm_two):
     return 1.25 / norm_two if norm_two > 0.0 else 1.0
 
 
 def pcp_alm(M, config=None):
     """Decompose M into low-rank L plus sparse S.
 
-    Iterates, from S = 0, Y = M / max(||M||_2, ||M||_inf / lam), mu = mu0:
+    Iterates, from S = 0, Y = M / J with J = max(||M||_2, ||M||_inf / lam)
+    and mu = mu0:
         L <- svt(M - S + Y/mu, 1/mu)
         S <- shrink(M - L + Y/mu, lam/mu)
         Y <- Y + mu*(M - L - S)
     and mu *= MU_GROWTH while p > d, until p <= tol and d <= tol or max_iter
     sweeps; p = ||M - L - S||_F / ||M||_F, d = mu*||S - S_prev||_F /
-    (DUAL_WEIGHT * sqrt(m*n)). rank is estimate_rank of the first L with
-    p <= RANK_TOL, or of the last L.
+    (DUAL_WEIGHT * sqrt(m*n)). rank counts the thresholded spectrum of the
+    first L with p <= RANK_TOL (rank_iteration is its sweep), or of the
+    last L; the count is estimate_rank's.
+
+    Each sweep makes one call to ``svt``, which is ``prox.svt_factors``.
+    The first thresholding input (1 + 1/(J*mu)) * M is a multiple of M, so
+    the first sweep takes the solve's one full SVD, of M, and reads ||M||_2
+    from it. Every later sweep warm-starts the subspace iteration from the
+    previous sweep's block, and falls back to the full SVD where its
+    accuracy check fails (see ``svt_factors``). The result carries the last
+    sweep's factors, L = (U * s) @ Vh.
 
     Non-convergence is not an error: the last iterate is returned with
     converged=False and the caller decides.
@@ -115,42 +146,55 @@ def pcp_alm(M, config=None):
     if config is None:
         config = PcpConfig()
     lam = config.lam if config.lam is not None else default_pcp_lambda(*M.shape)
-    norm_two = np.linalg.norm(M, 2)
-    mu0 = 1.25 / norm_two if norm_two > 0.0 else 1.0   # default_mu(M)
-    mu = mu0 if config.mu == "auto" else float(config.mu)
+    factors = svt(M, 0.0)
+    norm_two = factors.s[0] if factors.s.size else 0.0
+    mu = _mu_for_norm(norm_two) if config.mu == "auto" else float(config.mu)
     norm_M = np.linalg.norm(M) or 1.0
     dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
-    Y = M / (max(norm_two, np.abs(M).max(initial=0.0) / lam) or 1.0)
+    J = max(norm_two, np.abs(M).max(initial=0.0) / lam) or 1.0
+    Y = M / J
+    factors = threshold_factors(factors.U, (1.0 + 1.0 / (J * mu)) * factors.s,
+                                factors.Vh, 1.0 / mu)
     S = np.zeros_like(M)
     rank = None
     for k in range(1, config.max_iter + 1):
-        L = svt(M - S + Y / mu, 1.0 / mu)
+        if k > 1:
+            factors = svt(M - S + Y / mu, 1.0 / mu, factors.block)
+        L = (factors.U * factors.s) @ factors.Vh
         S_prev, S = S, shrink_matrix(M - L + Y / mu, lam / mu)
         residual = M - L - S
         Y += mu * residual
         primal = np.linalg.norm(residual) / norm_M
         dual = mu * np.linalg.norm(S - S_prev) / dual_scale
         if rank is None and primal <= RANK_TOL:
-            rank = estimate_rank(L)
+            rank, rank_iteration = _count_rank(factors.s), k
         converged = bool(primal <= config.tol and dual <= config.tol)
         if converged:
             break
         if primal > dual:
             mu *= MU_GROWTH
-    return PcpResult(L=L, S=S, iterations=k, converged=converged,
-                     rank=estimate_rank(L) if rank is None else rank)
+    if rank is None:
+        rank, rank_iteration = _count_rank(factors.s), k
+    return PcpResult(L=L, S=S, iterations=k, converged=converged, rank=rank,
+                     rank_iteration=rank_iteration, factors=factors)
 
 
-def estimate_rank(L, rel_tol=1e-6):
+def estimate_rank(L, rel_tol=RANK_REL_TOL):
     """Count singular values above rel_tol times the largest one.
 
-    Returns 0 for the zero matrix. pcp_alm applies it to a loose-tolerance
-    iterate, whose trailing singular values are still exactly zero, so the
-    count is insensitive to rel_tol over a wide range.
+    Returns 0 for the zero matrix. pcp_alm applies the same count to the
+    thresholded spectrum of a loose-tolerance iterate, whose trailing
+    singular values are still exactly zero, so the count is insensitive to
+    rel_tol over a wide range.
     """
     if not (0 < rel_tol < 1):
         raise ContractViolation("estimate_rank: rel_tol must be in (0, 1)")
-    s = np.linalg.svd(np.asarray(L, dtype=float), compute_uv=False)
+    return _count_rank(np.linalg.svd(np.asarray(L, dtype=float),
+                                     compute_uv=False), rel_tol)
+
+
+def _count_rank(s, rel_tol=RANK_REL_TOL):
+    """Number of values of the descending spectrum s above rel_tol * s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))
@@ -159,13 +203,15 @@ def estimate_rank(L, rel_tol=1e-6):
 def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
     """Build tracker seed state from a burn-in sample block.
 
-    Runs the batch solver on M_b, takes its rank r and the thin SVD of the
-    low-rank part L_b = U_hat * diag(s) * Vh, and forms:
+    Runs the batch solver on M_b, takes its rank r and the factors of the
+    low-rank part it returns, L_b = U_hat * diag(s) * Vh, and forms:
 
         U0   = U_hat[:, :r] * sqrt(s[:r])
         v_i  = sqrt(s[:r]) * Vh[:r, i]          (per-sample coefficients)
-        A0   = sum of v_i v_i'   over the trailing n_win samples
-        B0   = sum of (m_i - s_i) v_i'  over the same window
+        A0   = V_w V_w'            over the trailing n_win samples
+        B0   = (M_w - S_w) V_w'    over the same window
+
+    (A0 and B0 are the sums of v_i v_i' and (m_i - s_i) v_i' over the window.)
 
     window_seed holds the trailing n_win (m_i, v_i, s_i) tuples.
     """
@@ -183,9 +229,9 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
         raise ContractViolation("burnin_initialize: lambda1, lambda2 must be > 0")
 
     result = pcp_alm(M_b, config=pcp_config)
-    U_hat, s, Vh = np.linalg.svd(result.L, full_matrices=False)
-    r = result.rank
-    if r == 0 or s[0] == 0.0:
+    U_hat, s, Vh, _ = result.factors
+    r = min(result.rank, s.size)
+    if r == 0:
         raise InitializationError("burn-in produced a zero low-rank part")
 
     scale = np.sqrt(s[:r])
@@ -193,16 +239,12 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
     # coefficients for every burn-in sample; column i reconstructs L_b[:, i]
     V = scale[:, None] * Vh[:r, :]
 
-    A0 = np.zeros((r, r))
-    B0 = np.zeros((m, r))
-    window_seed = []
-    for i in range(n_burnin - n_win, n_burnin):
-        v_i = V[:, i].copy()
-        s_i = result.S[:, i].copy()
-        m_i = M_b[:, i].copy()
-        A0 += np.outer(v_i, v_i)
-        B0 += np.outer(m_i - s_i, v_i)
-        window_seed.append((m_i, v_i, s_i))
+    window = slice(n_burnin - n_win, n_burnin)
+    V_w = V[:, window]
+    A0 = V_w @ V_w.T
+    B0 = (M_b[:, window] - result.S[:, window]) @ V_w.T
+    window_seed = [(M_b[:, i].copy(), V[:, i].copy(), result.S[:, i].copy())
+                   for i in range(n_burnin - n_win, n_burnin)]
 
     return BurninInit(r=r, U0=U0, A0=A0, B0=B0, window_seed=window_seed,
                       L_b=result.L, S_b=result.S,

@@ -3,6 +3,8 @@
 All functions here are pure; they are safe to call from any thread.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
 
@@ -30,14 +32,100 @@ def shrink_matrix(X, tau):
     return np.subtract(X, out, out=out)
 
 
+# Subspace-iteration parameters of svt_factors.
+OVERSAMPLING = 5    # guard columns carried past the kept count
+MAX_STEPS = 4       # iteration steps before the full-SVD fallback
+RITZ_TOL = 1e-6     # kept pairs' Ritz residual, relative to the top Ritz value
+GUARD_TOL = 0.25    # guard pairs' residual, relative to their gap below tau
+
+
+class SvtFactors(NamedTuple):
+    """svt(X, tau) == (U * s) @ Vh, with the start block for the next call.
+
+    U (m x r) and Vh (r x n) have orthonormal columns and rows, s holds the
+    r thresholded values (descending, all > 0), and block (n x k, k <=
+    r + OVERSAMPLING) holds the leading right singular (or Ritz) vectors.
+    """
+
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+    block: np.ndarray
+
+
 def svt(X, tau):
     """Singular value thresholding: soft-threshold the spectrum, reconstruct.
 
     The result does not depend on the non-uniqueness of the SVD because only
     the reconstructed product is returned.
     """
-    U, s, Vh = np.linalg.svd(np.asarray(X, dtype=float), full_matrices=False)
-    return (U * np.maximum(s - tau, 0.0)) @ Vh
+    U, s, Vh, _ = svt_factors(X, tau)
+    return (U * s) @ Vh
+
+
+def svt_factors(X, tau, block=None):
+    """Singular value thresholding in factored form, optionally warm-started.
+
+    Without a block, or with one of fewer than OVERSAMPLING columns or more
+    than min(m, n) / 4 (where a step costs a sizeable share of a full SVD),
+    this is the full thin SVD of X. With an n x k block from the previous
+    call on a nearby matrix, it takes up to MAX_STEPS block subspace-
+    iteration steps (Halko, Martinsson & Tropp 2011): Q = orth(X V), and the
+    SVD of the k x n projection Q'X gives the Ritz triplets (s_i, u_i, v_i),
+    whose v_i start the next step.
+    The r values above tau are kept, the other k - r pairs are guards, and
+    a step is accepted when
+
+      (a) r < k: the block reaches below tau;
+      (b) every guard has ||X v_g - s_g u_g|| <= GUARD_TOL * (tau - s_g):
+          it is converged to within a fraction of its gap below tau;
+      (c) the kept pairs' residual R = X V_r - U_r diag(s_r) has
+          ||R||_F <= RITZ_TOL * s_1.
+
+    The bound: u_i'X = s_i v_i' holds exactly for Ritz triplets, so in the
+    bases [U_r, rest] x [V_r, rest] X is block lower triangular with the
+    blocks diag(s_r), R and T, where T is X outside the kept pairs. If
+    ||T||_2 <= tau, the accepted result is svt of the block-diagonal part,
+    and since svt is nonexpansive,
+
+        ||result - svt(X, tau)||_F <= ||R||_F <= RITZ_TOL * ||X||_2.
+
+    Every guard is a column of T of norm ||X v_g|| <= s_g + GUARD_TOL *
+    (tau - s_g) <= tau, so (b) checks ||T||_2 <= tau on the block's own
+    columns. A singular direction above tau that the block (nearly) misses
+    is beyond any check on the block: a guard holding a share c of it has
+    a residual of about c times its singular value, so (b) accepts only
+    when c is below about GUARD_TOL * (tau - s_g) / sigma. When all k
+    values exceed tau, or no step is accepted, the call falls back to the
+    full SVD.
+    """
+    X = np.asarray(X, dtype=float)
+    if block is not None and (OVERSAMPLING <= block.shape[1]
+                              <= min(X.shape) / 4):
+        Z = X @ block
+        for _ in range(MAX_STEPS):
+            Q = np.linalg.qr(Z)[0]
+            Ub, s, Vh = np.linalg.svd(Q.T @ X, full_matrices=False)
+            kept = int(np.count_nonzero(s > tau))
+            if kept == s.size:
+                break
+            Z = X @ Vh.T
+            U = Q @ Ub
+            R = Z - U * s
+            guard_res = np.linalg.norm(R[:, kept:], axis=0)
+            guards_below = np.all(guard_res <= GUARD_TOL * (tau - s[kept:]))
+            residual = np.linalg.norm(R[:, :kept])
+            if guards_below and residual <= RITZ_TOL * s[0]:
+                return threshold_factors(U, s, Vh, tau)
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    return threshold_factors(U, s, Vh, tau)
+
+
+def threshold_factors(U, s, Vh, tau):
+    """SvtFactors of U diag(s) Vh at tau; s descending."""
+    kept = int(np.count_nonzero(s > tau))
+    return SvtFactors(U[:, :kept], s[:kept] - tau, Vh[:kept],
+                      Vh[:kept + OVERSAMPLING].T)
 
 
 def ridge_regress(U, y, lambda1):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from streamrpca.exceptions import ContractViolation, InitializationError
 from streamrpca.experiments import study_spec
-from streamrpca.pcp import (PcpConfig, burnin_initialize, default_mu,
-                            default_pcp_lambda, estimate_rank, pcp_alm)
+from streamrpca.pcp import (DUAL_WEIGHT, MU_GROWTH, RANK_TOL, PcpConfig,
+                            burnin_initialize, default_mu, default_pcp_lambda,
+                            estimate_rank, pcp_alm)
 from streamrpca.prox import shrink_matrix, svt
 from streamrpca.simgen import full_stream_matrix, generate
 
@@ -113,6 +114,63 @@ def test_pcp_converges_to_the_optimum(m, n, r, outlier_frac, seed):
     assert abs(_objective(res.L, res.S, lam) - f_ref) <= 1e-6 * f_ref
 
 
+def _full_svd_pcp(M):
+    """The solve with a full SVD in every sweep: pcp_alm's loop before its
+    SVT was made partial, kept as the reference. Returns (L, S, iterations,
+    converged, rank)."""
+    config = PcpConfig()
+    lam = default_pcp_lambda(*M.shape)
+    norm_two = np.linalg.norm(M, 2)
+    mu = default_mu(M)
+    norm_M = np.linalg.norm(M)
+    dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
+    Y = M / max(norm_two, np.abs(M).max() / lam)
+    S = np.zeros_like(M)
+    rank = None
+    for k in range(1, config.max_iter + 1):
+        L = svt(M - S + Y / mu, 1.0 / mu)
+        S_prev, S = S, shrink_matrix(M - L + Y / mu, lam / mu)
+        residual = M - L - S
+        Y += mu * residual
+        primal = np.linalg.norm(residual) / norm_M
+        dual = mu * np.linalg.norm(S - S_prev) / dual_scale
+        if rank is None and primal <= RANK_TOL:
+            rank = estimate_rank(L)
+        converged = bool(primal <= config.tol and dual <= config.tol)
+        if converged:
+            break
+        if primal > dual:
+            mu *= MU_GROWTH
+    return L, S, k, converged, rank
+
+
+def _study3_blocks(scale, seed):
+    """Burn-in block and the blocks starting 3 samples after each change
+    point of study 3, with the study's burn-in length."""
+    sim, cp = study_spec(3, scale, seed)
+    gt = generate(sim)
+    X = full_stream_matrix(gt)
+    starts = [0] + [sim.n_burnin + c + 3 for c in gt.cps]
+    return [X[:, i:i + cp.n_burnin] for i in starts]
+
+
+def test_partial_svt_solve_matches_full_svd_loop():
+    # paper study 3: the 400 x 200 burn-in (rank 10) and restart blocks
+    # (ranks 55 and 30); desk study 3: the rank-28 restart block, outside
+    # PCP's recovery regime, which takes hundreds of sweeps
+    for M in _study3_blocks("paper", 0) + _study3_blocks("desk", 0)[1:2]:
+        L0, S0, it0, conv0, rank0 = _full_svd_pcp(M)
+        res = pcp_alm(M)
+        assert conv0 and res.converged
+        assert res.rank == rank0
+        assert abs(res.iterations - it0) <= 2
+        lam = default_pcp_lambda(*M.shape)
+        f0 = _objective(L0, S0, lam)
+        assert abs(_objective(res.L, res.S, lam) - f0) <= 1e-8 * f0
+        np.testing.assert_array_equal(
+            (res.factors.U * res.factors.s) @ res.factors.Vh, res.L)
+
+
 def test_pcp_config_validation():
     with pytest.raises(ContractViolation):
         PcpConfig(tol=2.0)
@@ -210,6 +268,18 @@ def test_burnin_window_larger_than_block():
 def test_burnin_zero_block():
     with pytest.raises(InitializationError):
         burnin_initialize(np.zeros((10, 8)), 0.1, 1.0, n_win=8)
+
+
+def test_rank_is_estimate_rank_of_the_rank_tol_iterate():
+    # the solve counts the rank from the thresholded spectrum of the first
+    # iterate within RANK_TOL; re-running it to that sweep reproduces the
+    # iterate, whose estimate_rank must agree
+    for seed in range(3):
+        for M in _study3_blocks("desk", seed):
+            res = pcp_alm(M)
+            head = pcp_alm(M, PcpConfig(max_iter=res.rank_iteration))
+            assert head.rank_iteration == res.rank_iteration
+            assert head.rank == res.rank == estimate_rank(head.L), seed
 
 
 def test_burnin_rank_after_change_points():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamrpca.exceptions import ContractViolation
-from streamrpca.prox import ridge_regress, shrink, shrink_matrix, svt
+from streamrpca.prox import (OVERSAMPLING, RITZ_TOL, ridge_regress, shrink,
+                             shrink_matrix, svt, svt_factors)
 
 
 def test_shrink_basic_cases():
@@ -96,6 +99,70 @@ def test_svt_well_defined_on_degenerate_spectrum():
                         .standard_normal((4, 4)))
     X = 2.0 * Q  # all singular values equal 2
     np.testing.assert_allclose(svt(X, 0.5), 1.5 * Q, atol=1e-10)
+
+
+def _right_block(A, k):
+    return np.linalg.svd(A, full_matrices=False)[2][:k].T
+
+
+@settings(max_examples=150, deadline=None)
+# the block holds only values above tau: the call must fall back
+@example(m=60, n=48, rank=8, k=6, tau_frac=0.05, case="full_block", seed=1)
+# an unrelated block whose guards still mix in a value above tau: accepted
+# without the guard condition, 0.24 relative away from the oracle
+@example(m=28, n=41, rank=0, k=7, tau_frac=0.811, case="unrelated",
+         seed=1943986493)
+# tau above every singular value; the zero matrix
+@example(m=24, n=80, rank=4, k=5, tau_frac=1.5, case="near", seed=2)
+@example(m=80, n=24, rank=3, k=5, tau_frac=0.3, case="zero", seed=3)
+@given(m=st.integers(2, 80), n=st.integers(2, 80), rank=st.integers(0, 8),
+       k=st.integers(1, 20), tau_frac=st.floats(0.0, 1.5),
+       case=st.sampled_from(["near", "unrelated", "full_block", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_svt_factors_matches_svt_within_the_ritz_bound(m, n, rank, k,
+                                                        tau_frac, case, seed):
+    """The warm-started kernel against the full-SVD oracle, to the bound its
+    docstring states: ||result - svt(X, tau)||_F <= RITZ_TOL * ||X||_2 (plus
+    rounding). Tall and wide shapes; a block from a perturbed copy of X or
+    from an unrelated matrix; a block whose values all exceed tau, which
+    must fall back to the full SVD; tau above every singular value, and the
+    zero matrix, which must give L = 0. Blocks narrower than OVERSAMPLING
+    or wider than min(m, n) / 4 take the full SVD directly."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    k = min(k, min(m, n) // 4) or 1
+    rank = min(rank, m, n)
+    spectrum = 10.0 * 0.7 ** np.arange(rank)
+    X = (rng.standard_normal((m, rank)) * spectrum) @ rng.standard_normal(
+        (rank, n)) / np.sqrt(m * n)
+    X += 0.01 * rng.standard_normal((m, n))
+    if case == "zero":
+        X = np.zeros((m, n))
+    s_all = np.linalg.svd(X, compute_uv=False)
+    tau = tau_frac * s_all[0]
+    if case == "unrelated":
+        block = _right_block(rng.standard_normal((m, n)), k)
+    elif case == "full_block":
+        tau = 0.5 * s_all[k - 1]
+        block = _right_block(X, k)
+    else:
+        block = _right_block(X + 1e-3 * rng.standard_normal((m, n)), k)
+
+    U, s, Vh, next_block = svt_factors(X, tau, block)
+    L = (U * s) @ Vh
+    oracle = svt(X, tau)
+    slack = 1e-12 * (np.linalg.norm(X) + 1.0)
+    assert np.linalg.norm(L - oracle) <= RITZ_TOL * s_all[0] + slack
+    assert np.all(s > 0) and np.all(np.diff(s) <= 0)
+    np.testing.assert_allclose(U.T @ U, np.eye(s.size), atol=1e-10)
+    np.testing.assert_allclose(Vh @ Vh.T, np.eye(s.size), atol=1e-10)
+    assert next_block.shape[0] == n
+    assert next_block.shape[1] <= s.size + OVERSAMPLING
+    if case == "full_block":
+        for got, want in zip((U, s, Vh), svt_factors(X, tau)[:3]):
+            np.testing.assert_array_equal(got, want)
+    # (tau equal to the top singular value may keep a rounding residue)
+    if case == "zero" or tau > (1.0 + 1e-9) * s_all[0]:
+        assert s.size == 0 and not L.any()
 
 
 def test_ridge_identity_basis():
