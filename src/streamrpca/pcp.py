@@ -16,8 +16,8 @@ rank and the burn-in basis are read without another SVD.
 
 ``burnin_initialize`` turns the batch decomposition of an initial sample
 block into the seed state of the online trackers: estimated rank, a scaled
-basis, the two accumulator matrices, and the ring-buffer seed covering the
-trailing window.
+basis, the two accumulator matrices (``window_sums``, which the drift
+correction shares), and the trailing window that seeds the ring buffer.
 """
 
 from dataclasses import dataclass, field
@@ -81,16 +81,16 @@ class PcpResult:
 class BurninInit:
     """Seed state for the online trackers, derived from a burn-in block.
 
-    window_seed holds the trailing n_win tuples (m_i, v_i, s_i) in
-    chronological order. L_b and S_b are the full burn-in decomposition,
-    kept so that restarts can report estimates for burn-in samples.
+    window_seed is the trailing window's (M_w, V_w, S_w), n_win x m, r, m,
+    one sample per row, oldest first. L_b and S_b are the full burn-in
+    decomposition, kept so that restarts can report burn-in estimates.
     """
 
     r: int
     U0: np.ndarray
     A0: np.ndarray
     B0: np.ndarray
-    window_seed: list = field(repr=False)
+    window_seed: tuple = field(repr=False)
     L_b: np.ndarray = field(default=None, repr=False)
     S_b: np.ndarray = field(default=None, repr=False)
     iterations: int = 0
@@ -200,20 +200,23 @@ def _count_rank(s, rel_tol=RANK_REL_TOL):
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
+def window_sums(M, V, S):
+    """Accumulators of a window whose rows are the samples (m_i, v_i, s_i):
+    A = sum v_i v_i' = V'V and B = sum (m_i - s_i) v_i' = (M - S)'V."""
+    return V.T @ V, (M - S).T @ V
+
+
+def burnin_initialize(M_b, lambda1, lambda2, n_win):
     """Build tracker seed state from a burn-in sample block.
 
-    Runs the batch solver on M_b, takes its rank r and the factors of the
-    low-rank part it returns, L_b = U_hat * diag(s) * Vh, and forms:
+    Runs the batch solver (default PcpConfig) on M_b, takes its rank r and
+    the factors of its low-rank part L_b = U_hat * diag(s) * Vh, and forms:
 
         U0   = U_hat[:, :r] * sqrt(s[:r])
         v_i  = sqrt(s[:r]) * Vh[:r, i]          (per-sample coefficients)
-        A0   = V_w V_w'            over the trailing n_win samples
-        B0   = (M_w - S_w) V_w'    over the same window
+        A0, B0 = window_sums(M_w, V_w, S_w)     over the trailing n_win samples
 
-    (A0 and B0 are the sums of v_i v_i' and (m_i - s_i) v_i' over the window.)
-
-    window_seed holds the trailing n_win (m_i, v_i, s_i) tuples.
+    window_seed is that (M_w, V_w, S_w), one sample per row, oldest first.
     """
     M_b = np.asarray(M_b, dtype=float)
     if M_b.ndim != 2:
@@ -228,7 +231,7 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
     if lambda1 <= 0 or lambda2 <= 0:
         raise ContractViolation("burnin_initialize: lambda1, lambda2 must be > 0")
 
-    result = pcp_alm(M_b, config=pcp_config)
+    result = pcp_alm(M_b)
     U_hat, s, Vh, _ = result.factors
     r = min(result.rank, s.size)
     if r == 0:
@@ -240,11 +243,8 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win, pcp_config=None):
     V = scale[:, None] * Vh[:r, :]
 
     window = slice(n_burnin - n_win, n_burnin)
-    V_w = V[:, window]
-    A0 = V_w @ V_w.T
-    B0 = (M_b[:, window] - result.S[:, window]) @ V_w.T
-    window_seed = [(M_b[:, i].copy(), V[:, i].copy(), result.S[:, i].copy())
-                   for i in range(n_burnin - n_win, n_burnin)]
+    window_seed = (M_b[:, window].T, V[:, window].T, result.S[:, window].T)
+    A0, B0 = window_sums(*window_seed)
 
     return BurninInit(r=r, U0=U0, A0=A0, B0=B0, window_seed=window_seed,
                       L_b=result.L, S_b=result.S,

@@ -18,6 +18,7 @@ from .exceptions import SnapshotError
 from .trackers import SubspaceModel, Tracker, WindowBuffer
 
 SNAPSHOT_VERSION = 1
+_BUFFER_KEYS = ("buffer_m", "buffer_v", "buffer_s")
 
 
 @dataclass
@@ -76,6 +77,9 @@ def restore_cp_pipeline(snapshot, config):
     tracker = Tracker(snapshot.model, snapshot.buffer, snapshot.cursor,
                       config.projection)
     tracker.t_start = int(det["t_start"])
+    if int(det["next_t"]) != tracker.t:
+        raise SnapshotError(
+            f"det_next_t {int(det['next_t'])} != t_start + t = {tracker.t}")
     tracker.cols = list(zip(det["L_partial"].T, det["S_partial"].T))
     pipeline.tracker = tracker
     return pipeline
@@ -97,9 +101,7 @@ def save_state(path, snapshot):
     }
     if snapshot.buffer is not None:
         arrays["buffer_capacity"] = np.int64(snapshot.buffer.capacity)
-        arrays["buffer_m"] = np.stack([e[0] for e in snapshot.buffer])
-        arrays["buffer_v"] = np.stack([e[1] for e in snapshot.buffer])
-        arrays["buffer_s"] = np.stack([e[2] for e in snapshot.buffer])
+        arrays.update(zip(_BUFFER_KEYS, snapshot.buffer.rows()))
     for key, value in (snapshot.detector or {}).items():
         arrays[f"det_{key}"] = np.asarray(value)
     np.savez(path, **arrays)
@@ -125,9 +127,15 @@ def load_state(path):
                                   t=int(data["t"]))
             buffer = None
             if bool(data["has_buffer"]):
-                buffer = WindowBuffer.from_seed(
-                    list(zip(data["buffer_m"], data["buffer_v"],
-                             data["buffer_s"])), int(data["buffer_capacity"]))
+                n_win = int(data["buffer_capacity"])
+                rows = [data[key] for key in _BUFFER_KEYS]
+                for key, X, width in zip(_BUFFER_KEYS, rows,
+                                         (model.m, model.r, model.m)):
+                    if X.shape != (n_win, width):
+                        raise SnapshotError(
+                            f"{path}: {key} has shape {X.shape}, expected "
+                            f"({n_win}, {width}) from buffer_capacity and U")
+                buffer = WindowBuffer(*rows)
             detector = {key[4:]: data[key].copy() for key in data.files
                         if key.startswith("det_")} or None
             return StateSnapshot(version=version, kind=kind, model=model,

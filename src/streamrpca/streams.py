@@ -70,10 +70,6 @@ class ObservationStream:
             return None
         return self._hist[i - self._hist_start]
 
-    def has(self, i):
-        """True iff sample i exists (may read forward to find out)."""
-        return self.get(i) is not None
-
     def _pull(self):
         try:
             x = next(self._it)

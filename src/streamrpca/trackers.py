@@ -15,14 +15,13 @@ steps. Independent instances can run on different threads, and state can be
 handed between threads between steps.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import update_basis
 from .exceptions import ContractViolation, TrackerStepError
-from .pcp import burnin_initialize
+from .pcp import burnin_initialize, window_sums
 from .projection import ProjectionConfig, project_sample
 
 # Recompute A/B from the ring buffer every DRIFT_CORRECTION_FACTOR * n_win
@@ -61,58 +60,44 @@ class SubspaceModel:
 
 
 class WindowBuffer:
-    """Ring buffer of the last n_win (m_i, v_i, s_i) tuples, FIFO order."""
+    """The last n_win samples' (m_i, v_i, s_i) as the rows of three arrays.
 
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ContractViolation("WindowBuffer: capacity must be >= 1")
-        self.capacity = capacity
-        self._entries = deque()
+    Built full from a window's (M, V, S), one sample per row, oldest first
+    (n_win x m, n_win x r, n_win x m); the arrays are copied. Each step
+    overwrites the oldest row with replace_oldest, so the buffer stays full
+    and the head index points at the oldest row.
+    """
 
-    @classmethod
-    def from_seed(cls, seed, capacity):
-        if len(seed) != capacity:
-            raise ContractViolation(
-                f"WindowBuffer seed length {len(seed)} != capacity {capacity}"
-            )
-        buf = cls(capacity)
-        for m_i, v_i, s_i in seed:
-            buf.push(m_i, v_i, s_i)
-        return buf
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
+    def __init__(self, M, V, S):
+        M, V, S = self._rows = tuple(np.array(X, dtype=float, order="C")
+                                     for X in (M, V, S))
+        if not (M.ndim == V.ndim == 2 and S.shape == M.shape
+                and len(V) == len(M) > 0):
+            raise ContractViolation(f"WindowBuffer: empty or ragged rows "
+                                    f"M{M.shape} V{V.shape} S{S.shape}")
+        self._head = 0
 
     @property
-    def is_full(self):
-        return len(self._entries) == self.capacity
+    def capacity(self):
+        return len(self._rows[0])
 
-    def push(self, m_i, v_i, s_i):
-        # copies: entries outlive the step and must not alias caller arrays
-        if len(self._entries) >= self.capacity:
-            raise ContractViolation("WindowBuffer: push on a full buffer")
-        self._entries.append((np.array(m_i, dtype=float),
-                              np.array(v_i, dtype=float),
-                              np.array(s_i, dtype=float)))
+    def replace_oldest(self, m_i, v_i, s_i):
+        """Overwrite the oldest row with (m_i, v_i, s_i) and return copies
+        of the evicted (m, v, s)."""
+        head = self._head
+        evicted = tuple(X[head].copy() for X in self._rows)
+        for X, x in zip(self._rows, (m_i, v_i, s_i)):
+            X[head] = x
+        self._head = (head + 1) % self.capacity
+        return evicted
 
-    def pop_oldest(self):
-        if not self._entries:
-            raise ContractViolation("WindowBuffer: pop on an empty buffer")
-        return self._entries.popleft()
+    def rows(self):
+        """(M, V, S) with one sample per row, oldest first (copies)."""
+        return tuple(np.roll(X, -self._head, axis=0) for X in self._rows)
 
     def recompute_accumulators(self):
-        """Rebuild A = sum v v' and B = sum (m - s) v' from the entries."""
-        m_dim = self._entries[0][0].shape[0]
-        r = self._entries[0][1].shape[0]
-        A = np.zeros((r, r))
-        B = np.zeros((m_dim, r))
-        for m_i, v_i, s_i in self._entries:
-            A += np.outer(v_i, v_i)
-            B += np.outer(m_i - s_i, v_i)
-        return A, B
+        """Rebuild A = sum v v' and B = sum (m - s) v' from the window."""
+        return window_sums(*self.rows())
 
 
 @dataclass
@@ -171,21 +156,24 @@ def stoc_step(model, m_t, projection_config=None):
 
 
 def omw_init(init, lambda1, lambda2, n_win):
-    """Seed the moving-window tracker: model plus preloaded ring buffer."""
+    """Seed the moving-window tracker: model plus the burn-in window."""
+    seed_len = len(init.window_seed[0])
+    if seed_len != n_win:
+        raise ContractViolation(
+            f"WindowBuffer seed length {seed_len} != capacity {n_win}")
     return (stoc_init_from_burnin(init, lambda1, lambda2),
-            WindowBuffer.from_seed(init.window_seed, n_win))
+            WindowBuffer(*init.window_seed))
 
 
 def omw_step(model, buffer, m_t, projection_config=None):
     """One tracker step; buffer None is the cumulative tracker.
 
-    Projects the sample, adds its outer products to A and B less those of
-    the evicted ring entry, if any, updates the basis, and pushes the new
-    tuple. Every DRIFT_CORRECTION_FACTOR * n_win steps a window recomputes
-    A and B from the buffer to cancel float drift.
+    Projects the sample, replaces the window's oldest row with the new
+    (m_t, v, s), if there is a window, adds the new outer products to A and
+    B less the evicted row's, and updates the basis. Every
+    DRIFT_CORRECTION_FACTOR * n_win steps a window recomputes A and B from
+    its rows to cancel float drift.
     """
-    if buffer is not None and not buffer.is_full:
-        raise ContractViolation("omw_step: window buffer is not full")
     m_t = np.asarray(m_t, dtype=float)
     if m_t.shape != (model.m,):
         raise ContractViolation(
@@ -198,17 +186,16 @@ def omw_step(model, buffer, m_t, projection_config=None):
     dA = np.outer(v, v)
     dB = np.outer(m_t - s, v)
     if buffer is not None:
-        m_old, v_old, s_old = buffer.pop_oldest()
+        m_old, v_old, s_old = buffer.replace_oldest(m_t, v, s)
         dA -= np.outer(v_old, v_old)
         dB -= np.outer(m_old - s_old, v_old)
     model.A += dA
     model.B += dB
     update_basis(model.U, model.A, model.B, model.lambda1)
     model.t += 1
-    if buffer is not None:
-        buffer.push(m_t, v, s)
-        if model.t % (DRIFT_CORRECTION_FACTOR * buffer.capacity) == 0:
-            model.A, model.B = buffer.recompute_accumulators()
+    if (buffer is not None and
+            model.t % (DRIFT_CORRECTION_FACTOR * buffer.capacity) == 0):
+        model.A, model.B = buffer.recompute_accumulators()
     return StepOutput(v=v, s=s, l=model.U @ v)
 
 
@@ -216,8 +203,7 @@ def state_element_count(model, buffer=None):
     """Structural size of tracker state in stored float elements."""
     count = model.U.size + model.A.size + model.B.size
     if buffer is not None:
-        count += sum(m_i.size + v_i.size + s_i.size
-                     for m_i, v_i, s_i in buffer)
+        count += sum(X.size for X in buffer._rows)
     return count
 
 

@@ -75,6 +75,80 @@ def test_version_mismatch_names_both_versions(tmp_path):
     assert str(SNAPSHOT_VERSION) in str(err.value)
 
 
+V1_TRACKER_KEYS = {"version", "kind", "cursor", "U", "A", "B", "lambda1",
+                   "lambda2", "t", "has_buffer", "buffer_capacity",
+                   "buffer_m", "buffer_v", "buffer_s"}
+
+
+def test_omw_snapshot_format_past_a_ring_wrap(tmp_path):
+    # 47 steps wrap the 20-row ring twice and leave its head mid-array; the
+    # file keeps the v1 layout with the window's rows oldest first, and the
+    # resumed run crosses the drift correction at t = 200 bit for bit
+    gt, model, buffer = build_omw(seed=85, t=260)
+    steps = [(gt.M[:, t], omw_step(model, buffer, gt.M[:, t]))
+             for t in range(47)]
+    path = tmp_path / "snap.npz"
+    save_state(path, snapshot_tracker("omw", model, buffer, cursor=67))
+    with np.load(path) as data:
+        assert set(data.files) == V1_TRACKER_KEYS
+        assert int(data["version"]) == 1 and int(data["buffer_capacity"]) == 20
+        window = steps[-20:]
+        np.testing.assert_array_equal(data["buffer_m"],
+                                      [m_t for m_t, _ in window])
+        np.testing.assert_array_equal(data["buffer_v"],
+                                      [out.v for _, out in window])
+        np.testing.assert_array_equal(data["buffer_s"],
+                                      [out.s for _, out in window])
+    snap = load_state(path)
+    for t in range(47, 260):
+        resumed = omw_step(snap.model, snap.buffer, gt.M[:, t])
+        single = omw_step(model, buffer, gt.M[:, t])
+        np.testing.assert_array_equal(resumed.l, single.l)
+        np.testing.assert_array_equal(resumed.s, single.s)
+    np.testing.assert_array_equal(snap.model.A, model.A)
+    np.testing.assert_array_equal(snap.model.B, model.B)
+
+
+def _rewrite(path, **changes):
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez(path, **{**arrays, **changes})
+
+
+@pytest.mark.parametrize("key,change", [
+    ("buffer_v", lambda X: X[:-1]),                  # one row short
+    ("buffer_capacity", lambda n: n + 1),            # rows != capacity
+    ("buffer_m", lambda X: X[:, :-1]),               # narrower than U
+    ("buffer_v", lambda X: X[:, :1]),                # one column, r = 3
+    ("buffer_s", lambda X: np.hstack([X, X[:, :1]])),  # wider than U
+], ids=["short-rows", "capacity", "m-width", "v-width", "s-width"])
+def test_snapshot_window_shape_is_checked(tmp_path, key, change):
+    gt, model, buffer = build_omw(seed=86)
+    for t in range(25):
+        omw_step(model, buffer, gt.M[:, t])
+    path = tmp_path / "snap.npz"
+    save_state(path, snapshot_tracker("omw", model, buffer, cursor=45))
+    with np.load(path) as data:
+        changed = change(data[key])
+    _rewrite(path, **{key: changed})
+    with pytest.raises(SnapshotError, match=key):
+        load_state(path)
+
+
+def test_restore_checks_next_t(tmp_path):
+    gt, config = cp_setup()
+    pipeline = OmwCpPipeline(config)
+    pipeline.run(ObservationStream.from_matrix(full_stream_matrix(gt)[:, :130]))
+    path = tmp_path / "cp.npz"
+    save_state(path, snapshot_cp_pipeline(pipeline))
+    with np.load(path) as data:
+        next_t = int(data["det_next_t"])
+    restore_cp_pipeline(load_state(path), config)
+    _rewrite(path, det_next_t=np.int64(next_t + 1))
+    with pytest.raises(SnapshotError, match="det_next_t"):
+        restore_cp_pipeline(load_state(path), config)
+
+
 def cp_setup(seed=83):
     spec = SimSpec(m=40, t=400, n_burnin=50, rho=0.01, seed=seed,
                    variant=ChangePoints(ranks=(3, 15), cps=(200,), r0=2,

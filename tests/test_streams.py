@@ -100,10 +100,11 @@ def test_stream_retention_and_replay():
         stream.get(3)
 
 
-def test_stream_has_probes_forward():
-    stream = ObservationStream.from_matrix(np.zeros((2, 4)))
-    assert stream.has(3)
-    assert not stream.has(4)
+def test_stream_get_probes_forward():
+    M = np.arange(8, dtype=float).reshape(2, 4)
+    stream = ObservationStream.from_matrix(M)
+    np.testing.assert_array_equal(stream.get(3), M[:, 3])
+    assert stream.get(4) is None
 
 
 def test_stream_dimension_mismatch():

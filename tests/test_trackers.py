@@ -67,13 +67,21 @@ def test_stoc_noiseless_subspace_tracking():
 def test_omw_init_buffer_and_model():
     init = make_burnin_init(n_win=10)
     model, buffer = omw_init(init, 0.1, 1.0, n_win=10)
-    assert len(buffer) == 10
+    assert buffer.capacity == 10
     np.testing.assert_array_equal(model.U, init.U0)
+    for seed_rows, rows in zip(init.window_seed, buffer.rows()):
+        np.testing.assert_array_equal(rows, seed_rows)
     # telescoping: removing every seed contribution returns A to zero
     A = model.A.copy()
-    for m_i, v_i, s_i in list(buffer):
+    for v_i in buffer.rows()[1]:
         A -= np.outer(v_i, v_i)
     np.testing.assert_allclose(A, 0.0, atol=1e-8)
+    # the buffer owns its rows: a step leaves the seed (views of the
+    # burn-in block and of S_b, which restarts report) untouched
+    seed = [X.copy() for X in init.window_seed]
+    omw_step(model, buffer, np.ones(model.m))
+    for X, X_before in zip(init.window_seed, seed):
+        np.testing.assert_array_equal(X, X_before)
 
 
 def test_omw_init_seed_length_mismatch():
@@ -82,23 +90,26 @@ def test_omw_init_seed_length_mismatch():
         omw_init(init, 0.1, 1.0, n_win=12)
 
 
-def test_omw_step_requires_full_buffer():
-    init = make_burnin_init(n_win=10)
-    model, buffer = omw_init(init, 0.1, 1.0, n_win=10)
-    buffer.pop_oldest()
+@pytest.mark.parametrize("shapes", [
+    ((0, 3), (0, 1), (0, 3)),       # empty
+    ((2, 3), (1, 1), (2, 3)),       # V has fewer rows
+    ((2, 3), (2, 1), (2, 4)),       # S wider than M
+    ((2, 3), (2,), (2, 3)),         # V not 2-D
+], ids=["empty", "short-v", "wide-s", "flat-v"])
+def test_window_buffer_rejects_empty_or_ragged_rows(shapes):
     with pytest.raises(ContractViolation):
-        omw_step(model, buffer, np.zeros(model.m))
+        WindowBuffer(*(np.zeros(shape) for shape in shapes))
 
 
 def test_omw_zero_sample_only_evicts():
     init = make_burnin_init(n_win=10)
     model, buffer = omw_init(init, 0.1, 1.0, n_win=10)
-    oldest = next(iter(buffer))
+    v_oldest = buffer.rows()[1][0]
     A_before = model.A.copy()
     out = omw_step(model, buffer, np.zeros(model.m))
     assert np.all(out.v == 0) and np.all(out.s == 0)
     np.testing.assert_allclose(model.A,
-                               A_before - np.outer(oldest[1], oldest[1]),
+                               A_before - np.outer(v_oldest, v_oldest),
                                atol=1e-12)
 
 
@@ -163,9 +174,9 @@ def test_step_accumulators_match_their_terms(m, r, n_win, lambda2, seed,
     # logged term
     rng = np.random.Generator(np.random.PCG64(seed))
     U = rng.standard_normal((m, r))
-    seed_entries = [(rng.standard_normal(m), rng.standard_normal(r),
-                     np.zeros(m)) for _ in range(n_win)]
-    buffer = WindowBuffer.from_seed(seed_entries, n_win)
+    M0, V0 = zip(*((rng.standard_normal(m), rng.standard_normal(r))
+                   for _ in range(n_win)))
+    buffer = WindowBuffer(M0, V0, np.zeros((n_win, m)))
     A0, B0 = buffer.recompute_accumulators()
     model = SubspaceModel(U=U, A=A0.copy(), B=B0.copy(), lambda1=0.1,
                           lambda2=lambda2)
@@ -176,7 +187,7 @@ def test_step_accumulators_match_their_terms(m, r, n_win, lambda2, seed,
         x = U @ rng.standard_normal(r) + np.where(
             rng.random(m) < 0.2, rng.uniform(-10, 10, m), 0.0)
         if buffer is not None:
-            m_old, v_old, s_old = next(iter(buffer))
+            m_old, v_old, s_old = (X[0] for X in buffer.rows())
         out = omw_step(model, buffer, x)
         A_exp += np.outer(out.v, out.v) - (
             np.outer(v_old, v_old) if buffer is not None else 0.0)
@@ -251,14 +262,19 @@ def test_step_output_low_rank_uses_post_update_basis():
 
 
 def test_window_buffer_fifo_and_capacity():
-    buf = WindowBuffer(2)
-    buf.push(np.ones(3), np.ones(1), np.zeros(3))
-    buf.push(2 * np.ones(3), np.ones(1), np.zeros(3))
-    with pytest.raises(ContractViolation):
-        buf.push(3 * np.ones(3), np.ones(1), np.zeros(3))
-    oldest = buf.pop_oldest()
-    np.testing.assert_array_equal(oldest[0], np.ones(3))
-    assert len(buf) == 1
+    # sample k is (k * ones(3), [k], -k * ones(3)); the window starts with
+    # samples 1 and 2 and takes 3, 4, 5, wrapping the ring twice
+    def sample(k):
+        return k * np.ones(3), np.array([float(k)]), -k * np.ones(3)
+
+    buf = WindowBuffer(*(np.stack(X) for X in zip(sample(1), sample(2))))
+    for k in (3, 4, 5):
+        for evicted, expected in zip(buf.replace_oldest(*sample(k)),
+                                     sample(k - 2)):
+            np.testing.assert_array_equal(evicted, expected)
+        assert buf.capacity == 2
+        for rows, expected in zip(buf.rows(), zip(sample(k - 1), sample(k))):
+            np.testing.assert_array_equal(rows, np.stack(expected))
 
 
 @pytest.mark.parametrize("mode,resume", [("stoc", False), ("omw", False),
