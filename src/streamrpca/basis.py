@@ -33,9 +33,10 @@ def update_basis(U, A, B, lambda1, sweeps=1):
         u_tilde = (B[:, j] - U @ At[:, j]) / At[j, j] + U[:, j]
         U[:, j] = u_tilde / max(||u_tilde||, 1)
 
-    It sweeps contiguous rows of U', B' and At' (row j of At' is At[:, j])
-    and writes them back into U, which is returned (unchanged if r = 0).
-    Not safe for concurrent mutation of the same array.
+    It sweeps the rows of U', of B' and of At's off-diagonal, both divided
+    by At's diagonal, writing U in place: rows of U' are contiguous when U
+    is column-major, as SubspaceModel holds it. U is returned (unchanged if
+    r = 0). Not safe for concurrent mutation of the same array.
     """
     if A.shape[0] != A.shape[1] or U.shape[1] != A.shape[0] or B.shape != U.shape:
         raise ContractViolation(
@@ -47,12 +48,13 @@ def update_basis(U, A, B, lambda1, sweeps=1):
     if lambda1 <= 0:
         raise ContractViolation("update_basis: lambda1 must be > 0")
 
-    At = A + lambda1 * np.eye(U.shape[1])
-    diag = At.diagonal().tolist()
-    Att, Bt, Ut = (np.ascontiguousarray(X.T) for X in (At, B, U))
+    diag = A.diagonal() + lambda1
+    Ct = A.T / diag[:, None]
+    np.fill_diagonal(Ct, 0.0)
+    Bt = B.T / diag[:, None]
+    Ut = U.T
     for _ in range(sweeps):
-        for j, d in enumerate(diag):
-            u = (Bt[j] - Att[j] @ Ut) / d + Ut[j]
-            Ut[j] = u / max(math.sqrt(u @ u), 1.0)
-    U[...] = Ut.T
+        for b, c, u_j in zip(Bt, Ct, Ut):
+            u = b - c.dot(Ut)   # ndarray.dot: less call overhead than @
+            np.divide(u, max(math.sqrt(u.dot(u)), 1.0), out=u_j)
     return U

@@ -70,8 +70,8 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
     if lambda1 <= 0 or lambda2 <= 0:
         raise ContractViolation("project_sample: lambda1, lambda2 must be > 0")
 
-    ridge = lambda1 * np.eye(U.shape[1])
-    G = U.T @ U + ridge
+    G = U.T @ U
+    G.flat[::U.shape[1] + 1] += lambda1
     solve = _cholesky_solver(G)[1]
     Um = U.T @ m_t
     v = np.zeros(U.shape[1])
@@ -80,7 +80,10 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
     for _ in range(config.max_iter):
         v_new = solve(Um - U.T @ s)
         s_new = shrink_matrix(m_t - U @ v_new, lambda2)
-        step = max(np.abs(v_new - v).max(initial=0.0), np.abs(s_new - s).max())
+        # a v step of tol or more decides both tests below on its own
+        step = np.abs(v_new - v).max(initial=0.0)
+        if step < config.tol:
+            step = max(step, np.abs(s_new - s).max())
         v, s = v_new, s_new
         if step == 0:  # a fixed point: the KKT conditions hold exactly
             break
@@ -93,7 +96,8 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
         factor, solve_off = _cholesky_solver(G - U_on.T @ U_on)
         if factor is None:
             U_off = U[~on]
-            solve_off = _cholesky_solver(U_off.T @ U_off + ridge)[1]
+            solve_off = _cholesky_solver(
+                U_off.T @ U_off + lambda1 * np.eye(U.shape[1]))[1]
         v_sup = solve_off(Um - U_on.T @ (m_t[on] - lambda2 * signs[on]))
         # via prox: calls of this module's shrink_matrix count alternations
         s_sup = prox.shrink_matrix(m_t - U @ v_sup, lambda2)

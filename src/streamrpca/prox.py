@@ -28,7 +28,7 @@ def shrink_matrix(X, tau):
     X = np.asarray(X, dtype=float)
     if tau == 0.0:
         return X.copy()
-    out = np.clip(X, -tau, tau)
+    out = X.clip(-tau, tau)  # the method skips np.clip's dispatch wrapper
     return np.subtract(X, out, out=out)
 
 

@@ -91,9 +91,10 @@ def save_state(path, snapshot):
         "version": np.int64(snapshot.version),
         "kind": np.str_(snapshot.kind),
         "cursor": np.int64(snapshot.cursor),
-        "U": snapshot.model.U,
+        # C order, so that a column-major model writes the bytes of v1 files
+        "U": np.ascontiguousarray(snapshot.model.U),
         "A": snapshot.model.A,
-        "B": snapshot.model.B,
+        "B": np.ascontiguousarray(snapshot.model.B),
         "lambda1": np.float64(snapshot.model.lambda1),
         "lambda2": np.float64(snapshot.model.lambda2),
         "t": np.int64(snapshot.model.t),
@@ -120,8 +121,7 @@ def load_state(path):
                     f"{path}: snapshot version {version} unsupported "
                     f"(expected {SNAPSHOT_VERSION})")
             kind = str(data["kind"])
-            model = SubspaceModel(U=data["U"].copy(), A=data["A"].copy(),
-                                  B=data["B"].copy(),
+            model = SubspaceModel(U=data["U"], A=data["A"], B=data["B"],
                                   lambda1=float(data["lambda1"]),
                                   lambda2=float(data["lambda2"]),
                                   t=int(data["t"]))

@@ -21,6 +21,7 @@ from .exceptions import ContractViolation, ParseError
 
 RAW_F64_MAGIC = int.from_bytes(b"SRPCAF64", "little")
 _HEADER = struct.Struct("<QQQ")
+WRITE_BLOCK = 1 << 17   # float64 values per write_raw_f64 block (1 MiB)
 
 
 class ObservationStream:
@@ -162,14 +163,17 @@ def ingest_stream(path, fmt="csv", retain=None):
 
 
 def write_raw_f64(path, M):
-    """Write an m x T matrix as a raw-f64 stream file (columns = samples)."""
+    """Write an m x T matrix as a raw-f64 stream file (columns = samples),
+    WRITE_BLOCK values at a time: a row-major M costs one block's copy."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ContractViolation("write_raw_f64: expected a 2-D array")
     m, t = M.shape
+    step = max(1, WRITE_BLOCK // max(m, 1))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(RAW_F64_MAGIC, m, t))
-        fh.write(np.ascontiguousarray(M.T, dtype="<f8").tobytes())
+        for j in range(0, t, step):
+            fh.write(np.ascontiguousarray(M[:, j:j + step].T, dtype="<f8"))
 
 
 def write_csv(path, M):

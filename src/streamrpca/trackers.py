@@ -31,7 +31,8 @@ DRIFT_CORRECTION_FACTOR = 10
 
 @dataclass
 class SubspaceModel:
-    """Mutable tracker state: basis, accumulators, penalties, step count."""
+    """Mutable tracker state: basis, accumulators, penalties, step count;
+    it owns copies of U, A and B, with U and B column-major."""
 
     U: np.ndarray
     A: np.ndarray
@@ -41,6 +42,9 @@ class SubspaceModel:
     t: int = 0
 
     def __post_init__(self):
+        self.U, self.B = (np.array(X, dtype=float, order="F")
+                          for X in (self.U, self.B))
+        self.A = np.array(self.A, dtype=float)
         m, r = self.U.shape
         if self.A.shape != (r, r) or self.B.shape != (m, r):
             raise ContractViolation(
@@ -146,8 +150,8 @@ class TrackerConfig:
 
 def stoc_init_from_burnin(init, lambda1, lambda2):
     """Seed the cumulative tracker from a burn-in decomposition."""
-    return SubspaceModel(U=init.U0.copy(), A=init.A0.copy(), B=init.B0.copy(),
-                         lambda1=lambda1, lambda2=lambda2)
+    return SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=lambda1,
+                         lambda2=lambda2)
 
 
 def stoc_step(model, m_t, projection_config=None):
@@ -182,20 +186,21 @@ def omw_step(model, buffer, m_t, projection_config=None):
     v, s = project_sample(model.U, m_t, model.lambda1, model.lambda2,
                           projection_config)
     # the evicted terms are subtracted from the increment before it is
-    # added, so A += outer(v, v) - outer(v_old, v_old) keeps its bits
+    # added, so A += outer(v, v) - outer(v_old, v_old) keeps its bits; B's
+    # increment is built transposed, on the contiguous rows of B.T
     dA = np.outer(v, v)
-    dB = np.outer(m_t - s, v)
+    dBt = np.outer(v, m_t - s)
     if buffer is not None:
         m_old, v_old, s_old = buffer.replace_oldest(m_t, v, s)
         dA -= np.outer(v_old, v_old)
-        dB -= np.outer(m_old - s_old, v_old)
+        dBt -= np.outer(v_old, m_old - s_old)
     model.A += dA
-    model.B += dB
+    np.add(model.B.T, dBt, out=model.B.T)
     update_basis(model.U, model.A, model.B, model.lambda1)
     model.t += 1
     if (buffer is not None and
             model.t % (DRIFT_CORRECTION_FACTOR * buffer.capacity) == 0):
-        model.A, model.B = buffer.recompute_accumulators()
+        model.A[...], model.B[...] = buffer.recompute_accumulators()
     return StepOutput(v=v, s=s, l=model.U @ v)
 
 

@@ -122,8 +122,11 @@ def column_sweep(U, A, B, lambda1, sweeps):
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(1, 40), r=st.integers(1, 8), sweeps=st.integers(1, 3),
        ball=st.sampled_from(["inside", "mixed", "onto"]),
-       lambda1=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
-def test_sweep_matches_column_formula(m, r, sweeps, ball, lambda1, seed):
+       lambda1=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1),
+       order=st.sampled_from("CF"))
+def test_sweep_matches_column_formula(m, r, sweeps, ball, lambda1, seed,
+                                      order):
+    # row-major and column-major U are both swept in place
     rng = np.random.Generator(np.random.PCG64(seed))
     U, A, B, _ = random_instance(rng, m=m, r=r)
     if ball == "inside":
@@ -134,7 +137,7 @@ def test_sweep_matches_column_formula(m, r, sweeps, ball, lambda1, seed):
     elif ball == "onto":
         B *= 1e4
     expected = column_sweep(U.copy(), A, B, lambda1, sweeps)
-    U_in = U.copy()
+    U_in = U.copy(order=order)
     out = update_basis(U_in, A, B, lambda1, sweeps=sweeps)
     assert out is U_in
     np.testing.assert_allclose(U_in, expected, rtol=1e-12, atol=1e-12)

@@ -99,7 +99,10 @@ def _fixed_mu_objective(M, lam, tol=1e-10, max_iter=5000):
 @example(m=15, n=12, r=1, outlier_frac=0.0, seed=90)
 # a single column, where the capped reference stopped below the optimum
 @example(m=19, n=1, r=3, outlier_frac=0.0, seed=1500)
-@given(m=st.integers(1, 30), n=st.integers(1, 30), r=st.integers(0, 3),
+# a single row; drawn shapes have two rows and columns or more, where the
+# optimum is not trivial
+@example(m=1, n=17, r=2, outlier_frac=0.0, seed=7)
+@given(m=st.integers(2, 30), n=st.integers(2, 30), r=st.integers(0, 3),
        outlier_frac=st.floats(0.0, 0.05), seed=st.integers(0, 2**32 - 1))
 def test_pcp_converges_to_the_optimum(m, n, r, outlier_frac, seed):
     rng = np.random.Generator(np.random.PCG64(seed))

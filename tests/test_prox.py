@@ -40,6 +40,33 @@ def test_shrink_matrix_cases():
     np.testing.assert_array_equal(shrink_matrix(X, 0.0), X)
 
 
+def _clip_shrink(X, tau):
+    """shrink_matrix as first written, through np.clip: the reference."""
+    X = np.asarray(X, dtype=float)
+    if tau == 0.0:
+        return X.copy()
+    out = np.clip(X, -tau, tau)
+    return np.subtract(X, out, out=out)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-310, 0.5, 2.0, np.inf, -0.5])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_shrink_matrix_matches_the_clip_formula_bit_for_bit(tau, order):
+    # signed zeros, NaN, infinities, subnormals and the values at +-tau
+    # sit in the dead zone, on its edges and outside it; a negative tau
+    # (no caller passes one) pins the clip order, the max before the min
+    rng = np.random.Generator(np.random.PCG64(3))
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tau, -tau,
+               np.nextafter(tau, 0.0), -np.nextafter(tau, np.inf), 5e-324,
+               -5e-324]
+    X = np.concatenate([special, rng.standard_normal(36) * 3.0])
+    X = np.asarray(X.reshape(6, 8), order=order)
+    with np.errstate(invalid="ignore"):  # inf - inf at tau = inf
+        got, expected = shrink_matrix(X, tau), _clip_shrink(X, tau)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_svt_diagonal():
     np.testing.assert_allclose(svt(np.diag([3.0, 1.0]), 2.0),
                                np.diag([1.0, 0.0]), atol=1e-12)

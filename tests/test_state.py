@@ -1,4 +1,6 @@
+import copy
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,32 @@ def test_tracker_snapshot_round_trip_bit_identical(tmp_path):
     for a, b in zip(resumed_out, baseline_out):
         np.testing.assert_array_equal(a.l, b.l)
         np.testing.assert_array_equal(a.s, b.s)
+
+
+def _npz_members(path):
+    """(name, bytes) of every member, in order; the zip entries' times are
+    the only other content of the file."""
+    with zipfile.ZipFile(path) as archive:
+        return [(info.filename, archive.read(info))
+                for info in archive.infolist()]
+
+
+def test_saved_bytes_do_not_depend_on_the_model_layout(tmp_path):
+    # the model holds U and B column-major; the file keeps the bytes a
+    # row-major model writes, as v1 files always had
+    gt, model, buffer = build_omw(seed=86)
+    for t in range(5):
+        omw_step(model, buffer, gt.M[:, t])
+    row_major = copy.copy(model)
+    row_major.U = np.ascontiguousarray(model.U)
+    row_major.B = np.ascontiguousarray(model.B)
+    assert model.U.flags.f_contiguous and not model.U.flags.c_contiguous
+    for name, snap_model in (("f.npz", model), ("c.npz", row_major)):
+        save_state(tmp_path / name, snapshot_tracker("omw", snap_model,
+                                                     buffer, cursor=25))
+    assert _npz_members(tmp_path / "f.npz") == _npz_members(tmp_path / "c.npz")
+    with np.load(tmp_path / "f.npz") as data:
+        assert data["U"].flags.c_contiguous and data["B"].flags.c_contiguous
 
 
 def test_truncated_snapshot_rejected(tmp_path):

@@ -1,9 +1,13 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import streamrpca.streams
 from streamrpca.exceptions import ContractViolation, ParseError
-from streamrpca.streams import (ObservationStream, ingest_stream, write_csv,
-                                write_raw_f64)
+from streamrpca.streams import (RAW_F64_MAGIC, WRITE_BLOCK, ObservationStream,
+                                ingest_stream, write_csv, write_raw_f64)
 
 
 def test_csv_round_trip(tmp_path):
@@ -77,6 +81,52 @@ def test_raw_f64_zero_samples(tmp_path):
     stream = ingest_stream(path, "raw-f64")
     assert stream.get(0) is None
     assert stream.dim == 3
+
+
+def _one_copy_raw_f64(M):
+    """The raw-f64 bytes as first written: one transposed copy of M."""
+    return (struct.pack("<QQQ", RAW_F64_MAGIC, *M.shape)
+            + np.ascontiguousarray(M.T, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("t", [0, 4, 5, 6, 17])
+def test_raw_f64_blocks_write_the_one_copy_bytes(tmp_path, monkeypatch,
+                                                 layout, t):
+    # 4 rows and a 20-value block: 5 samples a block, so t = 4, 5 and 6 is
+    # below, at and above one block, and 17 ends in a partial block
+    monkeypatch.setattr(streamrpca.streams, "WRITE_BLOCK", 20)
+    rng = np.random.Generator(np.random.PCG64(73))
+    if layout == "sliced":
+        M = rng.standard_normal((8, 3 * t + 1))[::2, 1::3]
+        assert not (M.flags.c_contiguous or M.flags.f_contiguous) or t < 2
+    else:
+        M = np.asarray(rng.standard_normal((4, t)), order=layout)
+    path = tmp_path / "m.f64"
+    write_raw_f64(path, M)
+    assert path.read_bytes() == _one_copy_raw_f64(M)
+
+
+def test_raw_f64_block_narrower_than_a_sample(tmp_path, monkeypatch):
+    monkeypatch.setattr(streamrpca.streams, "WRITE_BLOCK", 3)
+    M = np.random.Generator(np.random.PCG64(74)).standard_normal((7, 4))
+    write_raw_f64(tmp_path / "m.f64", M)
+    assert (tmp_path / "m.f64").read_bytes() == _one_copy_raw_f64(M)
+
+
+def test_raw_f64_writer_transient_is_one_block(tmp_path):
+    # an 8 MiB row-major matrix: a whole transposed copy (and a bytes copy
+    # of it) would be O(m T); the blocked writer holds about one block
+    M = np.random.Generator(np.random.PCG64(75)).standard_normal(
+        (64, 16384))
+    tracemalloc.start()
+    try:
+        write_raw_f64(tmp_path / "m.f64", M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * WRITE_BLOCK <= M.nbytes / 4
+    assert (tmp_path / "m.f64").stat().st_size == 24 + M.nbytes
 
 
 def test_csv_writer_round_trip(tmp_path):

@@ -9,9 +9,11 @@ from streamrpca.exceptions import ContractViolation, TrackerStepError
 from streamrpca.pcp import burnin_initialize
 from streamrpca.simgen import SimSpec, Stable, full_stream_matrix, generate
 from streamrpca.streams import ObservationStream, write_raw_f64
+from streamrpca.state import load_state, save_state, snapshot_tracker
 from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
-                                 TrackerConfig, WindowBuffer, continue_tracker,
-                                 init_tracker, omw_init, omw_step, run_tracker,
+                                 Tracker, TrackerConfig, WindowBuffer,
+                                 continue_tracker, init_tracker, omw_init,
+                                 omw_step, run_tracker, seed_tracker,
                                  state_element_count, stoc_init_from_burnin,
                                  stoc_step)
 
@@ -259,6 +261,49 @@ def test_step_output_low_rank_uses_post_update_basis():
     for _ in range(5):
         out = omw_step(model, buffer, rng.standard_normal(model.m))
         np.testing.assert_array_equal(out.l, model.U @ out.v)
+
+
+def _assert_owned_column_major(model, *inputs):
+    for X in (model.U, model.B):
+        assert X.flags.f_contiguous and X.flags.owndata
+    for X in (model.U, model.A, model.B):
+        assert not any(np.shares_memory(X, Y) for Y in inputs)
+
+
+@pytest.mark.parametrize("evict", [False, True], ids=["stoc", "omw"])
+def test_model_owns_column_major_u_and_b(tmp_path, evict):
+    # seeding, a step, the drift correction (at t = 10 * n_win with a
+    # window), a restart and load_state each leave U and B column-major,
+    # and the model shares no memory with the arrays it was built from
+    spec = SimSpec(m=20, t=260, n_burnin=15, rho=0.02, seed=48,
+                   variant=Stable(r=2))
+    stream = ObservationStream.from_matrix(full_stream_matrix(generate(spec)))
+    config = TrackerConfig(n_burnin=15, n_win=10)
+    init, model, buffer = seed_tracker(stream, 0, config, evict)
+    _assert_owned_column_major(model, init.U0, init.A0, init.B0)
+    steps = DRIFT_CORRECTION_FACTOR * config.n_win
+    for k in range(steps):
+        omw_step(model, buffer, stream.get(config.n_burnin + k))
+        if k == 0:
+            _assert_owned_column_major(model)
+    _assert_owned_column_major(model)
+
+    tracker = Tracker(model, buffer, config.n_burnin + steps)
+    init = tracker.restart(stream, tracker.t - 10, config)
+    _assert_owned_column_major(tracker.model, init.U0, init.A0, init.B0)
+
+    path = tmp_path / "snap.npz"
+    save_state(path, snapshot_tracker("omw" if evict else "stoc",
+                                      tracker.model, tracker.buffer))
+    loaded = load_state(path).model
+    _assert_owned_column_major(loaded)
+    np.testing.assert_array_equal(loaded.U, tracker.model.U)
+    np.testing.assert_array_equal(loaded.B, tracker.model.B)
+    # load_state builds the model from the arrays it read, as here: the
+    # model copies them even when they are column-major already
+    U, A, B = (np.asfortranarray(X) for X in (loaded.U, loaded.A, loaded.B))
+    _assert_owned_column_major(
+        SubspaceModel(U=U, A=A, B=B, lambda1=0.1, lambda2=1.0), U, A, B)
 
 
 def test_window_buffer_fifo_and_capacity():
