@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from . import kernel
 from .exceptions import ContractViolation
 
 _SYM_TOL = 1e-8
@@ -42,12 +43,20 @@ def update_basis(U, A, B, lambda1, sweeps=1):
         raise ContractViolation(
             f"update_basis: inconsistent shapes U{U.shape} A{A.shape} B{B.shape}"
         )
+    if lambda1 <= 0:
+        raise ContractViolation("update_basis: lambda1 must be > 0")
+    if kernel.ACTIVE == "compiled" and kernel.sweep(U, A, B, lambda1, sweeps,
+                                                    _SYM_TOL):
+        return U
     scale = 1.0 + np.abs(A).max(initial=0.0)
     if np.abs(A - A.T).max(initial=0.0) > _SYM_TOL * scale:
         raise ContractViolation("update_basis: A is not symmetric")
-    if lambda1 <= 0:
-        raise ContractViolation("update_basis: lambda1 must be > 0")
+    return _sweep_numpy(U, A, B, lambda1, sweeps)
 
+
+def _sweep_numpy(U, A, B, lambda1, sweeps):
+    """update_basis in numpy, on checked inputs: the path where no compiled
+    kernel is loaded, and the tests' oracle for the kernel."""
     diag = A.diagonal() + lambda1
     Ct = A.T / diag[:, None]
     np.fill_diagonal(Ct, 0.0)

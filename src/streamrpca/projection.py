@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import prox
+from . import kernel, prox
 from .exceptions import ContractViolation
 from .prox import _cholesky_solver, shrink_matrix
 
@@ -65,11 +65,21 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
         raise ContractViolation(
             f"project_sample: incompatible shapes U{U.shape} vs m_t{m_t.shape}"
         )
-    if not (np.isfinite(U).all() and np.isfinite(m_t).all()):
-        raise ContractViolation("project_sample: non-finite input")
     if lambda1 <= 0 or lambda2 <= 0:
         raise ContractViolation("project_sample: lambda1, lambda2 must be > 0")
+    if kernel.ACTIVE == "compiled":
+        out = kernel.project(U, m_t, lambda1, lambda2, config.tol,
+                             config.max_iter)
+        if out is not None:
+            return out[:2]
+    if not (np.isfinite(U).all() and np.isfinite(m_t).all()):
+        raise ContractViolation("project_sample: non-finite input")
+    return _project_numpy(U, m_t, lambda1, lambda2, config)
 
+
+def _project_numpy(U, m_t, lambda1, lambda2, config):
+    """project_sample in numpy, on checked inputs: the path where no
+    compiled kernel is loaded, and the tests' oracle for the kernel."""
     G = U.T @ U
     G.flat[::U.shape[1] + 1] += lambda1
     solve = _cholesky_solver(G)[1]

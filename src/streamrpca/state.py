@@ -80,7 +80,7 @@ def restore_cp_pipeline(snapshot, config):
     if int(det["next_t"]) != tracker.t:
         raise SnapshotError(
             f"det_next_t {int(det['next_t'])} != t_start + t = {tracker.t}")
-    tracker.cols = list(zip(det["L_partial"].T, det["S_partial"].T))
+    tracker.cols.extend(det["L_partial"], det["S_partial"])
     pipeline.tracker = tracker
     return pipeline
 

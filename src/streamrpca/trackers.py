@@ -15,10 +15,12 @@ steps. Independent instances can run on different threads, and state can be
 handed between threads between steps.
 """
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .basis import update_basis
 from .exceptions import ContractViolation, TrackerStepError
 from .pcp import burnin_initialize, window_sums
@@ -88,12 +90,18 @@ class WindowBuffer:
     def replace_oldest(self, m_i, v_i, s_i):
         """Overwrite the oldest row with (m_i, v_i, s_i) and return copies
         of the evicted (m, v, s)."""
-        head = self._head
+        head = self.advance()
         evicted = tuple(X[head].copy() for X in self._rows)
         for X, x in zip(self._rows, (m_i, v_i, s_i)):
             X[head] = x
-        self._head = (head + 1) % self.capacity
         return evicted
+
+    def advance(self):
+        """Make the oldest row the newest: returns its index, for the
+        caller to overwrite."""
+        head = self._head
+        self._head = (head + 1) % self.capacity
+        return head
 
     def rows(self):
         """(M, V, S) with one sample per row, oldest first (copies)."""
@@ -102,6 +110,79 @@ class WindowBuffer:
     def recompute_accumulators(self):
         """Rebuild A = sum v v' and B = sum (m - s) v' from the window."""
         return window_sums(*self.rows())
+
+
+def _zeros(rows, cols, mapped):
+    """A zeroed float64 rows x cols array; mapped, in pages of its own, which
+    dropping it hands back to the system at once."""
+    if not mapped:
+        return np.zeros((rows, cols))
+    pages = mmap.mmap(-1, max(8 * rows * cols, 1))
+    return np.frombuffer(pages, count=rows * cols).reshape(rows, cols)
+
+
+class ColumnStore:
+    """Tracked (l, s) columns in row blocks of BLOCK columns: l dense, s as
+    its nonzeros (int32 row, value; -0.0 counts) with each column's end
+    offset in its block."""
+
+    BLOCK = 256
+    # Stacked outputs of this many elements (4 MB) or more are mapped, as
+    # the l blocks are: malloc keeps the freed pages of such arrays
+    # resident, dead weight beside the next run's blocks. Smaller ones stay
+    # on the heap, whose free space the caller's next arrays reuse.
+    MAPPED_OUTPUT = 2**19
+
+    def __init__(self, m):
+        self.m, self.n, self.blocks = m, 0, []
+
+    def append(self, l, s):
+        b, k = divmod(self.n, self.BLOCK)
+        if b == len(self.blocks):
+            self.blocks.append([_zeros(self.BLOCK, self.m, mapped=True),
+                                np.empty(self.BLOCK, np.int64),
+                                np.empty(0, np.int32), np.empty(0)])
+        block = self.blocks[b]
+        block[0][k] = l
+        nz = np.flatnonzero(s.view(np.int64))
+        start = block[1][k - 1] if k else 0
+        end = block[1][k] = start + nz.size
+        if end > block[2].size:  # grow past twice the filled part
+            block[2:] = (np.concatenate([X[:start], np.empty(end, X.dtype)])
+                         for X in block[2:])
+        block[2][start:end], block[3][start:end] = nz, s[nz]
+        self.n += 1
+
+    def extend(self, L, S):
+        """Append the columns of m x k matrices L and S."""
+        for l, s in zip(L.T, S.T):
+            self.append(l, s)
+
+    def truncate(self, n):
+        """Drop the columns from the n-th on."""
+        self.n = n
+        del self.blocks[-(-n // self.BLOCK):]
+
+    def dense(self, drain=False):
+        """(L, S): m x n, C order. drain empties the store, dropping each l
+        block once copied and before S is allocated: the blocks, L and S
+        are then not all held at once."""
+        n, blocks = self.n, self.blocks
+        if drain:
+            self.n, self.blocks = 0, []
+        spans = [(lo, min(self.BLOCK, n - lo))
+                 for lo in range(0, n, self.BLOCK)]
+        mapped = self.m * n >= self.MAPPED_OUTPUT
+        L = _zeros(self.m, n, mapped)
+        for (lo, k), block in zip(spans, blocks):
+            L[:, lo:lo + k] = block[0][:k].T
+            if drain:
+                block[0] = None
+        S = _zeros(self.m, n, mapped)
+        for (lo, k), (_, ends, rows, values) in zip(spans, blocks):
+            cols = lo + np.repeat(np.arange(k), np.diff(ends[:k], prepend=0))
+            S[rows[:ends[k - 1]], cols] = values[:ends[k - 1]]
+        return L, S
 
 
 @dataclass
@@ -185,6 +266,24 @@ def omw_step(model, buffer, m_t, projection_config=None):
         )
     v, s = project_sample(model.U, m_t, model.lambda1, model.lambda2,
                           projection_config)
+    if kernel.ACTIVE != "compiled":
+        _accumulate_numpy(model, buffer, m_t, v, s)
+    elif buffer is None:
+        kernel.accumulate(model.A, model.B, m_t, v, s)
+    else:
+        kernel.accumulate(model.A, model.B, m_t, v, s, buffer._rows,
+                          buffer.advance())
+    update_basis(model.U, model.A, model.B, model.lambda1)
+    model.t += 1
+    if (buffer is not None and
+            model.t % (DRIFT_CORRECTION_FACTOR * buffer.capacity) == 0):
+        model.A[...], model.B[...] = buffer.recompute_accumulators()
+    return StepOutput(v=v, s=s, l=model.U @ v)
+
+
+def _accumulate_numpy(model, buffer, m_t, v, s):
+    """omw_step's window and accumulator update in numpy: the path where no
+    compiled kernel is loaded."""
     # the evicted terms are subtracted from the increment before it is
     # added, so A += outer(v, v) - outer(v_old, v_old) keeps its bits; B's
     # increment is built transposed, on the contiguous rows of B.T
@@ -196,12 +295,6 @@ def omw_step(model, buffer, m_t, projection_config=None):
         dBt -= np.outer(v_old, m_old - s_old)
     model.A += dA
     np.add(model.B.T, dBt, out=model.B.T)
-    update_basis(model.U, model.A, model.B, model.lambda1)
-    model.t += 1
-    if (buffer is not None and
-            model.t % (DRIFT_CORRECTION_FACTOR * buffer.capacity) == 0):
-        model.A[...], model.B[...] = buffer.recompute_accumulators()
-    return StepOutput(v=v, s=s, l=model.U @ v)
 
 
 def state_element_count(model, buffer=None):
@@ -238,8 +331,8 @@ class Tracker:
     A window buffer makes the step evict, None makes it cumulative. An
     optional detector passed to run() observes each step and may restart()
     the tracker at a change point. The next sample has tracked time
-    t_start + model.t; cols holds the (l, s) outputs in tracked-time order
-    up to it.
+    t_start + model.t; cols, a ColumnStore, holds the (l, s) outputs in
+    tracked-time order up to it.
     """
 
     def __init__(self, model, buffer, cursor, projection_config=None):
@@ -248,7 +341,7 @@ class Tracker:
         self.cursor = cursor
         self.projection_config = projection_config
         self.t_start = 1
-        self.cols = []
+        self.cols = ColumnStore(model.m)
 
     @property
     def t(self):
@@ -264,7 +357,7 @@ class Tracker:
                                self.projection_config)
             except Exception as exc:
                 raise TrackerStepError(t, str(exc)) from exc
-            self.cols.append((out.l, out.s))
+            self.cols.append(out.l, out.s)
             self.cursor += 1
             if detector is not None:
                 detector.observe(self, stream, t, out.s)
@@ -278,18 +371,15 @@ class Tracker:
         if seeded is None:
             return None
         init, self.model, self.buffer = seeded
-        del self.cols[len(self.cols) - back:]
-        self.cols.extend(zip(init.L_b.T, init.S_b.T))
+        self.cols.truncate(max(0, self.cols.n - back))
+        self.cols.extend(init.L_b, init.S_b)
         self.cursor = index + config.n_burnin
         self.t_start = t0 + config.n_burnin
         return init
 
     def outputs(self):
-        """(L, S): cols stacked into one column per tracked time."""
-        if not self.cols:
-            return np.zeros((self.model.m, 0)), np.zeros((self.model.m, 0))
-        L, S = zip(*self.cols)
-        return np.column_stack(L), np.column_stack(S)
+        """(L, S): one column per tracked time."""
+        return self.cols.dense()
 
 
 def init_tracker(stream, mode, config):
@@ -319,7 +409,7 @@ def continue_tracker(stream, mode, model, buffer, start_index,
             f"continue_tracker: mode {mode!r} does not match the buffer")
     tracker = Tracker(model, buffer, start_index, projection_config)
     tracker.run(stream)
-    L, S = tracker.outputs()
+    L, S = tracker.cols.dense(drain=True)
     return DecompositionResult(L=L, S=S), tracker.cursor
 
 

@@ -124,8 +124,8 @@ def column_sweep(U, A, B, lambda1, sweeps):
        ball=st.sampled_from(["inside", "mixed", "onto"]),
        lambda1=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1),
        order=st.sampled_from("CF"))
-def test_sweep_matches_column_formula(m, r, sweeps, ball, lambda1, seed,
-                                      order):
+def test_sweep_matches_column_formula(step_paths, m, r, sweeps, ball,
+                                      lambda1, seed, order):
     # row-major and column-major U are both swept in place
     rng = np.random.Generator(np.random.PCG64(seed))
     U, A, B, _ = random_instance(rng, m=m, r=r)
@@ -137,15 +137,17 @@ def test_sweep_matches_column_formula(m, r, sweeps, ball, lambda1, seed,
     elif ball == "onto":
         B *= 1e4
     expected = column_sweep(U.copy(), A, B, lambda1, sweeps)
-    U_in = U.copy(order=order)
-    out = update_basis(U_in, A, B, lambda1, sweeps=sweeps)
-    assert out is U_in
-    np.testing.assert_allclose(U_in, expected, rtol=1e-12, atol=1e-12)
-    norms = np.linalg.norm(U_in, axis=0)
-    if ball == "inside":
-        assert norms.max() < 1.0
-    elif ball == "onto":
-        assert abs(norms.max() - 1.0) <= 1e-12
+    for path in step_paths:
+        U_in = U.copy(order=order)
+        with path:
+            out = update_basis(U_in, A, B, lambda1, sweeps=sweeps)
+        assert out is U_in
+        np.testing.assert_allclose(U_in, expected, rtol=1e-12, atol=1e-12)
+        norms = np.linalg.norm(U_in, axis=0)
+        if ball == "inside":
+            assert norms.max() < 1.0
+        elif ball == "onto":
+            assert abs(norms.max() - 1.0) <= 1e-12
 
 
 def test_zero_rank_basis_is_unchanged():

@@ -1,0 +1,165 @@
+"""The compiled step kernel against the numpy code it replaces, and the
+loader that builds, caches and falls back."""
+
+import os
+import shutil
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import streamrpca
+from streamrpca import kernel
+from streamrpca.basis import _sweep_numpy
+from streamrpca.cli import main
+from streamrpca.experiments import study_spec
+from streamrpca.pcp import burnin_initialize
+from streamrpca.projection import ProjectionConfig, _project_numpy
+from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
+                               generate)
+from streamrpca.streams import ObservationStream, write_raw_f64
+from streamrpca.trackers import (TrackerConfig, omw_init, omw_step,
+                                 run_tracker)
+
+compiled = pytest.mark.skipif(kernel.ACTIVE != "compiled",
+                              reason="no compiled kernel could be built")
+SRC = Path(streamrpca.__file__).resolve().parent.parent
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    assert (np.linalg.norm(actual - expected)
+            <= rtol * np.linalg.norm(expected)), (actual, expected)
+
+
+def assert_kernel_matches_numpy_on_steps(full, start, config, steps):
+    """Burn in on full[:, start:start + n_burnin], then before each of
+    `steps` omw steps compare the kernel's projection of the next sample
+    and its sweep of the current (U, A, B) with the numpy code's."""
+    m = full.shape[0]
+    lambda1, lambda2 = config.resolved_lambdas(m)
+    init = burnin_initialize(full[:, start:start + config.n_burnin], lambda1,
+                             lambda2, config.n_win)
+    model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
+    projection = ProjectionConfig()
+    for x in full[:, start + config.n_burnin:][:, :steps].T:
+        v, s, _ = kernel.project(model.U, x, lambda1, lambda2,
+                                 projection.tol, projection.max_iter)
+        v_ref, s_ref = _project_numpy(model.U, x, lambda1, lambda2,
+                                      projection)
+        assert_close(v, v_ref)
+        assert_close(s, s_ref)
+        U = model.U.copy(order="F")
+        assert kernel.sweep(U, model.A, model.B, lambda1, 1, 1e-8)
+        assert_close(U, _sweep_numpy(model.U.copy(order="F"), model.A,
+                                     model.B, lambda1, 1))
+        omw_step(model, buffer, x)
+    return model
+
+
+@compiled
+def test_kernel_matches_numpy_on_drift_states():
+    # the drift-omw benchmark's stream shape: m = 100, rank 10, drifting
+    sim = SimSpec(m=100, t=400, n_burnin=100, rho=0.01, seed=3,
+                  variant=Drift(r=10, r0=3, t_p=125))
+    full = full_stream_matrix(generate(sim))
+    config = TrackerConfig(n_burnin=100, n_win=100)
+    assert_kernel_matches_numpy_on_steps(full, 0, config, steps=400)
+
+
+@compiled
+def test_kernel_matches_numpy_on_rank_55_states():
+    # paper-scale study 3, seed 0: the restart after the first change point
+    # burns in on stream samples 1200-1399 and finds rank 55
+    sim, config = study_spec(3, "paper", 0)
+    full = full_stream_matrix(generate(sim))
+    model = assert_kernel_matches_numpy_on_steps(full, 1200, config,
+                                                 steps=40)
+    assert model.r == 55
+
+
+@compiled
+def test_trackers_on_threads_match_their_sequential_runs():
+    # six independent trackers of one shape on threads, more than there are
+    # cores, switching often: the kernel calls release the interpreter lock,
+    # and each thread has its own scratch arrays
+    config = TrackerConfig(n_burnin=40, n_win=40)
+    streams = [full_stream_matrix(generate(SimSpec(
+        m=30, t=300, n_burnin=40, rho=0.02, seed=seed, variant=Stable(r=3))))
+        for seed in range(6)]
+
+    def run(M):
+        return run_tracker(ObservationStream.from_matrix(M), "omw", config)
+
+    expected = [run(M) for M in streams]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(streams)) as pool:
+            results = list(pool.map(run, streams, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, expected):
+        assert got.L.tobytes() == want.L.tobytes()
+        assert got.S.tobytes() == want.S.tobytes()
+
+
+def run_python(code, cache, *args, src=SRC, **env):
+    """stdout of `python -c code *args` with streamrpca from src and its
+    kernel cache under cache."""
+    env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(cache),
+               **env)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=300).stdout.strip()
+
+
+ACTIVE = "import streamrpca.kernel as k; print(k.ACTIVE)"
+TRACK = ("import sys; from streamrpca.cli import main; "
+         "sys.exit(main(sys.argv[1:]))")
+
+
+def test_without_a_compiler_the_numpy_path_runs(tmp_path, monkeypatch):
+    # with no compiler and an empty cache, import works and the outputs are
+    # the numpy path's, bit for bit
+    sim = SimSpec(m=30, t=200, n_burnin=40, rho=0.02, seed=7,
+                  variant=Stable(r=3))
+    src = tmp_path / "in.f64"
+    write_raw_f64(src, full_stream_matrix(generate(sim)))
+    args = ["track", "--input", str(src), "--format", "raw-f64", "--mode",
+            "omw", "--n-burnin", "40", "--n-win", "40", "--out-dir"]
+    cache = tmp_path / "cache"
+    assert run_python(ACTIVE, cache, CC="/bin/false") == "numpy"
+    run_python(TRACK, cache, *args, str(tmp_path / "fallback"),
+               CC="/bin/false")
+    monkeypatch.setattr(kernel, "ACTIVE", "numpy")
+    assert main([*args, str(tmp_path / "numpy")]) == 0
+    for name in ("L.f64", "S.f64"):
+        assert ((tmp_path / "fallback" / name).read_bytes()
+                == (tmp_path / "numpy" / name).read_bytes())
+
+
+@compiled
+def test_second_load_reuses_the_cache(tmp_path):
+    cache = tmp_path / "cache"
+    assert run_python(ACTIVE, cache) == "compiled"
+    built = {p: p.stat().st_mtime_ns for p in cache.rglob("*.so")}
+    assert len(built) == 1
+    # no compiler now: only the cached library can make the kernel active
+    assert run_python(ACTIVE, cache, CC="/bin/false") == "compiled"
+    assert {p: p.stat().st_mtime_ns for p in cache.rglob("*.so")} == built
+
+
+@compiled
+def test_edited_source_rebuilds(tmp_path):
+    cache = tmp_path / "cache"
+    assert run_python(ACTIVE, cache) == "compiled"
+    copy = tmp_path / "src"
+    shutil.copytree(SRC / "streamrpca", copy / "streamrpca",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "streamrpca" / "kernel.c", "a", encoding="ascii") as fh:
+        fh.write("/* edited */\n")
+    assert run_python(ACTIVE, cache, src=copy) == "compiled"
+    assert len(list(cache.rglob("*.so"))) == 2

@@ -5,10 +5,14 @@ from hypothesis import strategies as st
 
 import streamrpca.projection
 import streamrpca.prox
+from streamrpca import kernel
 from streamrpca.exceptions import ContractViolation
-from streamrpca.projection import (ProjectionConfig, project_sample,
-                                   projection_objective)
+from streamrpca.projection import (ProjectionConfig, _project_numpy,
+                                   project_sample, projection_objective)
 from streamrpca.prox import shrink_matrix
+
+compiled = pytest.mark.skipif(kernel.ACTIVE != "compiled",
+                              reason="no compiled kernel could be built")
 
 
 def oracle_multistart(U, m_t, lambda1, lambda2, restarts=200, seed=0):
@@ -158,7 +162,8 @@ def plain_alternation(U, m_t, lambda1, lambda2, tol=1e-13, max_iter=100000):
 
 
 def count_alternations(monkeypatch):
-    """Count calls through projection.shrink_matrix, one per alternation."""
+    """Count calls through projection.shrink_matrix, one per alternation of
+    the numpy path."""
     calls = []
 
     def counted(X, tau):
@@ -184,27 +189,30 @@ def count_alternations(monkeypatch):
 @given(m=st.integers(1, 40), r=st.integers(1, 6),
        n_outliers=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
        lambda1=st.floats(1e-3, 10.0), lambda2=st.floats(1e-2, 10.0))
-def test_output_meets_kkt_conditions(m, r, n_outliers, seed, lambda1,
-                                     lambda2):
+def test_output_meets_kkt_conditions(step_paths, m, r, n_outliers, seed,
+                                     lambda1, lambda2):
     rng = np.random.Generator(np.random.PCG64(seed))
     U = rng.standard_normal((m, r))
     m_t = U @ rng.standard_normal(r) + 0.1 * rng.standard_normal(m)
     idx = rng.choice(m, size=min(n_outliers, m), replace=False)
     m_t[idx] += rng.uniform(5, 50, idx.size) * rng.choice([-1, 1], idx.size)
-    v, s = project_sample(U, m_t, lambda1, lambda2)
+    for path in step_paths:
+        with path:
+            v, s = project_sample(U, m_t, lambda1, lambda2)
 
-    resid = m_t - U @ v - s
-    # stationarity in v: U'(m_t - U v - s) = lambda1 v
-    np.testing.assert_allclose(U.T @ resid, lambda1 * v, rtol=0, atol=1e-8)
-    # subgradient of lambda2*||s||_1: the residual is lambda2*sign(s) on
-    # the support and at most lambda2 in magnitude off it
-    on = s != 0
-    np.testing.assert_allclose(resid[on], lambda2 * np.sign(s[on]), rtol=0,
-                               atol=1e-8)
-    assert np.all(np.abs(resid[~on]) <= lambda2 + 1e-8)
+        resid = m_t - U @ v - s
+        # stationarity in v: U'(m_t - U v - s) = lambda1 v
+        np.testing.assert_allclose(U.T @ resid, lambda1 * v, rtol=0,
+                                   atol=1e-8)
+        # subgradient of lambda2*||s||_1: the residual is lambda2*sign(s) on
+        # the support and at most lambda2 in magnitude off it
+        on = s != 0
+        np.testing.assert_allclose(resid[on], lambda2 * np.sign(s[on]),
+                                   rtol=0, atol=1e-8)
+        assert np.all(np.abs(resid[~on]) <= lambda2 + 1e-8)
 
 
-def test_matches_plain_alternation():
+def test_matches_plain_alternation(step_paths):
     rng = np.random.Generator(np.random.PCG64(26))
     m, r = 100, 10
     worst = 0.0
@@ -213,14 +221,16 @@ def test_matches_plain_alternation():
         m_t = U @ rng.standard_normal(r) * 3 + 0.01 * rng.standard_normal(m)
         idx = rng.random(m) < 0.01
         m_t[idx] += rng.uniform(-50, 50, idx.sum())
-        v, s = project_sample(U, m_t, 0.1, 0.5)
         v_ref, s_ref = plain_alternation(U, m_t, 0.1, 0.5)
-        worst = max(worst, np.max(np.abs(v - v_ref)),
-                    np.max(np.abs(s - s_ref)))
+        for path in step_paths:
+            with path:
+                v, s = project_sample(U, m_t, 0.1, 0.5)
+            worst = max(worst, np.max(np.abs(v - v_ref)),
+                        np.max(np.abs(s - s_ref)))
     assert worst <= 1e-9
 
 
-def test_failed_support_guess_falls_back_to_alternation(monkeypatch):
+def failed_support_guess():
     # Alternations 1 and 2 both put both entries on the support with sign
     # (+, +). Solved exactly on that support, v is held only by the ridge
     # (lambda1 v = lambda2 U'sigma, v = 5) and s_2 comes out negative, so
@@ -238,26 +248,63 @@ def test_failed_support_guess_falls_back_to_alternation(monkeypatch):
     s_guess = np.linalg.solve(np.eye(2) - U @ P, m_t - U @ (P @ m_t)
                               - lam2 * sigma)
     assert s_guess[1] < 0
+    return U, m_t, lam1, lam2
 
-    calls = count_alternations(monkeypatch)
-    v, s = project_sample(U, m_t, lam1, lam2)
-    assert len(calls) > 2
+
+def assert_failed_guess_recovers(U, m_t, lam1, lam2, v, s):
     v_ref, s_ref = plain_alternation(U, m_t, lam1, lam2)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-9)
     np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-9)
     assert s[1] == 0.0 and s[0] > 0
 
 
-def test_max_iter_one_is_one_alternation(monkeypatch):
-    rng = np.random.Generator(np.random.PCG64(27))
-    U = rng.standard_normal((20, 3))
-    m_t = rng.standard_normal(20) * 3
+def test_failed_support_guess_falls_back_to_alternation(monkeypatch):
+    U, m_t, lam1, lam2 = failed_support_guess()
     calls = count_alternations(monkeypatch)
-    v, s = project_sample(U, m_t, 0.1, 0.5, ProjectionConfig(max_iter=1))
-    assert len(calls) == 1
+    v, s = _project_numpy(U, m_t, lam1, lam2, ProjectionConfig())
+    assert len(calls) > 2
+    assert_failed_guess_recovers(U, m_t, lam1, lam2, v, s)
+
+
+@compiled
+def test_kernel_failed_support_guess_falls_back_to_alternation():
+    U, m_t, lam1, lam2 = failed_support_guess()
+    v, s, alternations = kernel.project(U, m_t, lam1, lam2, 1e-7, 1000)
+    assert alternations > 2
+    assert_failed_guess_recovers(U, m_t, lam1, lam2, v, s)
+    v_np, s_np = _project_numpy(U, m_t, lam1, lam2, ProjectionConfig())
+    np.testing.assert_allclose(v, v_np, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(s, s_np, rtol=1e-12, atol=0)
+
+
+def max_iter_one_instance():
+    rng = np.random.Generator(np.random.PCG64(27))
+    return rng.standard_normal((20, 3)), rng.standard_normal(20) * 3
+
+
+def assert_one_alternation(U, m_t, v, s, rtol=0.0):
+    # rtol: scipy's BLAS, which the kernel calls, may round U @ v unlike
+    # numpy's
     v_ref = np.linalg.solve(U.T @ U + 0.1 * np.eye(3), U.T @ m_t)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(s, shrink_matrix(m_t - U @ v, 0.5))
+    np.testing.assert_allclose(s, shrink_matrix(m_t - U @ v, 0.5), rtol=rtol,
+                               atol=0)
+
+
+def test_max_iter_one_is_one_alternation(monkeypatch):
+    U, m_t = max_iter_one_instance()
+    calls = count_alternations(monkeypatch)
+    v, s = _project_numpy(U, m_t, 0.1, 0.5, ProjectionConfig(max_iter=1))
+    assert len(calls) == 1
+    assert_one_alternation(U, m_t, v, s)
+
+
+@compiled
+def test_kernel_max_iter_one_is_one_alternation():
+    U, m_t = max_iter_one_instance()
+    v, s, alternations = kernel.project(U, m_t, 0.1, 0.5, 1e-7, 1)
+    assert alternations == 1
+    assert_one_alternation(U, m_t, v, s, rtol=1e-12)
 
 
 def outlier_instance(m, r, n_outliers, seed):
@@ -299,7 +346,7 @@ def test_downdated_support_solve_matches_off_support_rows(monkeypatch):
 
     monkeypatch.setattr(streamrpca.projection, "shrink_matrix", shrink)
     monkeypatch.setattr(streamrpca.projection, "_cholesky_solver", solver)
-    project_sample(U, m_t, lam1, lam2)
+    _project_numpy(U, m_t, lam1, lam2, ProjectionConfig())
 
     assert support_solves
     for signs, G, rhs, x, factored in support_solves:
@@ -316,7 +363,8 @@ def test_downdated_support_solve_matches_off_support_rows(monkeypatch):
 
 def test_support_solve_falls_back_when_the_downdate_fails(monkeypatch):
     U, m_t = outlier_instance(40, 6, 36, seed=2)
-    v_ref, s_ref = project_sample(U, m_t, 1e-3, 0.01)
+    config = ProjectionConfig()
+    v_ref, s_ref = _project_numpy(U, m_t, 1e-3, 0.01, config)
     G = U.T @ U + 1e-3 * np.eye(6)
     formed = []
 
@@ -331,7 +379,7 @@ def test_support_solve_falls_back_when_the_downdate_fails(monkeypatch):
         return None, solve
 
     monkeypatch.setattr(streamrpca.projection, "_cholesky_solver", solver)
-    v, s = project_sample(U, m_t, 1e-3, 0.01)
+    v, s = _project_numpy(U, m_t, 1e-3, 0.01, config)
     assert formed and all(M is not None for M in formed)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tempfile
 import zipfile
 from pathlib import Path
@@ -16,6 +17,7 @@ from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
 from streamrpca.state import (SNAPSHOT_VERSION, load_state,
                               restore_cp_pipeline, save_state,
                               snapshot_cp_pipeline, snapshot_tracker)
+import streamrpca.trackers
 from streamrpca.streams import ObservationStream
 from streamrpca.trackers import (TrackerConfig, continue_tracker, init_tracker,
                                  omw_init, omw_step, run_tracker)
@@ -299,3 +301,62 @@ def test_resume_at_any_cut_is_bit_identical(single_runs, mode, cut):
     assert result.change_points == ref.change_points
     np.testing.assert_array_equal(L, ref.L)
     np.testing.assert_array_equal(S, ref.S)
+
+
+class StackedColumns:
+    """Tracker.cols as the list of per-step (l, s) arrays that ColumnStore
+    replaced, stacked by np.column_stack: the reference for its bytes."""
+
+    def __init__(self, m):
+        self.m, self.cols = m, []
+
+    @property
+    def n(self):
+        return len(self.cols)
+
+    def append(self, l, s):
+        self.cols.append((l.copy(), s.copy()))
+
+    def extend(self, L, S):
+        for l, s in zip(L.T, S.T):
+            self.append(l, s)
+
+    def truncate(self, n):
+        del self.cols[n:]
+
+    def dense(self):
+        if not self.cols:
+            return np.zeros((self.m, 0)), np.zeros((self.m, 0))
+        L, S = zip(*self.cols)
+        return np.column_stack(L), np.column_stack(S)
+
+
+@pytest.mark.parametrize("case", ["restart", "resume", "dense-s"])
+def test_outputs_are_the_stacked_step_outputs(tmp_path, monkeypatch, case):
+    # the column blocks give the bytes of the per-step columns stacked, also
+    # across a restart, a snapshot resume after it, and an s with no zeros
+    gt, config = cp_setup()
+    full = full_stream_matrix(gt)
+    if case == "dense-s":
+        config = dataclasses.replace(config, lambda2=1e-12)
+
+    def run():
+        pipeline = OmwCpPipeline(config)
+        if case == "resume":
+            pipeline.run(ObservationStream.from_matrix(full[:, :50 + 300]))
+            save_state(tmp_path / "snap.npz", snapshot_cp_pipeline(pipeline))
+            pipeline = restore_cp_pipeline(load_state(tmp_path / "snap.npz"),
+                                           config)
+        return pipeline.run(ObservationStream.from_matrix(full))[0]
+
+    blocks = run()
+    monkeypatch.setattr(streamrpca.trackers, "ColumnStore", StackedColumns)
+    stacked = run()
+    if case == "dense-s":
+        assert np.all(stacked.S != 0)
+    else:
+        assert len(stacked.change_points) == 1
+    assert blocks.change_points == stacked.change_points
+    for X, Y in ((blocks.L, stacked.L), (blocks.S, stacked.S)):
+        assert X.flags.c_contiguous and X.shape == Y.shape
+        assert X.tobytes() == Y.tobytes()

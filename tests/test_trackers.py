@@ -1,3 +1,8 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +12,8 @@ from streamrpca.changepoint import CpConfig, run_omw_cp
 from streamrpca.cli import main
 from streamrpca.exceptions import ContractViolation, TrackerStepError
 from streamrpca.pcp import burnin_initialize
-from streamrpca.simgen import SimSpec, Stable, full_stream_matrix, generate
+from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
+                               generate)
 from streamrpca.streams import ObservationStream, write_raw_f64
 from streamrpca.state import load_state, save_state, snapshot_tracker
 from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
@@ -115,17 +121,19 @@ def test_omw_zero_sample_only_evicts():
                                atol=1e-12)
 
 
-def test_zero_rank_model_steps_as_pure_shrinkage():
+def test_zero_rank_model_steps_as_pure_shrinkage(step_paths):
     # an all-sparse burn-in can leave r = 0: each step is the soft threshold
-    model = SubspaceModel(U=np.zeros((4, 0)), A=np.zeros((0, 0)),
-                          B=np.zeros((4, 0)), lambda1=0.1, lambda2=0.5)
     m_t = np.array([3.0, -0.2, 0.0, -1.5])
-    for t in range(1, 4):
-        out = omw_step(model, None, m_t)
-        assert out.v.shape == (0,) and model.t == t
-        np.testing.assert_array_equal(out.s, [2.5, 0.0, 0.0, -1.0])
-        np.testing.assert_array_equal(out.l, np.zeros(4))
-    assert model.U.shape == (4, 0) and model.B.shape == (4, 0)
+    for path in step_paths:
+        model = SubspaceModel(U=np.zeros((4, 0)), A=np.zeros((0, 0)),
+                              B=np.zeros((4, 0)), lambda1=0.1, lambda2=0.5)
+        for t in range(1, 4):
+            with path:
+                out = omw_step(model, None, m_t)
+            assert out.v.shape == (0,) and model.t == t
+            np.testing.assert_array_equal(out.s, [2.5, 0.0, 0.0, -1.0])
+            np.testing.assert_array_equal(out.l, np.zeros(4))
+        assert model.U.shape == (4, 0) and model.B.shape == (4, 0)
 
 
 def test_omw_window_identity_and_stationary_repeats():
@@ -361,3 +369,47 @@ def test_step_failure_names_tracked_time(tmp_path, capsys, mode, resume):
     assert track(full, "whole", *(["--resume", str(snap)] if resume
                                   else [])) == 1
     assert "error: step t=71: " in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_tracked_output_memory_is_about_one_stacked_copy(tmp_path):
+    # 10k omw steps at m = 100 from a file, in a fresh process. The column
+    # blocks and the stacked L and S map their own pages, which tracemalloc
+    # does not see, so the run is measured twice: the growth of the peak
+    # RSS (VmHWM: ru_maxrss starts from the parent's peak after a fork)
+    # covers them, and tracemalloc the heap. They read 1.2x and 0.06x the
+    # bytes of L and S (16 MB); per-step (l, s) arrays, as Tracker kept them
+    # before, read 2.5x and 2.3x, and blocks, L and S on the heap 1.7x and
+    # 1.5x.
+    sim = SimSpec(m=100, t=10000, n_burnin=100, rho=0.01, seed=11,
+                  variant=Drift(r=10, r0=3, t_p=125))
+    write_raw_f64(tmp_path / "in.f64", full_stream_matrix(generate(sim)))
+    code = textwrap.dedent(f"""
+        import tracemalloc
+        from streamrpca import TrackerConfig, ingest_stream, run_tracker
+
+        def run():
+            stream = ingest_stream({str(tmp_path / "in.f64")!r}, "raw-f64",
+                                   retain=8)
+            return run_tracker(stream, "omw",
+                               TrackerConfig(n_burnin=100, n_win=100))
+
+        def peak_rss():
+            with open("/proc/self/status", encoding="ascii") as fh:
+                return 1024 * next(int(line.split()[1]) for line in fh
+                                   if line.startswith("VmHWM:"))
+
+        before = peak_rss()
+        outputs = run().L.nbytes * 2
+        rss = peak_rss() - before
+        tracemalloc.start()
+        run()
+        print(rss, tracemalloc.get_traced_memory()[1], outputs)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=600)
+    rss, traced, outputs = map(int, out.stdout.split())
+    assert outputs == 2 * 100 * 10000 * 8
+    assert rss <= 1.45 * outputs
+    assert traced <= 0.25 * outputs
