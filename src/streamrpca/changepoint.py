@@ -1,4 +1,5 @@
-"""Change-point detection wrapped around the moving-window tracker.
+"""Change-point detection around the moving-window tracker, and the one
+runtime (OmwCpPipeline) of every mode.
 
 The pipeline monitors the support size of each sparse estimate. A tracked
 segment goes through three phases:
@@ -19,6 +20,9 @@ fresh batch burn-in starting at t0 (whose decomposition overwrites the
 estimates for the burn-in span), fresh histogram, fresh buffers. Change
 points closer together than n_burnin + n_cp_burnin + n_test samples are
 structurally undetectable because detection is off during those phases.
+If the stream ends inside the restart's burn-in block, the restart stays
+pending: steps are recorded but not tested until a later run() reads the
+block.
 
 All reported time indices are 1-based positions in the tracked stream
 (the sample right after the initial burn-in block is t = 1) and are
@@ -79,53 +83,6 @@ class CpConfig(TrackerConfig):
             raise ContractViolation("CpConfig: n_tol must be >= 0")
 
 
-class SupportHistogram:
-    """Counts of past normal-period support sizes, indexed 0..m."""
-
-    def __init__(self, m, counts=None):
-        self.m = m
-        if counts is None:
-            self.counts = np.zeros(m + 1, dtype=np.int64)
-        else:
-            self.counts = np.asarray(counts, dtype=np.int64).copy()
-            if self.counts.shape != (m + 1,):
-                raise ContractViolation("SupportHistogram: bad counts shape")
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-    def record(self, c):
-        if not 0 <= c <= self.m:
-            raise ContractViolation(
-                f"SupportHistogram: support size {c} outside [0, {self.m}]")
-        self.counts[c] += 1
-
-    def count_at_least(self, c_min):
-        c_min = max(int(c_min), 0)
-        if c_min > self.m:
-            return 0
-        return int(self.counts[c_min:].sum())
-
-
-class FlagBuffers:
-    """Paired FIFOs of recent support sizes and abnormality flags."""
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ContractViolation("FlagBuffers: capacity must be >= 1")
-        self.capacity = capacity
-        self.sizes = deque()
-        self.flags = deque()
-
-    def __len__(self):
-        return len(self.flags)
-
-    def clear(self):
-        self.sizes.clear()
-        self.flags.clear()
-
-
 @dataclass
 class CpDiagnostic:
     """Per-step monitoring record; p and flag are None outside MONITORING."""
@@ -154,12 +111,13 @@ def support_size(s, zero_eps=0.0):
     return int(np.count_nonzero(np.abs(np.asarray(s)) > zero_eps))
 
 
-def p_value(hist, c_t, n_tol=0):
-    """Fraction of recorded support sizes >= c_t - n_tol (clamped at 0)."""
-    total = hist.total
+def p_value(counts, c_t, n_tol=0):
+    """Fraction of the histogram counts (indexed by support size) at sizes
+    >= c_t - n_tol (clamped at 0)."""
+    total = int(counts.sum())
     if total == 0:
         raise ContractViolation("p_value: empty histogram")
-    return hist.count_at_least(c_t - n_tol) / total
+    return int(counts[max(c_t - n_tol, 0):].sum()) / total
 
 
 def flag_observation(p, alpha):
@@ -167,15 +125,12 @@ def flag_observation(p, alpha):
     return 1 if p <= alpha else 0
 
 
-def buffer_advance(buffers, hist, c_t, f_t):
-    """Append (c_t, f_t); once the FIFOs exceed capacity, age out the oldest
-    pair and absorb its support size into the histogram."""
-    buffers.sizes.append(c_t)
-    buffers.flags.append(f_t)
-    if len(buffers.flags) == buffers.capacity + 1:
-        c_old = buffers.sizes.popleft()
-        buffers.flags.popleft()
-        hist.record(c_old)
+def buffer_advance(recent, counts, c_t, f_t):
+    """Append (c_t, f_t) to the deque recent (maxlen n_check); once it is
+    full, its oldest pair ages out and that support size is counted."""
+    if len(recent) == recent.maxlen:
+        counts[recent[0][0]] += 1
+    recent.append((c_t, f_t))
 
 
 def scan_for_changepoint(flags, alpha_prop, n_check, n_positive, current_t):
@@ -202,60 +157,76 @@ def scan_for_changepoint(flags, alpha_prop, n_check, n_positive, current_t):
     return None
 
 
-class OmwCpPipeline:
-    """Resumable tracking + detection: the detector of a trackers.Tracker.
+MODES = ("stoc", "omw", "omw-cp")
 
-    run() seeds a moving-window Tracker and runs it with this pipeline as
-    its detector: after each step the tracker calls observe() (phases,
-    histogram, flag FIFOs, scan). Because a restart rewrites recent
-    columns, snapshots carry the tracker's column list along with the
-    tracker and detector state.
+
+class OmwCpPipeline:
+    """The runtime of every mode: seeds a Tracker from the stream's burn-in
+    block and runs it, resumable across run() calls.
+
+    The mode is "stoc" (no eviction), "omw" (a moving window) or "omw-cp" (a
+    moving window with this pipeline as the tracker's detector: after each
+    step the tracker calls observe()). The detector state is plain data: the
+    histogram counts, indexed by support size, and the last n_check
+    (size, flag) pairs. A change point whose burn-in block the stream does
+    not hold yet is pending: its restart is retried at the next run().
     """
 
-    STATUS_OK = "ok"
-    STATUS_INSUFFICIENT = "insufficient-stream"
-
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, config, mode="omw-cp"):
+        if mode not in MODES:
+            raise ContractViolation(f"unknown mode {mode!r}")
+        self.config, self.mode = config, mode
         self.tracker = None    # built once a full burn-in block was read
-        self.hist = None
-        self.flag_buffers = FlagBuffers(config.n_check)
+        self.counts = None
+        self.recent = (deque(maxlen=config.n_check) if mode == "omw-cp"
+                       else None)     # (size, flag) of the last n_check steps
         self.change_points = []
-        self.detection_enabled = True
-        self.status = self.STATUS_OK
+        self.pending = None    # t0 of a restart waiting for its burn-in block
+        self.status = "ok"
         self.warnings = []
 
-    @property
-    def t(self):  # tracked time of the next sample
-        return self.tracker.t if self.tracker is not None else 1
-
     def run(self, stream):
-        """Consume the stream to exhaustion; resumable across calls."""
+        """Consume the stream to exhaustion. Returns (DecompositionResult,
+        ChangePointReport), the report None outside omw-cp."""
         self.diagnostics = []
+        detector = self if self.mode == "omw-cp" else None
         if self.tracker is None and not self._seed(stream):
-            self.status = self.STATUS_INSUFFICIENT
+            if detector is None:
+                raise ContractViolation(f"{self.mode}: stream shorter than "
+                                        f"n_burnin={self.config.n_burnin}")
+            self.status = "insufficient-stream"
             self.warnings.append(f"stream shorter than n_burnin="
                                  f"{self.config.n_burnin}; nothing tracked")
             L = S = np.zeros((0, 0))
         else:
-            self.tracker.run(stream, detector=self)
-            L, S = self.tracker.outputs()
+            if self.pending is not None:
+                self._restart(self.tracker, stream, self.pending)
+            self.tracker.run(stream, detector)
+            L, S = self.tracker.cols.dense(drain=detector is None)
         result = DecompositionResult(L=L, S=S,
                                      change_points=list(self.change_points))
-        report = ChangePointReport(change_points=list(self.change_points),
-                                   diagnostics=self.diagnostics,
-                                   status=self.status,
-                                   warnings=list(self.warnings))
-        return result, report
+        if detector is None:
+            return result, None
+        warnings = list(self.warnings)
+        if self.pending is not None:
+            warnings.append(
+                f"change point at t={self.pending} leaves fewer than "
+                f"n_burnin={self.config.n_burnin} samples; tail processed in "
+                "tracking-only mode")
+        return result, ChangePointReport(
+            change_points=list(self.change_points),
+            diagnostics=self.diagnostics, status=self.status,
+            warnings=warnings)
 
     def _seed(self, stream):
         # its own frame, so that the BurninInit is freed before tracking
-        seeded = seed_tracker(stream, 0, self.config, evict=True)
+        seeded = seed_tracker(stream, 0, self.config,
+                              evict=self.mode != "stoc")
         if seeded is None:
             return False
         init, model, buffer = seeded
         self._check_burnin(init, "before t=1")
-        self.hist = SupportHistogram(model.m)
+        self.counts = np.zeros(model.m + 1, dtype=np.int64)
         self.tracker = Tracker(model, buffer, self.config.n_burnin,
                                self.config.projection)
         return True
@@ -265,9 +236,20 @@ class OmwCpPipeline:
             self.warnings.append(f"burn-in {where}: batch solve unconverged "
                                  f"after {init.iterations} iterations")
 
+    def _restart(self, tracker, stream, t0):
+        """Seed the tracker afresh from tracked time t0, or leave the restart
+        pending if the stream ends inside its burn-in block."""
+        init = tracker.restart(stream, t0, self.config)
+        self.pending = t0 if init is None else None
+        if init is not None:
+            self._check_burnin(init, f"from t={t0}")
+            self.counts[:] = 0
+            self.recent.clear()
+
     def observe(self, tracker, stream, t, s):
         """Detector step after the tracker stepped tracked time t with
-        sparse output s; a change point restarts the tracker."""
+        sparse output s; a change point restarts the tracker. While a
+        restart is pending, steps are recorded but not tested."""
         cfg = self.config
         c_t = support_size(s)
         offset = t - tracker.t_start
@@ -278,31 +260,21 @@ class OmwCpPipeline:
         else:
             phase = CpPhase.MONITORING
         p = f = t0 = None
-        if phase is CpPhase.TEST_FILL and self.detection_enabled:
-            self.hist.record(c_t)
-        elif phase is CpPhase.MONITORING and self.detection_enabled:
-            p = p_value(self.hist, c_t, cfg.n_tol)
+        if phase is CpPhase.TEST_FILL and self.pending is None:
+            self.counts[c_t] += 1
+        elif phase is CpPhase.MONITORING and self.pending is None:
+            p = p_value(self.counts, c_t, cfg.n_tol)
             f = flag_observation(p, cfg.alpha)
-            buffer_advance(self.flag_buffers, self.hist, c_t, f)
-            if len(self.flag_buffers) == cfg.n_check:
+            buffer_advance(self.recent, self.counts, c_t, f)
+            if len(self.recent) == cfg.n_check:
                 t0 = scan_for_changepoint(
-                    self.flag_buffers.flags, cfg.alpha_prop, cfg.n_check,
-                    cfg.n_positive, current_t=t)
+                    [flag for _, flag in self.recent], cfg.alpha_prop,
+                    cfg.n_check, cfg.n_positive, current_t=t)
         self.diagnostics.append(CpDiagnostic(
             t=t, support_size=c_t, p=p, flag=f, phase=phase.value))
-        if t0 is None:
-            return
-        self.change_points.append(t0)
-        if (init := tracker.restart(stream, t0, cfg)) is not None:
-            self._check_burnin(init, f"from t={t0}")
-            self.hist = SupportHistogram(self.hist.m)
-            self.flag_buffers.clear()
-            return
-        self.warnings.append(
-            f"change point at t={t0} leaves fewer than "
-            f"n_burnin={cfg.n_burnin} samples; tail processed in "
-            "tracking-only mode")
-        self.detection_enabled = False
+        if t0 is not None:
+            self.change_points.append(t0)
+            self._restart(tracker, stream, t0)
 
 
 def run_omw_cp(stream, config):

@@ -17,15 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .changepoint import CpConfig, OmwCpPipeline
+from .changepoint import MODES, CpConfig, OmwCpPipeline
 from .exceptions import (ContractViolation, InitializationError, ParseError,
                          SnapshotError, TrackerStepError)
 from .pcp import PcpConfig, pcp_alm
 from .simgen import ChangePoints, Drift, SimSpec, Stable, generate
-from .state import (load_state, restore_cp_pipeline, save_state,
-                    snapshot_cp_pipeline, snapshot_tracker)
+from .state import load_state, restore_pipeline, save_state, snapshot_pipeline
 from .streams import ingest_stream, write_raw_f64
-from .trackers import continue_tracker, init_tracker
 
 OUT_DIR_ENV = "STREAMRPCA_OUT_DIR"
 
@@ -85,7 +83,7 @@ def _build_parser():
     p = sub.add_parser("track", help="online tracking over a stream file")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["csv", "raw-f64"], default="csv")
-    p.add_argument("--mode", choices=["stoc", "omw", "omw-cp"], default="omw")
+    p.add_argument("--mode", choices=MODES, default="omw")
     p.add_argument("--n-burnin", type=int, default=100)
     p.add_argument("--n-win", type=int, default=100)
     p.add_argument("--lambda1", type=float, default=None)
@@ -170,39 +168,30 @@ def _cmd_track(args):
     retain = args.n_burnin + args.n_check + 8
     stream = ingest_stream(args.input, args.format, retain=retain)
     config = _cp_config(args)
-    snapshot = load_state(args.resume) if args.resume else None
-    if snapshot is not None and snapshot.kind != args.mode:
-        raise ContractViolation(
-            f"snapshot was taken in mode {snapshot.kind!r}, "
-            f"not {args.mode!r}")
-    if args.mode == "omw-cp":
-        pipeline = (restore_cp_pipeline(snapshot, config) if snapshot
-                    else OmwCpPipeline(config))
-        result, report = pipeline.run(stream)
+    if args.resume:
+        snapshot = load_state(args.resume)
+        if snapshot.kind != args.mode:
+            raise ContractViolation(
+                f"snapshot was taken in mode {snapshot.kind!r}, "
+                f"not {args.mode!r}")
+        pipeline = restore_pipeline(snapshot, config)
     else:
-        model, buffer, start = (
-            (snapshot.model, snapshot.buffer, snapshot.cursor) if snapshot
-            else init_tracker(stream, args.mode, config))
-        result, cursor = continue_tracker(stream, args.mode, model, buffer,
-                                          start, config.projection)
-        report = None
+        pipeline = OmwCpPipeline(config, args.mode)
+    result, report = pipeline.run(stream)
 
     out = _out_dir(args)
     write_raw_f64(out / "L.f64", result.L)
     write_raw_f64(out / "S.f64", result.S)
-    n_samples, change_points = result.L.shape[1], result.change_points
-    del result  # an omw-cp snapshot stacks the output columns again
     (out / "changepoints.json").write_text(
-        json.dumps({"change_points": change_points}, sort_keys=True)
+        json.dumps({"change_points": result.change_points}, sort_keys=True)
         + "\n", encoding="ascii")
     if report is not None:
         experiments._write_diagnostics(out / "diagnostics.jsonl",
                                        report.diagnostics)
     if args.save_state:
-        save_state(args.save_state,
-                   snapshot_cp_pipeline(pipeline) if report is not None
-                   else snapshot_tracker(args.mode, model, buffer, cursor))
-    print(f"tracked {n_samples} samples; change points: {change_points}")
+        save_state(args.save_state, snapshot_pipeline(pipeline, result))
+    print(f"tracked {result.L.shape[1]} samples; "
+          f"change points: {result.change_points}")
     return 0
 
 

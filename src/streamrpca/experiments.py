@@ -21,15 +21,12 @@ import sys
 import time
 from pathlib import Path
 
-from .changepoint import CpConfig, run_omw_cp
+from .changepoint import MODES, CpConfig, OmwCpPipeline
 from .exceptions import ContractViolation
 from .metrics import EvalReport, cp_deviation, err_rel, support_mismatch
 from .simgen import (ChangePoints, Drift, SimSpec, Stable, full_stream_matrix,
                      generate)
 from .streams import ObservationStream, write_raw_f64
-from .trackers import run_tracker
-
-METHODS = ("stoc", "omw", "omw-cp")
 
 # Desk-scale study 3 uses a reduced sparse penalty: the rule-of-thumb
 # 100/sqrt(max(m, n_win)) = 10 sits at 2-4.5 standard deviations of the
@@ -88,10 +85,7 @@ def run_method(method, gt, cp_config):
     (DecompositionResult, ChangePointReport-or-None, runtime_seconds)."""
     stream = ObservationStream.from_matrix(full_stream_matrix(gt))
     start = time.perf_counter()
-    if method == "omw-cp":
-        result, report = run_omw_cp(stream, cp_config)
-    else:
-        result, report = run_tracker(stream, method, cp_config), None
+    result, report = OmwCpPipeline(cp_config, method).run(stream)
     return result, report, time.perf_counter() - start
 
 
@@ -132,7 +126,7 @@ def _write_diagnostics(path, diagnostics):
                                  "f": d.flag, "phase": d.phase}))
 
 
-def run_experiment(study, scale, seed, out_dir, methods=METHODS):
+def run_experiment(study, scale, seed, out_dir, methods=MODES):
     """Run every method on one generated stream and write all artifacts.
 
     Returns {method: EvalReport}. Identical (study, scale, seed) inputs

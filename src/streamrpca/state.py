@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .changepoint import OmwCpPipeline, SupportHistogram
+from .changepoint import MODES, OmwCpPipeline
 from .exceptions import SnapshotError
 from .trackers import SubspaceModel, Tracker, WindowBuffer
 
@@ -31,57 +31,73 @@ class StateSnapshot:
     detector: dict | None = None
 
 
-def snapshot_tracker(kind, model, buffer=None, cursor=0):
+def snapshot_tracker(kind, model, buffer=None, cursor=0, detector=None):
     return StateSnapshot(version=SNAPSHOT_VERSION, kind=kind, model=model,
-                         buffer=buffer, cursor=cursor)
+                         buffer=buffer, cursor=cursor, detector=detector)
 
 
-def snapshot_cp_pipeline(pipeline):
-    """Capture an OmwCpPipeline between steps. The detector dict is the one
-    list of detector keys: save_state stores each as a det_<key> entry."""
+def snapshot_pipeline(pipeline, result):
+    """Capture an OmwCpPipeline after a run() that returned result.
+
+    An omw-cp snapshot carries the detector dict, the one list of detector
+    keys (save_state stores each as a det_<key> entry), with the run's L and
+    S, since a later restart may rewrite recent columns."""
     tracker = pipeline.tracker
     if tracker is None:
         raise SnapshotError("cannot snapshot an uninitialized pipeline")
-    L, S = tracker.outputs()
-    detector = {
-        "hist_counts": pipeline.hist.counts.copy(),
-        "fb_sizes": np.array(list(pipeline.flag_buffers.sizes), dtype=np.int64),
-        "fb_flags": np.array(list(pipeline.flag_buffers.flags), dtype=np.int64),
-        "t_start": tracker.t_start,
-        "next_t": tracker.t,
-        "change_points": np.array(pipeline.change_points, dtype=np.int64),
-        "detection_enabled": pipeline.detection_enabled,
-        "status": pipeline.status,
-        "warnings": np.array(pipeline.warnings, dtype=str),
-        "L_partial": L,
-        "S_partial": S,
-    }
-    return StateSnapshot(version=SNAPSHOT_VERSION, kind="omw-cp",
-                         model=tracker.model, buffer=tracker.buffer,
-                         cursor=tracker.cursor, detector=detector)
+    detector = None
+    if pipeline.mode == "omw-cp":
+        detector = {
+            "hist_counts": pipeline.counts.copy(),
+            "fb_sizes": np.array([c for c, _ in pipeline.recent], np.int64),
+            "fb_flags": np.array([f for _, f in pipeline.recent], np.int64),
+            "t_start": tracker.t_start,
+            "next_t": tracker.t,
+            "change_points": np.array(pipeline.change_points, dtype=np.int64),
+            "detection_enabled": pipeline.pending is None,
+            "status": pipeline.status,
+            "warnings": np.array(pipeline.warnings, dtype=str),
+            "L_partial": result.L,
+            "S_partial": result.S,
+        }
+    return snapshot_tracker(pipeline.mode, tracker.model, tracker.buffer,
+                            tracker.cursor, detector)
 
 
-def restore_cp_pipeline(snapshot, config):
-    """Rebuild an OmwCpPipeline from a snapshot taken with the same config."""
-    if snapshot.kind != "omw-cp" or snapshot.detector is None:
-        raise SnapshotError(f"snapshot kind {snapshot.kind!r} is not omw-cp")
-    det = snapshot.detector
-    pipeline = OmwCpPipeline(config)
-    pipeline.hist = SupportHistogram(snapshot.model.m, det["hist_counts"])
-    pipeline.flag_buffers.sizes.extend(int(c) for c in det["fb_sizes"])
-    pipeline.flag_buffers.flags.extend(int(f) for f in det["fb_flags"])
+def restore_pipeline(snapshot, config):
+    """Rebuild the OmwCpPipeline of a snapshot taken with the same config."""
+    det, kind, m = snapshot.detector, snapshot.kind, snapshot.model.m
+    if (kind not in MODES or (det is None) == (kind == "omw-cp")
+            or (snapshot.buffer is None) != (kind == "stoc")):
+        raise SnapshotError(f"snapshot kind {kind!r} does not match its "
+                            "window or det_* entries")
+    pipeline = OmwCpPipeline(config, kind)
+    tracker = pipeline.tracker = Tracker(snapshot.model, snapshot.buffer,
+                                         snapshot.cursor, config.projection)
+    if det is None:
+        return pipeline
+    pipeline.counts = det["hist_counts"].astype(np.int64)
+    if pipeline.counts.shape != (m + 1,):
+        raise SnapshotError(f"det_hist_counts has shape "
+                            f"{pipeline.counts.shape}, expected ({m + 1},)")
+    pipeline.recent.extend(zip(map(int, det["fb_sizes"]),
+                               map(int, det["fb_flags"])))
     pipeline.change_points = [int(c) for c in det["change_points"]]
-    pipeline.detection_enabled = bool(det["detection_enabled"])
     pipeline.status = str(det["status"])
-    pipeline.warnings = [str(w) for w in det["warnings"]]
-    tracker = Tracker(snapshot.model, snapshot.buffer, snapshot.cursor,
-                      config.projection)
+    # older files also stored the pending restart's warning, which run()
+    # adds to the report
+    pipeline.warnings = [str(w) for w in det["warnings"]
+                         if not str(w).startswith("change point at t=")]
+    if not bool(det["detection_enabled"]):
+        if not pipeline.change_points:
+            raise SnapshotError("det_detection_enabled is false, but no "
+                                "change point is pending")
+        pipeline.pending = pipeline.change_points[-1]
     tracker.t_start = int(det["t_start"])
     if int(det["next_t"]) != tracker.t:
         raise SnapshotError(
             f"det_next_t {int(det['next_t'])} != t_start + t = {tracker.t}")
     tracker.cols.extend(det["L_partial"], det["S_partial"])
-    pipeline.tracker = tracker
     return pipeline
 
 

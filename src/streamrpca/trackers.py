@@ -229,24 +229,20 @@ class TrackerConfig:
         return lambda1, lambda2
 
 
-def stoc_init_from_burnin(init, lambda1, lambda2):
-    """Seed the cumulative tracker from a burn-in decomposition."""
-    return SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=lambda1,
-                         lambda2=lambda2)
-
-
 def stoc_step(model, m_t, projection_config=None):
     """One cumulative step: omw_step without a window."""
     return omw_step(model, None, m_t, projection_config)
 
 
 def omw_init(init, lambda1, lambda2, n_win):
-    """Seed the moving-window tracker: model plus the burn-in window."""
+    """Seed a tracker: the model plus the burn-in window, which only the
+    moving-window tracker keeps."""
     seed_len = len(init.window_seed[0])
     if seed_len != n_win:
         raise ContractViolation(
             f"WindowBuffer seed length {seed_len} != capacity {n_win}")
-    return (stoc_init_from_burnin(init, lambda1, lambda2),
+    return (SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=lambda1,
+                          lambda2=lambda2),
             WindowBuffer(*init.window_seed))
 
 
@@ -309,20 +305,14 @@ def seed_tracker(stream, index, config, evict):
     """Batch burn-in on stream samples [index, index + n_burnin): returns
     (BurninInit, model, buffer), buffer None unless evict, or None if the
     stream ends first."""
-    burn = []
-    for i in range(index, index + config.n_burnin):
-        x = stream.get(i)
-        if x is None:
-            return None
-        burn.append(x)
+    burn = [stream.get(i) for i in range(index, index + config.n_burnin)]
+    if burn[-1] is None:  # get() is None at every index past the end
+        return None
     M_b = np.column_stack(burn)
     lambda1, lambda2 = config.resolved_lambdas(M_b.shape[0])
     init = burnin_initialize(M_b, lambda1, lambda2, config.n_win)
-    if evict:
-        model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
-    else:
-        model, buffer = stoc_init_from_burnin(init, lambda1, lambda2), None
-    return init, model, buffer
+    model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
+    return init, model, buffer if evict else None
 
 
 class Tracker:
@@ -377,10 +367,6 @@ class Tracker:
         self.t_start = t0 + config.n_burnin
         return init
 
-    def outputs(self):
-        """(L, S): one column per tracked time."""
-        return self.cols.dense()
-
 
 def init_tracker(stream, mode, config):
     """Consume the leading n_burnin samples and build the tracker state.
@@ -419,7 +405,5 @@ def run_tracker(stream, mode, config):
     mode is "stoc" or "omw". Returns the estimates for every post-burn-in
     sample; the burn-in block itself is consumed for initialization only.
     """
-    model, buffer, start = init_tracker(stream, mode, config)
-    result, _ = continue_tracker(stream, mode, model, buffer, start,
-                                 config.projection)
-    return result
+    return continue_tracker(stream, mode, *init_tracker(stream, mode, config),
+                            config.projection)[0]

@@ -1,9 +1,11 @@
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from streamrpca.changepoint import (CpConfig, FlagBuffers, SupportHistogram,
-                                    buffer_advance, flag_observation,
-                                    p_value, run_omw_cp,
+from streamrpca.changepoint import (CpConfig, buffer_advance,
+                                    flag_observation, p_value, run_omw_cp,
                                     scan_for_changepoint, support_size)
 from streamrpca.exceptions import ContractViolation
 from streamrpca.pcp import PcpConfig
@@ -19,11 +21,10 @@ def test_support_size():
 
 
 def hist_from(counts_by_size, m=10):
-    hist = SupportHistogram(m)
+    counts = np.zeros(m + 1, dtype=np.int64)
     for size, count in counts_by_size.items():
-        for _ in range(count):
-            hist.record(size)
-    return hist
+        counts[size] += count
+    return counts
 
 
 def test_p_value_cases():
@@ -35,14 +36,12 @@ def test_p_value_cases():
 
 def test_p_value_empty_histogram_rejected():
     with pytest.raises(ContractViolation):
-        p_value(SupportHistogram(5), 1)
+        p_value(np.zeros(6, dtype=np.int64), 1)
 
 
 def test_p_value_monotonicity():
     rng = np.random.Generator(np.random.PCG64(50))
-    hist = SupportHistogram(20)
-    for c in rng.integers(0, 21, size=300):
-        hist.record(int(c))
+    hist = np.bincount(rng.integers(0, 21, size=300), minlength=21)
     for n_tol in (0, 1, 3):
         ps = [p_value(hist, c, n_tol) for c in range(21)]
         assert all(a >= b for a, b in zip(ps, ps[1:]))  # non-increasing in c
@@ -58,20 +57,19 @@ def test_flag_boundary_inclusive():
 
 
 def test_buffer_advance_fifo_mechanics():
-    hist = SupportHistogram(10)
-    buffers = FlagBuffers(2)
+    hist = np.zeros(11, dtype=np.int64)
+    buffers = deque(maxlen=2)
     buffer_advance(buffers, hist, 5, 0)
     buffer_advance(buffers, hist, 6, 0)
-    assert hist.total == 0
+    assert hist.sum() == 0
     buffer_advance(buffers, hist, 7, 1)
-    assert list(buffers.sizes) == [6, 7]
-    assert list(buffers.flags) == [0, 1]
-    assert hist.total == 1 and hist.counts[5] == 1
+    assert list(buffers) == [(6, 0), (7, 1)]
+    assert hist.sum() == 1 and hist[5] == 1
     # flags never enter the histogram; size stays capped
     for c in (8, 9):
         buffer_advance(buffers, hist, c, 1)
     assert len(buffers) == 2
-    assert hist.total == 3
+    assert hist.sum() == 3
 
 
 def test_scan_finds_first_run():
@@ -161,11 +159,8 @@ def test_histogram_purity_no_observation_tests_itself():
     test_fill = [d.support_size for d in report.diagnostics
                  if d.phase == "test-fill"]
     for k, d in enumerate(mon):
-        hist = SupportHistogram(30)
-        for c in test_fill:
-            hist.record(c)
-        for c in sizes[:max(k - config.n_check, 0)]:
-            hist.record(c)
+        hist = np.bincount(test_fill + sizes[:max(k - config.n_check, 0)],
+                           minlength=31)
         assert d.p == pytest.approx(p_value(hist, d.support_size, 0))
 
 
@@ -275,3 +270,28 @@ def test_unconverged_burnin_is_reported(monkeypatch):
     note = ": batch solve unconverged after 15 iterations"
     assert report.warnings == ["burn-in before t=1" + note] + [
         f"burn-in from t={t0}" + note for t0 in result.change_points]
+
+
+def test_tracer_wraps_the_bindings_the_pipeline_calls(monkeypatch):
+    # bench/tracer.py swaps functions at their module bindings by name
+    # (burn-in and step in trackers and changepoint, stoc_step, the
+    # detector functions); a traced run must go through the wrapped ones
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    from tracer import Tracer, layer_metrics
+    gt = make_cp_stream(seed=54)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        result, report = run_omw_cp(
+            ObservationStream.from_matrix(full_stream_matrix(gt)),
+            desk_cp_config())
+    finally:
+        tracer.uninstall()
+    assert len(result.change_points) == 1
+    assert len(tracer.durations("burnin")) - 1 == len(result.change_points)
+    assert len(tracer.durations("step")) == len(report.diagnostics)
+    assert tracer.counts["scan"] > 0
+    metrics = layer_metrics(tracer, max_projection_iter=1000,
+                            detector_steps=len(report.diagnostics))
+    assert metrics["changepoint.restarts"] == 1
+    assert metrics["trackers.state_elements"] > 0

@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import streamrpca
+import streamrpca.trackers
 from streamrpca.cli import main
 from streamrpca.simgen import SimSpec, Stable, full_stream_matrix, generate
 from streamrpca.streams import ingest_stream, write_csv, write_raw_f64
@@ -112,6 +114,60 @@ def test_track_save_and_resume_matches_single_run(tmp_path):
     L_head = read_matrix(out_head / "L.f64")
     L_tail = read_matrix(out_tail / "L.f64")
     np.testing.assert_array_equal(np.hstack([L_head, L_tail]), L_once)
+
+
+MODES = ("stoc", "omw", "omw-cp")
+SMALL_TRACK = ["--format", "raw-f64", "--n-burnin", "15", "--n-win", "15"]
+
+
+@pytest.fixture(scope="module")
+def snapshots(tmp_path_factory):
+    """A small stream and one `track --save-state` snapshot per mode."""
+    tmp = tmp_path_factory.mktemp("snapshots")
+    spec = SimSpec(m=15, t=60, n_burnin=15, rho=0.02, seed=93,
+                   variant=Stable(r=2))
+    src = tmp / "stream.f64"
+    write_raw_f64(src, full_stream_matrix(generate(spec)))
+    for mode in MODES:
+        assert main(["track", "--input", str(src), "--mode", mode,
+                     *SMALL_TRACK, "--save-state", str(tmp / f"{mode}.npz"),
+                     "--out-dir", str(tmp / mode)]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("kind,mode", [(k, m) for k in MODES for m in MODES
+                                       if k != m])
+def test_track_resume_rejects_a_snapshot_of_another_mode(snapshots, tmp_path,
+                                                         capsys, kind, mode):
+    rc = main(["track", "--input", str(snapshots / "stream.f64"),
+               "--mode", mode, *SMALL_TRACK,
+               "--resume", str(snapshots / f"{kind}.npz"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"mode {kind!r}, not {mode!r}" in err
+    assert not (tmp_path / "L.f64").exists()
+
+
+def test_track_save_state_stacks_the_columns_once(snapshots, tmp_path,
+                                                  monkeypatch):
+    calls = []
+    dense = streamrpca.trackers.ColumnStore.dense
+
+    def counting_dense(self, *args, **kwargs):
+        calls.append(self.n)
+        return dense(self, *args, **kwargs)
+
+    monkeypatch.setattr(streamrpca.trackers.ColumnStore, "dense",
+                        counting_dense)
+    assert main(["track", "--input", str(snapshots / "stream.f64"),
+                 "--mode", "omw-cp", *SMALL_TRACK,
+                 "--save-state", str(tmp_path / "snap.npz"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == [60]
+    with np.load(tmp_path / "snap.npz") as data:
+        np.testing.assert_array_equal(data["det_L_partial"],
+                                      read_matrix(tmp_path / "L.f64"))
 
 
 def test_experiment_command_smoke(tmp_path):

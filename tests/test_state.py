@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamrpca.changepoint import CpConfig, OmwCpPipeline
@@ -14,9 +14,8 @@ from streamrpca.exceptions import SnapshotError
 from streamrpca.pcp import burnin_initialize
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
-from streamrpca.state import (SNAPSHOT_VERSION, load_state,
-                              restore_cp_pipeline, save_state,
-                              snapshot_cp_pipeline, snapshot_tracker)
+from streamrpca.state import (SNAPSHOT_VERSION, load_state, restore_pipeline,
+                              save_state, snapshot_pipeline, snapshot_tracker)
 import streamrpca.trackers
 from streamrpca.streams import ObservationStream
 from streamrpca.trackers import (TrackerConfig, continue_tracker, init_tracker,
@@ -168,15 +167,16 @@ def test_snapshot_window_shape_is_checked(tmp_path, key, change):
 def test_restore_checks_next_t(tmp_path):
     gt, config = cp_setup()
     pipeline = OmwCpPipeline(config)
-    pipeline.run(ObservationStream.from_matrix(full_stream_matrix(gt)[:, :130]))
+    result, _ = pipeline.run(
+        ObservationStream.from_matrix(full_stream_matrix(gt)[:, :130]))
     path = tmp_path / "cp.npz"
-    save_state(path, snapshot_cp_pipeline(pipeline))
+    save_state(path, snapshot_pipeline(pipeline, result))
     with np.load(path) as data:
         next_t = int(data["det_next_t"])
-    restore_cp_pipeline(load_state(path), config)
+    restore_pipeline(load_state(path), config)
     _rewrite(path, det_next_t=np.int64(next_t + 1))
     with pytest.raises(SnapshotError, match="det_next_t"):
-        restore_cp_pipeline(load_state(path), config)
+        restore_pipeline(load_state(path), config)
 
 
 def cp_setup(seed=83):
@@ -206,13 +206,13 @@ def test_cp_pipeline_snapshot_resume_spans_restart(tmp_path):
     for cut in (30, 80, 180, t0 + config.n_burnin - 1):
         head = ObservationStream.from_matrix(full[:, :50 + cut])
         pipeline = OmwCpPipeline(config)
-        pipeline.run(head)
-        assert pipeline.t == cut + 1
+        first, _ = pipeline.run(head)
+        assert pipeline.tracker.t == cut + 1
         path = tmp_path / f"cp{cut}.npz"
-        save_state(path, snapshot_cp_pipeline(pipeline))
+        save_state(path, snapshot_pipeline(pipeline, first))
 
         snap = load_state(path)
-        resumed = restore_cp_pipeline(snap, config)
+        resumed = restore_pipeline(snap, config)
         result, report = resumed.run(ObservationStream.from_matrix(full))
         assert result.change_points == ref_result.change_points, cut
         np.testing.assert_array_equal(result.L, ref_result.L, err_msg=cut)
@@ -242,14 +242,49 @@ def test_tracker_snapshot_resume_matches_single_run(tmp_path, mode):
 
 
 def test_restore_rejects_wrong_kind(tmp_path):
+    # an omw-cp file must carry the detector's det_* entries
     gt, model, buffer = build_omw(seed=84)
     path = tmp_path / "snap.npz"
-    save_state(path, snapshot_tracker("omw", model, buffer, cursor=0))
+    save_state(path, snapshot_tracker("omw-cp", model, buffer, cursor=0))
     snap = load_state(path)
+    assert snap.detector is None
     config = CpConfig(n_burnin=20, n_win=20, n_cp_burnin=20, n_test=20,
                       n_check=5)
-    with pytest.raises(SnapshotError, match="not omw-cp"):
-        restore_cp_pipeline(snap, config)
+    with pytest.raises(SnapshotError, match="det_"):
+        restore_pipeline(snap, config)
+
+
+def test_pending_restart_is_saved_without_its_warning(tmp_path):
+    # a head that ends inside the burn-in block of the restart at t=201
+    # leaves that restart pending: the report warns, the file stores
+    # det_detection_enabled = False and no warning, and a resumed run
+    # retries the restart
+    gt, config = cp_setup()
+    full = full_stream_matrix(gt)
+    pipeline = OmwCpPipeline(config)
+    first, report = pipeline.run(ObservationStream.from_matrix(
+        full[:, :50 + 220]))
+    assert pipeline.pending == 201 and first.change_points == [201]
+    assert report.warnings == ["change point at t=201 leaves fewer than "
+                               "n_burnin=50 samples; tail processed in "
+                               "tracking-only mode"]
+    path = tmp_path / "pending.npz"
+    save_state(path, snapshot_pipeline(pipeline, first))
+    with np.load(path) as data:
+        assert not bool(data["det_detection_enabled"])
+        assert data["det_warnings"].size == 0
+    # files written before pending restarts also stored the warning
+    _rewrite(path, det_warnings=np.array(report.warnings))
+    resumed = restore_pipeline(load_state(path), config)
+    assert resumed.pending == 201 and resumed.warnings == []
+    _, again = resumed.run(ObservationStream.from_matrix(full[:, :50 + 230]))
+    assert again.warnings == report.warnings
+    result, final = resumed.run(ObservationStream.from_matrix(full))
+    assert resumed.pending is None and final.warnings == []
+    assert result.change_points == [201]
+    _rewrite(path, det_change_points=np.zeros(0, dtype=np.int64))
+    with pytest.raises(SnapshotError, match="pending"):
+        restore_pipeline(load_state(path), config)
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +302,8 @@ def single_runs():
 @settings(max_examples=12, deadline=None)
 @given(mode=st.sampled_from(["stoc", "omw", "omw-cp"]),
        cut=st.integers(1, 399))
+@example(mode="omw-cp", cut=205)  # heads that end inside the burn-in block
+@example(mode="omw-cp", cut=249)  # of the restart at t=201
 def test_resume_at_any_cut_is_bit_identical(single_runs, mode, cut):
     # Saving after `cut` tracked samples and resuming from the file must
     # reproduce the uninterrupted run bit for bit: nothing a step uses may
@@ -279,12 +316,9 @@ def test_resume_at_any_cut_is_bit_identical(single_runs, mode, cut):
         path = Path(tmp) / "snap.npz"
         if mode == "omw-cp":
             pipeline = OmwCpPipeline(config)
-            pipeline.run(head)
-            # a head that ends inside a restart's burn-in block leaves the
-            # pipeline in tracking-only mode, a state the full run never has
-            assume(pipeline.detection_enabled)
-            save_state(path, snapshot_cp_pipeline(pipeline))
-            resumed = restore_cp_pipeline(load_state(path), config)
+            first, _ = pipeline.run(head)
+            save_state(path, snapshot_pipeline(pipeline, first))
+            resumed = restore_pipeline(load_state(path), config)
             result, _ = resumed.run(ObservationStream.from_matrix(full))
             L, S = result.L, result.S
         else:
@@ -324,10 +358,13 @@ class StackedColumns:
     def truncate(self, n):
         del self.cols[n:]
 
-    def dense(self):
-        if not self.cols:
+    def dense(self, drain=False):
+        cols = self.cols
+        if drain:
+            self.cols = []
+        if not cols:
             return np.zeros((self.m, 0)), np.zeros((self.m, 0))
-        L, S = zip(*self.cols)
+        L, S = zip(*cols)
         return np.column_stack(L), np.column_stack(S)
 
 
@@ -343,10 +380,12 @@ def test_outputs_are_the_stacked_step_outputs(tmp_path, monkeypatch, case):
     def run():
         pipeline = OmwCpPipeline(config)
         if case == "resume":
-            pipeline.run(ObservationStream.from_matrix(full[:, :50 + 300]))
-            save_state(tmp_path / "snap.npz", snapshot_cp_pipeline(pipeline))
-            pipeline = restore_cp_pipeline(load_state(tmp_path / "snap.npz"),
-                                           config)
+            first, _ = pipeline.run(
+                ObservationStream.from_matrix(full[:, :50 + 300]))
+            save_state(tmp_path / "snap.npz",
+                       snapshot_pipeline(pipeline, first))
+            pipeline = restore_pipeline(load_state(tmp_path / "snap.npz"),
+                                        config)
         return pipeline.run(ObservationStream.from_matrix(full))[0]
 
     blocks = run()

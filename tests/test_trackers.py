@@ -20,8 +20,7 @@ from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
                                  Tracker, TrackerConfig, WindowBuffer,
                                  continue_tracker, init_tracker, omw_init,
                                  omw_step, run_tracker, seed_tracker,
-                                 state_element_count, stoc_init_from_burnin,
-                                 stoc_step)
+                                 state_element_count, stoc_step)
 
 
 def make_burnin_init(m=20, n=15, r=2, n_win=10, seed=40, rho=0.0):
@@ -34,7 +33,8 @@ def make_burnin_init(m=20, n=15, r=2, n_win=10, seed=40, rho=0.0):
 
 def test_stoc_init_from_burnin_passthrough():
     init = make_burnin_init()
-    model = stoc_init_from_burnin(init, 0.1, 1.0)
+    model = SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=0.1,
+                          lambda2=1.0)
     np.testing.assert_array_equal(model.U, init.U0)
     np.testing.assert_array_equal(model.A, init.A0)
     np.testing.assert_array_equal(model.B, init.B0)
@@ -45,7 +45,8 @@ def test_stoc_init_from_burnin_passthrough():
 
 def test_stoc_accumulators_reconstruct_from_logged_coefficients():
     init = make_burnin_init()
-    model = stoc_init_from_burnin(init, 0.1, 1.0)
+    model = SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=0.1,
+                          lambda2=1.0)
     rng = np.random.Generator(np.random.PCG64(41))
     A_expected = init.A0.copy()
     B_expected = init.B0.copy()
@@ -65,7 +66,8 @@ def test_stoc_noiseless_subspace_tracking():
     m_star = 0.2 * u
     M_b = np.tile(m_star[:, None], (1, 4))
     init = burnin_initialize(M_b, 1e-9, 0.1, n_win=4)
-    model = stoc_init_from_burnin(init, 1e-9, 0.1)
+    model = SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=1e-9,
+                          lambda2=0.1)
     for _ in range(2):
         out = stoc_step(model, m_star)
         assert np.all(out.s == 0)
