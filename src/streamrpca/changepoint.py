@@ -4,9 +4,9 @@ runtime (OmwCpPipeline) of every mode.
 The pipeline monitors the support size of each sparse estimate. A tracked
 segment goes through three phases:
 
-  CP_BURNIN    let the freshly initialized subspace settle; nothing recorded.
-  TEST_FILL    record support sizes into the normal-period histogram.
-  MONITORING   per step, compute the empirical tail p-value of the current
+  cp-burnin    let the freshly initialized subspace settle; nothing recorded.
+  test-fill    record support sizes into the normal-period histogram.
+  monitoring   per step, compute the empirical tail p-value of the current
                support size against the histogram, flag it if p <= alpha,
                and keep the last n_check (size, flag) pairs in FIFO buffers.
                A pair aging out of the FIFO is absorbed into the histogram,
@@ -33,7 +33,6 @@ support replay from a retained horizon of at least n_burnin + n_check
 samples, since a restart rewinds to the detected change point.
 """
 
-import enum
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,12 +43,6 @@ from .exceptions import ContractViolation
 from .pcp import burnin_initialize
 from .trackers import (DecompositionResult, Tracker, TrackerConfig, omw_step,
                        seed_tracker)
-
-
-class CpPhase(enum.Enum):
-    CP_BURNIN = "cp-burnin"
-    TEST_FILL = "test-fill"
-    MONITORING = "monitoring"
 
 
 @dataclass(kw_only=True)
@@ -85,7 +78,8 @@ class CpConfig(TrackerConfig):
 
 @dataclass
 class CpDiagnostic:
-    """Per-step monitoring record; p and flag are None outside MONITORING."""
+    """Per-step monitoring record; phase is "cp-burnin", "test-fill" or
+    "monitoring", and p and flag are None outside "monitoring"."""
 
     t: int
     support_size: int
@@ -182,7 +176,6 @@ class OmwCpPipeline:
                        else None)     # (size, flag) of the last n_check steps
         self.change_points = []
         self.pending = None    # t0 of a restart waiting for its burn-in block
-        self.status = "ok"
         self.warnings = []
 
     def run(self, stream):
@@ -190,33 +183,34 @@ class OmwCpPipeline:
         ChangePointReport), the report None outside omw-cp."""
         self.diagnostics = []
         detector = self if self.mode == "omw-cp" else None
-        if self.tracker is None and not self._seed(stream):
-            if detector is None:
-                raise ContractViolation(f"{self.mode}: stream shorter than "
-                                        f"n_burnin={self.config.n_burnin}")
-            self.status = "insufficient-stream"
-            self.warnings.append(f"stream shorter than n_burnin="
-                                 f"{self.config.n_burnin}; nothing tracked")
-            L = S = np.zeros((0, 0))
-        else:
+        seeded = self.tracker is not None or self._seed(stream)
+        if seeded:
             if self.pending is not None:
                 self._restart(self.tracker, stream, self.pending)
             self.tracker.run(stream, detector)
             L, S = self.tracker.cols.dense(drain=detector is None)
+        elif detector is None:
+            raise ContractViolation(f"{self.mode}: stream shorter than "
+                                    f"n_burnin={self.config.n_burnin}")
+        else:
+            L = S = np.zeros((stream.dim or 0, 0))
         result = DecompositionResult(L=L, S=S,
                                      change_points=list(self.change_points))
         if detector is None:
             return result, None
         warnings = list(self.warnings)
-        if self.pending is not None:
+        if not seeded:
+            warnings.append(f"stream shorter than n_burnin="
+                            f"{self.config.n_burnin}; nothing tracked")
+        elif self.pending is not None:
             warnings.append(
                 f"change point at t={self.pending} leaves fewer than "
                 f"n_burnin={self.config.n_burnin} samples; tail processed in "
                 "tracking-only mode")
         return result, ChangePointReport(
             change_points=list(self.change_points),
-            diagnostics=self.diagnostics, status=self.status,
-            warnings=warnings)
+            diagnostics=self.diagnostics, warnings=warnings,
+            status="ok" if seeded else "insufficient-stream")
 
     def _seed(self, stream):
         # its own frame, so that the BurninInit is freed before tracking
@@ -254,15 +248,15 @@ class OmwCpPipeline:
         c_t = support_size(s)
         offset = t - tracker.t_start
         if offset < cfg.n_cp_burnin:
-            phase = CpPhase.CP_BURNIN
+            phase = "cp-burnin"
         elif offset < cfg.n_cp_burnin + cfg.n_test:
-            phase = CpPhase.TEST_FILL
+            phase = "test-fill"
         else:
-            phase = CpPhase.MONITORING
+            phase = "monitoring"
         p = f = t0 = None
-        if phase is CpPhase.TEST_FILL and self.pending is None:
+        if phase == "test-fill" and self.pending is None:
             self.counts[c_t] += 1
-        elif phase is CpPhase.MONITORING and self.pending is None:
+        elif phase == "monitoring" and self.pending is None:
             p = p_value(self.counts, c_t, cfg.n_tol)
             f = flag_observation(p, cfg.alpha)
             buffer_advance(self.recent, self.counts, c_t, f)
@@ -271,7 +265,7 @@ class OmwCpPipeline:
                     [flag for _, flag in self.recent], cfg.alpha_prop,
                     cfg.n_check, cfg.n_positive, current_t=t)
         self.diagnostics.append(CpDiagnostic(
-            t=t, support_size=c_t, p=p, flag=f, phase=phase.value))
+            t=t, support_size=c_t, p=p, flag=f, phase=phase))
         if t0 is not None:
             self.change_points.append(t0)
             self._restart(tracker, stream, t0)

@@ -118,15 +118,7 @@ def _cmd_simulate(args):
                    seed=args.seed, variant=variant)
     gt = generate(spec)
     out = _out_dir(args)
-    write_raw_f64(out / "M.f64", gt.M)
-    write_raw_f64(out / "L_true.f64", gt.L)
-    write_raw_f64(out / "S_true.f64", gt.S)
-    write_raw_f64(out / "Mb.f64", gt.M_b)
-    (out / "truth.json").write_text(
-        json.dumps({"cps": gt.cps, "m": spec.m, "T": spec.t,
-                    "n_burnin": spec.n_burnin, "rho": spec.rho,
-                    "seed": spec.seed, "variant": args.variant},
-                   sort_keys=True) + "\n", encoding="ascii")
+    experiments.write_ground_truth(out, gt, spec, variant=args.variant)
     print(f"wrote stream of {spec.t} samples (dim {spec.m}) to {out}")
     return 0
 

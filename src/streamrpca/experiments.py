@@ -119,6 +119,18 @@ def _write_report(path, report, change_points):
     Path(path).write_text(_json_line(payload), encoding="ascii")
 
 
+def write_ground_truth(out, gt, spec, **fields):
+    """Write gt's matrices as raw-f64 files under the directory out, and
+    truth.json: the true change points, spec's sizes and seed, and fields."""
+    for name, X in (("M", gt.M), ("L_true", gt.L), ("S_true", gt.S),
+                    ("Mb", gt.M_b)):
+        write_raw_f64(out / f"{name}.f64", X)
+    (out / "truth.json").write_text(
+        _json_line({"cps": gt.cps, "m": spec.m, "T": spec.t,
+                    "n_burnin": spec.n_burnin, "rho": spec.rho,
+                    "seed": spec.seed, **fields}), encoding="ascii")
+
+
 def _write_diagnostics(path, diagnostics):
     with open(path, "w", encoding="ascii") as fh:
         for d in diagnostics:
@@ -140,15 +152,7 @@ def run_experiment(study, scale, seed, out_dir, methods=MODES):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_raw_f64(out / "M.f64", gt.M)
-    write_raw_f64(out / "L_true.f64", gt.L)
-    write_raw_f64(out / "S_true.f64", gt.S)
-    write_raw_f64(out / "Mb.f64", gt.M_b)
-    (out / "truth.json").write_text(
-        _json_line({"cps": gt.cps, "m": sim.m, "T": sim.t,
-                    "n_burnin": sim.n_burnin, "rho": sim.rho,
-                    "seed": sim.seed, "study": study, "scale": scale}),
-        encoding="ascii")
+    write_ground_truth(out, gt, sim, study=study, scale=scale)
 
     reports = {}
     for method in methods:

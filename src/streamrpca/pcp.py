@@ -97,22 +97,6 @@ class BurninInit:
     converged: bool = True
 
 
-def default_pcp_lambda(m, n):
-    """Rule-of-thumb sparse penalty for an m x n matrix: 1/sqrt(max(m, n))."""
-    if m < 1 or n < 1:
-        raise ContractViolation("default_pcp_lambda: dimensions must be >= 1")
-    return 1.0 / np.sqrt(max(m, n))
-
-
-def default_mu(M):
-    """Default initial penalty: 1.25 / ||M||_2, or 1.0 for a zero matrix."""
-    return _mu_for_norm(np.linalg.norm(np.asarray(M, dtype=float), 2))
-
-
-def _mu_for_norm(norm_two):
-    return 1.25 / norm_two if norm_two > 0.0 else 1.0
-
-
 def pcp_alm(M, config=None):
     """Decompose M into low-rank L plus sparse S.
 
@@ -125,7 +109,7 @@ def pcp_alm(M, config=None):
     sweeps; p = ||M - L - S||_F / ||M||_F, d = mu*||S - S_prev||_F /
     (DUAL_WEIGHT * sqrt(m*n)). rank counts the thresholded spectrum of the
     first L with p <= RANK_TOL (rank_iteration is its sweep), or of the
-    last L; the count is estimate_rank's.
+    last L; see _count_rank.
 
     Each sweep makes one call to ``svt``, which is ``prox.svt_factors``.
     The first thresholding input (1 + 1/(J*mu)) * M is a multiple of M, so
@@ -139,16 +123,17 @@ def pcp_alm(M, config=None):
     converged=False and the caller decides.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ContractViolation("pcp_alm: M must be a 2-D matrix")
+    if M.ndim != 2 or M.size == 0:
+        raise ContractViolation("pcp_alm: M must be a non-empty 2-D matrix")
     if not np.isfinite(M).all():
         raise ContractViolation("pcp_alm: M contains non-finite entries")
     if config is None:
         config = PcpConfig()
-    lam = config.lam if config.lam is not None else default_pcp_lambda(*M.shape)
+    lam = 1.0 / np.sqrt(max(M.shape)) if config.lam is None else config.lam
     factors = svt(M, 0.0)
     norm_two = factors.s[0] if factors.s.size else 0.0
-    mu = _mu_for_norm(norm_two) if config.mu == "auto" else float(config.mu)
+    mu = float(config.mu) if config.mu != "auto" else (
+        1.25 / norm_two if norm_two > 0.0 else 1.0)
     norm_M = np.linalg.norm(M) or 1.0
     dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
     J = max(norm_two, np.abs(M).max(initial=0.0) / lam) or 1.0
@@ -179,22 +164,11 @@ def pcp_alm(M, config=None):
                      rank_iteration=rank_iteration, factors=factors)
 
 
-def estimate_rank(L, rel_tol=RANK_REL_TOL):
-    """Count singular values above rel_tol times the largest one.
-
-    Returns 0 for the zero matrix. pcp_alm applies the same count to the
-    thresholded spectrum of a loose-tolerance iterate, whose trailing
-    singular values are still exactly zero, so the count is insensitive to
-    rel_tol over a wide range.
-    """
-    if not (0 < rel_tol < 1):
-        raise ContractViolation("estimate_rank: rel_tol must be in (0, 1)")
-    return _count_rank(np.linalg.svd(np.asarray(L, dtype=float),
-                                     compute_uv=False), rel_tol)
-
-
 def _count_rank(s, rel_tol=RANK_REL_TOL):
-    """Number of values of the descending spectrum s above rel_tol * s[0]."""
+    """Number of values of the descending spectrum s above rel_tol * s[0];
+    0 for an empty or zero spectrum. pcp_alm counts the thresholded spectrum
+    of a loose-tolerance iterate, whose trailing values are exactly zero, so
+    the count is insensitive to rel_tol over a wide range."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -109,11 +109,7 @@ def _piece_low_rank(U0, increments, V, r0, t_p):
     return L
 
 
-def gen_stable(spec):
-    """Generate a stable-subspace stream; see the module docstring."""
-    if not isinstance(spec.variant, Stable):
-        raise ContractViolation("gen_stable: spec.variant must be Stable")
-    r = spec.variant.r
+def _gen_stable(spec, r):
     rng = _rng(spec.seed)
     U = rng.standard_normal((spec.m, r))
     V_b = rng.standard_normal((r, spec.n_burnin))
@@ -123,31 +119,6 @@ def gen_stable(spec):
     L = U @ V
     return GroundTruth(M=L + S, L=L, S=S, M_b=U @ V_b + S_b, cps=[],
                        U_trace=[U])
-
-
-def gen_drift(spec):
-    """Generate a slowly drifting stream: one ChangePoints piece, no cps."""
-    if not isinstance(spec.variant, Drift):
-        raise ContractViolation("gen_drift: spec.variant must be Drift")
-    var = spec.variant
-    return _gen_pieces(spec, [var.r], [], var.r0, var.t_p)
-
-
-def gen_changepoints(spec):
-    """Generate a piecewise stream with independent per-piece subspaces."""
-    if not isinstance(spec.variant, ChangePoints):
-        raise ContractViolation(
-            "gen_changepoints: spec.variant must be ChangePoints")
-    var = spec.variant
-    if len(var.ranks) != len(var.cps) + 1:
-        raise ContractViolation(
-            "gen_changepoints: need exactly one more rank than change points")
-    bounds = [0, *var.cps, spec.t]
-    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ContractViolation(
-            "gen_changepoints: cps must increase inside (0, T), leaving "
-            "every piece >= 1 sample")
-    return _gen_pieces(spec, list(var.ranks), list(var.cps), var.r0, var.t_p)
 
 
 def _gen_pieces(spec, ranks, cps, r0, t_p):
@@ -181,14 +152,24 @@ def _gen_pieces(spec, ranks, cps, r0, t_p):
 
 
 def generate(spec):
-    """Dispatch on the spec variant."""
-    if isinstance(spec.variant, Stable):
-        return gen_stable(spec)
-    if isinstance(spec.variant, Drift):
-        return gen_drift(spec)
-    if isinstance(spec.variant, ChangePoints):
-        return gen_changepoints(spec)
-    raise ContractViolation(f"unknown variant: {spec.variant!r}")
+    """Generate the stream of spec's variant (see the module docstring); a
+    drifting stream is one piece of the piecewise generator."""
+    var = spec.variant
+    if isinstance(var, Stable):
+        return _gen_stable(spec, var.r)
+    if isinstance(var, Drift):
+        return _gen_pieces(spec, [var.r], [], var.r0, var.t_p)
+    if not isinstance(var, ChangePoints):
+        raise ContractViolation(f"unknown variant: {var!r}")
+    if len(var.ranks) != len(var.cps) + 1:
+        raise ContractViolation(
+            "ChangePoints: need exactly one more rank than change points")
+    bounds = [0, *var.cps, spec.t]
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ContractViolation(
+            "ChangePoints: cps must increase inside (0, T), leaving every "
+            "piece >= 1 sample")
+    return _gen_pieces(spec, list(var.ranks), list(var.cps), var.r0, var.t_p)
 
 
 def full_stream_matrix(gt):

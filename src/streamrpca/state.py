@@ -55,7 +55,7 @@ def snapshot_pipeline(pipeline, result):
             "next_t": tracker.t,
             "change_points": np.array(pipeline.change_points, dtype=np.int64),
             "detection_enabled": pipeline.pending is None,
-            "status": pipeline.status,
+            "status": "ok",  # an unseeded pipeline cannot be snapshotted
             "warnings": np.array(pipeline.warnings, dtype=str),
             "L_partial": result.L,
             "S_partial": result.S,
@@ -83,7 +83,6 @@ def restore_pipeline(snapshot, config):
     pipeline.recent.extend(zip(map(int, det["fb_sizes"]),
                                map(int, det["fb_flags"])))
     pipeline.change_points = [int(c) for c in det["change_points"]]
-    pipeline.status = str(det["status"])
     # older files also stored the pending restart's warning, which run()
     # adds to the report
     pipeline.warnings = [str(w) for w in det["warnings"]

@@ -53,11 +53,6 @@ class ObservationStream:
     def dim(self):
         return self._dim
 
-    @property
-    def exhausted_length(self):
-        """Total sample count, known only after the source ran dry."""
-        return self._end
-
     def get(self, i):
         """Return sample i, or None past the end of the source."""
         if i < self._hist_start:
@@ -174,11 +169,3 @@ def write_raw_f64(path, M):
         fh.write(_HEADER.pack(RAW_F64_MAGIC, m, t))
         for j in range(0, t, step):
             fh.write(np.ascontiguousarray(M[:, j:j + step].T, dtype="<f8"))
-
-
-def write_csv(path, M):
-    """Write an m x T matrix as csv, one sample per line."""
-    M = np.asarray(M, dtype=float)
-    with open(path, "w", encoding="ascii") as fh:
-        for i in range(M.shape[1]):
-            fh.write(",".join(repr(float(x)) for x in M[:, i]) + "\n")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from streamrpca import kernel
@@ -23,3 +24,11 @@ def step_paths():
     could be built, and the numpy code."""
     names = ["compiled", "numpy"] if kernel.ACTIVE == "compiled" else ["numpy"]
     return [StepPath(name) for name in names]
+
+
+def write_csv(path, M):
+    """Write an m x T matrix as csv, one sample per line."""
+    M = np.asarray(M, dtype=float)
+    with open(path, "w", encoding="ascii") as fh:
+        for i in range(M.shape[1]):
+            fh.write(",".join(repr(float(x)) for x in M[:, i]) + "\n")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamrpca.changepoint import (CpConfig, buffer_advance,
+from streamrpca.changepoint import (CpConfig, OmwCpPipeline, buffer_advance,
                                     flag_observation, p_value, run_omw_cp,
                                     scan_for_changepoint, support_size)
 from streamrpca.exceptions import ContractViolation
@@ -238,8 +238,27 @@ def test_insufficient_stream_for_initial_burnin():
     stream = ObservationStream.from_matrix(np.zeros((10, 20)))
     result, report = run_omw_cp(stream, config)
     assert report.status == "insufficient-stream"
-    assert result.L.shape[1] == 0
+    assert result.L.shape == result.S.shape == (10, 0)
     assert result.change_points == []
+
+
+def test_short_run_does_not_stick_to_a_later_full_run():
+    spec = SimSpec(m=20, t=100, n_burnin=50, rho=0.01, seed=57,
+                   variant=Stable(r=2))
+    gt = generate(spec)
+    full = full_stream_matrix(gt)
+    pipeline = OmwCpPipeline(desk_cp_config())
+    result, report = pipeline.run(ObservationStream.from_matrix(full[:, :30]))
+    assert report.status == "insufficient-stream"
+    assert result.L.shape == (20, 0)
+    result, report = pipeline.run(ObservationStream.from_matrix(full))
+    assert report.status == "ok"
+    assert not any("nothing tracked" in w for w in report.warnings)
+    assert result.L.shape == result.S.shape == gt.L.shape
+    fresh, _ = run_omw_cp(ObservationStream.from_matrix(full),
+                          desk_cp_config())
+    np.testing.assert_array_equal(result.L, fresh.L)
+    np.testing.assert_array_equal(result.S, fresh.S)
 
 
 def test_config_validation():

@@ -11,7 +11,9 @@ import streamrpca
 import streamrpca.trackers
 from streamrpca.cli import main
 from streamrpca.simgen import SimSpec, Stable, full_stream_matrix, generate
-from streamrpca.streams import ingest_stream, write_csv, write_raw_f64
+from streamrpca.streams import ingest_stream, write_raw_f64
+
+from conftest import write_csv
 
 
 def read_matrix(path):

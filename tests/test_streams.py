@@ -7,7 +7,9 @@ import pytest
 import streamrpca.streams
 from streamrpca.exceptions import ContractViolation, ParseError
 from streamrpca.streams import (RAW_F64_MAGIC, WRITE_BLOCK, ObservationStream,
-                                ingest_stream, write_csv, write_raw_f64)
+                                ingest_stream, write_raw_f64)
+
+from conftest import write_csv
 
 
 def test_csv_round_trip(tmp_path):
@@ -17,7 +19,6 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(stream.get(0), [1.0, 2.0])
     np.testing.assert_array_equal(stream.get(1), [3.0, 4.0])
     assert stream.get(2) is None
-    assert stream.exhausted_length == 2
     assert stream.dim == 2
 
 
@@ -26,7 +27,6 @@ def test_csv_empty_file(tmp_path):
     path.write_text("")
     stream = ingest_stream(path, "csv")
     assert stream.get(0) is None
-    assert stream.exhausted_length == 0
 
 
 def test_csv_ragged_row(tmp_path):
