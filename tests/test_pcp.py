@@ -34,13 +34,21 @@ def _same_result(a, b):
         (b.iterations, b.converged, b.rank)
 
 
-def test_default_lam_and_mu_are_the_rules_of_thumb():
+def test_default_pcp_lambda():
     rng = np.random.Generator(np.random.PCG64(9))
-    M = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 20))
-    M[rng.random(M.shape) < 0.05] += 50.0
-    _same_result(pcp_alm(M), pcp_alm(M, PcpConfig(lam=_lam(M), mu=_mu(M))))
-    Z = np.zeros((3, 3))
-    _same_result(pcp_alm(Z), pcp_alm(Z, PcpConfig(lam=_lam(Z), mu=1.0)))
+    for shape, lam in (((400, 20), 0.05), ((20, 200), 1.0 / np.sqrt(200)),
+                       ((1, 1), 1.0)):
+        M = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+        M[rng.random(M.shape) < 0.05] += 50.0
+        assert _lam(M) == pytest.approx(lam)
+        _same_result(pcp_alm(M), pcp_alm(M, PcpConfig(lam=_lam(M), mu=_mu(M))))
+
+
+def test_default_mu():
+    for M, mu in ((np.ones((2, 2)), 0.625), (np.zeros((3, 3)), 1.0),
+                  (np.array([[2.0, 0.0], [0.0, 2.0]]), 0.625)):
+        assert _mu(M) == pytest.approx(mu)
+        _same_result(pcp_alm(M), pcp_alm(M, PcpConfig(lam=_lam(M), mu=_mu(M))))
 
 
 def test_pcp_zero_matrix():
