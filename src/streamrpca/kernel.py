@@ -3,13 +3,14 @@ called through ctypes.
 
 It is compiled with $CC, else sysconfig's CC, into $XDG_CACHE_HOME/streamrpca
 (~/.cache/streamrpca), or a folder in the temp dir where that is not
-writable, under a name keyed by the source and the interpreter. It calls
-BLAS and LAPACK through scipy's cython_blas/cython_lapack capsules, so
-nothing is linked. ACTIVE is "compiled" once it is loaded and "numpy" where
-it could not be built: projection, basis and trackers then run their numpy
-code, which the tests keep as the oracle. The calls release the interpreter
-lock; scratch arrays are per thread and shape, and an array's address is
-looked up once per array object, so a step allocates no scratch memory.
+writable, under a name keyed by the source, the interpreter and the compile
+command. It calls BLAS and LAPACK through scipy's cython_blas/cython_lapack
+capsules, so nothing is linked. ACTIVE is "compiled" once it is loaded and
+"numpy" where it could not be built: projection, basis and trackers then run
+their numpy code, which the tests keep as the oracle. The calls release the
+interpreter lock; scratch arrays are per thread and shape, and an array's
+address is looked up once per array object, so a step allocates no scratch
+memory.
 """
 
 import ctypes
@@ -31,18 +32,36 @@ import scipy.linalg.cython_lapack
 SOURCE = Path(__file__).with_name("kernel.c")
 
 
+def _compile_command():
+    """The compiler and flags that build kernel.c, without its file names:
+    $CC, else sysconfig's CC, else cc."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return [*shlex.split(cc), "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+
+
+def _library_name(command):
+    """File name of the library that `command` builds from kernel.c, keyed
+    by the source, the interpreter, EXT_SUFFIX and the command itself, so
+    that a changed compiler or flag builds a new library."""
+    key = hashlib.sha256(b"\0".join([
+        SOURCE.read_bytes(), sys.version.encode(),
+        str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
+        *(arg.encode() for arg in command)])).hexdigest()
+    return f"kernel-{key[:16]}.so"
+
+
 def _build():
     """Path of the cached library, compiled first if need be; None if no
-    cache folder is writable or the compiler fails."""
+    cache folder is writable, $CC does not parse or the compiler fails."""
     try:
-        key = hashlib.sha256(SOURCE.read_bytes() + sys.version.encode() + str(
-            sysconfig.get_config_var("EXT_SUFFIX")).encode()).hexdigest()
-    except OSError:
+        command = _compile_command()
+        name = _library_name(command)
+    except (OSError, ValueError):
         return None
     home = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     for cache in (Path(home) / "streamrpca",
                   Path(tempfile.gettempdir()) / f"streamrpca-{os.getuid()}"):
-        lib = cache / f"kernel-{key[:16]}.so"
+        lib = cache / name
         tmp = cache / f"{lib.name}.{os.getpid()}"
         try:
             cache.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -52,12 +71,9 @@ def _build():
             continue
         if lib.is_file():
             return lib
-        cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
         try:
-            subprocess.run([*shlex.split(cc), "-O2", "-fPIC", "-shared",
-                            "-ffp-contract=off", "-o", str(tmp), str(SOURCE),
-                            "-lm"], check=True, capture_output=True,
-                           timeout=300)
+            subprocess.run([*command, "-o", str(tmp), str(SOURCE), "-lm"],
+                           check=True, capture_output=True, timeout=300)
             os.replace(tmp, lib)
             return lib
         except (OSError, subprocess.SubprocessError):

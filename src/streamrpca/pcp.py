@@ -6,13 +6,15 @@ balancing, Boyd et al. 2011, 3.4.1; growing it every sweep stalls short of
 the optimum). The rank is read at a loose-tolerance iterate, because a large
 final mu leaves small spurious singular values in L.
 
-The solve takes one full SVD, of M, in its first sweep; it gives ||M||_2
-and the first thresholded iterate. Every later sweep thresholds through
-``prox.svt_factors``, warm-started from the previous sweep's leading right
-singular vectors: a few block subspace-iteration steps sized to the kept
-count plus a few guard columns, with an accuracy check and a full-SVD
-fallback. The solve returns its last thresholded factors, from which the
-rank and the burn-in basis are read without another SVD.
+The solve's first sweep reads ||M||_2 and the first thresholded iterate
+from one eigendecomposition of M's Gram matrix (``prox.gram_eigh``). Every
+later sweep thresholds through ``prox.svt_factors``, warm-started from the
+previous sweep's leading right singular vectors: a few block subspace-
+iteration steps sized to the kept count plus a few guard columns, with an
+accuracy check and an exact thin-SVD fallback, itself read from the Gram
+matrix where its guard holds. The solve returns its last thresholded
+factors, from which the rank and the burn-in basis are read without
+another SVD.
 
 ``burnin_initialize`` turns the batch decomposition of an initial sample
 block into the seed state of the online trackers: estimated rank, a scaled
@@ -25,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ContractViolation, InitializationError
-from .prox import SvtFactors, shrink_matrix, threshold_factors
+from .prox import (SvtFactors, gram_eigh, gram_factors, lapack_factors,
+                   shrink_matrix, threshold_factors)
 from .prox import svt_factors as svt
 
 MU_GROWTH = 1.2     # penalty growth per sweep (Lin et al. use 1.5)
@@ -111,13 +114,13 @@ def pcp_alm(M, config=None):
     first L with p <= RANK_TOL (rank_iteration is its sweep), or of the
     last L; see _count_rank.
 
-    Each sweep makes one call to ``svt``, which is ``prox.svt_factors``.
     The first thresholding input (1 + 1/(J*mu)) * M is a multiple of M, so
-    the first sweep takes the solve's one full SVD, of M, and reads ||M||_2
-    from it. Every later sweep warm-starts the subspace iteration from the
-    previous sweep's block, and falls back to the full SVD where its
-    accuracy check fails (see ``svt_factors``). The result carries the last
-    sweep's factors, L = (U * s) @ Vh.
+    the first sweep reads ||M||_2 and its iterate from one eigendecomposition
+    of M's Gram matrix (see _first_sweep). Every later sweep makes one call
+    to ``svt``, which is ``prox.svt_factors``: it warm-starts the subspace
+    iteration from the previous sweep's block, and falls back to the exact
+    thin SVD where its accuracy check fails. Each sweep forms Y/mu and M - L
+    once. The result carries the last sweep's factors, L = (U * s) @ Vh.
 
     Non-convergence is not an error: the last iterate is returned with
     converged=False and the caller decides.
@@ -130,24 +133,21 @@ def pcp_alm(M, config=None):
     if config is None:
         config = PcpConfig()
     lam = 1.0 / np.sqrt(max(M.shape)) if config.lam is None else config.lam
-    factors = svt(M, 0.0)
-    norm_two = factors.s[0] if factors.s.size else 0.0
-    mu = float(config.mu) if config.mu != "auto" else (
-        1.25 / norm_two if norm_two > 0.0 else 1.0)
+    mu, J, factors = _first_sweep(M, lam, config.mu)
     norm_M = np.linalg.norm(M) or 1.0
     dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
-    J = max(norm_two, np.abs(M).max(initial=0.0) / lam) or 1.0
     Y = M / J
-    factors = threshold_factors(factors.U, (1.0 + 1.0 / (J * mu)) * factors.s,
-                                factors.Vh, 1.0 / mu)
     S = np.zeros_like(M)
     rank = None
     for k in range(1, config.max_iter + 1):
+        Y_mu = Y / mu
         if k > 1:
-            factors = svt(M - S + Y / mu, 1.0 / mu, factors.block)
+            factors = svt(M - S + Y_mu, 1.0 / mu, factors.block)
         L = (factors.U * factors.s) @ factors.Vh
-        S_prev, S = S, shrink_matrix(M - L + Y / mu, lam / mu)
-        residual = M - L - S
+        residual = M - L
+        S_prev, S = S, shrink_matrix(np.add(residual, Y_mu, out=Y_mu),
+                                     lam / mu)
+        residual -= S
         Y += mu * residual
         primal = np.linalg.norm(residual) / norm_M
         dual = mu * np.linalg.norm(S - S_prev) / dual_scale
@@ -162,6 +162,32 @@ def pcp_alm(M, config=None):
         rank, rank_iteration = _count_rank(factors.s), k
     return PcpResult(L=L, S=S, iterations=k, converged=converged, rank=rank,
                      rank_iteration=rank_iteration, factors=factors)
+
+
+def _first_sweep(M, lam, mu):
+    """(mu0, J, factors) of pcp_alm's first sweep, for the configured mu
+    (a number or "auto"): mu0 = 1.25 / ||M||_2 under "auto", J =
+    max(||M||_2, ||M||_inf / lam), and the factors of the first iterate
+    svt((1 + 1/(J mu0)) M, 1/mu0), all from one eigendecomposition of M's
+    Gram matrix (prox.gram_eigh). Under "auto" the kept values are at least
+    0.44 ||M||_2, so gram_factors' guard holds. Where it fails (an explicit
+    mu far above 1.25 / ||M||_2 keeps small values), the sweep reads all
+    three from LAPACK's thin SVD of M, as it did before the Gram path."""
+    def penalties(s):
+        norm_two = s[0] if s.size else 0.0
+        mu0 = float(mu) if mu != "auto" else (
+            1.25 / norm_two if norm_two > 0.0 else 1.0)
+        J = max(norm_two, np.abs(M).max(initial=0.0) / lam) or 1.0
+        return mu0, J, 1.0 + 1.0 / (J * mu0)
+
+    s, W = gram_eigh(M)
+    mu0, J, scale = penalties(s)
+    factors = gram_factors(M, s, W, 1.0 / mu0, scale)
+    if factors is None:
+        U, s, Vh, _ = lapack_factors(M, 0.0)
+        mu0, J, scale = penalties(s)
+        factors = threshold_factors(U, scale * s, Vh, 1.0 / mu0)
+    return mu0, J, factors
 
 
 def _count_rank(s, rel_tol=RANK_REL_TOL):

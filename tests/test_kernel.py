@@ -2,6 +2,7 @@
 loader that builds, caches and falls back."""
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -144,12 +145,34 @@ def test_without_a_compiler_the_numpy_path_runs(tmp_path, monkeypatch):
 @compiled
 def test_second_load_reuses_the_cache(tmp_path):
     cache = tmp_path / "cache"
-    assert run_python(ACTIVE, cache) == "compiled"
+    # $CC is a script that runs this process's compile command (the flags
+    # it is passed come twice, which a compiler accepts), then stops
+    # working: the command, and so the library's name, stays the same
+    compiler = tmp_path / "cc"
+    compiler.write_text("#!/bin/sh\nexec "
+                        f"{shlex.join(kernel._compile_command())} \"$@\"\n")
+    compiler.chmod(0o755)
+    cc = shlex.quote(str(compiler))
+    assert run_python(ACTIVE, cache, CC=cc) == "compiled"
     built = {p: p.stat().st_mtime_ns for p in cache.rglob("*.so")}
     assert len(built) == 1
     # no compiler now: only the cached library can make the kernel active
-    assert run_python(ACTIVE, cache, CC="/bin/false") == "compiled"
+    compiler.write_text("#!/bin/sh\nexit 1\n")
+    assert run_python(ACTIVE, cache, CC=cc) == "compiled"
     assert {p: p.stat().st_mtime_ns for p in cache.rglob("*.so")} == built
+
+
+def test_library_name_is_keyed_on_the_compile_command(monkeypatch):
+    monkeypatch.setenv("CC", "cc")
+    command = kernel._compile_command()
+    assert command[0] == "cc"
+    name = kernel._library_name(command)
+    assert kernel._library_name(list(command)) == name
+    monkeypatch.setenv("CC", "clang -m64")
+    assert kernel._compile_command()[:2] == ["clang", "-m64"]
+    for other in (kernel._compile_command(), [*command, "-march=native"],
+                  command[:-1], ["cc -O2", *command[2:]]):
+        assert kernel._library_name(other) != name
 
 
 @compiled

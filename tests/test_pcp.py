@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from streamrpca.exceptions import ContractViolation, InitializationError
 from streamrpca.experiments import study_spec
 from streamrpca.pcp import (DUAL_WEIGHT, MU_GROWTH, RANK_TOL, PcpConfig,
-                            _count_rank, burnin_initialize, pcp_alm)
-from streamrpca.prox import shrink_matrix, svt
+                            PcpResult, _count_rank, _first_sweep,
+                            burnin_initialize, pcp_alm)
+from streamrpca.prox import (gram_eigh, shrink_matrix, svt, svt_factors,
+                             threshold_factors)
 from streamrpca.simgen import full_stream_matrix, generate
 
 
@@ -18,8 +20,9 @@ def _lam(M):
 
 def _mu(M):
     """The default initial penalty, 1.25/||M||_2 (1.0 for a zero matrix),
-    with ||M||_2 read from the thin SVD, as pcp_alm reads it."""
-    norm_two = np.linalg.svd(M, full_matrices=False)[1][0]
+    with ||M||_2 read from the eigendecomposition of M's Gram matrix, as
+    pcp_alm reads it."""
+    norm_two = gram_eigh(M)[0][0]
     return 1.25 / norm_two if norm_two > 0.0 else 1.0
 
 
@@ -211,6 +214,85 @@ def test_partial_svt_solve_matches_full_svd_loop():
         assert abs(_objective(res.L, res.S, lam) - f0) <= 1e-8 * f0
         np.testing.assert_array_equal(
             (res.factors.U * res.factors.s) @ res.factors.Vh, res.L)
+
+
+def _pcp_first_loop(M):
+    """pcp_alm with its sweep loop as first written, which formed Y / mu
+    twice and M - L twice per sweep: the reference for bit identity."""
+    config = PcpConfig()
+    lam = _lam(M)
+    mu, J, factors = _first_sweep(M, lam, config.mu)
+    norm_M = np.linalg.norm(M) or 1.0
+    dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
+    Y = M / J
+    S = np.zeros_like(M)
+    rank = None
+    for k in range(1, config.max_iter + 1):
+        if k > 1:
+            factors = svt_factors(M - S + Y / mu, 1.0 / mu, factors.block)
+        L = (factors.U * factors.s) @ factors.Vh
+        S_prev, S = S, shrink_matrix(M - L + Y / mu, lam / mu)
+        residual = M - L - S
+        Y += mu * residual
+        primal = np.linalg.norm(residual) / norm_M
+        dual = mu * np.linalg.norm(S - S_prev) / dual_scale
+        if rank is None and primal <= RANK_TOL:
+            rank, rank_iteration = _count_rank(factors.s), k
+        converged = bool(primal <= config.tol and dual <= config.tol)
+        if converged:
+            break
+        if primal > dual:
+            mu *= MU_GROWTH
+    if rank is None:
+        rank, rank_iteration = _count_rank(factors.s), k
+    return PcpResult(L=L, S=S, iterations=k, converged=converged, rank=rank,
+                     rank_iteration=rank_iteration, factors=factors)
+
+
+def test_sweep_reuses_its_temporaries_bit_for_bit():
+    # paper study 3: the rank-10 burn-in and the rank-55 restart block
+    for M in _study3_blocks("paper", 0)[:2]:
+        res, ref = pcp_alm(M), _pcp_first_loop(M)
+        _same_result(res, ref)
+        assert res.rank_iteration == ref.rank_iteration
+
+
+def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
+    # paper study 3, samples 0-199 (rank 10) and the two restart blocks
+    # (ranks 55 and 30): the first sweep reads ||M||_2 and its iterate from
+    # the Gram matrix, and every later sweep is a subspace iteration or a
+    # Gram solve; the subspace iteration's small SVDs show the patch works
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(A, *args, **kwargs):
+        calls.append(np.shape(A))
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for M, rank in zip(_study3_blocks("paper", 0), (10, 55, 30)):
+        assert M.shape == (400, 200)
+        res = pcp_alm(M)
+        assert res.converged and res.rank == rank
+    assert calls and (400, 200) not in calls
+
+
+def test_first_sweep_below_the_gram_guard_is_lapacks_bit_for_bit():
+    # an explicit mu of 1e4 / ||M||_2 keeps values down to about 1e-4 of
+    # ||M||_2, below the Gram guard: the sweep reads ||M||_2, J and its
+    # iterate from LAPACK's SVD of M, as the solver did before the Gram path
+    rng = np.random.Generator(np.random.PCG64(21))
+    left = np.linalg.qr(rng.standard_normal((30, 4)))[0]
+    right = np.linalg.qr(rng.standard_normal((20, 4)))[0]
+    M = (left * [10.0, 1.0, 1e-2, 1e-3]) @ right.T
+    lam, mu = _lam(M), 1e3
+    got = _first_sweep(M, lam, mu)
+    U, s, Vh, _ = threshold_factors(*np.linalg.svd(M, full_matrices=False),
+                                    0.0)
+    J = max(s[0], np.abs(M).max() / lam)
+    want = threshold_factors(U, (1.0 + 1.0 / (J * mu)) * s, Vh, 1.0 / mu)
+    assert got[:2] == (mu, J) and got[2].s.size == 4
+    for a, b in zip(got[2], want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_pcp_config_validation():

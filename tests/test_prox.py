@@ -5,8 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamrpca.exceptions import ContractViolation
-from streamrpca.prox import (OVERSAMPLING, RITZ_TOL, ridge_regress, shrink,
-                             shrink_matrix, svt, svt_factors)
+from streamrpca.prox import (GRAM_MIN_RATIO, OVERSAMPLING, RITZ_TOL,
+                             gram_eigh, gram_factors, lapack_factors,
+                             ridge_regress, shrink, shrink_matrix, svt,
+                             svt_factors)
 
 
 def test_shrink_basic_cases():
@@ -190,6 +192,61 @@ def test_svt_factors_matches_svt_within_the_ritz_bound(m, n, rank, k,
     # (tau equal to the top singular value may keep a rounding residue)
     if case == "zero" or tau > (1.0 + 1e-9) * s_all[0]:
         assert s.size == 0 and not L.any()
+
+
+@settings(max_examples=150, deadline=None)
+@example(m=1, n=1, rank=1, case="geometric", decay=0.5, tau_exp=-1.0, seed=0)
+@example(m=1, n=1, rank=1, case="geometric", decay=0.5, tau_exp=-5.0, seed=0)
+@example(m=30, n=12, rank=0, case="zero", decay=0.5, tau_exp=-2.0, seed=1)
+@example(m=12, n=40, rank=9, case="repeated", decay=0.5, tau_exp=-1.5, seed=2)
+@example(m=40, n=12, rank=9, case="repeated", decay=0.5, tau_exp=-4.0, seed=3)
+@example(m=50, n=20, rank=12, case="geometric", decay=0.6, tau_exp=-2.6,
+         seed=4)
+@given(m=st.integers(1, 60), n=st.integers(1, 60), rank=st.integers(0, 15),
+       case=st.sampled_from(["geometric", "repeated", "zero"]),
+       decay=st.floats(0.3, 0.95), tau_exp=st.floats(-5.0, np.log10(0.9)),
+       seed=st.integers(0, 2**32 - 1))
+def test_gram_path_matches_gesvd_and_falls_back_below_its_guard(
+        m, n, rank, case, decay, tau_exp, seed):
+    """The exact path of svt_factors (no block) on tall, wide, rank-deficient
+    and zero matrices, 1 x 1 ones and repeated singular values, at tau /
+    s_1 from 0.9 down through GRAM_MIN_RATIO to 1e-5. Where gram_factors'
+    guard holds, the Gram result is what svt_factors returns, and its
+    product is within the Ritz bound of scipy's gesvd reconstruction; where
+    it fails, svt_factors is LAPACK's path, bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rank = 0 if case == "zero" else min(rank, m, n)
+    if case == "repeated":  # three levels, one of them below the guard
+        spectrum = 10.0 * np.repeat([1.0, 0.1, 1e-3], -(-rank // 3))[:rank]
+    else:
+        spectrum = 10.0 * decay ** np.arange(rank)
+    left = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    X = (left * spectrum) @ right.T
+    s_all = scipy.linalg.svd(X, compute_uv=False, lapack_driver="gesvd")
+    tau = 10.0 ** tau_exp * s_all[0] if s_all.size else 0.0
+
+    U, s, Vh, block = svt_factors(X, tau)
+    gram = gram_factors(X, *gram_eigh(X), tau)
+    if gram is None:
+        for got, want in zip((U, s, Vh, block), lapack_factors(X, tau)):
+            np.testing.assert_array_equal(got, want)
+        kept = np.count_nonzero(s_all > tau)
+        assert kept and s_all[kept - 1] <= 2.0 * GRAM_MIN_RATIO * s_all[0]
+        return
+    for got, want in zip((U, s, Vh, block), gram):
+        np.testing.assert_array_equal(got, want)
+    Uo, so, Vho = scipy.linalg.svd(X, full_matrices=False,
+                                   lapack_driver="gesvd")
+    oracle = (Uo * np.maximum(so - tau, 0.0)) @ Vho
+    slack = 1e-12 * (np.linalg.norm(X) + 1.0)
+    assert np.linalg.norm((U * s) @ Vh - oracle) <= (
+        RITZ_TOL * (s_all[0] if s_all.size else 0.0) + slack)
+    assert np.all(s > 0) and np.all(np.diff(s) <= 0)
+    np.testing.assert_allclose(U.T @ U, np.eye(s.size), atol=1e-10)
+    np.testing.assert_allclose(Vh @ Vh.T, np.eye(s.size), atol=1e-10)
+    assert block.shape == (n, min(s.size + OVERSAMPLING, m, n))
+    np.testing.assert_array_equal(block[:, :s.size], Vh.T)
 
 
 def test_ridge_identity_basis():
