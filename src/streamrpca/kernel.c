@@ -1,6 +1,8 @@
 /* Compiled per-sample step of the trackers: the projection of
  * projection.project_sample, the accumulator update of trackers.omw_step and
- * the basis sweep of basis.update_basis, in the same operation order.
+ * the basis sweep of basis.update_basis. The projection and the accumulator
+ * keep the numpy code's operation order; the sweep does not: it sums each
+ * column's pending term in blocks and scales by reciprocals.
  *
  * kernel.py builds this file with -ffp-contract=off, so a*b + c rounds
  * twice as numpy does, loads it with ctypes and hands srp_bind the BLAS and
@@ -13,6 +15,8 @@
 
 typedef void gemv_t(char *, int *, int *, double *, double *, int *,
                     double *, int *, double *, double *, int *);
+typedef void gemm_t(char *, char *, int *, int *, int *, double *, double *,
+                    int *, double *, int *, double *, double *, int *);
 typedef void syrk_t(char *, char *, int *, int *, double *, double *, int *,
                     double *, double *, int *);
 typedef double dot_t(int *, double *, int *, double *, int *);
@@ -21,20 +25,29 @@ typedef void potrs_t(char *, int *, int *, double *, int *, double *, int *,
                      int *);
 
 static gemv_t *gemv;
+static gemm_t *gemm;
 static syrk_t *syrk;
 static dot_t *dot;
 static potrf_t *potrf;
 static potrs_t *potrs;
 static int ONE = 1;
 
-void srp_bind(void *gemv_, void *syrk_, void *dot_, void *potrf_,
-              void *potrs_)
+/* Columns per block of the sweep; the tests read it */
+const int srp_block = 8;
+
+/* fn holds dgemv, dgemm, dsyrk, ddot, dpotrf and dpotrs, in kernel.py's
+ * ROUTINES order; -1, with nothing bound, if there are not n = 6 of them */
+int srp_bind(void **fn, int n)
 {
-    gemv = (gemv_t *)gemv_;
-    syrk = (syrk_t *)syrk_;
-    dot = (dot_t *)dot_;
-    potrf = (potrf_t *)potrf_;
-    potrs = (potrs_t *)potrs_;
+    if (n != 6)
+        return -1;
+    gemv = (gemv_t *)fn[0];
+    gemm = (gemm_t *)fn[1];
+    syrk = (syrk_t *)fn[2];
+    dot = (dot_t *)fn[3];
+    potrf = (potrf_t *)fn[4];
+    potrs = (potrs_t *)fn[5];
+    return 0;
 }
 
 static int lead(int n) { return n > 1 ? n : 1; }
@@ -127,9 +140,10 @@ static int same_signs(int m, const double *s, const double *signs)
 #define SWAP(a, b) do { double *tmp_ = a; a = b; b = tmp_; } while (0)
 
 /* project_sample on an m x r U: writes v_out, s_out and returns the number
- * of alternations, -1 for a non-finite input, -2 where a Cholesky factor
- * the numpy path would replace by a pivoted solve fails. w holds
- * 3r^2 + 4r + 7m + mr doubles. */
+ * of alternations, -1 for a non-finite x or diagonal of U'U (which a
+ * non-finite entry of U makes non-finite, as can an overflow), -2 where a
+ * Cholesky factor the numpy path would replace by a pivoted solve fails.
+ * w holds 3r^2 + 4r + 7m + mr doubles. */
 int srp_project(int m, int r, const double *U, const double *x, double l1,
                 double l2, double tol, int max_iter, double *v_out,
                 double *s_out, double *w)
@@ -140,15 +154,15 @@ int srp_project(int m, int r, const double *U, const double *x, double l1,
     double *signs = t + m, *prev = signs + m, *xg = prev + m, *Ug = xg + m;
     int n = 0, have_prev = 0;
 
-    for (int i = 0; i < m * r; i++)
-        if (!isfinite(U[i]))
-            return -1;
     for (int i = 0; i < m; i++)
         if (!isfinite(x[i]))
             return -1;
     gram(m, r, U, G);
-    for (int j = 0; j < r; j++)
+    for (int j = 0; j < r; j++) {
+        if (!isfinite(G[j * r + j]))
+            return -1;
         G[j * r + j] += l1;
+    }
     memcpy(F, G, sizeof(double) * r * r);
     if (factor(r, F))
         return -2;
@@ -236,19 +250,24 @@ int srp_project(int m, int r, const double *U, const double *x, double l1,
 }
 
 /* A += vv' - vo vo', B += (x - s)v' - (xo - so)vo' for an m x r B; then the
- * window's oldest row (xo, vo, so) takes (x, v, s). xo NULL: no window. */
+ * window's oldest row (xo, vo, so) takes (x, v, s). xo NULL: no window.
+ * w holds 2m doubles. */
 void srp_accumulate(int m, int r, double *A, double *B, const double *x,
                     const double *v, const double *s, double *xo, double *vo,
-                    double *so)
+                    double *so, double *w)
 {
+    double *e = w, *eo = w + m;
+
     for (int i = 0; i < r; i++)
         for (int j = 0; j < r; j++)
             A[i * r + j] += xo ? v[i] * v[j] - vo[i] * vo[j] : v[i] * v[j];
+    for (int i = 0; i < m; i++) {
+        e[i] = x[i] - s[i];
+        eo[i] = xo ? xo[i] - so[i] : 0.0;
+    }
     for (int j = 0; j < r; j++)
         for (int i = 0; i < m; i++)
-            B[j * m + i] += xo ? v[j] * (x[i] - s[i])
-                                 - vo[j] * (xo[i] - so[i])
-                               : v[j] * (x[i] - s[i]);
+            B[j * m + i] += xo ? v[j] * e[i] - vo[j] * eo[i] : v[j] * e[i];
     if (xo) {
         memcpy(xo, x, sizeof(double) * m);
         memcpy(vo, v, sizeof(double) * r);
@@ -256,12 +275,29 @@ void srp_accumulate(int m, int r, double *A, double *B, const double *x,
     }
 }
 
+/* T = X Y' + beta T for the m x k columns X of U and an n x k Y read from
+ * A with leading dimension r, then beta = 1; nothing if k = 0 */
+static void pending(int m, int n, int k, const double *X, const double *Y,
+                    int r, double *beta, double *T)
+{
+    double one = 1.0;
+    if (k == 0)
+        return;
+    gemm("N", "T", &m, &n, &k, &one, (double *)X, &m, (double *)Y, &r, beta,
+         T, &m);
+    *beta = 1.0;
+}
+
 /* update_basis on an m x r U in place; -1 if A is not symmetric to
- * sym_tol * (1 + max|A|). w holds 2r + m doubles. */
+ * sym_tol * (1 + max|A|). A Gauss-Seidel sweep in blocks of srp_block
+ * columns: a block's pending sums over the columns before it (swept) and
+ * after it (not yet) are two dgemm, and each column adds those of its own
+ * block by dgemv. w holds r + b + mb doubles, b = min(r, srp_block). */
 int srp_sweep(int m, int r, double *U, const double *A, const double *B,
               double l1, int sweeps, double sym_tol, double *w)
 {
-    double *d = w, *c = d + r, *t = c + r, scale = 0.0, skew = 0.0;
+    int nb = r < srp_block ? r : srp_block;
+    double *rd = w, *c = rd + r, *T = c + nb, scale = 0.0, skew = 0.0;
 
     for (int i = 0; i < r * r; i++)
         scale = fmax(scale, fabs(A[i]));
@@ -270,19 +306,32 @@ int srp_sweep(int m, int r, double *U, const double *A, const double *B,
             skew = fmax(skew, fabs(A[i * r + j] - A[j * r + i]));
     if (skew > sym_tol * (1.0 + scale))
         return -1;
+    if (m == 0)
+        return 0;
     for (int j = 0; j < r; j++)
-        d[j] = A[j * r + j] + l1;
+        rd[j] = 1.0 / (A[j * r + j] + l1);
     for (int sweep = 0; sweep < sweeps; sweep++)
-        for (int j = 0; j < r; j++) {
-            double *u = U + (size_t)j * m;
-            for (int k = 0; k < r; k++)
-                c[k] = k == j ? 0.0 : A[k * r + j] / d[j];
-            mv("N", m, r, U, c, t);
-            for (int i = 0; i < m; i++)
-                u[i] = B[(size_t)j * m + i] / d[j] - t[i];
-            double norm = fmax(sqrt(dot(&m, u, &ONE, u, &ONE)), 1.0);
-            for (int i = 0; i < m; i++)
-                u[i] /= norm;
+        for (int j0 = 0; j0 < r; j0 += nb) {
+            int n = r - j0 < nb ? r - j0 : nb, j1 = j0 + n;
+            double one = 1.0, beta = 0.0;
+            pending(m, n, j0, U, A + j0, r, &beta, T);
+            pending(m, n, r - j1, U + (size_t)j1 * m, A + j0 + (size_t)j1 * r,
+                    r, &beta, T);
+            for (int j = j0; j < j1; j++) {
+                double *u = U + (size_t)j * m, *t = T + (size_t)(j - j0) * m;
+                for (int k = j0; k < j1; k++)
+                    c[k - j0] = k == j ? 0.0 : A[k * r + j];
+                gemv("N", &m, &n, &one, U + (size_t)j0 * m, &m, c, &ONE,
+                     &beta, t, &ONE);
+                for (int i = 0; i < m; i++)
+                    u[i] = rd[j] * (B[(size_t)j * m + i] - t[i]);
+                double norm = sqrt(dot(&m, u, &ONE, u, &ONE));
+                if (norm > 1.0) {  /* dividing by 1 would change nothing */
+                    double inv = 1.0 / norm;
+                    for (int i = 0; i < m; i++)
+                        u[i] *= inv;
+                }
+            }
         }
     return 0;
 }

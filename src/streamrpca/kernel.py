@@ -8,9 +8,8 @@ command. It calls BLAS and LAPACK through scipy's cython_blas/cython_lapack
 capsules, so nothing is linked. ACTIVE is "compiled" once it is loaded and
 "numpy" where it could not be built: projection, basis and trackers then run
 their numpy code, which the tests keep as the oracle. The calls release the
-interpreter lock; scratch arrays are per thread and shape, and an array's
-address is looked up once per array object, so a step allocates no scratch
-memory.
+interpreter lock. A step allocates no memory for scratch: a thread's scratch
+is one array, grown to its largest shape, and array addresses are cached.
 """
 
 import ctypes
@@ -30,6 +29,7 @@ import scipy.linalg.cython_blas
 import scipy.linalg.cython_lapack
 
 SOURCE = Path(__file__).with_name("kernel.c")
+ROUTINES = ("dgemv", "dgemm", "dsyrk", "ddot", "dpotrf", "dpotrs")
 
 
 def _compile_command():
@@ -92,9 +92,9 @@ def _load():
         return None
     I, D, P = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
     for name, restype, argtypes in [
-            ("srp_bind", None, [P] * 5),
+            ("srp_bind", I, [P, I]),  # the ROUTINES in order, and their count
             ("srp_project", I, [I, I, P, P, D, D, D, I, P, P, P]),
-            ("srp_accumulate", None, [I, I] + [P] * 8),
+            ("srp_accumulate", None, [I, I] + [P] * 9),
             ("srp_sweep", I, [I, I, P, P, P, D, I, D, P])]:
         getattr(lib, name).restype = restype
         getattr(lib, name).argtypes = argtypes
@@ -103,13 +103,11 @@ def _load():
     api.PyCapsule_GetName.argtypes = [ctypes.py_object]
     api.PyCapsule_GetPointer.restype = P
     api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    capsules = [scipy.linalg.cython_blas.__pyx_capi__[name]
-                for name in ("dgemv", "dsyrk", "ddot")]
-    capsules += [scipy.linalg.cython_lapack.__pyx_capi__[name]
-                 for name in ("dpotrf", "dpotrs")]
-    lib.srp_bind(*(api.PyCapsule_GetPointer(c, api.PyCapsule_GetName(c))
-                   for c in capsules))
-    return lib
+    capi = {**scipy.linalg.cython_blas.__pyx_capi__,
+            **scipy.linalg.cython_lapack.__pyx_capi__}
+    fn = [api.PyCapsule_GetPointer(capi[n], api.PyCapsule_GetName(capi[n]))
+          for n in ROUTINES]
+    return lib if lib.srp_bind((P * len(fn))(*fn), len(fn)) == 0 else None
 
 
 _lib = _load()
@@ -118,14 +116,16 @@ _local = threading.local()
 
 
 def _space(m, r):
-    """This thread's (x, v, s, work) arrays for rank r on dimension m,
-    followed by their addresses."""
-    spaces = _local.__dict__.setdefault("spaces", {})
-    if (m, r) not in spaces:
-        arrays = (np.empty(m), np.empty(r), np.empty(m),
-                  np.empty(3 * r * r + 4 * r + 7 * m + m * r))
-        spaces[m, r] = (*arrays, *(X.ctypes.data for X in arrays))
-    return spaces[m, r]
+    """This thread's (x, v, s, work) arrays for rank r on dimension m and
+    their addresses: views of its scratch array, grown to the largest shape."""
+    if getattr(_local, "shape", None) != (m, r):
+        n = 3 * r * r + 5 * r + 9 * m + m * r
+        if getattr(_local, "scratch", np.empty(0)).size < n:
+            _local.scratch = np.empty(n)
+        arrays = np.split(_local.scratch, [m, m + r, 2 * m + r])
+        _local.views = (*arrays, *(X.ctypes.data for X in arrays))
+        _local.shape = (m, r)
+    return _local.views
 
 
 def _address(X, order):
@@ -162,12 +162,12 @@ def accumulate(A, B, x, v, s, rows=None, head=0):
     m, r = B.shape
     if A.shape != (r, r) or not x.shape == s.shape == (m,) or v.shape != (r,):
         raise ValueError("kernel: inconsistent accumulator shapes")
-    x_, v_, s_, _, px, pv, ps, _ = _space(m, r)
+    x_, v_, s_, _, px, pv, ps, pw = _space(m, r)
     x_[:], v_[:], s_[:] = x, v, s
     old = [None] * 3 if rows is None else [
         _address(X, "C") + head * X.strides[0] for X in rows]
     _lib.srp_accumulate(m, r, _address(A, "C"), _address(B, "F"), px, pv, ps,
-                        *old)
+                        *old, pw)
 
 
 def sweep(U, A, B, lambda1, sweeps, sym_tol):

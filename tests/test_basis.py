@@ -1,10 +1,16 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamrpca import kernel
 from streamrpca.basis import basis_objective, update_basis
 from streamrpca.exceptions import ContractViolation
+
+compiled = pytest.mark.skipif(kernel.ACTIVE != "compiled",
+                              reason="no compiled kernel could be built")
 
 
 def random_instance(rng, m=8, r=3, lambda1=0.1):
@@ -15,6 +21,29 @@ def random_instance(rng, m=8, r=3, lambda1=0.1):
     norms = np.linalg.norm(U, axis=0)
     U /= np.maximum(norms, 1.0)  # feasible warm start: columns in the ball
     return U, A, B, lambda1
+
+
+def ball_instance(rng, m, r, ball):
+    """random_instance's U, A and B, scaled so that the sweep's columns end
+    strictly inside the unit ball ("inside"), on its sphere ("onto"), or
+    either ("mixed")."""
+    U, A, B, _ = random_instance(rng, m=m, r=r)
+    if ball == "inside":
+        # the sweeps never raise g, which bounds ||U|| by a multiple of the
+        # scale of U and B: every column stays strictly inside the ball
+        U *= 1e-6
+        B *= 1e-6
+    elif ball == "onto":
+        B *= 1e4
+    return U, A, B
+
+
+def assert_in_ball(U, ball):
+    norms = np.linalg.norm(U, axis=0)
+    if ball == "inside":
+        assert norms.max() < 1.0
+    elif ball == "onto":
+        assert abs(norms.max() - 1.0) <= 1e-12
 
 
 def oracle_projected_gradient(U0, A, B, lambda1, tol=1e-10, max_iter=200000):
@@ -128,14 +157,7 @@ def test_sweep_matches_column_formula(step_paths, m, r, sweeps, ball,
                                       lambda1, seed, order):
     # row-major and column-major U are both swept in place
     rng = np.random.Generator(np.random.PCG64(seed))
-    U, A, B, _ = random_instance(rng, m=m, r=r)
-    if ball == "inside":
-        # the sweeps never raise g, which bounds ||U|| by a multiple of the
-        # scale of U and B: every column stays strictly inside the ball
-        U *= 1e-6
-        B *= 1e-6
-    elif ball == "onto":
-        B *= 1e4
+    U, A, B = ball_instance(rng, m, r, ball)
     expected = column_sweep(U.copy(), A, B, lambda1, sweeps)
     for path in step_paths:
         U_in = U.copy(order=order)
@@ -143,11 +165,44 @@ def test_sweep_matches_column_formula(step_paths, m, r, sweeps, ball,
             out = update_basis(U_in, A, B, lambda1, sweeps=sweeps)
         assert out is U_in
         np.testing.assert_allclose(U_in, expected, rtol=1e-12, atol=1e-12)
-        norms = np.linalg.norm(U_in, axis=0)
-        if ball == "inside":
-            assert norms.max() < 1.0
-        elif ball == "onto":
-            assert abs(norms.max() - 1.0) <= 1e-12
+        assert_in_ball(U_in, ball)
+
+
+def block_columns():
+    """Columns per block of the compiled sweep."""
+    return ctypes.c_int.in_dll(kernel._lib, "srp_block").value
+
+
+@compiled
+@pytest.mark.parametrize("sweeps", [1, 2])
+@pytest.mark.parametrize("ball", ["inside", "mixed", "onto"])
+def test_blocked_sweep_matches_column_formula(sweeps, ball):
+    # the compiled sweep takes each column's terms from the columns before
+    # and after its block by dgemm: ranks at and past one and two blocks
+    nb = block_columns()
+    rng = np.random.Generator(np.random.PCG64(36))
+    for r in (nb - 1, nb, nb + 1, 2 * nb + 3, 55):
+        U, A, B = ball_instance(rng, 60, r, ball)
+        expected = column_sweep(U.copy(), A, B, 0.1, sweeps)
+        U = U.copy(order="F")
+        assert kernel.sweep(U, A, B, 0.1, sweeps, 1e-8)
+        assert (np.linalg.norm(U - expected)
+                <= 1e-12 * np.linalg.norm(expected)), r
+        assert_in_ball(U, ball)
+
+
+@compiled
+def test_blocked_sweep_rejects_an_asymmetric_a_untouched():
+    rng = np.random.Generator(np.random.PCG64(37))
+    U, A, B, lam = random_instance(rng, m=30, r=2 * block_columns() + 3)
+    A[0, -1] += 1e-6 * (1.0 + np.abs(A).max())  # across the first block
+    U = U.copy(order="F")
+    U0 = U.copy()
+    assert not kernel.sweep(U, A, B, lam, 1, 1e-8)
+    np.testing.assert_array_equal(U, U0)
+    with pytest.raises(ContractViolation):
+        update_basis(U, A, B, lam)
+    np.testing.assert_array_equal(U, U0)
 
 
 def test_zero_rank_basis_is_unchanged():

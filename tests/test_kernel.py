@@ -107,6 +107,24 @@ def test_trackers_on_threads_match_their_sequential_runs():
         assert got.S.tobytes() == want.S.tobytes()
 
 
+def test_scratch_is_one_array_per_thread_grown_to_its_largest_shape():
+    # the three ranks of a switch-omw-cp stream, then the first again: the
+    # scratch of rank 55 serves the smaller shapes too
+    def scratch_after_each_shape():
+        out = []
+        for r in (10, 55, 30, 10):
+            x, v, s, work = kernel._space(400, r)[:4]
+            assert (x.size, v.size, s.size) == (400, r, 400)
+            assert work.size >= 3 * r * r + 4 * r + 7 * 400 + 400 * r
+            out.append(kernel._local.scratch)
+        return out
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first, *rest = pool.submit(scratch_after_each_shape).result(60)
+    assert first.size < rest[0].size
+    assert all(scratch is rest[0] for scratch in rest)
+
+
 def run_python(code, cache, *args, src=SRC, **env):
     """stdout of `python -c code *args` with streamrpca from src and its
     kernel cache under cache."""
@@ -175,13 +193,31 @@ def test_library_name_is_keyed_on_the_compile_command(monkeypatch):
         assert kernel._library_name(other) != name
 
 
+def copy_package(tmp_path):
+    """A copy of the streamrpca package under tmp_path/src/streamrpca."""
+    copy = tmp_path / "src"
+    shutil.copytree(SRC / "streamrpca", copy / "streamrpca",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+@compiled
+def test_routines_the_kernel_does_not_expect_leave_the_numpy_path(tmp_path):
+    # srp_bind checks the number of routines it is handed: one too few
+    # makes the loader fall back instead of calling through a bad pointer
+    copy = copy_package(tmp_path)
+    loader = copy / "streamrpca" / "kernel.py"
+    source = loader.read_text(encoding="ascii")
+    assert source.count(', "dpotrs")') == 1
+    loader.write_text(source.replace(', "dpotrs")', ")"), encoding="ascii")
+    assert run_python(ACTIVE, tmp_path / "cache", src=copy) == "numpy"
+
+
 @compiled
 def test_edited_source_rebuilds(tmp_path):
     cache = tmp_path / "cache"
     assert run_python(ACTIVE, cache) == "compiled"
-    copy = tmp_path / "src"
-    shutil.copytree(SRC / "streamrpca", copy / "streamrpca",
-                    ignore=shutil.ignore_patterns("__pycache__"))
+    copy = copy_package(tmp_path)
     with open(copy / "streamrpca" / "kernel.c", "a", encoding="ascii") as fh:
         fh.write("/* edited */\n")
     assert run_python(ACTIVE, cache, src=copy) == "compiled"

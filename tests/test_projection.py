@@ -132,10 +132,42 @@ def test_support_contains_true_support():
     assert hits == trials
 
 
-def test_non_finite_input_rejected():
-    U = np.zeros((2, 1))
-    with pytest.raises(ContractViolation):
-        project_sample(U, np.array([np.nan, 0.0]), 0.1, 0.1)
+def test_non_finite_input_rejected(step_paths):
+    # the kernel reads a non-finite U off the diagonal of U'U: one entry
+    # anywhere makes its column's sum of squares non-finite
+    rng = np.random.Generator(np.random.PCG64(38))
+    m, r = 12, 4
+    x = rng.standard_normal(m)
+    cases = [(np.zeros((2, 1)), np.array([np.nan, 0.0])),
+             (rng.standard_normal((m, r)), np.r_[x[1:], np.inf])]
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (m - 1, 1), (m // 2, r - 1)):
+            U = rng.standard_normal((m, r))
+            U[i, j] = value
+            cases.append((U, x))
+    for path in step_paths:
+        for U, m_t in cases:
+            with path, pytest.raises(ContractViolation,
+                                     match="project_sample: non-finite input"):
+                project_sample(U, m_t, 0.1, 0.1)
+
+
+def test_overflowing_gram_diagonal_takes_the_numpy_path(step_paths):
+    # finite entries whose squares overflow: the kernel declines, as for a
+    # non-finite U, and the numpy path's result comes back without an error
+    rng = np.random.Generator(np.random.PCG64(39))
+    U = rng.standard_normal((12, 3))
+    U[5, 1] = U[0, 2] = 1e200
+    x = rng.standard_normal(12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel.ACTIVE == "compiled":
+            assert kernel.project(U, x, 0.1, 0.1, 1e-7, 1000) is None
+        expected = _project_numpy(U, x, 0.1, 0.1, ProjectionConfig())
+        for path in step_paths:
+            with path:
+                got = project_sample(U, x, 0.1, 0.1)
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_dimension_mismatch_rejected():

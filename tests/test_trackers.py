@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamrpca import trackers
 from streamrpca.changepoint import CpConfig, run_omw_cp
 from streamrpca.cli import main
 from streamrpca.exceptions import ContractViolation, TrackerStepError
@@ -92,6 +93,22 @@ def test_omw_init_buffer_and_model():
     omw_step(model, buffer, np.ones(model.m))
     for X, X_before in zip(init.window_seed, seed):
         np.testing.assert_array_equal(X, X_before)
+
+
+@pytest.mark.parametrize("evict", [True, False])
+def test_step_calls_the_trackers_bindings_once(monkeypatch, evict):
+    # bench/tracer.py times the projection and the sweep by wrapping these
+    # two names in streamrpca.trackers: a step that bypassed them would
+    # leave its spans empty
+    calls = {"project_sample": 0, "update_basis": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(trackers, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(trackers, name, counted)
+    model, buffer = omw_init(make_burnin_init(n_win=10), 0.1, 1.0, n_win=10)
+    omw_step(model, buffer if evict else None, np.ones(model.m))
+    assert calls == {"project_sample": 1, "update_basis": 1}
 
 
 def test_omw_init_seed_length_mismatch():
