@@ -2,7 +2,8 @@
 stream, moving-window subspace tracking, and change-point detection."""
 
 from .changepoint import (ChangePointReport, CpConfig, CpDiagnostic,
-                          OmwCpPipeline, run_omw_cp)
+                          OmwCpPipeline, continue_tracker, init_tracker,
+                          run_omw_cp, run_tracker)
 from .exceptions import (ContractViolation, InitializationError, ParseError,
                          SnapshotError, TrackerStepError)
 from .metrics import EvalReport, cp_deviation, err_rel, support_mismatch
@@ -14,7 +15,6 @@ from .state import (load_state, restore_pipeline, save_state,
                     snapshot_pipeline, snapshot_tracker)
 from .streams import ObservationStream, ingest_stream, write_raw_f64
 from .trackers import (DecompositionResult, SubspaceModel, TrackerConfig,
-                       WindowBuffer, continue_tracker, init_tracker,
-                       run_tracker)
+                       WindowBuffer)
 
 __version__ = "0.1.0"

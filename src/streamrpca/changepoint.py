@@ -38,11 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ContractViolation
-# burnin_initialize and omw_step are unused here; bench/tracer.py wraps them.
+from .exceptions import ContractViolation, TrackerStepError
+# burnin_initialize is unused here; bench/tracer.py wraps it.
 from .pcp import burnin_initialize
-from .trackers import (DecompositionResult, Tracker, TrackerConfig, omw_step,
-                       seed_tracker)
+from .projection import ProjectionConfig
+from .trackers import (ColumnStore, DecompositionResult, TrackerConfig,
+                       omw_step, seed_tracker)
 
 
 @dataclass(kw_only=True)
@@ -155,22 +156,28 @@ MODES = ("stoc", "omw", "omw-cp")
 
 
 class OmwCpPipeline:
-    """The runtime of every mode: seeds a Tracker from the stream's burn-in
-    block and runs it, resumable across run() calls.
+    """The runtime of every mode: seeds the tracker from the stream's burn-in
+    block and steps it to the end of the stream, resumable across run()
+    calls.
 
     The mode is "stoc" (no eviction), "omw" (a moving window) or "omw-cp" (a
-    moving window with this pipeline as the tracker's detector: after each
-    step the tracker calls observe()). The detector state is plain data: the
-    histogram counts, indexed by support size, and the last n_check
-    (size, flag) pairs. A change point whose burn-in block the stream does
-    not hold yet is pending: its restart is retried at the next run().
+    moving window and the detector, which sees each step and may restart the
+    tracker at a change point). The next sample has stream index cursor and
+    tracked time t_start + model.t; cols, a ColumnStore, holds the (l, s)
+    outputs in tracked-time order up to it. The detector state is plain
+    data: the histogram counts, indexed by support size, and the last
+    n_check (size, flag) pairs. A change point whose burn-in block the
+    stream does not hold yet is pending: its restart is retried at the next
+    run().
     """
 
     def __init__(self, config, mode="omw-cp"):
         if mode not in MODES:
             raise ContractViolation(f"unknown mode {mode!r}")
         self.config, self.mode = config, mode
-        self.tracker = None    # built once a full burn-in block was read
+        # the tracker's state, set once a full burn-in block was read
+        self.model = self.buffer = self.cursor = self.cols = None
+        self.t_start = 1
         self.counts = None
         self.recent = (deque(maxlen=config.n_check) if mode == "omw-cp"
                        else None)     # (size, flag) of the last n_check steps
@@ -178,25 +185,40 @@ class OmwCpPipeline:
         self.pending = None    # t0 of a restart waiting for its burn-in block
         self.warnings = []
 
+    @property
+    def t(self):
+        return self.t_start + self.model.t
+
     def run(self, stream):
         """Consume the stream to exhaustion. Returns (DecompositionResult,
-        ChangePointReport), the report None outside omw-cp."""
+        ChangePointReport), the report None outside omw-cp. A failing step
+        raises TrackerStepError carrying its tracked time."""
         self.diagnostics = []
-        detector = self if self.mode == "omw-cp" else None
-        seeded = self.tracker is not None or self._seed(stream)
+        detect = self.mode == "omw-cp"
+        seeded = self.model is not None or self._seed(stream)
         if seeded:
             if self.pending is not None:
-                self._restart(self.tracker, stream, self.pending)
-            self.tracker.run(stream, detector)
-            L, S = self.tracker.cols.dense(drain=detector is None)
-        elif detector is None:
+                self._restart(stream, self.pending)
+            projection = self.config.projection
+            while (x := stream.get(self.cursor)) is not None:
+                t = self.t
+                try:
+                    out = omw_step(self.model, self.buffer, x, projection)
+                except Exception as exc:
+                    raise TrackerStepError(t, str(exc)) from exc
+                self.cols.append(out.l, out.s)
+                self.cursor += 1
+                if detect:
+                    self._observe(stream, t, out.s)
+            L, S = self.cols.dense(drain=not detect)
+        elif not detect:
             raise ContractViolation(f"{self.mode}: stream shorter than "
                                     f"n_burnin={self.config.n_burnin}")
         else:
             L = S = np.zeros((stream.dim or 0, 0))
         result = DecompositionResult(L=L, S=S,
                                      change_points=list(self.change_points))
-        if detector is None:
+        if not detect:
             return result, None
         warnings = list(self.warnings)
         if not seeded:
@@ -220,33 +242,49 @@ class OmwCpPipeline:
             return False
         init, model, buffer = seeded
         self._check_burnin(init, "before t=1")
-        self.counts = np.zeros(model.m + 1, dtype=np.int64)
-        self.tracker = Tracker(model, buffer, self.config.n_burnin,
-                               self.config.projection)
+        self._take_over(model, buffer, self.config.n_burnin)
         return True
+
+    def _take_over(self, model, buffer, cursor):
+        """Track on from (model, buffer) at stream index cursor, with no
+        outputs and an empty histogram."""
+        self.model, self.buffer, self.cursor = model, buffer, cursor
+        self.cols = ColumnStore(model.m)
+        self.counts = np.zeros(model.m + 1, dtype=np.int64)
 
     def _check_burnin(self, init, where):
         if not init.converged:
             self.warnings.append(f"burn-in {where}: batch solve unconverged "
                                  f"after {init.iterations} iterations")
 
-    def _restart(self, tracker, stream, t0):
-        """Seed the tracker afresh from tracked time t0, or leave the restart
-        pending if the stream ends inside its burn-in block."""
-        init = tracker.restart(stream, t0, self.config)
-        self.pending = t0 if init is None else None
-        if init is not None:
-            self._check_burnin(init, f"from t={t0}")
-            self.counts[:] = 0
-            self.recent.clear()
+    def _restart(self, stream, t0):
+        """Seed afresh from tracked time t0, rewriting the outputs from t0
+        on with the burn-in block's: returns the BurninInit, or None, leaving
+        the restart pending, if the stream ends inside that block."""
+        back = self.t - t0              # samples from t0 up to the cursor
+        index = self.cursor - back
+        seeded = seed_tracker(stream, index, self.config,
+                              evict=self.mode != "stoc")
+        self.pending = t0 if seeded is None else None
+        if seeded is None:
+            return None
+        init, self.model, self.buffer = seeded
+        self._check_burnin(init, f"from t={t0}")
+        self.cols.truncate(max(0, self.cols.n - back))
+        self.cols.extend(init.L_b, init.S_b)
+        self.cursor = index + self.config.n_burnin
+        self.t_start = t0 + self.config.n_burnin
+        self.counts[:] = 0
+        self.recent.clear()
+        return init
 
-    def observe(self, tracker, stream, t, s):
+    def _observe(self, stream, t, s):
         """Detector step after the tracker stepped tracked time t with
         sparse output s; a change point restarts the tracker. While a
         restart is pending, steps are recorded but not tested."""
         cfg = self.config
         c_t = support_size(s)
-        offset = t - tracker.t_start
+        offset = t - self.t_start
         if offset < cfg.n_cp_burnin:
             phase = "cp-burnin"
         elif offset < cfg.n_cp_burnin + cfg.n_test:
@@ -268,7 +306,7 @@ class OmwCpPipeline:
             t=t, support_size=c_t, p=p, flag=f, phase=phase))
         if t0 is not None:
             self.change_points.append(t0)
-            self._restart(tracker, stream, t0)
+            self._restart(stream, t0)
 
 
 def run_omw_cp(stream, config):
@@ -279,3 +317,50 @@ def run_omw_cp(stream, config):
     everything after it.
     """
     return OmwCpPipeline(config).run(stream)
+
+
+def _check_shell_mode(name, mode):
+    if mode not in ("stoc", "omw"):
+        raise ContractViolation(f"{name}: mode {mode!r} is not stoc or omw")
+
+
+def init_tracker(stream, mode, config):
+    """Consume the leading n_burnin samples and build the tracker state.
+
+    Returns (model, buffer, next_index); buffer is None for "stoc".
+    """
+    _check_shell_mode("init_tracker", mode)
+    seeded = seed_tracker(stream, 0, config, evict=mode == "omw")
+    if seeded is None:
+        raise ContractViolation(
+            f"init_tracker: stream shorter than n_burnin={config.n_burnin}")
+    return (*seeded[1:], config.n_burnin)
+
+
+def continue_tracker(stream, mode, model, buffer, start_index,
+                     projection_config=None):
+    """Step from stream index start_index to exhaustion.
+
+    Mutates model (and buffer); returns (DecompositionResult, next_index).
+    Step failures carry the absolute tracked time, model.t + 1.
+    """
+    _check_shell_mode("continue_tracker", mode)
+    if (mode == "omw") != (buffer is not None):
+        raise ContractViolation(
+            f"continue_tracker: mode {mode!r} does not match the buffer")
+    # a pipeline that took over its state reads only the projection settings
+    config = TrackerConfig(n_burnin=1, n_win=1,
+                           projection=projection_config or ProjectionConfig())
+    pipeline = OmwCpPipeline(config, mode)
+    pipeline._take_over(model, buffer, start_index)
+    return pipeline.run(stream)[0], pipeline.cursor
+
+
+def run_tracker(stream, mode, config):
+    """Drive a tracker over a stream whose first n_burnin samples are burn-in.
+
+    mode is "stoc" or "omw". Returns the estimates for every post-burn-in
+    sample; the burn-in block itself is consumed for initialization only.
+    """
+    _check_shell_mode("run_tracker", mode)
+    return OmwCpPipeline(config, mode).run(stream)[0]

@@ -174,12 +174,7 @@ def _cmd_track(args):
     out = _out_dir(args)
     write_raw_f64(out / "L.f64", result.L)
     write_raw_f64(out / "S.f64", result.S)
-    (out / "changepoints.json").write_text(
-        json.dumps({"change_points": result.change_points}, sort_keys=True)
-        + "\n", encoding="ascii")
-    if report is not None:
-        experiments._write_diagnostics(out / "diagnostics.jsonl",
-                                       report.diagnostics)
+    experiments.write_change_points(out, result.change_points, report)
     if args.save_state:
         save_state(args.save_state, snapshot_pipeline(pipeline, result))
     print(f"tracked {result.L.shape[1]} samples; "

@@ -131,11 +131,19 @@ def write_ground_truth(out, gt, spec, **fields):
                     "seed": spec.seed, **fields}), encoding="ascii")
 
 
-def _write_diagnostics(path, diagnostics):
-    with open(path, "w", encoding="ascii") as fh:
-        for d in diagnostics:
-            fh.write(_json_line({"t": d.t, "c": d.support_size, "p": d.p,
-                                 "f": d.flag, "phase": d.phase}))
+def write_change_points(out, change_points, report):
+    """Write changepoints.json under the directory out; given the detector's
+    ChangePointReport, add its status and warnings there and write its
+    diagnostics to diagnostics.jsonl."""
+    payload = {"change_points": change_points}
+    if report is not None:
+        payload.update(status=report.status, warnings=report.warnings)
+        with open(out / "diagnostics.jsonl", "w", encoding="ascii") as fh:
+            for d in report.diagnostics:
+                fh.write(_json_line({"t": d.t, "c": d.support_size, "p": d.p,
+                                     "f": d.flag, "phase": d.phase}))
+    (out / "changepoints.json").write_text(_json_line(payload),
+                                           encoding="ascii")
 
 
 def run_experiment(study, scale, seed, out_dir, methods=MODES):
@@ -165,13 +173,7 @@ def run_experiment(study, scale, seed, out_dir, methods=MODES):
         write_raw_f64(mdir / "S.f64", result.S)
         _write_report(mdir / "report.json", report, result.change_points)
         if cp_report is not None:
-            _write_diagnostics(mdir / "diagnostics.jsonl",
-                               cp_report.diagnostics)
-            (mdir / "changepoints.json").write_text(
-                _json_line({"change_points": cp_report.change_points,
-                            "status": cp_report.status,
-                            "warnings": cp_report.warnings}),
-                encoding="ascii")
+            write_change_points(mdir, result.change_points, cp_report)
         print(f"study {study} ({scale}, seed {seed}) {method}: "
               f"err_L={report.err_L:.4g} err_S={report.err_S:.4g} "
               f"f_S={report.f_S:.4g} cps={result.change_points} "

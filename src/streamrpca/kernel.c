@@ -140,8 +140,9 @@ static int same_signs(int m, const double *s, const double *signs)
 #define SWAP(a, b) do { double *tmp_ = a; a = b; b = tmp_; } while (0)
 
 /* project_sample on an m x r U: writes v_out, s_out and returns the number
- * of alternations, -1 for a non-finite x or diagonal of U'U (which a
- * non-finite entry of U makes non-finite, as can an overflow), -2 where a
+ * of alternations, -1 for a non-finite x, diagonal of U'U (which a
+ * non-finite entry of U makes non-finite, as can an overflow) or U'x (an
+ * overflow of finite U and x), which the numpy path rejects, -2 where a
  * Cholesky factor the numpy path would replace by a pivoted solve fails.
  * w holds 3r^2 + 4r + 7m + mr doubles. */
 int srp_project(int m, int r, const double *U, const double *x, double l1,
@@ -167,6 +168,9 @@ int srp_project(int m, int r, const double *U, const double *x, double l1,
     if (factor(r, F))
         return -2;
     mv("T", m, r, U, x, Um);
+    for (int j = 0; j < r; j++)
+        if (!isfinite(Um[j]))
+            return -1;
     memset(v, 0, sizeof(double) * r);
     memset(s, 0, sizeof(double) * m);
     while (n < max_iter) {

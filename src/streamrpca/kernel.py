@@ -144,8 +144,9 @@ def _address(X, order):
 
 def project(U, x, lambda1, lambda2, tol, max_iter):
     """project_sample's (v, s) and its number of alternations, for a float64
-    U and an x that fits it; None where an input is not finite or a Cholesky
-    factor fails (the numpy path solves by pivoting there)."""
+    U and an x that fits it; None where an input, U'U or U'x is not finite
+    (the numpy path rejects them) or a Cholesky factor fails (the numpy path
+    solves by pivoting there)."""
     m, r = U.shape
     U = np.asfortranarray(U)  # held while the kernel reads it
     x_, v, s, _, px, pv, ps, pw = _space(m, r)

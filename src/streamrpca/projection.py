@@ -56,6 +56,9 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
     hold and it returns s and v = G^{-1}U'(m_t - s). If not, it takes the
     longest halving of the step toward that v that lowers the objective (a
     damped Newton step in v) and alternates on.
+
+    Raises ContractViolation for a non-finite input, and for a finite one
+    whose U'U or U'm_t overflows.
     """
     if config is None:
         config = ProjectionConfig()
@@ -82,8 +85,10 @@ def _project_numpy(U, m_t, lambda1, lambda2, config):
     compiled kernel is loaded, and the tests' oracle for the kernel."""
     G = U.T @ U
     G.flat[::U.shape[1] + 1] += lambda1
-    solve = _cholesky_solver(G)[1]
     Um = U.T @ m_t
+    if not (np.isfinite(G).all() and np.isfinite(Um).all()):
+        raise ContractViolation("project_sample: U'U or U'm_t overflows")
+    solve = _cholesky_solver(G)[1]
     v = np.zeros(U.shape[1])
     s = np.zeros_like(m_t)
     signs = None

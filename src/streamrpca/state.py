@@ -15,7 +15,7 @@ import numpy as np
 
 from .changepoint import MODES, OmwCpPipeline
 from .exceptions import SnapshotError
-from .trackers import SubspaceModel, Tracker, WindowBuffer
+from .trackers import SubspaceModel, WindowBuffer
 
 SNAPSHOT_VERSION = 1
 _BUFFER_KEYS = ("buffer_m", "buffer_v", "buffer_s")
@@ -42,8 +42,7 @@ def snapshot_pipeline(pipeline, result):
     An omw-cp snapshot carries the detector dict, the one list of detector
     keys (save_state stores each as a det_<key> entry), with the run's L and
     S, since a later restart may rewrite recent columns."""
-    tracker = pipeline.tracker
-    if tracker is None:
+    if pipeline.model is None:
         raise SnapshotError("cannot snapshot an uninitialized pipeline")
     detector = None
     if pipeline.mode == "omw-cp":
@@ -51,8 +50,8 @@ def snapshot_pipeline(pipeline, result):
             "hist_counts": pipeline.counts.copy(),
             "fb_sizes": np.array([c for c, _ in pipeline.recent], np.int64),
             "fb_flags": np.array([f for _, f in pipeline.recent], np.int64),
-            "t_start": tracker.t_start,
-            "next_t": tracker.t,
+            "t_start": pipeline.t_start,
+            "next_t": pipeline.t,
             "change_points": np.array(pipeline.change_points, dtype=np.int64),
             "detection_enabled": pipeline.pending is None,
             "status": "ok",  # an unseeded pipeline cannot be snapshotted
@@ -60,8 +59,8 @@ def snapshot_pipeline(pipeline, result):
             "L_partial": result.L,
             "S_partial": result.S,
         }
-    return snapshot_tracker(pipeline.mode, tracker.model, tracker.buffer,
-                            tracker.cursor, detector)
+    return snapshot_tracker(pipeline.mode, pipeline.model, pipeline.buffer,
+                            pipeline.cursor, detector)
 
 
 def restore_pipeline(snapshot, config):
@@ -72,8 +71,7 @@ def restore_pipeline(snapshot, config):
         raise SnapshotError(f"snapshot kind {kind!r} does not match its "
                             "window or det_* entries")
     pipeline = OmwCpPipeline(config, kind)
-    tracker = pipeline.tracker = Tracker(snapshot.model, snapshot.buffer,
-                                         snapshot.cursor, config.projection)
+    pipeline._take_over(snapshot.model, snapshot.buffer, snapshot.cursor)
     if det is None:
         return pipeline
     pipeline.counts = det["hist_counts"].astype(np.int64)
@@ -92,11 +90,11 @@ def restore_pipeline(snapshot, config):
             raise SnapshotError("det_detection_enabled is false, but no "
                                 "change point is pending")
         pipeline.pending = pipeline.change_points[-1]
-    tracker.t_start = int(det["t_start"])
-    if int(det["next_t"]) != tracker.t:
+    pipeline.t_start = int(det["t_start"])
+    if int(det["next_t"]) != pipeline.t:
         raise SnapshotError(
-            f"det_next_t {int(det['next_t'])} != t_start + t = {tracker.t}")
-    tracker.cols.extend(det["L_partial"], det["S_partial"])
+            f"det_next_t {int(det['next_t'])} != t_start + t = {pipeline.t}")
+    pipeline.cols.extend(det["L_partial"], det["S_partial"])
     return pipeline
 
 

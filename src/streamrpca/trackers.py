@@ -7,8 +7,8 @@ the sums keep growing (cumulative); with a ring buffer of the most recent
 n_win samples the step also subtracts the contribution of the sample falling
 out, so the state size is independent of how long the tracker has run.
 
-One driver, Tracker, runs every mode. Its two switches are eviction (a
-window buffer) and an optional detector (changepoint.OmwCpPipeline).
+The one runtime of every mode, changepoint.OmwCpPipeline, steps a stream with
+omw_step; its two switches are eviction (a window buffer) and the detector.
 
 A tracker is single-owner mutable state: one step at a time, no concurrent
 steps. Independent instances can run on different threads, and state can be
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernel
 from .basis import update_basis
-from .exceptions import ContractViolation, TrackerStepError
+from .exceptions import ContractViolation
 from .pcp import burnin_initialize, window_sums
 from .projection import ProjectionConfig, project_sample
 
@@ -313,97 +313,3 @@ def seed_tracker(stream, index, config, evict):
     init = burnin_initialize(M_b, lambda1, lambda2, config.n_win)
     model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
     return init, model, buffer if evict else None
-
-
-class Tracker:
-    """The driver of every mode: steps a stream from index `cursor` to its end.
-
-    A window buffer makes the step evict, None makes it cumulative. An
-    optional detector passed to run() observes each step and may restart()
-    the tracker at a change point. The next sample has tracked time
-    t_start + model.t; cols, a ColumnStore, holds the (l, s) outputs in
-    tracked-time order up to it.
-    """
-
-    def __init__(self, model, buffer, cursor, projection_config=None):
-        self.model = model
-        self.buffer = buffer
-        self.cursor = cursor
-        self.projection_config = projection_config
-        self.t_start = 1
-        self.cols = ColumnStore(model.m)
-
-    @property
-    def t(self):
-        return self.t_start + self.model.t
-
-    def run(self, stream, detector=None):
-        """Step to the end of the stream. A failing step raises
-        TrackerStepError carrying its tracked time."""
-        while (x := stream.get(self.cursor)) is not None:
-            t = self.t
-            try:
-                out = omw_step(self.model, self.buffer, x,
-                               self.projection_config)
-            except Exception as exc:
-                raise TrackerStepError(t, str(exc)) from exc
-            self.cols.append(out.l, out.s)
-            self.cursor += 1
-            if detector is not None:
-                detector.observe(self, stream, t, out.s)
-
-    def restart(self, stream, t0, config):
-        """Seed afresh from tracked time t0: returns the BurninInit, or None,
-        changing nothing, if the stream ends inside the burn-in."""
-        back = self.t - t0              # samples from t0 up to the cursor
-        index = self.cursor - back
-        seeded = seed_tracker(stream, index, config, self.buffer is not None)
-        if seeded is None:
-            return None
-        init, self.model, self.buffer = seeded
-        self.cols.truncate(max(0, self.cols.n - back))
-        self.cols.extend(init.L_b, init.S_b)
-        self.cursor = index + config.n_burnin
-        self.t_start = t0 + config.n_burnin
-        return init
-
-
-def init_tracker(stream, mode, config):
-    """Consume the leading n_burnin samples and build the tracker state.
-
-    Returns (model, buffer, next_index); buffer is None for "stoc".
-    """
-    if mode not in ("stoc", "omw"):
-        raise ContractViolation(f"init_tracker: unknown mode {mode!r}")
-    seeded = seed_tracker(stream, 0, config, evict=mode == "omw")
-    if seeded is None:
-        raise ContractViolation(
-            f"init_tracker: stream shorter than n_burnin={config.n_burnin}")
-    _, model, buffer = seeded
-    return model, buffer, config.n_burnin
-
-
-def continue_tracker(stream, mode, model, buffer, start_index,
-                     projection_config=None):
-    """Step from stream index start_index to exhaustion.
-
-    Mutates model (and buffer); returns (DecompositionResult, next_index).
-    Step failures carry the absolute tracked time, model.t + 1.
-    """
-    if (mode == "omw") != (buffer is not None):
-        raise ContractViolation(
-            f"continue_tracker: mode {mode!r} does not match the buffer")
-    tracker = Tracker(model, buffer, start_index, projection_config)
-    tracker.run(stream)
-    L, S = tracker.cols.dense(drain=True)
-    return DecompositionResult(L=L, S=S), tracker.cursor
-
-
-def run_tracker(stream, mode, config):
-    """Drive a tracker over a stream whose first n_burnin samples are burn-in.
-
-    mode is "stoc" or "omw". Returns the estimates for every post-burn-in
-    sample; the burn-in block itself is consumed for initialization only.
-    """
-    return continue_tracker(stream, mode, *init_tracker(stream, mode, config),
-                            config.projection)[0]

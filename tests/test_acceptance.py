@@ -24,8 +24,9 @@ from streamrpca.simgen import (ChangePoints, Drift, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.state import (load_state, save_state, snapshot_tracker)
 from streamrpca.streams import ObservationStream
+from streamrpca.changepoint import run_tracker
 from streamrpca.trackers import (TrackerConfig, omw_init, omw_step,
-                                 run_tracker, state_element_count)
+                                 state_element_count)
 from streamrpca.experiments import run_experiment
 
 

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from streamrpca.changepoint import (CpConfig, OmwCpPipeline, buffer_advance,
-                                    flag_observation, p_value, run_omw_cp,
-                                    scan_for_changepoint, support_size)
+                                    continue_tracker, flag_observation,
+                                    init_tracker, p_value, run_omw_cp,
+                                    run_tracker, scan_for_changepoint,
+                                    support_size)
 from streamrpca.exceptions import ContractViolation
 from streamrpca.pcp import PcpConfig
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
+from streamrpca.state import load_state, save_state, snapshot_tracker
 from streamrpca.streams import ObservationStream
 
 
@@ -109,7 +112,7 @@ def desk_cp_config(**overrides):
 
 
 def test_stable_stream_no_detection_and_matches_plain_tracking():
-    from streamrpca.trackers import TrackerConfig, run_tracker
+    from streamrpca.trackers import TrackerConfig
     spec = SimSpec(m=40, t=300, n_burnin=50, rho=0.01, seed=51,
                    variant=Stable(r=3))
     gt = generate(spec)
@@ -291,26 +294,70 @@ def test_unconverged_burnin_is_reported(monkeypatch):
         f"burn-in from t={t0}" + note for t0 in result.change_points]
 
 
-def test_tracer_wraps_the_bindings_the_pipeline_calls(monkeypatch):
+def test_tracer_wraps_the_bindings_the_pipeline_calls(monkeypatch, tmp_path):
     # bench/tracer.py swaps functions at their module bindings by name
     # (burn-in and step in trackers and changepoint, stoc_step, the
-    # detector functions); a traced run must go through the wrapped ones
+    # detector functions), so each must be bound there; a traced run of each
+    # way bench drives the package must go through the wrapped ones: one
+    # step and one projection span per tracked sample, one burn-in span per
+    # segment
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
-    from tracer import Tracer, layer_metrics
-    gt = make_cp_stream(seed=54)
-    tracer = Tracer()
-    tracer.install()
-    try:
-        result, report = run_omw_cp(
-            ObservationStream.from_matrix(full_stream_matrix(gt)),
-            desk_cp_config())
-    finally:
-        tracer.uninstall()
+    from tracer import COUNTERS, SPANS, Tracer, layer_metrics
+    for owner, attr, *_ in SPANS + COUNTERS:
+        assert attr in owner.__dict__, (owner, attr)
+    full = full_stream_matrix(make_cp_stream(seed=54))
+    config = desk_cp_config()
+    n_tracked = full.shape[1] - config.n_burnin
+
+    def traced(run):
+        tracer = Tracer()
+        tracer.install()
+        try:
+            return tracer, run()
+        finally:
+            tracer.uninstall()
+
+    def assert_spans(tracer, n_steps, n_segments):
+        assert len(tracer.durations("step")) == n_steps
+        assert len(tracer.durations("projection")) == n_steps
+        assert len(tracer.durations("burnin")) == n_segments
+
+    tracer, (result, report) = traced(lambda: run_omw_cp(
+        ObservationStream.from_matrix(full), config))
     assert len(result.change_points) == 1
-    assert len(tracer.durations("burnin")) - 1 == len(result.change_points)
-    assert len(tracer.durations("step")) == len(report.diagnostics)
+    assert_spans(tracer, len(report.diagnostics), 2)
     assert tracer.counts["scan"] > 0
     metrics = layer_metrics(tracer, max_projection_iter=1000,
                             detector_steps=len(report.diagnostics))
     assert metrics["changepoint.restarts"] == 1
     assert metrics["trackers.state_elements"] > 0
+
+    tracer, result = traced(lambda: run_tracker(
+        ObservationStream.from_matrix(full), "omw", config))
+    assert result.L.shape[1] == n_tracked
+    assert_spans(tracer, n_tracked, 1)
+
+    def chunked(chunk=100):
+        # bench's resumed stoc pass: a snapshot round trip after each chunk
+        path = tmp_path / "state.npz"
+        stream = ObservationStream.from_matrix(full[:, :config.n_burnin
+                                                    + chunk])
+        model, buffer, start = init_tracker(stream, "stoc", config)
+        lo, tracked = 0, 0
+        while True:
+            result, end = continue_tracker(stream, "stoc", model, buffer,
+                                           start, config.projection)
+            tracked += result.L.shape[1]
+            save_state(path, snapshot_tracker("stoc", model, buffer,
+                                              lo + end))
+            snapshot = load_state(path)
+            if lo + end >= full.shape[1]:
+                return tracked
+            model, buffer = snapshot.model, snapshot.buffer
+            lo = snapshot.cursor
+            stream = ObservationStream.from_matrix(full[:, lo:lo + chunk])
+            start = 0
+
+    tracer, tracked = traced(chunked)
+    assert tracked == n_tracked
+    assert_spans(tracer, n_tracked, 1)

@@ -10,7 +10,8 @@ import pytest
 import streamrpca
 import streamrpca.trackers
 from streamrpca.cli import main
-from streamrpca.simgen import SimSpec, Stable, full_stream_matrix, generate
+from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
+                               full_stream_matrix, generate)
 from streamrpca.streams import ingest_stream, write_raw_f64
 
 from conftest import write_csv
@@ -170,6 +171,28 @@ def test_track_save_state_stacks_the_columns_once(snapshots, tmp_path,
     with np.load(tmp_path / "snap.npz") as data:
         np.testing.assert_array_equal(data["det_L_partial"],
                                       read_matrix(tmp_path / "L.f64"))
+
+
+def test_track_writes_the_detector_report(tmp_path):
+    # track writes the report's status and warnings with the change points,
+    # as experiment does: a head that ends inside the burn-in block of the
+    # restart at t=201 leaves that restart pending
+    spec = SimSpec(m=40, t=400, n_burnin=50, rho=0.01, seed=83,
+                   variant=ChangePoints(ranks=(3, 15), cps=(200,), r0=2,
+                                        t_p=100))
+    src = tmp_path / "head.f64"
+    write_raw_f64(src, full_stream_matrix(generate(spec))[:, :50 + 220])
+    out = tmp_path / "out"
+    assert main(["track", "--input", str(src), "--format", "raw-f64",
+                 "--mode", "omw-cp", "--n-burnin", "50", "--n-win", "50",
+                 "--n-cp-burnin", "50", "--n-test", "50", "--n-check", "10",
+                 "--lambda2", "3", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "changepoints.json").read_text()) == {
+        "change_points": [201], "status": "ok",
+        "warnings": ["change point at t=201 leaves fewer than n_burnin=50 "
+                     "samples; tail processed in tracking-only mode"]}
+    lines = (out / "diagnostics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["t"] for line in lines] == list(range(1, 221))
 
 
 def test_experiment_command_smoke(tmp_path):

@@ -22,8 +22,8 @@ from streamrpca.projection import ProjectionConfig, _project_numpy
 from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
                                generate)
 from streamrpca.streams import ObservationStream, write_raw_f64
-from streamrpca.trackers import (TrackerConfig, omw_init, omw_step,
-                                 run_tracker)
+from streamrpca.changepoint import run_tracker
+from streamrpca.trackers import TrackerConfig, omw_init, omw_step
 
 compiled = pytest.mark.skipif(kernel.ACTIVE != "compiled",
                               reason="no compiled kernel could be built")

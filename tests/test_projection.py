@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,10 +8,13 @@ from hypothesis import strategies as st
 import streamrpca.projection
 import streamrpca.prox
 from streamrpca import kernel
-from streamrpca.exceptions import ContractViolation
+from streamrpca.changepoint import continue_tracker
+from streamrpca.exceptions import ContractViolation, TrackerStepError
 from streamrpca.projection import (ProjectionConfig, _project_numpy,
                                    project_sample, projection_objective)
 from streamrpca.prox import shrink_matrix
+from streamrpca.streams import ObservationStream
+from streamrpca.trackers import SubspaceModel
 
 compiled = pytest.mark.skipif(kernel.ACTIVE != "compiled",
                               reason="no compiled kernel could be built")
@@ -153,21 +158,37 @@ def test_non_finite_input_rejected(step_paths):
 
 
 def test_overflowing_gram_diagonal_takes_the_numpy_path(step_paths):
-    # finite entries whose squares overflow: the kernel declines, as for a
-    # non-finite U, and the numpy path's result comes back without an error
+    # finite entries whose U'U diagonal or U'm_t overflows: the kernel
+    # declines them, as a non-finite U, and the numpy path rejects them; a
+    # tracker step then fails with its tracked time and leaves the model as
+    # it was
     rng = np.random.Generator(np.random.PCG64(39))
     U = rng.standard_normal((12, 3))
     U[5, 1] = U[0, 2] = 1e200
     x = rng.standard_normal(12)
+    U_big = rng.standard_normal((12, 3))
+    U_big[0, 0] = 1e150
+    x_big = x.copy()
+    x_big[0] = 1e160
     with np.errstate(over="ignore", invalid="ignore"):
-        if kernel.ACTIVE == "compiled":
-            assert kernel.project(U, x, 0.1, 0.1, 1e-7, 1000) is None
-        expected = _project_numpy(U, x, 0.1, 0.1, ProjectionConfig())
-        for path in step_paths:
-            with path:
-                got = project_sample(U, x, 0.1, 0.1)
-            for a, b in zip(got, expected):
-                np.testing.assert_array_equal(a, b)
+        for U, x in ((U, x), (U_big, x_big)):
+            if kernel.ACTIVE == "compiled":
+                assert kernel.project(U, x, 0.1, 0.1, 1e-7, 1000) is None
+            for path in step_paths:
+                with path, pytest.raises(ContractViolation,
+                                         match="U'U or U'm_t overflows"):
+                    project_sample(U, x, 0.1, 0.1)
+                model = SubspaceModel(U=U, A=np.eye(3), B=np.zeros((12, 3)),
+                                      lambda1=0.1, lambda2=0.1, t=4)
+                before = copy.deepcopy(model)
+                with path, pytest.raises(TrackerStepError) as err:
+                    continue_tracker(ObservationStream.from_matrix(x[:, None]),
+                                     "stoc", model, None, 0)
+                assert err.value.t == 5
+                assert model.t == before.t
+                for X, Y in ((model.U, before.U), (model.A, before.A),
+                             (model.B, before.B)):
+                    np.testing.assert_array_equal(X, Y)
 
 
 def test_dimension_mismatch_rejected():

@@ -9,17 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamrpca.changepoint import CpConfig, OmwCpPipeline
+from streamrpca.changepoint import (CpConfig, OmwCpPipeline,
+                                    continue_tracker, init_tracker,
+                                    run_tracker)
 from streamrpca.exceptions import SnapshotError
 from streamrpca.pcp import burnin_initialize
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.state import (SNAPSHOT_VERSION, load_state, restore_pipeline,
                               save_state, snapshot_pipeline, snapshot_tracker)
-import streamrpca.trackers
+import streamrpca.changepoint
 from streamrpca.streams import ObservationStream
-from streamrpca.trackers import (TrackerConfig, continue_tracker, init_tracker,
-                                 omw_init, omw_step, run_tracker)
+from streamrpca.trackers import TrackerConfig, omw_init, omw_step
 
 
 def build_omw(seed=80, m=25, t=150, n_burnin=20, n_win=20):
@@ -207,7 +208,7 @@ def test_cp_pipeline_snapshot_resume_spans_restart(tmp_path):
         head = ObservationStream.from_matrix(full[:, :50 + cut])
         pipeline = OmwCpPipeline(config)
         first, _ = pipeline.run(head)
-        assert pipeline.tracker.t == cut + 1
+        assert pipeline.t == cut + 1
         path = tmp_path / f"cp{cut}.npz"
         save_state(path, snapshot_pipeline(pipeline, first))
 
@@ -307,39 +308,45 @@ def single_runs():
 def test_resume_at_any_cut_is_bit_identical(single_runs, mode, cut):
     # Saving after `cut` tracked samples and resuming from the file must
     # reproduce the uninterrupted run bit for bit: nothing a step uses may
-    # live outside the snapshot.
+    # live outside the snapshot. stoc and omw resume both through the
+    # pipeline, as `track --resume` does, and through the init_tracker /
+    # continue_tracker shells; their runs drain the outputs, so the resumed
+    # run returns the columns after the cut only.
     gt, config = cp_setup()
     full = full_stream_matrix(gt)
     ref = single_runs[mode]
     head = ObservationStream.from_matrix(full[:, :50 + cut])
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snap.npz"
-        if mode == "omw-cp":
-            pipeline = OmwCpPipeline(config)
-            first, _ = pipeline.run(head)
-            save_state(path, snapshot_pipeline(pipeline, first))
-            resumed = restore_pipeline(load_state(path), config)
-            result, _ = resumed.run(ObservationStream.from_matrix(full))
-            L, S = result.L, result.S
-        else:
+        pipeline = OmwCpPipeline(config, mode)
+        first, _ = pipeline.run(head)
+        save_state(path, snapshot_pipeline(pipeline, first))
+        resumed = restore_pipeline(load_state(path), config)
+        runs.append((first, resumed.run(
+            ObservationStream.from_matrix(full))[0]))
+        if mode != "omw-cp":
             model, buffer, start = init_tracker(head, mode, config)
             first, cursor = continue_tracker(head, mode, model, buffer, start,
                                              config.projection)
             save_state(path, snapshot_tracker(mode, model, buffer, cursor))
             snap = load_state(path)
-            rest, _ = continue_tracker(ObservationStream.from_matrix(full),
-                                       mode, snap.model, snap.buffer,
-                                       snap.cursor, config.projection)
-            L, S = np.hstack([first.L, rest.L]), np.hstack([first.S, rest.S])
-            result = rest
-    assert result.change_points == ref.change_points
-    np.testing.assert_array_equal(L, ref.L)
-    np.testing.assert_array_equal(S, ref.S)
+            runs.append((first, continue_tracker(
+                ObservationStream.from_matrix(full), mode, snap.model,
+                snap.buffer, snap.cursor, config.projection)[0]))
+    for first, result in runs:
+        L, S = result.L, result.S
+        if mode != "omw-cp":
+            L, S = np.hstack([first.L, L]), np.hstack([first.S, S])
+        assert result.change_points == ref.change_points
+        np.testing.assert_array_equal(L, ref.L)
+        np.testing.assert_array_equal(S, ref.S)
 
 
 class StackedColumns:
-    """Tracker.cols as the list of per-step (l, s) arrays that ColumnStore
-    replaced, stacked by np.column_stack: the reference for its bytes."""
+    """OmwCpPipeline.cols as the list of per-step (l, s) arrays that
+    ColumnStore replaced, stacked by np.column_stack: the reference for its
+    bytes."""
 
     def __init__(self, m):
         self.m, self.cols = m, []
@@ -389,7 +396,7 @@ def test_outputs_are_the_stacked_step_outputs(tmp_path, monkeypatch, case):
         return pipeline.run(ObservationStream.from_matrix(full))[0]
 
     blocks = run()
-    monkeypatch.setattr(streamrpca.trackers, "ColumnStore", StackedColumns)
+    monkeypatch.setattr(streamrpca.changepoint, "ColumnStore", StackedColumns)
     stacked = run()
     if case == "dense-s":
         assert np.all(stacked.S != 0)

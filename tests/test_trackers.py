@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamrpca import trackers
-from streamrpca.changepoint import CpConfig, run_omw_cp
+from streamrpca.changepoint import (CpConfig, OmwCpPipeline, continue_tracker,
+                                    init_tracker, run_omw_cp, run_tracker)
 from streamrpca.cli import main
 from streamrpca.exceptions import ContractViolation, TrackerStepError
 from streamrpca.pcp import burnin_initialize
@@ -18,10 +19,9 @@ from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
 from streamrpca.streams import ObservationStream, write_raw_f64
 from streamrpca.state import load_state, save_state, snapshot_tracker
 from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
-                                 Tracker, TrackerConfig, WindowBuffer,
-                                 continue_tracker, init_tracker, omw_init,
-                                 omw_step, run_tracker, seed_tracker,
-                                 state_element_count, stoc_step)
+                                 TrackerConfig, WindowBuffer, omw_init,
+                                 omw_step, seed_tracker, state_element_count,
+                                 stoc_step)
 
 
 def make_burnin_init(m=20, n=15, r=2, n_win=10, seed=40, rho=0.0):
@@ -269,6 +269,26 @@ def test_run_tracker_short_burnin_rejected():
         run_tracker(stream, "omw", config)
 
 
+def test_continue_tracker_rejects_modes_but_stoc_and_omw():
+    # without a window, any other mode ran as stoc
+    spec = SimSpec(m=15, t=20, n_burnin=12, rho=0.0, seed=44,
+                   variant=Stable(r=2))
+    stream = ObservationStream.from_matrix(full_stream_matrix(generate(spec)))
+    model, _, start = init_tracker(stream, "stoc",
+                                   TrackerConfig(n_burnin=12, n_win=12))
+    for mode in ("bogus", "omw-cp"):
+        with pytest.raises(ContractViolation, match="not stoc or omw"):
+            continue_tracker(stream, mode, model, None, start)
+    assert model.t == 0
+
+
+def test_run_tracker_rejects_omw_cp():
+    # a TrackerConfig has no detector fields to run omw-cp with
+    stream = ObservationStream.from_matrix(np.zeros((5, 30)))
+    with pytest.raises(ContractViolation, match="not stoc or omw"):
+        run_tracker(stream, "omw-cp", TrackerConfig(n_burnin=10, n_win=5))
+
+
 def test_run_tracker_modes_agree_on_shapes():
     spec = SimSpec(m=20, t=50, n_burnin=15, rho=0.02, seed=45,
                    variant=Stable(r=2))
@@ -315,17 +335,20 @@ def test_model_owns_column_major_u_and_b(tmp_path, evict):
             _assert_owned_column_major(model)
     _assert_owned_column_major(model)
 
-    tracker = Tracker(model, buffer, config.n_burnin + steps)
-    init = tracker.restart(stream, tracker.t - 10, config)
-    _assert_owned_column_major(tracker.model, init.U0, init.A0, init.B0)
+    # the restart of an omw-cp pipeline that took the model over
+    pipeline = OmwCpPipeline(CpConfig(n_burnin=15, n_win=10, n_cp_burnin=1,
+                                      n_test=1, n_check=3))
+    pipeline._take_over(model, buffer, config.n_burnin + steps)
+    init = pipeline._restart(stream, pipeline.t - 10)
+    _assert_owned_column_major(pipeline.model, init.U0, init.A0, init.B0)
 
     path = tmp_path / "snap.npz"
     save_state(path, snapshot_tracker("omw" if evict else "stoc",
-                                      tracker.model, tracker.buffer))
+                                      pipeline.model, pipeline.buffer))
     loaded = load_state(path).model
     _assert_owned_column_major(loaded)
-    np.testing.assert_array_equal(loaded.U, tracker.model.U)
-    np.testing.assert_array_equal(loaded.B, tracker.model.B)
+    np.testing.assert_array_equal(loaded.U, pipeline.model.U)
+    np.testing.assert_array_equal(loaded.B, pipeline.model.B)
     # load_state builds the model from the arrays it read, as here: the
     # model copies them even when they are column-major already
     U, A, B = (np.asfortranarray(X) for X in (loaded.U, loaded.A, loaded.B))
