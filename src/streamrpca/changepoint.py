@@ -248,6 +248,11 @@ class OmwCpPipeline:
     def _take_over(self, model, buffer, cursor):
         """Track on from (model, buffer) at stream index cursor, with no
         outputs and an empty histogram."""
+        if buffer is not None:
+            M, V, S = (X.shape for X in buffer._rows)
+            if (M[1], V[1], S[1]) != (model.m, model.r, model.m):
+                raise ContractViolation(f"window rows M{M} V{V} S{S} do not "
+                                        f"fit a model with U{model.U.shape}")
         self.model, self.buffer, self.cursor = model, buffer, cursor
         self.cols = ColumnStore(model.m)
         self.counts = np.zeros(model.m + 1, dtype=np.int64)

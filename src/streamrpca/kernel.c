@@ -5,11 +5,14 @@
  * column's pending term in blocks and scales by reciprocals.
  *
  * kernel.py builds this file with -ffp-contract=off, so a*b + c rounds
- * twice as numpy does, loads it with ctypes and hands srp_bind the BLAS and
- * LAPACK routines of scipy's cython_blas/cython_lapack capsules: nothing is
- * linked. Matrices are column-major except A (r x r, row-major), and every
- * scratch array comes from the caller, so no call allocates.
+ * twice as numpy does, loads it as a CPython extension module and hands its
+ * bind the capsules of scipy's cython_blas/cython_lapack routines: nothing
+ * is linked. Matrices are column-major except A (r x r, row-major), and
+ * every scratch array comes from the caller, so no call allocates.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <limits.h>
 #include <math.h>
 #include <string.h>
 
@@ -32,15 +35,22 @@ static potrf_t *potrf;
 static potrs_t *potrs;
 static int ONE = 1;
 
-/* Columns per block of the sweep; the tests read it */
-const int srp_block = 8;
+/* Columns per block of the sweep: the module's BLOCK */
+enum { srp_block = 8 };
 
-/* fn holds dgemv, dgemm, dsyrk, ddot, dpotrf and dpotrs, in kernel.py's
- * ROUTINES order; -1, with nothing bound, if there are not n = 6 of them */
-int srp_bind(void **fn, int n)
+/* capsules hold dgemv, dgemm, dsyrk, ddot, dpotrf and dpotrs, in kernel.py's
+ * ROUTINES order; -1, with nothing bound, if there are not n = 6 of them or
+ * one is not a capsule */
+static int srp_bind(PyObject *const *capsules, Py_ssize_t n)
 {
+    void *fn[6];
     if (n != 6)
         return -1;
+    for (int i = 0; i < 6; i++)
+        if (!PyCapsule_CheckExact(capsules[i])
+            || !(fn[i] = PyCapsule_GetPointer(
+                     capsules[i], PyCapsule_GetName(capsules[i]))))
+            return -1;
     gemv = (gemv_t *)fn[0];
     gemm = (gemm_t *)fn[1];
     syrk = (syrk_t *)fn[2];
@@ -145,9 +155,9 @@ static int same_signs(int m, const double *s, const double *signs)
  * overflow of finite U and x), which the numpy path rejects, -2 where a
  * Cholesky factor the numpy path would replace by a pivoted solve fails.
  * w holds 3r^2 + 4r + 7m + mr doubles. */
-int srp_project(int m, int r, const double *U, const double *x, double l1,
-                double l2, double tol, int max_iter, double *v_out,
-                double *s_out, double *w)
+static int srp_project(int m, int r, const double *U, const double *x,
+                       double l1, double l2, double tol, int max_iter,
+                       double *v_out, double *s_out, double *w)
 {
     double *G = w, *F = G + r * r, *D = F + r * r, *Um = D + r * r;
     double *v = Um + r, *vn = v + r, *vs = vn + r;
@@ -256,9 +266,9 @@ int srp_project(int m, int r, const double *U, const double *x, double l1,
 /* A += vv' - vo vo', B += (x - s)v' - (xo - so)vo' for an m x r B; then the
  * window's oldest row (xo, vo, so) takes (x, v, s). xo NULL: no window.
  * w holds 2m doubles. */
-void srp_accumulate(int m, int r, double *A, double *B, const double *x,
-                    const double *v, const double *s, double *xo, double *vo,
-                    double *so, double *w)
+static void srp_accumulate(int m, int r, double *A, double *B,
+                           const double *x, const double *v, const double *s,
+                           double *xo, double *vo, double *so, double *w)
 {
     double *e = w, *eo = w + m;
 
@@ -297,8 +307,9 @@ static void pending(int m, int n, int k, const double *X, const double *Y,
  * columns: a block's pending sums over the columns before it (swept) and
  * after it (not yet) are two dgemm, and each column adds those of its own
  * block by dgemv. w holds r + b + mb doubles, b = min(r, srp_block). */
-int srp_sweep(int m, int r, double *U, const double *A, const double *B,
-              double l1, int sweeps, double sym_tol, double *w)
+static int srp_sweep(int m, int r, double *U, const double *A,
+                     const double *B, double l1, int sweeps, double sym_tol,
+                     double *w)
 {
     int nb = r < srp_block ? r : srp_block;
     double *rd = w, *c = rd + r, *T = c + nb, scale = 0.0, skew = 0.0;
@@ -338,4 +349,267 @@ int srp_sweep(int m, int r, double *U, const double *A, const double *B,
             }
         }
     return 0;
+}
+
+/* The module. Its entry points take numpy arrays through the buffer
+ * protocol, check their dtype, order and shape and the work size, raising
+ * ValueError, and call the routines above without the interpreter lock. */
+
+typedef struct {  /* the buffers a call holds, released together */
+    Py_buffer view[9];
+    int n;
+} Held;
+
+static void release(Held *h)
+{
+    while (h->n > 0)
+        PyBuffer_Release(&h->view[--h->n]);
+}
+
+/* The data of obj, a float64 array of ndim dimensions, contiguous in order
+ * 'C' or 'F', writable if asked, whose extent along axis k is dims[k], or
+ * is written to dims[k] where that is negative; NULL, with a ValueError,
+ * if it is not such an array. */
+static double *array(Held *h, PyObject *obj, const char *name, char order,
+                     int writable, int ndim, Py_ssize_t *dims)
+{
+    Py_buffer *b = &h->view[h->n];
+    int flags = PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0)
+                | (order == 'F' ? PyBUF_F_CONTIGUOUS : PyBUF_C_CONTIGUOUS);
+
+    if (PyObject_GetBuffer(obj, b, flags) < 0) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_ValueError, "kernel: %s must be a %s%c-contiguous"
+                     " float64 array", name, writable ? "writable " : "",
+                     order);
+        return NULL;
+    }
+    h->n++;
+    if (b->ndim != ndim || !b->format || strcmp(b->format, "d") != 0) {
+        PyErr_Format(PyExc_ValueError, "kernel: %s must be a %d-d float64 "
+                     "array", name, ndim);
+        return NULL;
+    }
+    for (int k = 0; k < ndim; k++) {
+        if (dims[k] < 0)
+            dims[k] = b->shape[k];
+        else if (b->shape[k] != dims[k]) {
+            PyErr_Format(PyExc_ValueError, "kernel: %s has %zd entries along "
+                         "axis %d, expected %zd", name, b->shape[k], k,
+                         dims[k]);
+            return NULL;
+        }
+    }
+    return b->buf;
+}
+
+/* The data of obj, a writable 1-d float64 work array of at least need
+ * doubles; NULL, with a ValueError, otherwise */
+static double *work(Held *h, PyObject *obj, Py_ssize_t need)
+{
+    Py_ssize_t n = -1;
+    double *w = array(h, obj, "work", 'C', 1, 1, &n);
+    if (w && n < need) {
+        PyErr_Format(PyExc_ValueError, "kernel: work holds %zd doubles, "
+                     "%zd needed", n, need);
+        return NULL;
+    }
+    return w;
+}
+
+/* 3r^2 + 4r + 7m + mr, the work of srp_project, which bounds every index
+ * the routines form in int; -1, with a ValueError, where it passes INT_MAX */
+static Py_ssize_t work_size(Py_ssize_t m, Py_ssize_t r)
+{
+    double n = 3.0 * r * r + 4.0 * r + 7.0 * m + (double)m * r;
+    if (n > INT_MAX) {
+        PyErr_Format(PyExc_ValueError, "kernel: %zd x %zd is too large", m, r);
+        return -1;
+    }
+    return (Py_ssize_t)n;
+}
+
+/* 0 with *out = float(obj), else -1 with the error */
+static int as_double(PyObject *obj, double *out)
+{
+    *out = PyFloat_AsDouble(obj);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* 0 with *out = int(obj), clipped to the range of int; else -1 */
+static int as_int(PyObject *obj, int *out)
+{
+    long n = PyLong_AsLong(obj);
+    if (n == -1 && PyErr_Occurred())
+        return -1;
+    *out = n > INT_MAX ? INT_MAX : n < INT_MIN ? INT_MIN : (int)n;
+    return 0;
+}
+
+static int count(Py_ssize_t nargs, Py_ssize_t n, const char *name)
+{
+    if (nargs == n)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name,
+                 n, nargs);
+    return 0;
+}
+
+static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
+{
+    if (srp_bind(args, n) == 0)
+        Py_RETURN_NONE;
+    PyErr_Clear();
+    PyErr_SetString(PyExc_ValueError, "kernel: bind takes the capsules of "
+                    "dgemv, dgemm, dsyrk, ddot, dpotrf and dpotrs");
+    return NULL;
+}
+
+static PyObject *project(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    Held h;
+    Py_ssize_t dU[2] = {-1, -1}, dm[1], dr[1], need;
+    double *U, *x, *v, *s, *w, l1, l2, tol;
+    int max_iter, n;
+
+    h.n = 0;
+    if (!count(nargs, 9, "project")
+        || !(U = array(&h, args[0], "U", 'F', 0, 2, dU))
+        || (need = work_size(dU[0], dU[1])) < 0)
+        goto fail;
+    dm[0] = dU[0];
+    dr[0] = dU[1];
+    if (!(x = array(&h, args[1], "x", 'C', 0, 1, dm))
+        || !(v = array(&h, args[2], "v", 'C', 1, 1, dr))
+        || !(s = array(&h, args[3], "s", 'C', 1, 1, dm))
+        || !(w = work(&h, args[4], need))
+        || as_double(args[5], &l1) || as_double(args[6], &l2)
+        || as_double(args[7], &tol) || as_int(args[8], &max_iter))
+        goto fail;
+    Py_BEGIN_ALLOW_THREADS
+    n = srp_project((int)dm[0], (int)dr[0], U, x, l1, l2, tol, max_iter, v, s,
+                    w);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return PyLong_FromLong(n);
+fail:
+    release(&h);
+    return NULL;
+}
+
+static PyObject *accumulate(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    Held h;
+    Py_ssize_t dB[2] = {-1, -1}, dA[2], dm[1], dr[1], dM[2], dV[2], head;
+    double *A, *B, *x, *v, *s, *w, *M = NULL, *V = NULL, *S = NULL;
+    int m, r;
+
+    h.n = 0;
+    if (nargs != 6 && nargs != 10) {
+        PyErr_Format(PyExc_TypeError, "accumulate takes 6 or 10 arguments "
+                     "(%zd given)", nargs);
+        return NULL;
+    }
+    if (!(B = array(&h, args[1], "B", 'F', 1, 2, dB))
+        || work_size(dB[0], dB[1]) < 0)
+        goto fail;
+    m = (int)(dm[0] = dB[0]);
+    r = (int)(dr[0] = dA[0] = dA[1] = dB[1]);
+    if (!(A = array(&h, args[0], "A", 'C', 1, 2, dA))
+        || !(x = array(&h, args[2], "x", 'C', 0, 1, dm))
+        || !(v = array(&h, args[3], "v", 'C', 0, 1, dr))
+        || !(s = array(&h, args[4], "s", 'C', 0, 1, dm))
+        || !(w = work(&h, args[5], 2 * dm[0])))
+        goto fail;
+    if (nargs == 10) {
+        dM[0] = -1;
+        dM[1] = m;
+        if (!(M = array(&h, args[6], "M", 'C', 1, 2, dM)))
+            goto fail;
+        dV[0] = dM[0];
+        dV[1] = r;
+        if (!(V = array(&h, args[7], "V", 'C', 1, 2, dV))
+            || !(S = array(&h, args[8], "S", 'C', 1, 2, dM)))
+            goto fail;
+        head = PyLong_AsSsize_t(args[9]);
+        if (head == -1 && PyErr_Occurred())
+            goto fail;
+        if (head < 0 || head >= dM[0]) {
+            PyErr_Format(PyExc_ValueError, "kernel: head %zd is outside the "
+                         "window's %zd rows", head, dM[0]);
+            goto fail;
+        }
+        M += head * m;
+        V += head * r;
+        S += head * m;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    srp_accumulate(m, r, A, B, x, v, s, M, V, S, w);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    Py_RETURN_NONE;
+fail:
+    release(&h);
+    return NULL;
+}
+
+static PyObject *sweep(PyObject *self, PyObject *const *args,
+                       Py_ssize_t nargs)
+{
+    Held h;
+    Py_ssize_t dU[2] = {-1, -1}, dA[2], b;
+    double *U, *A, *B, *w, l1, sym_tol;
+    int sweeps, done;
+
+    h.n = 0;
+    if (!count(nargs, 7, "sweep")
+        || !(U = array(&h, args[0], "U", 'F', 1, 2, dU))
+        || work_size(dU[0], dU[1]) < 0)
+        goto fail;
+    dA[0] = dA[1] = dU[1];
+    b = dU[1] < srp_block ? dU[1] : srp_block;
+    if (!(A = array(&h, args[1], "A", 'C', 0, 2, dA))
+        || !(B = array(&h, args[2], "B", 'F', 0, 2, dU))
+        || !(w = work(&h, args[3], dU[1] + b + dU[0] * b))
+        || as_double(args[4], &l1) || as_int(args[5], &sweeps)
+        || as_double(args[6], &sym_tol))
+        goto fail;
+    Py_BEGIN_ALLOW_THREADS
+    done = srp_sweep((int)dU[0], (int)dU[1], U, A, B, l1, sweeps, sym_tol, w);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return PyBool_FromLong(done == 0);
+fail:
+    release(&h);
+    return NULL;
+}
+
+#define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
+
+static PyMethodDef methods[] = {
+    {"bind", FASTCALL(bind), "bind(*capsules): the ROUTINES of kernel.py"},
+    {"project", FASTCALL(project),
+     "project(U, x, v, s, work, lambda1, lambda2, tol, max_iter): writes v "
+     "and s; the number of alternations, or -1 or -2 where it declines"},
+    {"accumulate", FASTCALL(accumulate),
+     "accumulate(A, B, x, v, s, work[, M, V, S, head]): updates A and B, and "
+     "the window's row head"},
+    {"sweep", FASTCALL(sweep),
+     "sweep(U, A, B, work, lambda1, sweeps, sym_tol): False, U untouched, "
+     "if A is not symmetric"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "streamrpca._kernel", NULL, -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    PyObject *mod = PyModule_Create(&module);
+    if (mod && PyModule_AddIntConstant(mod, "BLOCK", srp_block) < 0)
+        Py_CLEAR(mod);
+    return mod;
 }

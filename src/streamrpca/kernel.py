@@ -1,19 +1,25 @@
-"""The compiled step kernel: kernel.c, built on first import, cached and
-called through ctypes.
+"""The compiled step kernel: kernel.c, built on first import as a CPython
+extension module and cached.
 
-It is compiled with $CC, else sysconfig's CC, into $XDG_CACHE_HOME/streamrpca
-(~/.cache/streamrpca), or a folder in the temp dir where that is not
-writable, under a name keyed by the source, the interpreter and the compile
-command. It calls BLAS and LAPACK through scipy's cython_blas/cython_lapack
-capsules, so nothing is linked. ACTIVE is "compiled" once it is loaded and
-"numpy" where it could not be built: projection, basis and trackers then run
-their numpy code, which the tests keep as the oracle. The calls release the
-interpreter lock. A step allocates no memory for scratch: a thread's scratch
-is one array, grown to its largest shape, and array addresses are cached.
+It is compiled with $CC, else sysconfig's CC, against Python's headers into
+$XDG_CACHE_HOME/streamrpca (~/.cache/streamrpca), or a folder in the temp dir
+where that is not writable, under a name keyed by the source, the
+interpreter and the compile command. It calls BLAS and LAPACK through
+scipy's cython_blas/cython_lapack capsules, so nothing is linked; those two
+modules are loaded from scipy's linalg folder, so scipy.linalg itself is not
+imported. ACTIVE is "compiled" once it is loaded and "numpy" where it could
+not be built (no compiler, or no Python headers): projection, basis and
+trackers then run their numpy code, which the tests keep as the oracle.
+
+The module's project, accumulate and sweep take the arrays themselves,
+check their dtype, order and shape in C (raising ValueError) and release
+the interpreter lock. A step allocates no memory for scratch: a thread's
+work array is one array, grown to its largest shape.
 """
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shlex
 import subprocess
@@ -21,12 +27,9 @@ import sys
 import sysconfig
 import tempfile
 import threading
-import weakref
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg.cython_blas
-import scipy.linalg.cython_lapack
 
 SOURCE = Path(__file__).with_name("kernel.c")
 ROUTINES = ("dgemv", "dgemm", "dsyrk", "ddot", "dpotrf", "dpotrs")
@@ -34,15 +37,18 @@ ROUTINES = ("dgemv", "dgemm", "dsyrk", "ddot", "dpotrf", "dpotrs")
 
 def _compile_command():
     """The compiler and flags that build kernel.c, without its file names:
-    $CC, else sysconfig's CC, else cc."""
+    $CC, else sysconfig's CC, else cc, with Python's include folders."""
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return [*shlex.split(cc), "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+    paths = sysconfig.get_paths()
+    includes = dict.fromkeys((paths["include"], paths["platinclude"]))
+    return [*shlex.split(cc), "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+            *(f"-I{folder}" for folder in includes)]
 
 
 def _library_name(command):
-    """File name of the library that `command` builds from kernel.c, keyed
+    """File name of the module that `command` builds from kernel.c, keyed
     by the source, the interpreter, EXT_SUFFIX and the command itself, so
-    that a changed compiler or flag builds a new library."""
+    that a changed compiler, flag or include folder builds a new one."""
     key = hashlib.sha256(b"\0".join([
         SOURCE.read_bytes(), sys.version.encode(),
         str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
@@ -51,7 +57,7 @@ def _library_name(command):
 
 
 def _build():
-    """Path of the cached library, compiled first if need be; None if no
+    """Path of the cached module, compiled first if need be; None if no
     cache folder is writable, $CC does not parse or the compiler fails."""
     try:
         command = _compile_command()
@@ -82,64 +88,50 @@ def _build():
     return None
 
 
+def _capsules():
+    """The capsules of the ROUTINES, in order, from scipy's cython_blas and
+    cython_lapack, loaded straight from scipy's linalg folder: importing
+    them as submodules would run scipy/linalg/__init__.py, which imports
+    all of scipy.linalg."""
+    folders = [os.path.join(folder, "linalg") for folder in
+               importlib.util.find_spec("scipy").submodule_search_locations]
+    capi = {}
+    for name in ("scipy.linalg.cython_blas", "scipy.linalg.cython_lapack"):
+        spec = importlib.machinery.PathFinder.find_spec(name, folders)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        capi.update(module.__pyx_capi__)
+    return [capi[name] for name in ROUTINES]
+
+
 def _load():
     path = _build()
     if path is None:
         return None
+    loader = importlib.machinery.ExtensionFileLoader("streamrpca._kernel",
+                                                     str(path))
     try:
-        lib = ctypes.CDLL(str(path))
-    except OSError:
+        ext = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(loader.name, loader))
+        ext.bind(*_capsules())  # ValueError unless it is handed six
+    except (ImportError, AttributeError, KeyError, ValueError):
         return None
-    I, D, P = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
-    for name, restype, argtypes in [
-            ("srp_bind", I, [P, I]),  # the ROUTINES in order, and their count
-            ("srp_project", I, [I, I, P, P, D, D, D, I, P, P, P]),
-            ("srp_accumulate", None, [I, I] + [P] * 9),
-            ("srp_sweep", I, [I, I, P, P, P, D, I, D, P])]:
-        getattr(lib, name).restype = restype
-        getattr(lib, name).argtypes = argtypes
-    api = ctypes.pythonapi
-    api.PyCapsule_GetName.restype = ctypes.c_char_p
-    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
-    api.PyCapsule_GetPointer.restype = P
-    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    capi = {**scipy.linalg.cython_blas.__pyx_capi__,
-            **scipy.linalg.cython_lapack.__pyx_capi__}
-    fn = [api.PyCapsule_GetPointer(capi[n], api.PyCapsule_GetName(capi[n]))
-          for n in ROUTINES]
-    return lib if lib.srp_bind((P * len(fn))(*fn), len(fn)) == 0 else None
+    return ext
 
 
-_lib = _load()
-ACTIVE = "compiled" if _lib is not None else "numpy"
+_ext = _load()
+ACTIVE = "compiled" if _ext is not None else "numpy"
 _local = threading.local()
 
 
-def _space(m, r):
-    """This thread's (x, v, s, work) arrays for rank r on dimension m and
-    their addresses: views of its scratch array, grown to the largest shape."""
-    if getattr(_local, "shape", None) != (m, r):
-        n = 3 * r * r + 5 * r + 9 * m + m * r
-        if getattr(_local, "scratch", np.empty(0)).size < n:
-            _local.scratch = np.empty(n)
-        arrays = np.split(_local.scratch, [m, m + r, 2 * m + r])
-        _local.views = (*arrays, *(X.ctypes.data for X in arrays))
-        _local.shape = (m, r)
-    return _local.views
-
-
-def _address(X, order):
-    """Data address of a float64 array contiguous in order "C" or "F",
-    looked up once per array object and thread."""
-    addresses, key = _local.__dict__.setdefault("addresses", {}), id(X)
-    hit = addresses.get(key)
-    if hit is None or hit[0]() is not X:
-        if X.dtype != np.float64 or not X.flags[order + "_CONTIGUOUS"]:
-            raise ValueError(f"kernel: need a {order}-contiguous float64 "
-                             "array")
-        hit = addresses[key] = (
-            weakref.ref(X, lambda _: addresses.pop(key, None)), X.ctypes.data)
-    return hit[1]
+def _work(m, r):
+    """This thread's work array for rank r on dimension m: one array,
+    grown to the largest shape it has served."""
+    n = 3 * r * r + 4 * r + 7 * m + m * r
+    work = getattr(_local, "work", None)
+    if work is None or work.size < n:
+        work = _local.work = np.empty(n)
+    return work
 
 
 def project(U, x, lambda1, lambda2, tol, max_iter):
@@ -148,38 +140,31 @@ def project(U, x, lambda1, lambda2, tol, max_iter):
     (the numpy path rejects them) or a Cholesky factor fails (the numpy path
     solves by pivoting there)."""
     m, r = U.shape
-    U = np.asfortranarray(U)  # held while the kernel reads it
-    x_, v, s, _, px, pv, ps, pw = _space(m, r)
-    x_[:] = x
-    n = _lib.srp_project(m, r, _address(U, "F"), px, lambda1, lambda2, tol,
-                         min(max_iter, 2**31 - 1), pv, ps, pw)
-    return (v.copy(), s.copy(), n) if n > 0 else None
+    v, s = np.empty(r), np.empty(m)
+    n = _ext.project(np.asfortranarray(U), np.ascontiguousarray(x), v, s,
+                     _work(m, r), lambda1, lambda2, tol, max_iter)
+    return (v, s, n) if n > 0 else None
 
 
 def accumulate(A, B, x, v, s, rows=None, head=0):
     """omw_step's update of A (r x r, C order) and B (m x r, F order) by
     (x, v, s); given the window's rows (M, V, S), less the sample in row
     head, which then takes (x, v, s)."""
-    m, r = B.shape
-    if A.shape != (r, r) or not x.shape == s.shape == (m,) or v.shape != (r,):
-        raise ValueError("kernel: inconsistent accumulator shapes")
-    x_, v_, s_, _, px, pv, ps, pw = _space(m, r)
-    x_[:], v_[:], s_[:] = x, v, s
-    old = [None] * 3 if rows is None else [
-        _address(X, "C") + head * X.strides[0] for X in rows]
-    _lib.srp_accumulate(m, r, _address(A, "C"), _address(B, "F"), px, pv, ps,
-                        *old, pw)
+    work = _work(*B.shape)
+    x = np.ascontiguousarray(x)
+    if rows is None:
+        _ext.accumulate(A, B, x, v, s, work)
+    else:
+        _ext.accumulate(A, B, x, v, s, work, *rows, head)
 
 
 def sweep(U, A, B, lambda1, sweeps, sym_tol):
     """update_basis's sweeps on U in place; False, U untouched, if A is not
     symmetric to sym_tol * (1 + max|A|)."""
-    m, r = U.shape
-    Uf = np.asfortranarray(U)  # these are held while the kernel reads them
-    A, B = np.ascontiguousarray(A, float), np.asfortranarray(B, float)
-    done = _lib.srp_sweep(m, r, _address(Uf, "F"), _address(A, "C"),
-                          _address(B, "F"), lambda1, sweeps, sym_tol,
-                          _space(m, r)[7]) == 0
+    Uf = np.asfortranarray(U)
+    done = _ext.sweep(Uf, np.ascontiguousarray(A, float),
+                      np.asfortranarray(B, float), _work(*U.shape), lambda1,
+                      sweeps, sym_tol)
     if Uf is not U:
         U[...] = Uf
     return done

@@ -11,7 +11,6 @@ All functions here are pure; they are safe to call from any thread.
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ContractViolation
 
@@ -200,7 +199,11 @@ def _cholesky_solver(G):
     """(factor, solve) for a symmetric r x r G: solve(rhs) returns
     G^{-1} rhs by LAPACK's potrs on the Cholesky factor from potrf, which
     cho_factor/cho_solve wrap in per-call checks. If potrf fails, or r = 0
-    (which potrs rejects), factor is None and solve is a pivoted solve."""
+    (which potrs rejects), factor is None and solve is a pivoted solve.
+    scipy.linalg is imported here, not with the module: the compiled step
+    never calls this, so its import leaves scipy.linalg out."""
+    import scipy.linalg
+
     factor, info = scipy.linalg.lapack.dpotrf(G)
     if info != 0 or not G.size:
         return None, lambda rhs: scipy.linalg.solve(G, rhs)

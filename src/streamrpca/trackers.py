@@ -144,7 +144,7 @@ class ColumnStore:
                                 np.empty(0, np.int32), np.empty(0)])
         block = self.blocks[b]
         block[0][k] = l
-        nz = np.flatnonzero(s.view(np.int64))
+        nz = s.view(np.int64).nonzero()[0]
         start = block[1][k - 1] if k else 0
         end = block[1][k] = start + nz.size
         if end > block[2].size:  # grow past twice the filled part

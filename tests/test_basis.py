@@ -1,4 +1,3 @@
-import ctypes
 
 import numpy as np
 import pytest
@@ -170,7 +169,7 @@ def test_sweep_matches_column_formula(step_paths, m, r, sweeps, ball,
 
 def block_columns():
     """Columns per block of the compiled sweep."""
-    return ctypes.c_int.in_dll(kernel._lib, "srp_block").value
+    return kernel._ext.BLOCK
 
 
 @compiled

@@ -113,16 +113,75 @@ def test_scratch_is_one_array_per_thread_grown_to_its_largest_shape():
     def scratch_after_each_shape():
         out = []
         for r in (10, 55, 30, 10):
-            x, v, s, work = kernel._space(400, r)[:4]
-            assert (x.size, v.size, s.size) == (400, r, 400)
+            work = kernel._work(400, r)
             assert work.size >= 3 * r * r + 4 * r + 7 * 400 + 400 * r
-            out.append(kernel._local.scratch)
+            assert work is kernel._local.work
+            out.append(work)
         return out
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         first, *rest = pool.submit(scratch_after_each_shape).result(60)
     assert first.size < rest[0].size
     assert all(scratch is rest[0] for scratch in rest)
+
+
+@compiled
+def test_entry_points_refuse_bad_arrays():
+    # the module checks each array's dtype, order and shape, the work size
+    # and the window's head in C: a bad one raises ValueError before
+    # anything is written
+    rng = np.random.Generator(np.random.PCG64(46))
+    m, r, n = 12, 3, 4
+    b = min(r, kernel._ext.BLOCK)
+    U = np.asfortranarray(rng.standard_normal((m, r)))
+    B = np.asfortranarray(rng.standard_normal((m, r)))
+    good = dict(U=U, A=np.eye(r), B=B, x=rng.standard_normal(m),
+                v=rng.standard_normal(r), s=rng.standard_normal(m),
+                work=kernel._work(m, r), M=rng.standard_normal((n, m)),
+                V=rng.standard_normal((n, r)), S=rng.standard_normal((n, m)),
+                head=1)
+    need = {"project": 3 * r * r + 4 * r + 7 * m + m * r,
+            "accumulate": 2 * m, "sweep": r + b + m * b}
+    ext = kernel._ext
+    calls = {
+        "project": lambda a: ext.project(a["U"], a["x"], a["v"], a["s"],
+                                         a["work"], 0.1, 1.0, 1e-7, 100),
+        "accumulate": lambda a: ext.accumulate(
+            a["A"], a["B"], a["x"], a["v"], a["s"], a["work"], a["M"],
+            a["V"], a["S"], a["head"]),
+        "sweep": lambda a: ext.sweep(a["U"], a["A"], a["B"], a["work"], 0.1,
+                                     1, 1e-8),
+    }
+    cases = [(name, "U", U.astype(np.float32)) for name in ("project",
+                                                            "sweep")]
+    cases += [(name, "U", np.ascontiguousarray(U)) for name in ("project",
+                                                                "sweep")]
+    cases += [(name, "B", np.ascontiguousarray(B)) for name in ("accumulate",
+                                                                "sweep")]
+    cases += [(name, key, good[key][:-1]) for name in ("project",
+                                                       "accumulate")
+              for key in ("x", "v", "s")]
+    cases += [(name, "work", good["work"][:k - 1]) for name, k in need.items()]
+    cases += [("accumulate", key, good[key][:, :-1]) for key in "MVS"]
+    cases += [("accumulate", "head", head) for head in (-1, n)]
+    state = [good[key] for key in ("U", "A", "B", "M", "V", "S")]
+    before = [X.copy() for X in state]
+    for name, key, value in cases:
+        with pytest.raises(ValueError, match="kernel: "):
+            calls[name]({**good, key: value})
+        for X, X0 in zip(state, before):
+            np.testing.assert_array_equal(X, X0, err_msg=f"{name} {key}")
+    for name in ("project", "accumulate", "sweep"):  # the good arrays pass
+        calls[name](good)
+
+
+@compiled
+def test_compiled_import_leaves_out_scipy_linalg(tmp_path):
+    # the BLAS/LAPACK capsules come from scipy's linalg folder without
+    # running scipy/linalg/__init__.py, and only the numpy path imports it
+    code = ("import sys, streamrpca; print(streamrpca.kernel.ACTIVE, "
+            "'scipy.linalg' in sys.modules)")
+    assert run_python(code, tmp_path / "cache") == "compiled False"
 
 
 def run_python(code, cache, *args, src=SRC, **env):

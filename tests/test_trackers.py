@@ -282,6 +282,38 @@ def test_continue_tracker_rejects_modes_but_stoc_and_omw():
     assert model.t == 0
 
 
+def test_window_that_does_not_fit_the_model_is_refused(step_paths):
+    # rows of 29 and 2 entries for a model of m = 30, r = 3: the compiled
+    # accumulator wrote m and r entries into them and corrupted the heap
+    rng = np.random.Generator(np.random.PCG64(45))
+    U = np.linalg.qr(rng.standard_normal((30, 3)))[0]
+    model = SubspaceModel(U=U, A=np.eye(3), B=U.copy(), lambda1=0.1,
+                          lambda2=1.0)
+    buffer = WindowBuffer(np.zeros((5, 29)), np.zeros((5, 2)),
+                          np.zeros((5, 29)))
+    stream = ObservationStream.from_matrix(rng.standard_normal((30, 10)))
+    before = [X.copy() for X in (model.U, model.A, model.B)]
+    for path in step_paths:
+        with path, pytest.raises(ContractViolation,
+                                 match=r"M\(5, 29\) V\(5, 2\) S\(5, 29\)"):
+            continue_tracker(stream, "omw", model, buffer, 0)
+        assert model.t == 0
+        for X, X0 in zip((model.U, model.A, model.B), before):
+            np.testing.assert_array_equal(X, X0)
+
+
+def test_column_store_keeps_signed_zeros_and_strided_columns():
+    # s's nonzeros are read off its bits, so -0.0 is stored and comes back
+    S = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [2.0, 0.0, -0.0]])
+    L = np.arange(9.0).reshape(3, 3)
+    store = trackers.ColumnStore(3)
+    store.append(L[:, 0].copy(), S[:, 0].copy())
+    store.extend(L[:, 1:], S[:, 1:])  # strided columns
+    L_out, S_out = store.dense()
+    assert L_out.tobytes() == L.tobytes()
+    assert S_out.tobytes() == S.tobytes()
+
+
 def test_run_tracker_rejects_omw_cp():
     # a TrackerConfig has no detector fields to run omw-cp with
     stream = ObservationStream.from_matrix(np.zeros((5, 30)))
