@@ -21,6 +21,12 @@ from .exceptions import ContractViolation
 _SYM_TOL = 1e-8
 
 
+def _asymmetric(A):
+    """Whether A is not symmetric to _SYM_TOL * (1 + max|A|)."""
+    scale = 1.0 + np.abs(A).max(initial=0.0)
+    return np.abs(A - A.T).max(initial=0.0) > _SYM_TOL * scale
+
+
 def basis_objective(U, A, B, lambda1):
     """g(U) = 0.5*Tr[U'(A + lambda1*I)U] - Tr(U'B)."""
     At = A + lambda1 * np.eye(A.shape[0])
@@ -43,13 +49,12 @@ def update_basis(U, A, B, lambda1, sweeps=1):
         raise ContractViolation(
             f"update_basis: inconsistent shapes U{U.shape} A{A.shape} B{B.shape}"
         )
-    if lambda1 <= 0:
+    if not lambda1 > 0:
         raise ContractViolation("update_basis: lambda1 must be > 0")
     if kernel.ACTIVE == "compiled" and kernel.sweep(U, A, B, lambda1, sweeps,
                                                     _SYM_TOL):
         return U
-    scale = 1.0 + np.abs(A).max(initial=0.0)
-    if np.abs(A - A.T).max(initial=0.0) > _SYM_TOL * scale:
+    if _asymmetric(A):
         raise ContractViolation("update_basis: A is not symmetric")
     return _sweep_numpy(U, A, B, lambda1, sweeps)
 

@@ -97,13 +97,10 @@ class ChangePointReport:
     warnings: list = field(default_factory=list)
 
 
-def support_size(s, zero_eps=0.0):
-    """Number of entries with magnitude above zero_eps.
-
-    The projection solver produces exact zeros through shrinkage, so
-    zero_eps = 0 is exact on solver output.
-    """
-    return int(np.count_nonzero(np.abs(np.asarray(s)) > zero_eps))
+def support_size(s):
+    """Number of entries with magnitude above 0, which is exact on solver
+    output: the projection produces exact zeros through shrinkage."""
+    return int(np.count_nonzero(np.abs(np.asarray(s)) > 0.0))
 
 
 def p_value(counts, c_t, n_tol=0):

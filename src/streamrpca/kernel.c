@@ -502,51 +502,33 @@ static PyObject *accumulate(PyObject *self, PyObject *const *args,
                             Py_ssize_t nargs)
 {
     Held h;
-    Py_ssize_t dB[2] = {-1, -1}, dA[2], dm[1], dr[1], dM[2], dV[2], head;
-    double *A, *B, *x, *v, *s, *w, *M = NULL, *V = NULL, *S = NULL;
-    int m, r;
+    Py_ssize_t dB[2] = {-1, -1}, dA[2], dm[1], dr[1];
+    double *A, *B, *x, *v, *s, *w, *xo = NULL, *vo = NULL, *so = NULL;
 
     h.n = 0;
-    if (nargs != 6 && nargs != 10) {
-        PyErr_Format(PyExc_TypeError, "accumulate takes 6 or 10 arguments "
+    if (nargs != 6 && nargs != 9) {
+        PyErr_Format(PyExc_TypeError, "accumulate takes 6 or 9 arguments "
                      "(%zd given)", nargs);
         return NULL;
     }
     if (!(B = array(&h, args[1], "B", 'F', 1, 2, dB))
         || work_size(dB[0], dB[1]) < 0)
         goto fail;
-    m = (int)(dm[0] = dB[0]);
-    r = (int)(dr[0] = dA[0] = dA[1] = dB[1]);
+    dm[0] = dB[0];
+    dr[0] = dA[0] = dA[1] = dB[1];
     if (!(A = array(&h, args[0], "A", 'C', 1, 2, dA))
         || !(x = array(&h, args[2], "x", 'C', 0, 1, dm))
         || !(v = array(&h, args[3], "v", 'C', 0, 1, dr))
         || !(s = array(&h, args[4], "s", 'C', 0, 1, dm))
         || !(w = work(&h, args[5], 2 * dm[0])))
         goto fail;
-    if (nargs == 10) {
-        dM[0] = -1;
-        dM[1] = m;
-        if (!(M = array(&h, args[6], "M", 'C', 1, 2, dM)))
-            goto fail;
-        dV[0] = dM[0];
-        dV[1] = r;
-        if (!(V = array(&h, args[7], "V", 'C', 1, 2, dV))
-            || !(S = array(&h, args[8], "S", 'C', 1, 2, dM)))
-            goto fail;
-        head = PyLong_AsSsize_t(args[9]);
-        if (head == -1 && PyErr_Occurred())
-            goto fail;
-        if (head < 0 || head >= dM[0]) {
-            PyErr_Format(PyExc_ValueError, "kernel: head %zd is outside the "
-                         "window's %zd rows", head, dM[0]);
-            goto fail;
-        }
-        M += head * m;
-        V += head * r;
-        S += head * m;
-    }
+    if (nargs == 9
+        && (!(xo = array(&h, args[6], "m_old", 'C', 1, 1, dm))
+            || !(vo = array(&h, args[7], "v_old", 'C', 1, 1, dr))
+            || !(so = array(&h, args[8], "s_old", 'C', 1, 1, dm))))
+        goto fail;
     Py_BEGIN_ALLOW_THREADS
-    srp_accumulate(m, r, A, B, x, v, s, M, V, S, w);
+    srp_accumulate((int)dm[0], (int)dr[0], A, B, x, v, s, xo, vo, so, w);
     Py_END_ALLOW_THREADS
     release(&h);
     Py_RETURN_NONE;
@@ -594,8 +576,8 @@ static PyMethodDef methods[] = {
      "project(U, x, v, s, work, lambda1, lambda2, tol, max_iter): writes v "
      "and s; the number of alternations, or -1 or -2 where it declines"},
     {"accumulate", FASTCALL(accumulate),
-     "accumulate(A, B, x, v, s, work[, M, V, S, head]): updates A and B, and "
-     "the window's row head"},
+     "accumulate(A, B, x, v, s, work[, m_old, v_old, s_old]): updates A and "
+     "B, and overwrites the oldest row (m_old, v_old, s_old) with (x, v, s)"},
     {"sweep", FASTCALL(sweep),
      "sweep(U, A, B, work, lambda1, sweeps, sym_tol): False, U untouched, "
      "if A is not symmetric"},

@@ -146,16 +146,13 @@ def project(U, x, lambda1, lambda2, tol, max_iter):
     return (v, s, n) if n > 0 else None
 
 
-def accumulate(A, B, x, v, s, rows=None, head=0):
+def accumulate(A, B, x, v, s, *oldest):
     """omw_step's update of A (r x r, C order) and B (m x r, F order) by
-    (x, v, s); given the window's rows (M, V, S), less the sample in row
-    head, which then takes (x, v, s)."""
-    work = _work(*B.shape)
-    x = np.ascontiguousarray(x)
-    if rows is None:
-        _ext.accumulate(A, B, x, v, s, work)
-    else:
-        _ext.accumulate(A, B, x, v, s, work, *rows, head)
+    (x, v, s); given the window's oldest row as three 1-d views (m_old,
+    v_old, s_old), less that row's terms, and the row then takes (x, v, s).
+    """
+    _ext.accumulate(A, B, np.ascontiguousarray(x), v, s, _work(*B.shape),
+                    *oldest)
 
 
 def sweep(U, A, B, lambda1, sweeps, sym_tol):

@@ -44,18 +44,15 @@ def err_rel(est, truth):
     return float(np.linalg.norm(est - truth) / denom)
 
 
-def support_mismatch(est_S, true_S, zero_eps=0.0):
-    """Fraction of entries whose nonzero indicator differs.
-
-    The estimate is thresholded with |.| > zero_eps; the truth is compared
-    exactly against zero (both coincide at zero_eps = 0). Lower is better.
-    """
+def support_mismatch(est_S, true_S):
+    """Fraction of entries whose nonzero indicator (|.| > 0) differs. Lower
+    is better."""
     est_S = np.asarray(est_S)
     true_S = np.asarray(true_S)
     if est_S.shape != true_S.shape:
         raise ContractViolation(
             f"support_mismatch: shape mismatch {est_S.shape} vs {true_S.shape}")
-    est_nz = np.abs(est_S) > zero_eps
+    est_nz = np.abs(est_S) > 0.0
     true_nz = true_S != 0
     return float(np.count_nonzero(est_nz != true_nz) / true_S.size)
 

@@ -53,14 +53,16 @@ class PcpConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
-            raise ContractViolation("PcpConfig: lam must be positive")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ContractViolation("PcpConfig: lam must be finite and > 0")
         if not (0 < self.tol < 1):
             raise ContractViolation("PcpConfig: tol must be in (0, 1)")
         if self.max_iter < 1:
             raise ContractViolation("PcpConfig: max_iter must be >= 1")
-        if self.mu != "auto" and (not np.isscalar(self.mu) or self.mu <= 0):
-            raise ContractViolation("PcpConfig: mu must be positive or 'auto'")
+        if self.mu != "auto" and not (np.isscalar(self.mu)
+                                      and 0 < self.mu < np.inf):
+            raise ContractViolation("PcpConfig: mu must be finite and > 0, "
+                                    "or 'auto'")
 
 
 @dataclass
@@ -190,14 +192,14 @@ def _first_sweep(M, lam, mu):
     return mu0, J, factors
 
 
-def _count_rank(s, rel_tol=RANK_REL_TOL):
-    """Number of values of the descending spectrum s above rel_tol * s[0];
-    0 for an empty or zero spectrum. pcp_alm counts the thresholded spectrum
-    of a loose-tolerance iterate, whose trailing values are exactly zero, so
-    the count is insensitive to rel_tol over a wide range."""
+def _count_rank(s):
+    """Number of values of the descending spectrum s above RANK_REL_TOL *
+    s[0]; 0 for an empty or zero spectrum. pcp_alm counts the thresholded
+    spectrum of a loose-tolerance iterate, whose trailing values are exactly
+    zero, so the count is insensitive to RANK_REL_TOL over a wide range."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
 def window_sums(M, V, S):
@@ -228,7 +230,7 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win):
         )
     if n_win < 1:
         raise ContractViolation("burnin_initialize: n_win must be >= 1")
-    if lambda1 <= 0 or lambda2 <= 0:
+    if not (lambda1 > 0 and lambda2 > 0):
         raise ContractViolation("burnin_initialize: lambda1, lambda2 must be > 0")
 
     result = pcp_alm(M_b)

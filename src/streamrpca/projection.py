@@ -68,7 +68,7 @@ def project_sample(U, m_t, lambda1, lambda2, config=None):
         raise ContractViolation(
             f"project_sample: incompatible shapes U{U.shape} vs m_t{m_t.shape}"
         )
-    if lambda1 <= 0 or lambda2 <= 0:
+    if not (lambda1 > 0 and lambda2 > 0):
         raise ContractViolation("project_sample: lambda1, lambda2 must be > 0")
     if kernel.ACTIVE == "compiled":
         out = kernel.project(U, m_t, lambda1, lambda2, config.tol,

@@ -190,7 +190,7 @@ def ridge_regress(U, y, lambda1):
         )
     if not (np.isfinite(U).all() and np.isfinite(y).all()):
         raise ContractViolation("ridge_regress: non-finite input")
-    if lambda1 <= 0:
+    if not lambda1 > 0:
         raise ContractViolation("ridge_regress: lambda1 must be > 0")
     return _cholesky_solver(U.T @ U + lambda1 * np.eye(U.shape[1]))[1](U.T @ y)
 

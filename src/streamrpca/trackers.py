@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .basis import update_basis
+from .basis import _asymmetric, update_basis
 from .exceptions import ContractViolation
 from .pcp import burnin_initialize, window_sums
 from .projection import ProjectionConfig, project_sample
@@ -53,8 +53,11 @@ class SubspaceModel:
                 f"SubspaceModel: inconsistent shapes U{self.U.shape} "
                 f"A{self.A.shape} B{self.B.shape}"
             )
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ContractViolation("SubspaceModel: lambdas must be > 0")
+        if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
+            raise ContractViolation(
+                "SubspaceModel: lambdas must be finite and > 0")
+        if _asymmetric(self.A):
+            raise ContractViolation("SubspaceModel: A is not symmetric")
 
     @property
     def m(self):
@@ -70,8 +73,9 @@ class WindowBuffer:
 
     Built full from a window's (M, V, S), one sample per row, oldest first
     (n_win x m, n_win x r, n_win x m); the arrays are copied. Each step
-    overwrites the oldest row with replace_oldest, so the buffer stays full
-    and the head index points at the oldest row.
+    overwrites the oldest row, the views of oldest(), in place and then
+    advances the head, so the buffer stays full and the head index points
+    at the oldest row.
     """
 
     def __init__(self, M, V, S):
@@ -87,21 +91,14 @@ class WindowBuffer:
     def capacity(self):
         return len(self._rows[0])
 
-    def replace_oldest(self, m_i, v_i, s_i):
-        """Overwrite the oldest row with (m_i, v_i, s_i) and return copies
-        of the evicted (m, v, s)."""
-        head = self.advance()
-        evicted = tuple(X[head].copy() for X in self._rows)
-        for X, x in zip(self._rows, (m_i, v_i, s_i)):
-            X[head] = x
-        return evicted
+    def oldest(self):
+        """The oldest row (m, v, s), as views for the step to overwrite."""
+        M, V, S = self._rows
+        return M[self._head], V[self._head], S[self._head]
 
     def advance(self):
-        """Make the oldest row the newest: returns its index, for the
-        caller to overwrite."""
-        head = self._head
-        self._head = (head + 1) % self.capacity
-        return head
+        """Make the oldest row, once overwritten, the newest."""
+        self._head = (self._head + 1) % self.capacity
 
     def rows(self):
         """(M, V, S) with one sample per row, oldest first (copies)."""
@@ -221,6 +218,10 @@ class TrackerConfig:
             raise ContractViolation(f"{name}: n_burnin, n_win must be >= 1")
         if self.n_win > self.n_burnin:
             raise ContractViolation(f"{name}: n_win must be <= n_burnin")
+        if not all(0 < x < np.inf for x in (self.lambda1, self.lambda2)
+                   if x is not None):
+            raise ContractViolation(
+                f"{name}: lambda1, lambda2 must be finite and > 0")
 
     def resolved_lambdas(self, m):
         scale = 1.0 / np.sqrt(max(m, self.n_win))
@@ -249,9 +250,11 @@ def omw_init(init, lambda1, lambda2, n_win):
 def omw_step(model, buffer, m_t, projection_config=None):
     """One tracker step; buffer None is the cumulative tracker.
 
-    Projects the sample, replaces the window's oldest row with the new
-    (m_t, v, s), if there is a window, adds the new outer products to A and
-    B less the evicted row's, and updates the basis. Every
+    Projects the sample and adds its outer products to A and B. With a
+    window, one eviction rule: the oldest row's terms are subtracted, the
+    row is overwritten in place with (m_t, v, s), and only then does the
+    head advance. Then it updates the basis. A step that fails before the
+    basis update leaves the model and the window as they were. Every
     DRIFT_CORRECTION_FACTOR * n_win steps a window recomputes A and B from
     its rows to cancel float drift.
     """
@@ -262,13 +265,12 @@ def omw_step(model, buffer, m_t, projection_config=None):
         )
     v, s = project_sample(model.U, m_t, model.lambda1, model.lambda2,
                           projection_config)
-    if kernel.ACTIVE != "compiled":
-        _accumulate_numpy(model, buffer, m_t, v, s)
-    elif buffer is None:
-        kernel.accumulate(model.A, model.B, m_t, v, s)
-    else:
-        kernel.accumulate(model.A, model.B, m_t, v, s, buffer._rows,
-                          buffer.advance())
+    oldest = () if buffer is None else buffer.oldest()
+    accumulate = (kernel.accumulate if kernel.ACTIVE == "compiled"
+                  else _accumulate_numpy)
+    accumulate(model.A, model.B, m_t, v, s, *oldest)
+    if buffer is not None:
+        buffer.advance()
     update_basis(model.U, model.A, model.B, model.lambda1)
     model.t += 1
     if (buffer is not None and
@@ -277,20 +279,26 @@ def omw_step(model, buffer, m_t, projection_config=None):
     return StepOutput(v=v, s=s, l=model.U @ v)
 
 
-def _accumulate_numpy(model, buffer, m_t, v, s):
-    """omw_step's window and accumulator update in numpy: the path where no
-    compiled kernel is loaded."""
+def _accumulate_numpy(A, B, x, v, s, *oldest):
+    """kernel.accumulate in numpy, with its argument list: the path where
+    no compiled kernel is loaded. The oldest row's shapes are checked
+    against (x, v, x) before anything is written."""
     # the evicted terms are subtracted from the increment before it is
     # added, so A += outer(v, v) - outer(v_old, v_old) keeps its bits; B's
     # increment is built transposed, on the contiguous rows of B.T
     dA = np.outer(v, v)
-    dBt = np.outer(v, m_t - s)
-    if buffer is not None:
-        m_old, v_old, s_old = buffer.replace_oldest(m_t, v, s)
+    dBt = np.outer(v, x - s)
+    if oldest:
+        shapes = tuple(np.shape(X) for X in oldest)
+        if shapes != (x.shape, v.shape, x.shape):
+            raise ContractViolation(f"omw_step: oldest row shapes {shapes} "
+                                    f"do not fit {(x.shape, v.shape)}")
+        m_old, v_old, s_old = oldest
         dA -= np.outer(v_old, v_old)
         dBt -= np.outer(v_old, m_old - s_old)
-    model.A += dA
-    np.add(model.B.T, dBt, out=model.B.T)
+        m_old[...], v_old[...], s_old[...] = x, v, s
+    A += dA
+    np.add(B.T, dBt, out=B.T)
 
 
 def state_element_count(model, buffer=None):

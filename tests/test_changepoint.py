@@ -20,7 +20,6 @@ from streamrpca.streams import ObservationStream
 def test_support_size():
     assert support_size(np.zeros(3)) == 0
     assert support_size(np.array([0.5, 0.0, -2.0])) == 2
-    assert support_size(np.array([0.5, 0.05, -2.0]), zero_eps=0.1) == 2
 
 
 def hist_from(counts_by_size, m=10):

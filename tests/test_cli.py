@@ -56,6 +56,35 @@ def test_pcp_command(tmp_path):
     assert result["converged"] is True
 
 
+@pytest.mark.parametrize("flag", ["--lam", "--mu"])
+def test_pcp_refuses_a_non_finite_penalty(tmp_path, capsys, flag):
+    # refused where it enters, as a contract error with exit code 1, not as
+    # a LinAlgError from inside the solve
+    src = tmp_path / "m.csv"
+    write_csv(src, np.ones((6, 5)))
+    assert main(["pcp", "--input", str(src), flag, "nan",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_track_refuses_a_non_finite_penalty(tmp_path, capsys, step_paths,
+                                            flag, bad):
+    # refused before any step: on a NaN penalty the step paths disagree (the
+    # compiled one runs on with every s = 0, the numpy one raises)
+    sim = SimSpec(m=30, t=80, n_burnin=40, rho=0.01, seed=49,
+                  variant=Stable(r=3))
+    src = tmp_path / "m.f64"
+    write_raw_f64(src, full_stream_matrix(generate(sim)))
+    for path in step_paths:
+        with path:
+            assert main(["track", "--input", str(src), "--format", "raw-f64",
+                         "--n-burnin", "40", "--n-win", "40", flag, bad,
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert "finite and > 0" in capsys.readouterr().err
+
+
 def test_track_command_and_exit_codes(tmp_path):
     spec = SimSpec(m=20, t=80, n_burnin=20, rho=0.02, seed=91,
                    variant=Stable(r=2))

@@ -127,19 +127,19 @@ def test_scratch_is_one_array_per_thread_grown_to_its_largest_shape():
 
 @compiled
 def test_entry_points_refuse_bad_arrays():
-    # the module checks each array's dtype, order and shape, the work size
-    # and the window's head in C: a bad one raises ValueError before
-    # anything is written
+    # the module checks each array's dtype, order and shape and the work
+    # size in C, the window's oldest row as three 1-d views like x, v and s:
+    # a bad one raises ValueError before anything is written
     rng = np.random.Generator(np.random.PCG64(46))
     m, r, n = 12, 3, 4
     b = min(r, kernel._ext.BLOCK)
     U = np.asfortranarray(rng.standard_normal((m, r)))
     B = np.asfortranarray(rng.standard_normal((m, r)))
+    window = [rng.standard_normal((n, k)) for k in (m, r, m)]
     good = dict(U=U, A=np.eye(r), B=B, x=rng.standard_normal(m),
                 v=rng.standard_normal(r), s=rng.standard_normal(m),
-                work=kernel._work(m, r), M=rng.standard_normal((n, m)),
-                V=rng.standard_normal((n, r)), S=rng.standard_normal((n, m)),
-                head=1)
+                work=kernel._work(m, r), m_old=window[0][1],
+                v_old=window[1][1], s_old=window[2][1])
     need = {"project": 3 * r * r + 4 * r + 7 * m + m * r,
             "accumulate": 2 * m, "sweep": r + b + m * b}
     ext = kernel._ext
@@ -147,8 +147,8 @@ def test_entry_points_refuse_bad_arrays():
         "project": lambda a: ext.project(a["U"], a["x"], a["v"], a["s"],
                                          a["work"], 0.1, 1.0, 1e-7, 100),
         "accumulate": lambda a: ext.accumulate(
-            a["A"], a["B"], a["x"], a["v"], a["s"], a["work"], a["M"],
-            a["V"], a["S"], a["head"]),
+            a["A"], a["B"], a["x"], a["v"], a["s"], a["work"], a["m_old"],
+            a["v_old"], a["s_old"]),
         "sweep": lambda a: ext.sweep(a["U"], a["A"], a["B"], a["work"], 0.1,
                                      1, 1e-8),
     }
@@ -162,9 +162,11 @@ def test_entry_points_refuse_bad_arrays():
                                                        "accumulate")
               for key in ("x", "v", "s")]
     cases += [(name, "work", good["work"][:k - 1]) for name, k in need.items()]
-    cases += [("accumulate", key, good[key][:, :-1]) for key in "MVS"]
-    cases += [("accumulate", "head", head) for head in (-1, n)]
-    state = [good[key] for key in ("U", "A", "B", "M", "V", "S")]
+    # the oldest row too short, 2-D (a view into the window) or float32
+    cases += [("accumulate", key, bad) for key in ("m_old", "v_old", "s_old")
+              for bad in (good[key][:-1], good[key][None],
+                          good[key].astype(np.float32))]
+    state = [U, good["A"], B, *window]
     before = [X.copy() for X in state]
     for name, key, value in cases:
         with pytest.raises(ValueError, match="kernel: "):
@@ -173,6 +175,19 @@ def test_entry_points_refuse_bad_arrays():
             np.testing.assert_array_equal(X, X0, err_msg=f"{name} {key}")
     for name in ("project", "accumulate", "sweep"):  # the good arrays pass
         calls[name](good)
+    np.testing.assert_array_equal(window[1][1], good["v"])
+
+
+@compiled
+def test_kernel_compiles_without_warnings(tmp_path):
+    # the cached build hides compiler warnings: -Wall -Werror shows them
+    # (-Wextra would flag the unused self parameters and PyModuleDef's
+    # m_slots, both idiomatic)
+    command = kernel._compile_command() + ["-Wall", "-Werror"]
+    result = subprocess.run([*command, "-o", str(tmp_path / "kernel.so"),
+                             str(kernel.SOURCE), "-lm"],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 @compiled

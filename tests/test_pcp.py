@@ -302,6 +302,11 @@ def test_pcp_config_validation():
         PcpConfig(max_iter=0)
     with pytest.raises(ContractViolation):
         PcpConfig(lam=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="lam must be finite"):
+            PcpConfig(lam=bad)
+        with pytest.raises(ContractViolation, match="mu must be finite"):
+            PcpConfig(mu=bad)
 
 
 def test_estimate_rank_thresholding():

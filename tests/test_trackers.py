@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamrpca import trackers
+from streamrpca.basis import update_basis
 from streamrpca.changepoint import (CpConfig, OmwCpPipeline, continue_tracker,
                                     init_tracker, run_omw_cp, run_tracker)
 from streamrpca.cli import main
 from streamrpca.exceptions import ContractViolation, TrackerStepError
 from streamrpca.pcp import burnin_initialize
+from streamrpca.projection import project_sample
+from streamrpca.prox import ridge_regress
 from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
                                generate)
 from streamrpca.streams import ObservationStream, write_raw_f64
@@ -302,6 +305,68 @@ def test_window_that_does_not_fit_the_model_is_refused(step_paths):
             np.testing.assert_array_equal(X, X0)
 
 
+@pytest.mark.parametrize("widths", [(29, 2, 29), (30, 1, 30)],
+                         ids=["narrow-rows", "v-width-1"])
+def test_step_with_a_misfit_window_changes_nothing(step_paths, widths):
+    # a direct omw_step with window rows that do not fit the m = 30, r = 3
+    # model raises before the accumulators, the rows or the head move; numpy
+    # would broadcast a V row of width 1 into r = 3
+    rng = np.random.Generator(np.random.PCG64(47))
+    U = np.linalg.qr(rng.standard_normal((30, 3)))[0]
+    for path in step_paths:
+        model = SubspaceModel(U=U, A=np.eye(3), B=U.copy(), lambda1=0.1,
+                              lambda2=1.0)
+        buffer = WindowBuffer(*(rng.standard_normal((5, w)) for w in widths))
+        buffer.advance()
+        state = (model.U, model.A, model.B, *buffer._rows)
+        before = [X.copy() for X in state]
+        with path, pytest.raises(ValueError):
+            omw_step(model, buffer, rng.standard_normal(30))
+        assert model.t == 0 and buffer._head == 1
+        for X, X0 in zip(state, before):
+            np.testing.assert_array_equal(X, X0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0],
+                         ids=["nan", "inf", "-inf", "zero"])
+def test_penalties_must_be_finite_and_positive(step_paths, bad):
+    rng = np.random.Generator(np.random.PCG64(48))
+    U = np.linalg.qr(rng.standard_normal((30, 3)))[0]
+    for path in step_paths:
+        with path:
+            for kw in ({"lambda1": bad}, {"lambda2": bad}):
+                with pytest.raises(ContractViolation, match="finite and > 0"):
+                    TrackerConfig(n_burnin=40, n_win=40, **kw)
+                with pytest.raises(ContractViolation, match="finite and > 0"):
+                    CpConfig(n_burnin=40, n_win=40, n_cp_burnin=10,
+                             n_test=10, n_check=5, **kw)
+                with pytest.raises(ContractViolation, match="finite and > 0"):
+                    SubspaceModel(**{"U": U, "A": np.eye(3), "B": U,
+                                     "lambda1": 0.1, "lambda2": 1.0, **kw})
+            if np.isnan(bad):  # the guards inside take inf as a limit
+                for lambdas in ((bad, 1.0), (0.1, bad)):
+                    with pytest.raises(ContractViolation, match="> 0"):
+                        project_sample(U, rng.standard_normal(30), *lambdas)
+                    with pytest.raises(ContractViolation, match="> 0"):
+                        burnin_initialize(np.ones((30, 40)), *lambdas, 40)
+                with pytest.raises(ContractViolation, match="> 0"):
+                    update_basis(U.copy(order="F"), np.eye(3), U, bad)
+                with pytest.raises(ContractViolation, match="> 0"):
+                    ridge_regress(U, rng.standard_normal(30), bad)
+
+
+def test_model_refuses_an_asymmetric_a():
+    # update_basis's tolerance, checked where A enters: a step would find
+    # it only after A, B and the window had moved
+    U = np.linalg.qr(np.random.Generator(np.random.PCG64(50))
+                     .standard_normal((20, 2)))[0]
+    with pytest.raises(ContractViolation, match="not symmetric"):
+        SubspaceModel(U=U, A=np.array([[1.0, 0.5], [0.0, 1.0]]), B=U,
+                      lambda1=0.1, lambda2=1.0)
+    SubspaceModel(U=U, A=np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]]), B=U,
+                  lambda1=0.1, lambda2=1.0)
+
+
 def test_column_store_keeps_signed_zeros_and_strided_columns():
     # s's nonzeros are read off its bits, so -0.0 is stored and comes back
     S = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [2.0, 0.0, -0.0]])
@@ -390,15 +455,17 @@ def test_model_owns_column_major_u_and_b(tmp_path, evict):
 
 def test_window_buffer_fifo_and_capacity():
     # sample k is (k * ones(3), [k], -k * ones(3)); the window starts with
-    # samples 1 and 2 and takes 3, 4, 5, wrapping the ring twice
+    # samples 1 and 2 and takes 3, 4, 5, wrapping the ring twice: as in
+    # omw_step, each sample overwrites the oldest row, then the head advances
     def sample(k):
         return k * np.ones(3), np.array([float(k)]), -k * np.ones(3)
 
     buf = WindowBuffer(*(np.stack(X) for X in zip(sample(1), sample(2))))
     for k in (3, 4, 5):
-        for evicted, expected in zip(buf.replace_oldest(*sample(k)),
-                                     sample(k - 2)):
-            np.testing.assert_array_equal(evicted, expected)
+        for row, evicted, new in zip(buf.oldest(), sample(k - 2), sample(k)):
+            np.testing.assert_array_equal(row, evicted)
+            row[...] = new
+        buf.advance()
         assert buf.capacity == 2
         for rows, expected in zip(buf.rows(), zip(sample(k - 1), sample(k))):
             np.testing.assert_array_equal(rows, np.stack(expected))
