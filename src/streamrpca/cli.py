@@ -38,6 +38,14 @@ def _out_dir(args):
     return path
 
 
+def _int_list(text):
+    """The integers of a comma-separated list, as a tuple."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
+
+
 def _add_cp_flags(p):
     p.add_argument("--n-cp-burnin", type=int, default=100)
     p.add_argument("--n-test", type=int, default=100)
@@ -65,9 +73,9 @@ def _build_parser():
     p.add_argument("--r", type=int, default=5)
     p.add_argument("--r0", type=int, default=3)
     p.add_argument("--t-p", type=int, default=125)
-    p.add_argument("--ranks", type=str, default="5,25,12",
+    p.add_argument("--ranks", type=_int_list, default="5,25,12",
                    help="comma-separated per-piece ranks (changepoints)")
-    p.add_argument("--cps", type=str, default="500,1000",
+    p.add_argument("--cps", type=_int_list, default="500,1000",
                    help="comma-separated change points (changepoints)")
     p.add_argument("--out-dir", default=None)
 
@@ -111,9 +119,8 @@ def _cmd_simulate(args):
     elif args.variant == "drift":
         variant = Drift(r=args.r, r0=args.r0, t_p=args.t_p)
     else:
-        ranks = tuple(int(x) for x in args.ranks.split(","))
-        cps = tuple(int(x) for x in args.cps.split(","))
-        variant = ChangePoints(ranks=ranks, cps=cps, r0=args.r0, t_p=args.t_p)
+        variant = ChangePoints(ranks=args.ranks, cps=args.cps, r0=args.r0,
+                               t_p=args.t_p)
     spec = SimSpec(m=args.m, t=args.t, n_burnin=args.n_burnin, rho=args.rho,
                    seed=args.seed, variant=variant)
     gt = generate(spec)
@@ -133,7 +140,7 @@ def _cmd_pcp(args):
     if not cols:
         raise ContractViolation("pcp: empty input stream")
     M = np.column_stack(cols)
-    config = PcpConfig(lam=args.lam, mu=args.mu if args.mu else "auto",
+    config = PcpConfig(lam=args.lam, mu="auto" if args.mu is None else args.mu,
                        tol=args.tol, max_iter=args.max_iter)
     result = pcp_alm(M, config)
     out = _out_dir(args)

@@ -8,7 +8,7 @@
  * twice as numpy does, loads it as a CPython extension module and hands its
  * bind the capsules of scipy's cython_blas/cython_lapack routines: nothing
  * is linked. Matrices are column-major except A (r x r, row-major), and
- * every scratch array comes from the caller, so no call allocates.
+ * each entry point allocates its routine's scratch.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -302,14 +302,13 @@ static void pending(int m, int n, int k, const double *X, const double *Y,
     *beta = 1.0;
 }
 
-/* update_basis on an m x r U in place; -1 if A is not symmetric to
- * sym_tol * (1 + max|A|). A Gauss-Seidel sweep in blocks of srp_block
+/* One sweep of update_basis on an m x r U in place; -1 if A is not symmetric
+ * to sym_tol * (1 + max|A|). A Gauss-Seidel sweep in blocks of srp_block
  * columns: a block's pending sums over the columns before it (swept) and
  * after it (not yet) are two dgemm, and each column adds those of its own
  * block by dgemv. w holds r + b + mb doubles, b = min(r, srp_block). */
 static int srp_sweep(int m, int r, double *U, const double *A,
-                     const double *B, double l1, int sweeps, double sym_tol,
-                     double *w)
+                     const double *B, double l1, double sym_tol, double *w)
 {
     int nb = r < srp_block ? r : srp_block;
     double *rd = w, *c = rd + r, *T = c + nb, scale = 0.0, skew = 0.0;
@@ -325,45 +324,47 @@ static int srp_sweep(int m, int r, double *U, const double *A,
         return 0;
     for (int j = 0; j < r; j++)
         rd[j] = 1.0 / (A[j * r + j] + l1);
-    for (int sweep = 0; sweep < sweeps; sweep++)
-        for (int j0 = 0; j0 < r; j0 += nb) {
-            int n = r - j0 < nb ? r - j0 : nb, j1 = j0 + n;
-            double one = 1.0, beta = 0.0;
-            pending(m, n, j0, U, A + j0, r, &beta, T);
-            pending(m, n, r - j1, U + (size_t)j1 * m, A + j0 + (size_t)j1 * r,
-                    r, &beta, T);
-            for (int j = j0; j < j1; j++) {
-                double *u = U + (size_t)j * m, *t = T + (size_t)(j - j0) * m;
-                for (int k = j0; k < j1; k++)
-                    c[k - j0] = k == j ? 0.0 : A[k * r + j];
-                gemv("N", &m, &n, &one, U + (size_t)j0 * m, &m, c, &ONE,
-                     &beta, t, &ONE);
+    for (int j0 = 0; j0 < r; j0 += nb) {
+        int n = r - j0 < nb ? r - j0 : nb, j1 = j0 + n;
+        double one = 1.0, beta = 0.0;
+        pending(m, n, j0, U, A + j0, r, &beta, T);
+        pending(m, n, r - j1, U + (size_t)j1 * m, A + j0 + (size_t)j1 * r,
+                r, &beta, T);
+        for (int j = j0; j < j1; j++) {
+            double *u = U + (size_t)j * m, *t = T + (size_t)(j - j0) * m;
+            for (int k = j0; k < j1; k++)
+                c[k - j0] = k == j ? 0.0 : A[k * r + j];
+            gemv("N", &m, &n, &one, U + (size_t)j0 * m, &m, c, &ONE,
+                 &beta, t, &ONE);
+            for (int i = 0; i < m; i++)
+                u[i] = rd[j] * (B[(size_t)j * m + i] - t[i]);
+            double norm = sqrt(dot(&m, u, &ONE, u, &ONE));
+            if (norm > 1.0) {  /* dividing by 1 would change nothing */
+                double inv = 1.0 / norm;
                 for (int i = 0; i < m; i++)
-                    u[i] = rd[j] * (B[(size_t)j * m + i] - t[i]);
-                double norm = sqrt(dot(&m, u, &ONE, u, &ONE));
-                if (norm > 1.0) {  /* dividing by 1 would change nothing */
-                    double inv = 1.0 / norm;
-                    for (int i = 0; i < m; i++)
-                        u[i] *= inv;
-                }
+                    u[i] *= inv;
             }
         }
+    }
     return 0;
 }
 
 /* The module. Its entry points take numpy arrays through the buffer
- * protocol, check their dtype, order and shape and the work size, raising
- * ValueError, and call the routines above without the interpreter lock. */
+ * protocol, check their dtype, order and shape, raising ValueError, allocate
+ * their routine's scratch and call the routine without the interpreter
+ * lock. */
 
-typedef struct {  /* the buffers a call holds, released together */
+typedef struct {  /* the buffers and scratch a call holds, released together */
     Py_buffer view[9];
     int n;
+    double *w;
 } Held;
 
 static void release(Held *h)
 {
     while (h->n > 0)
         PyBuffer_Release(&h->view[--h->n]);
+    PyMem_RawFree(h->w);
 }
 
 /* The data of obj, a float64 array of ndim dimensions, contiguous in order
@@ -403,21 +404,16 @@ static double *array(Held *h, PyObject *obj, const char *name, char order,
     return b->buf;
 }
 
-/* The data of obj, a writable 1-d float64 work array of at least need
- * doubles; NULL, with a ValueError, otherwise */
-static double *work(Held *h, PyObject *obj, Py_ssize_t need)
+/* n doubles of scratch, which release frees; NULL, with a MemoryError, if
+ * they cannot be had */
+static double *scratch(Held *h, Py_ssize_t n)
 {
-    Py_ssize_t n = -1;
-    double *w = array(h, obj, "work", 'C', 1, 1, &n);
-    if (w && n < need) {
-        PyErr_Format(PyExc_ValueError, "kernel: work holds %zd doubles, "
-                     "%zd needed", n, need);
-        return NULL;
-    }
-    return w;
+    if (!(h->w = PyMem_RawMalloc(sizeof(double) * (size_t)n)))
+        PyErr_NoMemory();
+    return h->w;
 }
 
-/* 3r^2 + 4r + 7m + mr, the work of srp_project, which bounds every index
+/* 3r^2 + 4r + 7m + mr, the scratch of srp_project, which bounds every index
  * the routines form in int; -1, with a ValueError, where it passes INT_MAX */
 static Py_ssize_t work_size(Py_ssize_t m, Py_ssize_t r)
 {
@@ -468,13 +464,12 @@ static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
 static PyObject *project(PyObject *self, PyObject *const *args,
                          Py_ssize_t nargs)
 {
-    Held h;
+    Held h = {.n = 0, .w = NULL};
     Py_ssize_t dU[2] = {-1, -1}, dm[1], dr[1], need;
     double *U, *x, *v, *s, *w, l1, l2, tol;
     int max_iter, n;
 
-    h.n = 0;
-    if (!count(nargs, 9, "project")
+    if (!count(nargs, 8, "project")
         || !(U = array(&h, args[0], "U", 'F', 0, 2, dU))
         || (need = work_size(dU[0], dU[1])) < 0)
         goto fail;
@@ -483,9 +478,9 @@ static PyObject *project(PyObject *self, PyObject *const *args,
     if (!(x = array(&h, args[1], "x", 'C', 0, 1, dm))
         || !(v = array(&h, args[2], "v", 'C', 1, 1, dr))
         || !(s = array(&h, args[3], "s", 'C', 1, 1, dm))
-        || !(w = work(&h, args[4], need))
-        || as_double(args[5], &l1) || as_double(args[6], &l2)
-        || as_double(args[7], &tol) || as_int(args[8], &max_iter))
+        || as_double(args[4], &l1) || as_double(args[5], &l2)
+        || as_double(args[6], &tol) || as_int(args[7], &max_iter)
+        || !(w = scratch(&h, need)))
         goto fail;
     Py_BEGIN_ALLOW_THREADS
     n = srp_project((int)dm[0], (int)dr[0], U, x, l1, l2, tol, max_iter, v, s,
@@ -501,13 +496,12 @@ fail:
 static PyObject *accumulate(PyObject *self, PyObject *const *args,
                             Py_ssize_t nargs)
 {
-    Held h;
+    Held h = {.n = 0, .w = NULL};
     Py_ssize_t dB[2] = {-1, -1}, dA[2], dm[1], dr[1];
     double *A, *B, *x, *v, *s, *w, *xo = NULL, *vo = NULL, *so = NULL;
 
-    h.n = 0;
-    if (nargs != 6 && nargs != 9) {
-        PyErr_Format(PyExc_TypeError, "accumulate takes 6 or 9 arguments "
+    if (nargs != 5 && nargs != 8) {
+        PyErr_Format(PyExc_TypeError, "accumulate takes 5 or 8 arguments "
                      "(%zd given)", nargs);
         return NULL;
     }
@@ -519,13 +513,14 @@ static PyObject *accumulate(PyObject *self, PyObject *const *args,
     if (!(A = array(&h, args[0], "A", 'C', 1, 2, dA))
         || !(x = array(&h, args[2], "x", 'C', 0, 1, dm))
         || !(v = array(&h, args[3], "v", 'C', 0, 1, dr))
-        || !(s = array(&h, args[4], "s", 'C', 0, 1, dm))
-        || !(w = work(&h, args[5], 2 * dm[0])))
+        || !(s = array(&h, args[4], "s", 'C', 0, 1, dm)))
         goto fail;
-    if (nargs == 9
-        && (!(xo = array(&h, args[6], "m_old", 'C', 1, 1, dm))
-            || !(vo = array(&h, args[7], "v_old", 'C', 1, 1, dr))
-            || !(so = array(&h, args[8], "s_old", 'C', 1, 1, dm))))
+    if (nargs == 8
+        && (!(xo = array(&h, args[5], "m_old", 'C', 1, 1, dm))
+            || !(vo = array(&h, args[6], "v_old", 'C', 1, 1, dr))
+            || !(so = array(&h, args[7], "s_old", 'C', 1, 1, dm))))
+        goto fail;
+    if (!(w = scratch(&h, 2 * dm[0])))
         goto fail;
     Py_BEGIN_ALLOW_THREADS
     srp_accumulate((int)dm[0], (int)dr[0], A, B, x, v, s, xo, vo, so, w);
@@ -540,13 +535,12 @@ fail:
 static PyObject *sweep(PyObject *self, PyObject *const *args,
                        Py_ssize_t nargs)
 {
-    Held h;
+    Held h = {.n = 0, .w = NULL};
     Py_ssize_t dU[2] = {-1, -1}, dA[2], b;
     double *U, *A, *B, *w, l1, sym_tol;
-    int sweeps, done;
+    int done;
 
-    h.n = 0;
-    if (!count(nargs, 7, "sweep")
+    if (!count(nargs, 5, "sweep")
         || !(U = array(&h, args[0], "U", 'F', 1, 2, dU))
         || work_size(dU[0], dU[1]) < 0)
         goto fail;
@@ -554,12 +548,11 @@ static PyObject *sweep(PyObject *self, PyObject *const *args,
     b = dU[1] < srp_block ? dU[1] : srp_block;
     if (!(A = array(&h, args[1], "A", 'C', 0, 2, dA))
         || !(B = array(&h, args[2], "B", 'F', 0, 2, dU))
-        || !(w = work(&h, args[3], dU[1] + b + dU[0] * b))
-        || as_double(args[4], &l1) || as_int(args[5], &sweeps)
-        || as_double(args[6], &sym_tol))
+        || as_double(args[3], &l1) || as_double(args[4], &sym_tol)
+        || !(w = scratch(&h, dU[1] + b + dU[0] * b)))
         goto fail;
     Py_BEGIN_ALLOW_THREADS
-    done = srp_sweep((int)dU[0], (int)dU[1], U, A, B, l1, sweeps, sym_tol, w);
+    done = srp_sweep((int)dU[0], (int)dU[1], U, A, B, l1, sym_tol, w);
     Py_END_ALLOW_THREADS
     release(&h);
     return PyBool_FromLong(done == 0);
@@ -573,14 +566,14 @@ fail:
 static PyMethodDef methods[] = {
     {"bind", FASTCALL(bind), "bind(*capsules): the ROUTINES of kernel.py"},
     {"project", FASTCALL(project),
-     "project(U, x, v, s, work, lambda1, lambda2, tol, max_iter): writes v "
-     "and s; the number of alternations, or -1 or -2 where it declines"},
+     "project(U, x, v, s, lambda1, lambda2, tol, max_iter): writes v and s; "
+     "the number of alternations, or -1 or -2 where it declines"},
     {"accumulate", FASTCALL(accumulate),
-     "accumulate(A, B, x, v, s, work[, m_old, v_old, s_old]): updates A and "
-     "B, and overwrites the oldest row (m_old, v_old, s_old) with (x, v, s)"},
+     "accumulate(A, B, x, v, s[, m_old, v_old, s_old]): updates A and B, "
+     "and overwrites the oldest row (m_old, v_old, s_old) with (x, v, s)"},
     {"sweep", FASTCALL(sweep),
-     "sweep(U, A, B, work, lambda1, sweeps, sym_tol): False, U untouched, "
-     "if A is not symmetric"},
+     "sweep(U, A, B, lambda1, sym_tol): one sweep of U in place; False, U "
+     "untouched, if A is not symmetric"},
     {NULL, NULL, 0, NULL},
 };
 

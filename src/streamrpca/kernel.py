@@ -12,9 +12,9 @@ not be built (no compiler, or no Python headers): projection, basis and
 trackers then run their numpy code, which the tests keep as the oracle.
 
 The module's project, accumulate and sweep take the arrays themselves,
-check their dtype, order and shape in C (raising ValueError) and release
-the interpreter lock. A step allocates no memory for scratch: a thread's
-work array is one array, grown to its largest shape.
+check their dtype, order and shape in C (raising ValueError), and each
+entry point allocates its routine's scratch before it releases the
+interpreter lock.
 """
 
 import hashlib
@@ -26,7 +26,6 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -121,17 +120,6 @@ def _load():
 
 _ext = _load()
 ACTIVE = "compiled" if _ext is not None else "numpy"
-_local = threading.local()
-
-
-def _work(m, r):
-    """This thread's work array for rank r on dimension m: one array,
-    grown to the largest shape it has served."""
-    n = 3 * r * r + 4 * r + 7 * m + m * r
-    work = getattr(_local, "work", None)
-    if work is None or work.size < n:
-        work = _local.work = np.empty(n)
-    return work
 
 
 def project(U, x, lambda1, lambda2, tol, max_iter):
@@ -142,7 +130,7 @@ def project(U, x, lambda1, lambda2, tol, max_iter):
     m, r = U.shape
     v, s = np.empty(r), np.empty(m)
     n = _ext.project(np.asfortranarray(U), np.ascontiguousarray(x), v, s,
-                     _work(m, r), lambda1, lambda2, tol, max_iter)
+                     lambda1, lambda2, tol, max_iter)
     return (v, s, n) if n > 0 else None
 
 
@@ -151,17 +139,15 @@ def accumulate(A, B, x, v, s, *oldest):
     (x, v, s); given the window's oldest row as three 1-d views (m_old,
     v_old, s_old), less that row's terms, and the row then takes (x, v, s).
     """
-    _ext.accumulate(A, B, np.ascontiguousarray(x), v, s, _work(*B.shape),
-                    *oldest)
+    _ext.accumulate(A, B, np.ascontiguousarray(x), v, s, *oldest)
 
 
-def sweep(U, A, B, lambda1, sweeps, sym_tol):
-    """update_basis's sweeps on U in place; False, U untouched, if A is not
+def sweep(U, A, B, lambda1, sym_tol):
+    """update_basis's sweep of U in place; False, U untouched, if A is not
     symmetric to sym_tol * (1 + max|A|)."""
     Uf = np.asfortranarray(U)
     done = _ext.sweep(Uf, np.ascontiguousarray(A, float),
-                      np.asfortranarray(B, float), _work(*U.shape), lambda1,
-                      sweeps, sym_tol)
+                      np.asfortranarray(B, float), lambda1, sym_tol)
     if Uf is not U:
         U[...] = Uf
     return done

@@ -23,6 +23,7 @@ correction shares), and the trailing window that seeds the ring buffer.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -57,8 +58,8 @@ class PcpConfig:
             raise ContractViolation("PcpConfig: lam must be finite and > 0")
         if not (0 < self.tol < 1):
             raise ContractViolation("PcpConfig: tol must be in (0, 1)")
-        if self.max_iter < 1:
-            raise ContractViolation("PcpConfig: max_iter must be >= 1")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ContractViolation("PcpConfig: max_iter must be an int >= 1")
         if self.mu != "auto" and not (np.isscalar(self.mu)
                                       and 0 < self.mu < np.inf):
             raise ContractViolation("PcpConfig: mu must be finite and > 0, "

@@ -9,6 +9,7 @@ meets the KKT conditions is the unique minimizer.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -28,10 +29,11 @@ class ProjectionConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ContractViolation("ProjectionConfig: tol must be > 0")
-        if self.max_iter < 1:
-            raise ContractViolation("ProjectionConfig: max_iter must be >= 1")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ContractViolation(
+                "ProjectionConfig: max_iter must be an int >= 1")
 
 
 def projection_objective(U, m_t, v, s, lambda1, lambda2):

@@ -124,9 +124,9 @@ def _gen_stable(spec, r):
 def _gen_pieces(spec, ranks, cps, r0, t_p):
     """Pieces with fresh drifting bases split at cps; the burn-in block uses
     the first piece's starting basis, undrifted."""
-    if any(r0 > r for r in ranks):
-        raise ContractViolation(
-            f"{type(spec.variant).__name__}: r0 must be <= every rank")
+    if not (0 <= r0 <= min(ranks) and t_p >= 1):
+        raise ContractViolation(f"{type(spec.variant).__name__}: need "
+                                "0 <= r0 <= every rank and t_p >= 1")
     bounds = [0, *cps, spec.t]
     lengths = [b2 - b1 for b1, b2 in zip(bounds, bounds[1:])]
     rng = _rng(spec.seed)
@@ -156,6 +156,8 @@ def generate(spec):
     drifting stream is one piece of the piecewise generator."""
     var = spec.variant
     if isinstance(var, Stable):
+        if var.r < 0:
+            raise ContractViolation("Stable: r must be >= 0")
         return _gen_stable(spec, var.r)
     if isinstance(var, Drift):
         return _gen_pieces(spec, [var.r], [], var.r0, var.t_p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .changepoint import MODES, OmwCpPipeline
-from .exceptions import SnapshotError
+from .exceptions import ContractViolation, SnapshotError
 from .trackers import SubspaceModel, WindowBuffer
 
 SNAPSHOT_VERSION = 1
@@ -70,6 +70,13 @@ def restore_pipeline(snapshot, config):
             or (snapshot.buffer is None) != (kind == "stoc")):
         raise SnapshotError(f"snapshot kind {kind!r} does not match its "
                             "window or det_* entries")
+    # another config would take over at the next restart, mid-run
+    taken = (config.n_win if kind == "stoc" else snapshot.buffer.capacity,
+             snapshot.model.lambda1, snapshot.model.lambda2)
+    given = (config.n_win, *map(float, config.resolved_lambdas(m)))
+    if taken != given:
+        raise ContractViolation(f"snapshot has n_win, lambda1, lambda2 = "
+                                f"{taken}, not {given}")
     pipeline = OmwCpPipeline(config, kind)
     pipeline._take_over(snapshot.model, snapshot.buffer, snapshot.cursor)
     if det is None:

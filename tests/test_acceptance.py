@@ -169,7 +169,9 @@ def test_c4_basis_update_monotone_and_matches_pgd():
         B = rng_k.standard_normal((8, 3))
         U = rng_k.standard_normal((8, 3))
         U /= np.maximum(np.linalg.norm(U, axis=0), 1.0)
-        ours = update_basis(U.copy(), A, B, 0.1, sweeps=50)
+        ours = U.copy()
+        for _ in range(50):
+            update_basis(ours, A, B, 0.1)
         oracle = _pgd_oracle(U, A, B, 0.1)
         gap = abs(basis_objective(ours, A, B, 0.1)
                   - basis_objective(oracle, A, B, 0.1))

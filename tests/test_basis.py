@@ -98,7 +98,9 @@ def test_repeated_sweeps_match_projected_gradient_oracle():
     rng = np.random.Generator(np.random.PCG64(32))
     for _ in range(5):
         U, A, B, lam = random_instance(rng, m=8, r=3, lambda1=0.1)
-        ours = update_basis(U.copy(), A, B, lam, sweeps=50)
+        ours = U.copy()
+        for _ in range(50):
+            update_basis(ours, A, B, lam)
         oracle = oracle_projected_gradient(U, A, B, lam)
         g_ours = basis_objective(ours, A, B, lam)
         g_oracle = basis_objective(oracle, A, B, lam)
@@ -116,7 +118,9 @@ def test_column_norm_bound():
 def test_idempotent_at_convergence():
     rng = np.random.Generator(np.random.PCG64(34))
     U, A, B, lam = random_instance(rng)
-    converged = update_basis(U.copy(), A, B, lam, sweeps=500)
+    converged = U.copy()
+    for _ in range(500):
+        update_basis(converged, A, B, lam)
     g1 = basis_objective(converged, A, B, lam)
     again = update_basis(converged.copy(), A, B, lam)
     g2 = basis_objective(again, A, B, lam)
@@ -161,8 +165,8 @@ def test_sweep_matches_column_formula(step_paths, m, r, sweeps, ball,
     for path in step_paths:
         U_in = U.copy(order=order)
         with path:
-            out = update_basis(U_in, A, B, lambda1, sweeps=sweeps)
-        assert out is U_in
+            for _ in range(sweeps):
+                assert update_basis(U_in, A, B, lambda1) is U_in
         np.testing.assert_allclose(U_in, expected, rtol=1e-12, atol=1e-12)
         assert_in_ball(U_in, ball)
 
@@ -184,7 +188,8 @@ def test_blocked_sweep_matches_column_formula(sweeps, ball):
         U, A, B = ball_instance(rng, 60, r, ball)
         expected = column_sweep(U.copy(), A, B, 0.1, sweeps)
         U = U.copy(order="F")
-        assert kernel.sweep(U, A, B, 0.1, sweeps, 1e-8)
+        for _ in range(sweeps):
+            assert kernel.sweep(U, A, B, 0.1, 1e-8)
         assert (np.linalg.norm(U - expected)
                 <= 1e-12 * np.linalg.norm(expected)), r
         assert_in_ball(U, ball)
@@ -197,7 +202,7 @@ def test_blocked_sweep_rejects_an_asymmetric_a_untouched():
     A[0, -1] += 1e-6 * (1.0 + np.abs(A).max())  # across the first block
     U = U.copy(order="F")
     U0 = U.copy()
-    assert not kernel.sweep(U, A, B, lam, 1, 1e-8)
+    assert not kernel.sweep(U, A, B, lam, 1e-8)
     np.testing.assert_array_equal(U, U0)
     with pytest.raises(ContractViolation):
         update_basis(U, A, B, lam)
@@ -206,5 +211,6 @@ def test_blocked_sweep_rejects_an_asymmetric_a_untouched():
 
 def test_zero_rank_basis_is_unchanged():
     U = np.zeros((5, 0))
-    out = update_basis(U, np.zeros((0, 0)), np.zeros((5, 0)), 0.1, sweeps=2)
-    assert out is U and out.shape == (5, 0)
+    for _ in range(2):
+        out = update_basis(U, np.zeros((0, 0)), np.zeros((5, 0)), 0.1)
+        assert out is U and out.shape == (5, 0)

@@ -67,6 +67,45 @@ def test_pcp_refuses_a_non_finite_penalty(tmp_path, capsys, flag):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_pcp_refuses_mu_zero(tmp_path, capsys):
+    # before: a zero --mu was taken for "not given" and ran with the
+    # automatic mu
+    src = tmp_path / "m.csv"
+    write_csv(src, np.ones((6, 5)))
+    assert main(["pcp", "--input", str(src), "--mu", "0",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "mu must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--variant", "drift", "--t-p", "0"], "and t_p >= 1"),
+    (["--r", "-1"], "r must be >= 0"),
+    (["--variant", "drift", "--r", "-1"], "need 0 <= r0 <= every rank"),
+    (["--variant", "drift", "--r0", "-1"], "need 0 <= r0"),
+    (["--variant", "changepoints", "--cps", "50,100", "--r0", "-1"],
+     "need 0 <= r0"),
+])
+def test_simulate_refuses_a_variant_it_cannot_build(tmp_path, capsys, flags,
+                                                    message):
+    # an error line and exit code 1, not a traceback
+    assert main(["simulate", *flags, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value", [("--ranks", "5,x"),
+                                        ("--cps", "500,1e3")])
+def test_simulate_refuses_a_list_that_is_not_integers(tmp_path, capsys, flag,
+                                                      value):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--variant", "changepoints", flag, value,
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: not a list of integers: '{value}'" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_track_refuses_a_non_finite_penalty(tmp_path, capsys, step_paths,
@@ -178,6 +217,28 @@ def test_track_resume_rejects_a_snapshot_of_another_mode(snapshots, tmp_path,
     assert rc == 1
     err = capsys.readouterr().err
     assert f"mode {kind!r}, not {mode!r}" in err
+    assert not (tmp_path / "L.f64").exists()
+
+
+@pytest.mark.parametrize("mode,flags,message", [
+    ("omw", ["--n-win", "10"], "not (10, "),
+    ("omw-cp", ["--n-win", "10"], "not (10, "),
+    ("stoc", ["--lambda1", "0.5"], "not (15, 0.5, "),
+    ("omw", ["--lambda2", "1.0"], ", 1.0)"),
+    ("omw-cp", ["--lambda1", "0.5"], "not (15, 0.5, "),
+])
+def test_track_resume_rejects_a_config_that_is_not_the_snapshots(
+        snapshots, tmp_path, capsys, mode, flags, message):
+    # a later restart would switch to the flags' window and penalties in
+    # the middle of the run
+    rc = main(["track", "--input", str(snapshots / "stream.f64"),
+               "--mode", mode, *SMALL_TRACK, *flags,
+               "--resume", str(snapshots / f"{mode}.npz"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: snapshot has n_win, lambda1, lambda2 = (15, " in err
+    assert message in err
     assert not (tmp_path / "L.f64").exists()
 
 

@@ -53,9 +53,9 @@ def assert_kernel_matches_numpy_on_steps(full, start, config, steps):
         assert_close(v, v_ref)
         assert_close(s, s_ref)
         U = model.U.copy(order="F")
-        assert kernel.sweep(U, model.A, model.B, lambda1, 1, 1e-8)
+        assert kernel.sweep(U, model.A, model.B, lambda1, 1e-8)
         assert_close(U, _sweep_numpy(model.U.copy(order="F"), model.A,
-                                     model.B, lambda1, 1))
+                                     model.B, lambda1))
         omw_step(model, buffer, x)
     return model
 
@@ -83,13 +83,14 @@ def test_kernel_matches_numpy_on_rank_55_states():
 
 @compiled
 def test_trackers_on_threads_match_their_sequential_runs():
-    # six independent trackers of one shape on threads, more than there are
-    # cores, switching often: the kernel calls release the interpreter lock,
-    # and each thread has its own scratch arrays
+    # six independent trackers of different shapes on threads, more than
+    # there are cores, switching often: the kernel calls release the
+    # interpreter lock, and each call has its own scratch of its own size
     config = TrackerConfig(n_burnin=40, n_win=40)
+    shapes = [(30, 3), (80, 20), (45, 9), (60, 5), (100, 12), (35, 16)]
     streams = [full_stream_matrix(generate(SimSpec(
-        m=30, t=300, n_burnin=40, rho=0.02, seed=seed, variant=Stable(r=3))))
-        for seed in range(6)]
+        m=m, t=300, n_burnin=40, rho=0.02, seed=seed, variant=Stable(r=r))))
+        for seed, (m, r) in enumerate(shapes)]
 
     def run(M):
         return run_tracker(ObservationStream.from_matrix(M), "omw", config)
@@ -107,50 +108,27 @@ def test_trackers_on_threads_match_their_sequential_runs():
         assert got.S.tobytes() == want.S.tobytes()
 
 
-def test_scratch_is_one_array_per_thread_grown_to_its_largest_shape():
-    # the three ranks of a switch-omw-cp stream, then the first again: the
-    # scratch of rank 55 serves the smaller shapes too
-    def scratch_after_each_shape():
-        out = []
-        for r in (10, 55, 30, 10):
-            work = kernel._work(400, r)
-            assert work.size >= 3 * r * r + 4 * r + 7 * 400 + 400 * r
-            assert work is kernel._local.work
-            out.append(work)
-        return out
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        first, *rest = pool.submit(scratch_after_each_shape).result(60)
-    assert first.size < rest[0].size
-    assert all(scratch is rest[0] for scratch in rest)
-
-
 @compiled
 def test_entry_points_refuse_bad_arrays():
-    # the module checks each array's dtype, order and shape and the work
-    # size in C, the window's oldest row as three 1-d views like x, v and s:
-    # a bad one raises ValueError before anything is written
+    # the module checks each array's dtype, order and shape in C, the
+    # window's oldest row as three 1-d views like x, v and s: a bad one
+    # raises ValueError before anything is written
     rng = np.random.Generator(np.random.PCG64(46))
     m, r, n = 12, 3, 4
-    b = min(r, kernel._ext.BLOCK)
     U = np.asfortranarray(rng.standard_normal((m, r)))
     B = np.asfortranarray(rng.standard_normal((m, r)))
     window = [rng.standard_normal((n, k)) for k in (m, r, m)]
     good = dict(U=U, A=np.eye(r), B=B, x=rng.standard_normal(m),
                 v=rng.standard_normal(r), s=rng.standard_normal(m),
-                work=kernel._work(m, r), m_old=window[0][1],
-                v_old=window[1][1], s_old=window[2][1])
-    need = {"project": 3 * r * r + 4 * r + 7 * m + m * r,
-            "accumulate": 2 * m, "sweep": r + b + m * b}
+                m_old=window[0][1], v_old=window[1][1], s_old=window[2][1])
     ext = kernel._ext
     calls = {
-        "project": lambda a: ext.project(a["U"], a["x"], a["v"], a["s"],
-                                         a["work"], 0.1, 1.0, 1e-7, 100),
+        "project": lambda a: ext.project(a["U"], a["x"], a["v"], a["s"], 0.1,
+                                         1.0, 1e-7, 100),
         "accumulate": lambda a: ext.accumulate(
-            a["A"], a["B"], a["x"], a["v"], a["s"], a["work"], a["m_old"],
-            a["v_old"], a["s_old"]),
-        "sweep": lambda a: ext.sweep(a["U"], a["A"], a["B"], a["work"], 0.1,
-                                     1, 1e-8),
+            a["A"], a["B"], a["x"], a["v"], a["s"], a["m_old"], a["v_old"],
+            a["s_old"]),
+        "sweep": lambda a: ext.sweep(a["U"], a["A"], a["B"], 0.1, 1e-8),
     }
     cases = [(name, "U", U.astype(np.float32)) for name in ("project",
                                                             "sweep")]
@@ -161,7 +139,6 @@ def test_entry_points_refuse_bad_arrays():
     cases += [(name, key, good[key][:-1]) for name in ("project",
                                                        "accumulate")
               for key in ("x", "v", "s")]
-    cases += [(name, "work", good["work"][:k - 1]) for name, k in need.items()]
     # the oldest row too short, 2-D (a view into the window) or float32
     cases += [("accumulate", key, bad) for key in ("m_old", "v_old", "s_old")
               for bad in (good[key][:-1], good[key][None],
@@ -188,6 +165,35 @@ def test_kernel_compiles_without_warnings(tmp_path):
                              str(kernel.SOURCE), "-lm"],
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+SANITIZED_STUDIES = (
+    "import sys; from streamrpca import experiments, kernel; "
+    "assert kernel.ACTIVE == 'compiled', 'the sanitized build failed'; "
+    "[experiments.run_experiment(study, 'desk', 0, f'{sys.argv[1]}/{study}') "
+    "for study in (1, 3)]")
+
+
+@compiled
+def test_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
+    # desk studies 1 and 3 in all three modes on a kernel built with ASan
+    # and UBSan: a read or write past a routine's scratch, or undefined
+    # behaviour, aborts the run. The build must be the one that runs: a
+    # failed one would fall back to numpy and check nothing.
+    command = kernel._compile_command()
+    cc = command[:command.index("-O2")]
+    libasan = subprocess.run([*cc, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan) or not os.path.isfile(libasan):
+        pytest.skip("the compiler has no libasan.so")
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path),
+               CC=shlex.join([*cc, "-fsanitize=address,undefined",
+                              "-fno-sanitize-recover=undefined"]),
+               LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+    result = subprocess.run([sys.executable, "-c", SANITIZED_STUDIES,
+                             str(tmp_path / "out")], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr[-4000:]
 
 
 @compiled

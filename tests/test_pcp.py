@@ -298,8 +298,10 @@ def test_first_sweep_below_the_gram_guard_is_lapacks_bit_for_bit():
 def test_pcp_config_validation():
     with pytest.raises(ContractViolation):
         PcpConfig(tol=2.0)
-    with pytest.raises(ContractViolation):
-        PcpConfig(max_iter=0)
+    # NaN and fractional caps failed later, inside pcp_alm
+    for bad in (0, np.nan, 2.5, 100.0):
+        with pytest.raises(ContractViolation, match="an int >= 1"):
+            PcpConfig(max_iter=bad)
     with pytest.raises(ContractViolation):
         PcpConfig(lam=-1.0)
     for bad in (np.nan, np.inf):

@@ -51,6 +51,20 @@ def oracle_multistart(U, m_t, lambda1, lambda2, restarts=200, seed=0):
     return best
 
 
+@pytest.mark.parametrize("field,value,match", [
+    ("tol", np.nan, "tol must be > 0"),
+    ("tol", 0.0, "tol must be > 0"),
+    ("max_iter", np.nan, "an int >= 1"),
+    ("max_iter", 2.5, "an int >= 1"),
+    ("max_iter", 0, "an int >= 1"),
+])
+def test_projection_config_refuses_what_it_cannot_run(field, value, match):
+    # before: NaN tol was accepted and never stopped the alternation, and a
+    # NaN or fractional max_iter failed later inside a step
+    with pytest.raises(ContractViolation, match=match):
+        ProjectionConfig(**{field: value})
+
+
 def test_zero_basis_reduces_to_shrinkage():
     U = np.zeros((2, 1))
     v, s = project_sample(U, np.array([3.0, 0.1]), 0.1, 0.5)

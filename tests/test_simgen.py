@@ -185,6 +185,23 @@ def test_changepoints_validation():
         generate(cp_spec(cps=(100, 300)))
 
 
+@pytest.mark.parametrize("variant,match", [
+    (Stable(r=-1), "r must be >= 0"),
+    (Drift(r=-1, r0=0, t_p=50), "Drift: need 0 <= r0 <= every rank"),
+    (Drift(r=4, r0=-1, t_p=50), "Drift: need 0 <= r0"),
+    (Drift(r=4, r0=2, t_p=0), "Drift: .* and t_p >= 1"),
+    (ChangePoints(ranks=(3, -5), cps=(100,), r0=0, t_p=50),
+     "ChangePoints: need 0 <= r0 <= every rank"),
+    (ChangePoints(ranks=(3, 5), cps=(100,), r0=-1, t_p=50), "need 0 <= r0"),
+    (ChangePoints(ranks=(3, 5), cps=(100,), r0=2, t_p=0), "and t_p >= 1"),
+])
+def test_generate_refuses_a_variant_it_cannot_build(variant, match):
+    # before: a ZeroDivisionError, or numpy's "negative dimensions"
+    with pytest.raises(ContractViolation, match=match):
+        generate(SimSpec(m=30, t=200, n_burnin=20, rho=0.01, seed=0,
+                         variant=variant))
+
+
 def test_generate_dispatch_and_full_stream():
     spec = stable_spec()
     gt = generate(spec)

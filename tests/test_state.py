@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from streamrpca.changepoint import (CpConfig, OmwCpPipeline,
                                     continue_tracker, init_tracker,
                                     run_tracker)
-from streamrpca.exceptions import SnapshotError
+from streamrpca.exceptions import ContractViolation, SnapshotError
 from streamrpca.pcp import burnin_initialize
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
@@ -189,6 +189,26 @@ def test_restore_checks_next_t(tmp_path):
     _rewrite(path, det_next_t=np.int64(next_t + 1))
     with pytest.raises(SnapshotError, match="det_next_t"):
         restore_pipeline(load_state(path), config)
+
+
+def test_restore_refuses_a_config_that_is_not_the_snapshots(tmp_path):
+    # a later restart would switch to the config's window and penalties in
+    # the middle of the run; the penalties are compared once resolved
+    gt, config = cp_setup()
+    pipeline = OmwCpPipeline(config)
+    result, _ = pipeline.run(
+        ObservationStream.from_matrix(full_stream_matrix(gt)[:, :130]))
+    path = tmp_path / "cp.npz"
+    save_state(path, snapshot_pipeline(pipeline, result))
+    lambda1 = config.resolved_lambdas(gt.M.shape[0])[0]
+    restore_pipeline(load_state(path),
+                     dataclasses.replace(config, lambda1=lambda1))
+    for change, match in [({"n_win": 40}, r"\(50, .*\), not \(40, "),
+                          ({"lambda2": 2.0}, r", 3\.0\), not \(50, .*, 2\.0"),
+                          ({"lambda1": 2 * lambda1}, "not")]:
+        with pytest.raises(ContractViolation, match=match):
+            restore_pipeline(load_state(path),
+                             dataclasses.replace(config, **change))
 
 
 def cp_setup(seed=83):
