@@ -1,9 +1,9 @@
 """Streaming robust PCA: online low-rank + sparse decomposition of a vector
 stream, moving-window subspace tracking, and change-point detection."""
 
-from .changepoint import (ChangePointReport, CpConfig, CpDiagnostic,
-                          OmwCpPipeline, continue_tracker, init_tracker,
-                          run_omw_cp, run_tracker)
+from .changepoint import (ChangePointReport, CpDiagnostic, OmwCpPipeline,
+                          continue_tracker, init_tracker, run_omw_cp,
+                          run_tracker)
 from .exceptions import (ContractViolation, InitializationError, ParseError,
                          SnapshotError, TrackerStepError)
 from .metrics import EvalReport, cp_deviation, err_rel, support_mismatch

@@ -46,37 +46,6 @@ from .trackers import (ColumnStore, DecompositionResult, TrackerConfig,
                        omw_step, seed_tracker)
 
 
-@dataclass(kw_only=True)
-class CpConfig(TrackerConfig):
-    """The tracker's configuration plus the detector's (keyword-only) fields.
-
-    n_check should stay below n_win/2 to avoid missing change points
-    (tuning guidance, not enforced).
-    """
-
-    n_cp_burnin: int
-    n_test: int
-    n_check: int
-    alpha: float = 0.01
-    alpha_prop: float = 0.5
-    n_positive: int = 3
-    n_tol: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if min(self.n_cp_burnin, self.n_test, self.n_check,
-               self.n_positive) < 1:
-            raise ContractViolation("CpConfig: counts must be >= 1")
-        if not (0 < self.alpha < 1):
-            raise ContractViolation("CpConfig: alpha must be in (0, 1)")
-        if not (0 < self.alpha_prop <= 1):
-            raise ContractViolation("CpConfig: alpha_prop must be in (0, 1]")
-        if self.n_positive > self.n_check:
-            raise ContractViolation("CpConfig: n_positive must be <= n_check")
-        if self.n_tol < 0:
-            raise ContractViolation("CpConfig: n_tol must be >= 0")
-
-
 @dataclass
 class CpDiagnostic:
     """Per-step monitoring record; phase is "cp-burnin", "test-fill" or
@@ -176,8 +145,7 @@ class OmwCpPipeline:
         self.model = self.buffer = self.cursor = self.cols = None
         self.t_start = 1
         self.counts = None
-        self.recent = (deque(maxlen=config.n_check) if mode == "omw-cp"
-                       else None)     # (size, flag) of the last n_check steps
+        self.recent = deque(maxlen=config.n_check)  # (size, flag) pairs
         self.change_points = []
         self.pending = None    # t0 of a restart waiting for its burn-in block
         self.warnings = []

@@ -12,18 +12,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
-from .changepoint import MODES, CpConfig, OmwCpPipeline
+from .changepoint import MODES, OmwCpPipeline
 from .exceptions import (ContractViolation, InitializationError, ParseError,
                          SnapshotError, TrackerStepError)
 from .pcp import PcpConfig, pcp_alm
 from .simgen import ChangePoints, Drift, SimSpec, Stable, generate
 from .state import load_state, restore_pipeline, save_state, snapshot_pipeline
 from .streams import ingest_stream, write_raw_f64
+from .trackers import DETECTOR_FIELDS, TrackerConfig
 
 OUT_DIR_ENV = "STREAMRPCA_OUT_DIR"
 
@@ -46,14 +48,13 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
 
 
-def _add_cp_flags(p):
-    p.add_argument("--n-cp-burnin", type=int, default=100)
-    p.add_argument("--n-test", type=int, default=100)
-    p.add_argument("--n-check", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--alpha-prop", type=float, default=0.5)
-    p.add_argument("--n-positive", type=int, default=3)
-    p.add_argument("--n-tol", type=int, default=0)
+def _mode_list(text):
+    """The modes of a non-empty comma-separated list, as a tuple."""
+    modes = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not modes or not set(modes) <= set(MODES):
+        raise argparse.ArgumentTypeError(
+            f"not a list of modes among {', '.join(MODES)}: {text!r}")
+    return modes
 
 
 def _build_parser():
@@ -75,17 +76,17 @@ def _build_parser():
     p.add_argument("--t-p", type=int, default=125)
     p.add_argument("--ranks", type=_int_list, default="5,25,12",
                    help="comma-separated per-piece ranks (changepoints)")
-    p.add_argument("--cps", type=_int_list, default="500,1000",
+    p.add_argument("--cps", type=_int_list, default="330,660",
                    help="comma-separated change points (changepoints)")
     p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("pcp", help="batch low-rank + sparse decomposition")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["csv", "raw-f64"], default="csv")
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--lam", type=float)
     p.add_argument("--mu", type=float, help="initial penalty; 1.25/||M||_2")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--tol", type=float, default=PcpConfig.tol)
+    p.add_argument("--max-iter", type=int, default=PcpConfig.max_iter)
     p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("track", help="online tracking over a stream file")
@@ -94,9 +95,12 @@ def _build_parser():
     p.add_argument("--mode", choices=MODES, default="omw")
     p.add_argument("--n-burnin", type=int, default=100)
     p.add_argument("--n-win", type=int, default=100)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    _add_cp_flags(p)
+    p.add_argument("--lambda1", type=float)
+    p.add_argument("--lambda2", type=float)
+    for f in fields(TrackerConfig):
+        if f.name in DETECTOR_FIELDS:
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=f.type,
+                           default=f.default)
     p.add_argument("--save-state", default=None,
                    help="write a resumable snapshot after the run")
     p.add_argument("--resume", default=None,
@@ -107,7 +111,7 @@ def _build_parser():
     p.add_argument("--study", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--methods", default="stoc,omw,omw-cp")
+    p.add_argument("--methods", type=_mode_list, default=MODES)
     p.add_argument("--out-dir", default=None)
 
     return parser
@@ -140,7 +144,8 @@ def _cmd_pcp(args):
     if not cols:
         raise ContractViolation("pcp: empty input stream")
     M = np.column_stack(cols)
-    config = PcpConfig(lam=args.lam, mu="auto" if args.mu is None else args.mu,
+    config = PcpConfig(lam=args.lam,
+                       mu=PcpConfig.mu if args.mu is None else args.mu,
                        tol=args.tol, max_iter=args.max_iter)
     result = pcp_alm(M, config)
     out = _out_dir(args)
@@ -154,19 +159,13 @@ def _cmd_pcp(args):
     return 0
 
 
-def _cp_config(args):
-    return CpConfig(
-        n_burnin=args.n_burnin, n_win=args.n_win,
-        n_cp_burnin=args.n_cp_burnin, n_test=args.n_test,
-        n_check=args.n_check, alpha=args.alpha,
-        alpha_prop=args.alpha_prop, n_positive=args.n_positive,
-        n_tol=args.n_tol, lambda1=args.lambda1, lambda2=args.lambda2)
-
-
 def _cmd_track(args):
     retain = args.n_burnin + args.n_check + 8
     stream = ingest_stream(args.input, args.format, retain=retain)
-    config = _cp_config(args)
+    config = TrackerConfig(
+        n_burnin=args.n_burnin, n_win=args.n_win, lambda1=args.lambda1,
+        lambda2=args.lambda2,
+        **{name: getattr(args, name) for name in DETECTOR_FIELDS})
     if args.resume:
         snapshot = load_state(args.resume)
         if snapshot.kind != args.mode:
@@ -190,13 +189,9 @@ def _cmd_track(args):
 
 
 def _cmd_experiment(args):
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    out = _out_dir(args)
-    reports = experiments.run_experiment(args.study, args.scale, args.seed,
-                                         out, methods=methods)
-    for method, report in reports.items():
-        print(f"{method}: err_L={report.err_L:.6g} err_S={report.err_S:.6g} "
-              f"f_S={report.f_S:.6g}")
+    # run_experiment prints each method's result line
+    experiments.run_experiment(args.study, args.scale, args.seed,
+                               _out_dir(args), methods=args.methods)
     return 0
 
 

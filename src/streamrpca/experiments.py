@@ -19,14 +19,16 @@ output directory; they are returned in-memory and logged to stderr.
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
-from .changepoint import MODES, CpConfig, OmwCpPipeline
+from .changepoint import MODES, OmwCpPipeline
 from .exceptions import ContractViolation
 from .metrics import EvalReport, cp_deviation, err_rel, support_mismatch
 from .simgen import (ChangePoints, Drift, SimSpec, Stable, full_stream_matrix,
                      generate)
 from .streams import ObservationStream, write_raw_f64
+from .trackers import TrackerConfig
 
 # Desk-scale study 3 uses a reduced sparse penalty: the rule-of-thumb
 # 100/sqrt(max(m, n_win)) = 10 sits at 2-4.5 standard deviations of the
@@ -35,57 +37,44 @@ from .streams import ObservationStream, write_raw_f64
 # the penalty-to-signal ratio of the full-scale setup.
 _DESK_STUDY3_LAMBDA2 = 3.0
 
+# scale -> (m, n_burnin = n_win, n_cp_burnin, {study -> (T, variant)})
+_STUDIES = {
+    "desk": (100, 100, 100, {
+        1: (1000, Stable(r=5)),
+        2: (1000, Drift(r=10, r0=3, t_p=125)),
+        3: (1500, ChangePoints(ranks=(5, 25, 12), cps=(500, 1000), r0=3,
+                               t_p=125)),
+    }),
+    "paper": (400, 200, 200, {
+        1: (5000, Stable(r=10)),
+        2: (5000, Drift(r=10, r0=5, t_p=250)),
+        3: (3000, ChangePoints(ranks=(10, 50, 25), cps=(1000, 2000), r0=5,
+                               t_p=250)),
+    }),
+}
+
 
 def study_spec(study, scale, seed):
-    """Pinned (SimSpec, CpConfig) pair for a study/scale/seed triple."""
-    if scale == "desk":
-        if study == 1:
-            sim = SimSpec(m=100, t=1000, n_burnin=100, rho=0.01, seed=seed,
-                          variant=Stable(r=5))
-            lambda2 = None
-        elif study == 2:
-            sim = SimSpec(m=100, t=1000, n_burnin=100, rho=0.01, seed=seed,
-                          variant=Drift(r=10, r0=3, t_p=125))
-            lambda2 = None
-        elif study == 3:
-            sim = SimSpec(m=100, t=1500, n_burnin=100, rho=0.01, seed=seed,
-                          variant=ChangePoints(ranks=(5, 25, 12),
-                                               cps=(500, 1000), r0=3,
-                                               t_p=125))
-            lambda2 = _DESK_STUDY3_LAMBDA2
-        else:
-            raise ContractViolation(f"unknown study {study}")
-        cp = CpConfig(n_burnin=100, n_win=100, n_cp_burnin=100, n_test=100,
-                      n_check=20, alpha=0.01, alpha_prop=0.5, n_positive=3,
-                      n_tol=0, lambda2=lambda2)
-        return sim, cp
-    if scale == "paper":
-        if study == 1:
-            sim = SimSpec(m=400, t=5000, n_burnin=200, rho=0.01, seed=seed,
-                          variant=Stable(r=10))
-        elif study == 2:
-            sim = SimSpec(m=400, t=5000, n_burnin=200, rho=0.01, seed=seed,
-                          variant=Drift(r=10, r0=5, t_p=250))
-        elif study == 3:
-            sim = SimSpec(m=400, t=3000, n_burnin=200, rho=0.01, seed=seed,
-                          variant=ChangePoints(ranks=(10, 50, 25),
-                                               cps=(1000, 2000), r0=5,
-                                               t_p=250))
-        else:
-            raise ContractViolation(f"unknown study {study}")
-        cp = CpConfig(n_burnin=200, n_win=200, n_cp_burnin=200, n_test=100,
-                      n_check=20, alpha=0.01, alpha_prop=0.5, n_positive=3,
-                      n_tol=0)
-        return sim, cp
-    raise ContractViolation(f"unknown scale {scale!r}")
+    """Pinned (SimSpec, TrackerConfig) pair for a study/scale/seed triple."""
+    if scale not in _STUDIES:
+        raise ContractViolation(f"unknown scale {scale!r}")
+    m, n_burnin, n_cp_burnin, studies = _STUDIES[scale]
+    if study not in studies:
+        raise ContractViolation(f"unknown study {study}")
+    t, variant = studies[study]
+    lambda2 = _DESK_STUDY3_LAMBDA2 if (study, scale) == (3, "desk") else None
+    return (SimSpec(m=m, t=t, n_burnin=n_burnin, rho=0.01, seed=seed,
+                    variant=variant),
+            TrackerConfig(n_burnin=n_burnin, n_win=n_burnin,
+                          n_cp_burnin=n_cp_burnin, lambda2=lambda2))
 
 
-def run_method(method, gt, cp_config):
+def run_method(method, gt, config):
     """Run one tracker over the generated data; returns
     (DecompositionResult, ChangePointReport-or-None, runtime_seconds)."""
     stream = ObservationStream.from_matrix(full_stream_matrix(gt))
     start = time.perf_counter()
-    result, report = OmwCpPipeline(cp_config, method).run(stream)
+    result, report = OmwCpPipeline(config, method).run(stream)
     return result, report, time.perf_counter() - start
 
 
@@ -107,15 +96,8 @@ def _json_line(obj):
 
 
 def _write_report(path, report, change_points):
-    payload = {
-        "err_L": report.err_L,
-        "err_S": report.err_S,
-        "f_S": report.f_S,
-        "cp_deviations": report.cp_deviations,
-        "cp_misses": report.cp_misses,
-        "cp_false_alarms": report.cp_false_alarms,
-        "change_points": change_points,
-    }
+    payload = {**asdict(report), "change_points": change_points}
+    del payload["runtime_seconds"]  # wall clock, kept out of the artifacts
     Path(path).write_text(_json_line(payload), encoding="ascii")
 
 
@@ -152,7 +134,7 @@ def run_experiment(study, scale, seed, out_dir, methods=MODES):
     Returns {method: EvalReport}. Identical (study, scale, seed) inputs
     produce byte-identical files under out_dir.
     """
-    sim, cp_config = study_spec(study, scale, seed)
+    sim, config = study_spec(study, scale, seed)
     if scale == "paper":
         print("warning: paper scale generates full-size streams; this can "
               "take many minutes", file=sys.stderr)
@@ -164,8 +146,8 @@ def run_experiment(study, scale, seed, out_dir, methods=MODES):
 
     reports = {}
     for method in methods:
-        result, cp_report, runtime = run_method(method, gt, cp_config)
-        report = evaluate(result, gt, cp_config.n_win, runtime)
+        result, cp_report, runtime = run_method(method, gt, config)
+        report = evaluate(result, gt, config.n_win, runtime)
         reports[method] = report
         mdir = out / method.replace("-", "_")
         mdir.mkdir(exist_ok=True)

@@ -15,10 +15,12 @@ import numpy as np
 
 from .changepoint import MODES, OmwCpPipeline
 from .exceptions import ContractViolation, SnapshotError
-from .trackers import SubspaceModel, WindowBuffer
+from .trackers import DETECTOR_FIELDS, SubspaceModel, WindowBuffer
 
 SNAPSHOT_VERSION = 1
 _BUFFER_KEYS = ("buffer_m", "buffer_v", "buffer_s")
+# the config fields a restart reads, stored in omw-cp files as det_<field>
+_RESTART_FIELDS = ("n_burnin", *DETECTOR_FIELDS)
 
 
 @dataclass
@@ -41,7 +43,8 @@ def snapshot_pipeline(pipeline, result):
 
     An omw-cp snapshot carries the detector dict, the one list of detector
     keys (save_state stores each as a det_<key> entry), with the run's L and
-    S, since a later restart may rewrite recent columns."""
+    S, since a later restart may rewrite recent columns, and the detector's
+    and the restart's settings."""
     if pipeline.model is None:
         raise SnapshotError("cannot snapshot an uninitialized pipeline")
     detector = None
@@ -58,6 +61,7 @@ def snapshot_pipeline(pipeline, result):
             "warnings": np.array(pipeline.warnings, dtype=str),
             "L_partial": result.L,
             "S_partial": result.S,
+            **{key: getattr(pipeline.config, key) for key in _RESTART_FIELDS},
         }
     return snapshot_tracker(pipeline.mode, pipeline.model, pipeline.buffer,
                             pipeline.cursor, detector)
@@ -77,6 +81,12 @@ def restore_pipeline(snapshot, config):
     if taken != given:
         raise ContractViolation(f"snapshot has n_win, lambda1, lambda2 = "
                                 f"{taken}, not {given}")
+    # files written before these entries were stored load unchecked
+    differ = [f"{key} = {det[key]}, not {getattr(config, key)}"
+              for key in _RESTART_FIELDS if det is not None and key in det
+              and det[key] != getattr(config, key)]
+    if differ:
+        raise ContractViolation(f"snapshot has {'; '.join(differ)}")
     pipeline = OmwCpPipeline(config, kind)
     pipeline._take_over(snapshot.model, snapshot.buffer, snapshot.cursor)
     if det is None:

@@ -198,12 +198,20 @@ class DecompositionResult:
     change_points: list = field(default_factory=list)
 
 
+# TrackerConfig's fields that only the detector reads
+DETECTOR_FIELDS = ("n_cp_burnin", "n_test", "n_check", "alpha", "alpha_prop",
+                   "n_positive", "n_tol")
+
+
 @dataclass
 class TrackerConfig:
-    """Configuration shared by every mode; changepoint.CpConfig extends it.
+    """Configuration of every mode: the tracker's settings, and the
+    detector's, which only omw-cp reads.
 
     lambda1/lambda2 default to the rule-of-thumb 1/sqrt(max(m, n_win)) and
-    100/sqrt(max(m, n_win)) once the sample dimension is known.
+    100/sqrt(max(m, n_win)) once the sample dimension is known. n_check
+    should stay below n_win/2 to avoid missing change points (tuning
+    guidance, not enforced).
     """
 
     n_burnin: int
@@ -211,17 +219,37 @@ class TrackerConfig:
     lambda1: float | None = None
     lambda2: float | None = None
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
+    n_cp_burnin: int = 100
+    n_test: int = 100
+    n_check: int = 20
+    alpha: float = 0.01
+    alpha_prop: float = 0.5
+    n_positive: int = 3
+    n_tol: int = 0
 
     def __post_init__(self):
-        name = type(self).__name__
         if self.n_burnin < 1 or self.n_win < 1:
-            raise ContractViolation(f"{name}: n_burnin, n_win must be >= 1")
+            raise ContractViolation(
+                "TrackerConfig: n_burnin, n_win must be >= 1")
         if self.n_win > self.n_burnin:
-            raise ContractViolation(f"{name}: n_win must be <= n_burnin")
+            raise ContractViolation("TrackerConfig: n_win must be <= n_burnin")
         if not all(0 < x < np.inf for x in (self.lambda1, self.lambda2)
                    if x is not None):
             raise ContractViolation(
-                f"{name}: lambda1, lambda2 must be finite and > 0")
+                "TrackerConfig: lambda1, lambda2 must be finite and > 0")
+        if min(self.n_cp_burnin, self.n_test, self.n_check,
+               self.n_positive) < 1:
+            raise ContractViolation("TrackerConfig: counts must be >= 1")
+        if not (0 < self.alpha < 1):
+            raise ContractViolation("TrackerConfig: alpha must be in (0, 1)")
+        if not (0 < self.alpha_prop <= 1):
+            raise ContractViolation(
+                "TrackerConfig: alpha_prop must be in (0, 1]")
+        if self.n_positive > self.n_check:
+            raise ContractViolation(
+                "TrackerConfig: n_positive must be <= n_check")
+        if self.n_tol < 0:
+            raise ContractViolation("TrackerConfig: n_tol must be >= 0")
 
     def resolved_lambdas(self, m):
         scale = 1.0 / np.sqrt(max(m, self.n_win))

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import streamrpca
 from streamrpca import kernel
 
 
@@ -32,3 +36,12 @@ def write_csv(path, M):
     with open(path, "w", encoding="ascii") as fh:
         for i in range(M.shape[1]):
             fh.write(",".join(repr(float(x)) for x in M[:, i]) + "\n")
+
+
+def child_env():
+    """os.environ for a child Python that imports the package this suite
+    tests, installed or not: its folder leads PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [
+        str(Path(streamrpca.__file__).parents[1]),
+        os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from streamrpca.basis import basis_objective, update_basis
-from streamrpca.changepoint import CpConfig, run_omw_cp, support_size
+from streamrpca.changepoint import run_omw_cp, support_size
 from streamrpca.metrics import cp_deviation, err_rel
 from streamrpca.pcp import PcpConfig, burnin_initialize, pcp_alm
 from streamrpca.projection import project_sample, projection_objective
@@ -211,9 +211,9 @@ def study1_instance(seed=0):
 
 
 def desk_cp_config(lambda2=None):
-    return CpConfig(n_burnin=100, n_win=100, n_cp_burnin=100, n_test=100,
-                    n_check=20, alpha=0.01, alpha_prop=0.5, n_positive=3,
-                    n_tol=0, lambda2=lambda2)
+    return TrackerConfig(n_burnin=100, n_win=100, n_cp_burnin=100,
+                         n_test=100, n_check=20, alpha=0.01, alpha_prop=0.5,
+                         n_positive=3, n_tol=0, lambda2=lambda2)
 
 
 # -- criterion 6: study 1 desk ------------------------------------------------

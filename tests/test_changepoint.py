@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamrpca.changepoint import (CpConfig, OmwCpPipeline, buffer_advance,
+from streamrpca.changepoint import (OmwCpPipeline, buffer_advance,
                                     continue_tracker, flag_observation,
                                     init_tracker, p_value, run_omw_cp,
                                     run_tracker, scan_for_changepoint,
@@ -15,6 +15,7 @@ from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.state import load_state, save_state, snapshot_tracker
 from streamrpca.streams import ObservationStream
+from streamrpca.trackers import TrackerConfig
 
 
 def test_support_size():
@@ -107,11 +108,10 @@ def desk_cp_config(**overrides):
                 alpha=0.01, alpha_prop=0.5, n_positive=3, n_tol=0,
                 lambda2=3.0)
     base.update(overrides)
-    return CpConfig(**base)
+    return TrackerConfig(**base)
 
 
 def test_stable_stream_no_detection_and_matches_plain_tracking():
-    from streamrpca.trackers import TrackerConfig
     spec = SimSpec(m=40, t=300, n_burnin=50, rho=0.01, seed=51,
                    variant=Stable(r=3))
     gt = generate(spec)

@@ -1,20 +1,17 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import streamrpca
 import streamrpca.trackers
 from streamrpca.cli import main
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.streams import ingest_stream, write_raw_f64
 
-from conftest import write_csv
+from conftest import child_env, write_csv
 
 
 def read_matrix(path):
@@ -92,6 +89,14 @@ def test_simulate_refuses_a_variant_it_cannot_build(tmp_path, capsys, flags,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_changepoints_runs_with_its_defaults(tmp_path):
+    assert main(["simulate", "--variant", "changepoints",
+                 "--out-dir", str(tmp_path)]) == 0
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    assert truth["T"] == 1000 and truth["cps"] == [330, 660]
+    assert read_matrix(tmp_path / "M.f64").shape == (100, 1000)
 
 
 @pytest.mark.parametrize("flag,value", [("--ranks", "5,x"),
@@ -242,6 +247,25 @@ def test_track_resume_rejects_a_config_that_is_not_the_snapshots(
     assert not (tmp_path / "L.f64").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--n-burnin", "20"], "n_burnin = 15, not 20"),
+    (["--n-check", "6"], "n_check = 20, not 6"),
+    (["--alpha", "0.02", "--n-tol", "1"],
+     "alpha = 0.01, not 0.02; n_tol = 0, not 1"),
+])
+def test_track_resume_rejects_detector_settings_that_are_not_the_snapshots(
+        snapshots, tmp_path, capsys, flags, message):
+    # a later restart would seed from another burn-in length, or test with
+    # other settings, than the run before the snapshot
+    rc = main(["track", "--input", str(snapshots / "stream.f64"),
+               "--mode", "omw-cp", *SMALL_TRACK, *flags,
+               "--resume", str(snapshots / "omw-cp.npz"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert f"error: snapshot has {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "L.f64").exists()
+
+
 def test_track_save_state_stacks_the_columns_once(snapshots, tmp_path,
                                                   monkeypatch):
     calls = []
@@ -285,6 +309,18 @@ def test_track_writes_the_detector_report(tmp_path):
     assert [json.loads(line)["t"] for line in lines] == list(range(1, 221))
 
 
+@pytest.mark.parametrize("methods", ["omw,bogus", ",", ""])
+def test_experiment_refuses_a_method_list_it_cannot_run(tmp_path, capsys,
+                                                        methods):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--study", "1", "--methods", methods,
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert ("argument --methods: not a list of modes among stoc, omw, "
+            f"omw-cp: '{methods}'") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_experiment_command_smoke(tmp_path):
     # tiny surrogate for the experiment path: desk study 1 with the full
     # sample budget is exercised in the acceptance suite
@@ -299,14 +335,10 @@ def test_experiment_command_smoke(tmp_path):
 def test_console_entry_point(tmp_path):
     src = tmp_path / "m.csv"
     write_csv(src, np.outer(np.arange(1, 5, dtype=float), np.ones(8)))
-    # the child imports the package this suite tests, installed or not
-    path = os.pathsep.join(filter(None, [
-        str(Path(streamrpca.__file__).parents[1]),
-        os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "streamrpca.cli", "pcp", "--input", str(src),
          "--out-dir", str(tmp_path / "o")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
 
 

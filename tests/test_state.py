@@ -9,9 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamrpca.changepoint import (CpConfig, OmwCpPipeline,
-                                    continue_tracker, init_tracker,
-                                    run_tracker)
+from streamrpca.changepoint import (OmwCpPipeline, continue_tracker,
+                                    init_tracker, run_tracker)
 from streamrpca.exceptions import ContractViolation, SnapshotError
 from streamrpca.pcp import burnin_initialize
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
@@ -192,8 +191,9 @@ def test_restore_checks_next_t(tmp_path):
 
 
 def test_restore_refuses_a_config_that_is_not_the_snapshots(tmp_path):
-    # a later restart would switch to the config's window and penalties in
-    # the middle of the run; the penalties are compared once resolved
+    # a later restart would switch to the config's window, penalties,
+    # burn-in length and detector settings in the middle of the run; the
+    # penalties are compared once resolved
     gt, config = cp_setup()
     pipeline = OmwCpPipeline(config)
     result, _ = pipeline.run(
@@ -205,10 +205,21 @@ def test_restore_refuses_a_config_that_is_not_the_snapshots(tmp_path):
                      dataclasses.replace(config, lambda1=lambda1))
     for change, match in [({"n_win": 40}, r"\(50, .*\), not \(40, "),
                           ({"lambda2": 2.0}, r", 3\.0\), not \(50, .*, 2\.0"),
-                          ({"lambda1": 2 * lambda1}, "not")]:
+                          ({"lambda1": 2 * lambda1}, "not"),
+                          ({"n_burnin": 80}, "has n_burnin = 50, not 80$"),
+                          ({"n_check": 6}, "has n_check = 10, not 6$"),
+                          ({"alpha": 0.02, "n_tol": 1}, "has alpha = 0.01, "
+                           "not 0.02; n_tol = 0, not 1$")]:
         with pytest.raises(ContractViolation, match=match):
             restore_pipeline(load_state(path),
                              dataclasses.replace(config, **change))
+    # files written without the settings load unchecked
+    snapshot = load_state(path)
+    for key in ("n_burnin", "n_cp_burnin", "n_test", "n_check", "alpha",
+                "alpha_prop", "n_positive", "n_tol"):
+        del snapshot.detector[key]
+    restore_pipeline(snapshot, dataclasses.replace(config, n_burnin=80,
+                                                   n_check=6, alpha=0.02))
 
 
 def cp_setup(seed=83):
@@ -216,8 +227,8 @@ def cp_setup(seed=83):
                    variant=ChangePoints(ranks=(3, 15), cps=(200,), r0=2,
                                         t_p=100))
     gt = generate(spec)
-    config = CpConfig(n_burnin=50, n_win=50, n_cp_burnin=50, n_test=50,
-                      n_check=10, lambda2=3.0)
+    config = TrackerConfig(n_burnin=50, n_win=50, n_cp_burnin=50, n_test=50,
+                           n_check=10, lambda2=3.0)
     return gt, config
 
 
@@ -280,8 +291,8 @@ def test_restore_rejects_wrong_kind(tmp_path):
     save_state(path, snapshot_tracker("omw-cp", model, buffer, cursor=0))
     snap = load_state(path)
     assert snap.detector is None
-    config = CpConfig(n_burnin=20, n_win=20, n_cp_burnin=20, n_test=20,
-                      n_check=5)
+    config = TrackerConfig(n_burnin=20, n_win=20, n_cp_burnin=20, n_test=20,
+                           n_check=5)
     with pytest.raises(SnapshotError, match="det_"):
         restore_pipeline(snap, config)
 

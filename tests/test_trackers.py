@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from streamrpca import trackers
 from streamrpca.basis import update_basis
-from streamrpca.changepoint import (CpConfig, OmwCpPipeline, continue_tracker,
+from streamrpca.changepoint import (OmwCpPipeline, continue_tracker,
                                     init_tracker, run_omw_cp, run_tracker)
 from streamrpca.cli import main
 from streamrpca.exceptions import ContractViolation, TrackerStepError
@@ -25,6 +25,8 @@ from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
                                  TrackerConfig, WindowBuffer, omw_init,
                                  omw_step, seed_tracker, state_element_count,
                                  stoc_step)
+
+from conftest import child_env
 
 
 def make_burnin_init(m=20, n=15, r=2, n_win=10, seed=40, rho=0.0):
@@ -338,8 +340,8 @@ def test_penalties_must_be_finite_and_positive(step_paths, bad):
                 with pytest.raises(ContractViolation, match="finite and > 0"):
                     TrackerConfig(n_burnin=40, n_win=40, **kw)
                 with pytest.raises(ContractViolation, match="finite and > 0"):
-                    CpConfig(n_burnin=40, n_win=40, n_cp_burnin=10,
-                             n_test=10, n_check=5, **kw)
+                    TrackerConfig(n_burnin=40, n_win=40, n_cp_burnin=10,
+                                  n_test=10, n_check=5, **kw)
                 with pytest.raises(ContractViolation, match="finite and > 0"):
                     SubspaceModel(**{"U": U, "A": np.eye(3), "B": U,
                                      "lambda1": 0.1, "lambda2": 1.0, **kw})
@@ -353,6 +355,15 @@ def test_penalties_must_be_finite_and_positive(step_paths, bad):
                     update_basis(U.copy(order="F"), np.eye(3), U, bad)
                 with pytest.raises(ContractViolation, match="> 0"):
                     ridge_regress(U, rng.standard_normal(30), bad)
+
+
+@pytest.mark.parametrize("settings", [
+    {"n_cp_burnin": 0}, {"n_test": 0}, {"n_check": 0}, {"n_positive": 0},
+    {"alpha": 0.0}, {"alpha": 1.0}, {"alpha_prop": 0.0}, {"alpha_prop": 1.5},
+    {"n_check": 3, "n_positive": 4}, {"n_tol": -1}])
+def test_config_refuses_detector_settings_it_cannot_run(settings):
+    with pytest.raises(ContractViolation, match="^TrackerConfig: "):
+        TrackerConfig(n_burnin=40, n_win=40, **settings)
 
 
 def test_model_refuses_an_asymmetric_a():
@@ -380,7 +391,7 @@ def test_column_store_keeps_signed_zeros_and_strided_columns():
 
 
 def test_run_tracker_rejects_omw_cp():
-    # a TrackerConfig has no detector fields to run omw-cp with
+    # run_tracker is the shell of the two modes without a detector
     stream = ObservationStream.from_matrix(np.zeros((5, 30)))
     with pytest.raises(ContractViolation, match="not stoc or omw"):
         run_tracker(stream, "omw-cp", TrackerConfig(n_burnin=10, n_win=5))
@@ -433,8 +444,9 @@ def test_model_owns_column_major_u_and_b(tmp_path, evict):
     _assert_owned_column_major(model)
 
     # the restart of an omw-cp pipeline that took the model over
-    pipeline = OmwCpPipeline(CpConfig(n_burnin=15, n_win=10, n_cp_burnin=1,
-                                      n_test=1, n_check=3))
+    pipeline = OmwCpPipeline(TrackerConfig(n_burnin=15, n_win=10,
+                                           n_cp_burnin=1, n_test=1,
+                                           n_check=3))
     pipeline._take_over(model, buffer, config.n_burnin + steps)
     init = pipeline._restart(stream, pipeline.t - 10)
     _assert_owned_column_major(pipeline.model, init.U0, init.A0, init.B0)
@@ -481,8 +493,8 @@ def test_step_failure_names_tracked_time(tmp_path, capsys, mode, resume):
                    variant=Stable(r=2))
     full = full_stream_matrix(generate(spec))
     full[3, 120] = np.nan
-    config = CpConfig(n_burnin=50, n_win=50, n_cp_burnin=50, n_test=50,
-                      n_check=10)
+    config = TrackerConfig(n_burnin=50, n_win=50, n_cp_burnin=50, n_test=50,
+                           n_check=10)
     with pytest.raises(TrackerStepError) as err:
         if mode == "omw-cp":
             run_omw_cp(ObservationStream.from_matrix(full), config)
@@ -549,7 +561,8 @@ def test_tracked_output_memory_is_about_one_stacked_copy(tmp_path):
         print(rss, tracemalloc.get_traced_memory()[1], outputs)
     """)
     out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True, timeout=600)
+                         capture_output=True, text=True, timeout=600,
+                         env=child_env())
     rss, traced, outputs = map(int, out.stdout.split())
     assert outputs == 2 * 100 * 10000 * 8
     assert rss <= 1.45 * outputs
