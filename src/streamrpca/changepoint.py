@@ -60,9 +60,7 @@ class CpDiagnostic:
 
 @dataclass
 class ChangePointReport:
-    change_points: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
-    status: str = "ok"
     warnings: list = field(default_factory=list)
 
 
@@ -156,96 +154,82 @@ class OmwCpPipeline:
 
     def run(self, stream):
         """Consume the stream to exhaustion. Returns (DecompositionResult,
-        ChangePointReport), the report None outside omw-cp. A failing step
+        ChangePointReport), the report None outside omw-cp. A stream shorter
+        than the burn-in block raises ContractViolation, and a failing step
         raises TrackerStepError carrying its tracked time."""
         self.diagnostics = []
         detect = self.mode == "omw-cp"
-        seeded = self.model is not None or self._seed(stream)
-        if seeded:
-            if self.pending is not None:
-                self._restart(stream, self.pending)
-            projection = self.config.projection
-            while (x := stream.get(self.cursor)) is not None:
-                t = self.t
-                try:
-                    out = omw_step(self.model, self.buffer, x, projection)
-                except Exception as exc:
-                    raise TrackerStepError(t, str(exc)) from exc
-                self.cols.append(out.l, out.s)
-                self.cursor += 1
-                if detect:
-                    self._observe(stream, t, out.s)
-            L, S = self.cols.dense(drain=not detect)
-        elif not detect:
+        if self.model is None and self._seed(stream, 0, "before t=1") is None:
             raise ContractViolation(f"{self.mode}: stream shorter than "
                                     f"n_burnin={self.config.n_burnin}")
-        else:
-            L = S = np.zeros((stream.dim or 0, 0))
+        if self.pending is not None:
+            self._restart(stream, self.pending)
+        projection = self.config.projection
+        while (x := stream.get(self.cursor)) is not None:
+            t = self.t
+            try:
+                out = omw_step(self.model, self.buffer, x, projection)
+            except Exception as exc:
+                raise TrackerStepError(t, str(exc)) from exc
+            self.cols.append(out.l, out.s)
+            self.cursor += 1
+            if detect:
+                self._observe(stream, t, out.s)
+        L, S = self.cols.dense(drain=not detect)
         result = DecompositionResult(L=L, S=S,
                                      change_points=list(self.change_points))
         if not detect:
             return result, None
         warnings = list(self.warnings)
-        if not seeded:
-            warnings.append(f"stream shorter than n_burnin="
-                            f"{self.config.n_burnin}; nothing tracked")
-        elif self.pending is not None:
+        if self.pending is not None:
             warnings.append(
                 f"change point at t={self.pending} leaves fewer than "
                 f"n_burnin={self.config.n_burnin} samples; tail processed in "
                 "tracking-only mode")
-        return result, ChangePointReport(
-            change_points=list(self.change_points),
-            diagnostics=self.diagnostics, warnings=warnings,
-            status="ok" if seeded else "insufficient-stream")
+        return result, ChangePointReport(diagnostics=self.diagnostics,
+                                         warnings=warnings)
 
-    def _seed(self, stream):
-        # its own frame, so that the BurninInit is freed before tracking
-        seeded = seed_tracker(stream, 0, self.config,
+    def _seed(self, stream, index, where):
+        """Batch burn-in on stream samples [index, index + n_burnin), then
+        track on from tracked time index + 1: returns the BurninInit, or
+        None, changing nothing, if the stream ends first."""
+        seeded = seed_tracker(stream, index, self.config,
                               evict=self.mode != "stoc")
         if seeded is None:
-            return False
+            return None
         init, model, buffer = seeded
-        self._check_burnin(init, "before t=1")
-        self._take_over(model, buffer, self.config.n_burnin)
-        return True
+        if not init.converged:
+            self.warnings.append(f"burn-in {where}: batch solve unconverged "
+                                 f"after {init.iterations} iterations")
+        self._take_over(model, buffer, index + self.config.n_burnin)
+        self.t_start = index + 1
+        return init
 
     def _take_over(self, model, buffer, cursor):
-        """Track on from (model, buffer) at stream index cursor, with no
-        outputs and an empty histogram."""
+        """Track on from (model, buffer) at stream index cursor, with an
+        empty histogram and flag buffer; the outputs so far are kept."""
         if buffer is not None:
             M, V, S = (X.shape for X in buffer._rows)
             if (M[1], V[1], S[1]) != (model.m, model.r, model.m):
                 raise ContractViolation(f"window rows M{M} V{V} S{S} do not "
                                         f"fit a model with U{model.U.shape}")
         self.model, self.buffer, self.cursor = model, buffer, cursor
-        self.cols = ColumnStore(model.m)
+        if self.cols is None:
+            self.cols = ColumnStore(model.m)
         self.counts = np.zeros(model.m + 1, dtype=np.int64)
-
-    def _check_burnin(self, init, where):
-        if not init.converged:
-            self.warnings.append(f"burn-in {where}: batch solve unconverged "
-                                 f"after {init.iterations} iterations")
+        self.recent.clear()
 
     def _restart(self, stream, t0):
         """Seed afresh from tracked time t0, rewriting the outputs from t0
         on with the burn-in block's: returns the BurninInit, or None, leaving
         the restart pending, if the stream ends inside that block."""
         back = self.t - t0              # samples from t0 up to the cursor
-        index = self.cursor - back
-        seeded = seed_tracker(stream, index, self.config,
-                              evict=self.mode != "stoc")
-        self.pending = t0 if seeded is None else None
-        if seeded is None:
-            return None
-        init, self.model, self.buffer = seeded
-        self._check_burnin(init, f"from t={t0}")
-        self.cols.truncate(max(0, self.cols.n - back))
-        self.cols.extend(init.L_b, init.S_b)
-        self.cursor = index + self.config.n_burnin
-        self.t_start = t0 + self.config.n_burnin
-        self.counts[:] = 0
-        self.recent.clear()
+        kept = max(0, self.cols.n - back)
+        init = self._seed(stream, self.cursor - back, f"from t={t0}")
+        self.pending = t0 if init is None else None
+        if init is not None:
+            self.cols.truncate(kept)
+            self.cols.extend(init.L_b, init.S_b)
         return init
 
     def _observe(self, stream, t, s):

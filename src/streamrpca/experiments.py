@@ -115,11 +115,11 @@ def write_ground_truth(out, gt, spec, **fields):
 
 def write_change_points(out, change_points, report):
     """Write changepoints.json under the directory out; given the detector's
-    ChangePointReport, add its status and warnings there and write its
-    diagnostics to diagnostics.jsonl."""
+    ChangePointReport, add its warnings there and write its diagnostics to
+    diagnostics.jsonl."""
     payload = {"change_points": change_points}
     if report is not None:
-        payload.update(status=report.status, warnings=report.warnings)
+        payload["warnings"] = report.warnings
         with open(out / "diagnostics.jsonl", "w", encoding="ascii") as fh:
             for d in report.diagnostics:
                 fh.write(_json_line({"t": d.t, "c": d.support_size, "p": d.p,
@@ -134,6 +134,9 @@ def run_experiment(study, scale, seed, out_dir, methods=MODES):
     Returns {method: EvalReport}. Identical (study, scale, seed) inputs
     produce byte-identical files under out_dir.
     """
+    if not set(methods) <= set(MODES):
+        raise ContractViolation(f"run_experiment: methods {list(methods)} "
+                                f"are not all among {', '.join(MODES)}")
     sim, config = study_spec(study, scale, seed)
     if scale == "paper":
         print("warning: paper scale generates full-size streams; this can "

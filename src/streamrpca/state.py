@@ -21,6 +21,10 @@ SNAPSHOT_VERSION = 1
 _BUFFER_KEYS = ("buffer_m", "buffer_v", "buffer_s")
 # the config fields a restart reads, stored in omw-cp files as det_<field>
 _RESTART_FIELDS = ("n_burnin", *DETECTOR_FIELDS)
+# every det_<key> entry that an omw-cp file must hold
+_DETECTOR_KEYS = ("hist_counts", "fb_sizes", "fb_flags", "t_start", "next_t",
+                  "change_points", "detection_enabled", "warnings",
+                  "L_partial", "S_partial", *_RESTART_FIELDS)
 
 
 @dataclass
@@ -57,7 +61,6 @@ def snapshot_pipeline(pipeline, result):
             "next_t": pipeline.t,
             "change_points": np.array(pipeline.change_points, dtype=np.int64),
             "detection_enabled": pipeline.pending is None,
-            "status": "ok",  # an unseeded pipeline cannot be snapshotted
             "warnings": np.array(pipeline.warnings, dtype=str),
             "L_partial": result.L,
             "S_partial": result.S,
@@ -81,27 +84,31 @@ def restore_pipeline(snapshot, config):
     if taken != given:
         raise ContractViolation(f"snapshot has n_win, lambda1, lambda2 = "
                                 f"{taken}, not {given}")
-    # files written before these entries were stored load unchecked
-    differ = [f"{key} = {det[key]}, not {getattr(config, key)}"
-              for key in _RESTART_FIELDS if det is not None and key in det
-              and det[key] != getattr(config, key)]
-    if differ:
-        raise ContractViolation(f"snapshot has {'; '.join(differ)}")
     pipeline = OmwCpPipeline(config, kind)
     pipeline._take_over(snapshot.model, snapshot.buffer, snapshot.cursor)
     if det is None:
         return pipeline
+    missing = [f"det_{key}" for key in _DETECTOR_KEYS if key not in det]
+    if missing:
+        raise SnapshotError(f"omw-cp snapshot has no {', '.join(missing)}")
+    differ = [f"{key} = {det[key]}, not {getattr(config, key)}"
+              for key in _RESTART_FIELDS if det[key] != getattr(config, key)]
+    if differ:
+        raise ContractViolation(f"snapshot has {'; '.join(differ)}")
     pipeline.counts = det["hist_counts"].astype(np.int64)
     if pipeline.counts.shape != (m + 1,):
         raise SnapshotError(f"det_hist_counts has shape "
                             f"{pipeline.counts.shape}, expected ({m + 1},)")
-    pipeline.recent.extend(zip(map(int, det["fb_sizes"]),
-                               map(int, det["fb_flags"])))
+    sizes, flags = det["fb_sizes"], det["fb_flags"]
+    if not (sizes.shape == flags.shape == (sizes.size,)
+            and sizes.size <= config.n_check and np.all(sizes >= 0)
+            and np.all(sizes <= m) and np.isin(flags, (0, 1)).all()):
+        raise SnapshotError(f"det_fb_sizes, det_fb_flags: not up to n_check="
+                            f"{config.n_check} pairs of a support size in "
+                            f"[0, {m}] and a flag 0 or 1")
+    pipeline.recent.extend(zip(map(int, sizes), map(int, flags)))
     pipeline.change_points = [int(c) for c in det["change_points"]]
-    # older files also stored the pending restart's warning, which run()
-    # adds to the report
-    pipeline.warnings = [str(w) for w in det["warnings"]
-                         if not str(w).startswith("change point at t=")]
+    pipeline.warnings = [str(w) for w in det["warnings"]]
     if not bool(det["detection_enabled"]):
         if not pipeline.change_points:
             raise SnapshotError("det_detection_enabled is false, but no "

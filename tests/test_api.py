@@ -1,5 +1,6 @@
 import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,3 +20,13 @@ def test_readme_quick_start_runs_and_bench_imports_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     importlib.import_module("workloads")
+
+
+def test_bench_smoke_passes():
+    # every workload briefly, traced and untraced, through the benchmark's
+    # correctness gate and result-line schema
+    proc = subprocess.run([sys.executable, "bench/run.py", "--smoke"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "smoke ok"

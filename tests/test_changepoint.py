@@ -119,7 +119,6 @@ def test_stable_stream_no_detection_and_matches_plain_tracking():
     config = desk_cp_config(lambda2=None)
     result, report = run_omw_cp(ObservationStream.from_matrix(full), config)
     assert result.change_points == []
-    assert report.status == "ok"
     tracker_cfg = TrackerConfig(n_burnin=50, n_win=50)
     plain = run_tracker(ObservationStream.from_matrix(full), "omw",
                         tracker_cfg)
@@ -236,31 +235,35 @@ def test_tail_too_short_for_restart_goes_tracking_only():
 
 
 def test_insufficient_stream_for_initial_burnin():
+    # one rule in every mode: a stream that ends inside the first burn-in
+    # block is refused
     config = desk_cp_config()
-    stream = ObservationStream.from_matrix(np.zeros((10, 20)))
-    result, report = run_omw_cp(stream, config)
-    assert report.status == "insufficient-stream"
-    assert result.L.shape == result.S.shape == (10, 0)
-    assert result.change_points == []
+    for mode in ("stoc", "omw", "omw-cp"):
+        stream = ObservationStream.from_matrix(np.zeros((10, 49)))
+        with pytest.raises(ContractViolation, match=f"^{mode}: stream "
+                           "shorter than n_burnin=50$"):
+            OmwCpPipeline(config, mode).run(stream)
 
 
 def test_short_run_does_not_stick_to_a_later_full_run():
+    # in every mode, a pipeline that refused a short stream runs the full
+    # one as a fresh pipeline does
     spec = SimSpec(m=20, t=100, n_burnin=50, rho=0.01, seed=57,
                    variant=Stable(r=2))
     gt = generate(spec)
     full = full_stream_matrix(gt)
-    pipeline = OmwCpPipeline(desk_cp_config())
-    result, report = pipeline.run(ObservationStream.from_matrix(full[:, :30]))
-    assert report.status == "insufficient-stream"
-    assert result.L.shape == (20, 0)
-    result, report = pipeline.run(ObservationStream.from_matrix(full))
-    assert report.status == "ok"
-    assert not any("nothing tracked" in w for w in report.warnings)
-    assert result.L.shape == result.S.shape == gt.L.shape
-    fresh, _ = run_omw_cp(ObservationStream.from_matrix(full),
-                          desk_cp_config())
-    np.testing.assert_array_equal(result.L, fresh.L)
-    np.testing.assert_array_equal(result.S, fresh.S)
+    for mode in ("stoc", "omw", "omw-cp"):
+        pipeline = OmwCpPipeline(desk_cp_config(), mode)
+        with pytest.raises(ContractViolation, match="shorter than n_burnin"):
+            pipeline.run(ObservationStream.from_matrix(full[:, :30]))
+        result, report = pipeline.run(ObservationStream.from_matrix(full))
+        assert result.L.shape == result.S.shape == gt.L.shape
+        fresh, fresh_report = OmwCpPipeline(desk_cp_config(), mode).run(
+            ObservationStream.from_matrix(full))
+        np.testing.assert_array_equal(result.L, fresh.L, err_msg=mode)
+        np.testing.assert_array_equal(result.S, fresh.S, err_msg=mode)
+        assert result.change_points == fresh.change_points
+        assert report == fresh_report
 
 
 def test_config_validation():

@@ -9,6 +9,7 @@ import streamrpca.trackers
 from streamrpca.cli import main
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
+from streamrpca.state import _DETECTOR_KEYS
 from streamrpca.streams import ingest_stream, write_raw_f64
 
 from conftest import child_env, write_csv
@@ -288,8 +289,8 @@ def test_track_save_state_stacks_the_columns_once(snapshots, tmp_path,
 
 
 def test_track_writes_the_detector_report(tmp_path):
-    # track writes the report's status and warnings with the change points,
-    # as experiment does: a head that ends inside the burn-in block of the
+    # track writes the report's warnings with the change points, as
+    # experiment does: a head that ends inside the burn-in block of the
     # restart at t=201 leaves that restart pending
     spec = SimSpec(m=40, t=400, n_burnin=50, rho=0.01, seed=83,
                    variant=ChangePoints(ranks=(3, 15), cps=(200,), r0=2,
@@ -302,11 +303,100 @@ def test_track_writes_the_detector_report(tmp_path):
                  "--n-cp-burnin", "50", "--n-test", "50", "--n-check", "10",
                  "--lambda2", "3", "--out-dir", str(out)]) == 0
     assert json.loads((out / "changepoints.json").read_text()) == {
-        "change_points": [201], "status": "ok",
+        "change_points": [201],
         "warnings": ["change point at t=201 leaves fewer than n_burnin=50 "
                      "samples; tail processed in tracking-only mode"]}
     lines = (out / "diagnostics.jsonl").read_text().splitlines()
     assert [json.loads(line)["t"] for line in lines] == list(range(1, 221))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_track_refuses_a_stream_shorter_than_the_burn_in(snapshots, tmp_path,
+                                                         capsys, mode):
+    # one rule in every mode
+    src = tmp_path / "short.f64"
+    write_raw_f64(src, read_matrix(snapshots / "stream.f64")[:, :14])
+    rc = main(["track", "--input", str(src), "--mode", mode, *SMALL_TRACK,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert (f"error: {mode}: stream shorter than n_burnin=15\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_omw_cp_snapshot_holds_every_detector_key(snapshots):
+    with np.load(snapshots / "omw-cp.npz") as data:
+        stored = [key[4:] for key in data.files if key.startswith("det_")]
+    assert sorted(stored) == sorted(_DETECTOR_KEYS)
+
+
+@pytest.mark.parametrize("key", _DETECTOR_KEYS)
+def test_track_resume_refuses_an_omw_cp_snapshot_without_an_entry(
+        snapshots, tmp_path, capsys, key):
+    with np.load(snapshots / "omw-cp.npz") as data:
+        arrays = {name: data[name] for name in data.files
+                  if name != f"det_{key}"}
+    path = tmp_path / "snap.npz"
+    np.savez(path, **arrays)
+    rc = main(["track", "--input", str(snapshots / "stream.f64"),
+               "--mode", "omw-cp", *SMALL_TRACK, "--resume", str(path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"error: omw-cp snapshot has no det_{key}\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+CP_TRACK = ["--format", "raw-f64", "--mode", "omw-cp", "--n-burnin", "50",
+            "--n-win", "50", "--n-cp-burnin", "50", "--n-test", "50",
+            "--n-check", "10", "--lambda2", "3"]
+
+
+@pytest.fixture(scope="module")
+def monitoring_snapshot(tmp_path_factory):
+    """The m = 40 stream with a change at t = 200, and an omw-cp snapshot
+    taken at t = 150, in monitoring with a full flag buffer."""
+    tmp = tmp_path_factory.mktemp("monitoring")
+    spec = SimSpec(m=40, t=400, n_burnin=50, rho=0.01, seed=83,
+                   variant=ChangePoints(ranks=(3, 15), cps=(200,), r0=2,
+                                        t_p=100))
+    full = full_stream_matrix(generate(spec))
+    write_raw_f64(tmp / "full.f64", full)
+    write_raw_f64(tmp / "head.f64", full[:, :50 + 150])
+    assert main(["track", "--input", str(tmp / "head.f64"), *CP_TRACK,
+                 "--save-state", str(tmp / "snap.npz"),
+                 "--out-dir", str(tmp / "head")]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("change", [
+    lambda sizes, flags: (np.r_[99, sizes[1:]], flags),
+    lambda sizes, flags: (np.r_[-1, sizes[1:]], flags),
+    lambda sizes, flags: (sizes, flags[:3]),
+    lambda sizes, flags: (np.r_[sizes, sizes], np.r_[flags, flags]),
+    lambda sizes, flags: (sizes, np.r_[2, flags[1:]]),
+], ids=["size-above-m", "negative-size", "short-flags", "n_check-exceeded",
+        "flag-not-0-or-1"])
+def test_track_resume_refuses_a_flag_buffer_the_config_cannot_hold(
+        monitoring_snapshot, tmp_path, capsys, change):
+    # a size above m failed once it aged into the histogram; extra sizes
+    # or pairs were dropped without a word
+    with np.load(monitoring_snapshot / "snap.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    sizes, flags = arrays["det_fb_sizes"], arrays["det_fb_flags"]
+    assert sizes.shape == flags.shape == (10,)
+    arrays["det_fb_sizes"], arrays["det_fb_flags"] = change(sizes, flags)
+    path = tmp_path / "snap.npz"
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    rc = main(["track", "--input", str(monitoring_snapshot / "full.f64"),
+               *CP_TRACK, "--resume", str(path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert ("error: det_fb_sizes, det_fb_flags: not up to n_check=10 pairs "
+            "of a support size in [0, 40] and a flag 0 or 1\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("methods", ["omw,bogus", ",", ""])

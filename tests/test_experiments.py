@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from streamrpca.experiments import study_spec
+from streamrpca.exceptions import ContractViolation
+from streamrpca.experiments import run_experiment, study_spec
 from streamrpca.projection import ProjectionConfig
 from streamrpca.simgen import ChangePoints, Drift, SimSpec, Stable
 
@@ -38,3 +39,10 @@ def test_study_spec_is_pinned(study, scale, sim, config):
     assert got_sim == sim
     assert {f.name: getattr(got_config, f.name)
             for f in dataclasses.fields(got_config)} == config
+
+
+def test_run_experiment_checks_the_methods_before_writing(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ContractViolation, match="'bogus'"):
+        run_experiment(1, "desk", 0, out, methods=("omw", "bogus"))
+    assert not out.exists()

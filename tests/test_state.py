@@ -213,13 +213,15 @@ def test_restore_refuses_a_config_that_is_not_the_snapshots(tmp_path):
         with pytest.raises(ContractViolation, match=match):
             restore_pipeline(load_state(path),
                              dataclasses.replace(config, **change))
-    # files written without the settings load unchecked
+    # a file without the settings is refused: nothing to check them against
     snapshot = load_state(path)
     for key in ("n_burnin", "n_cp_burnin", "n_test", "n_check", "alpha",
                 "alpha_prop", "n_positive", "n_tol"):
         del snapshot.detector[key]
-    restore_pipeline(snapshot, dataclasses.replace(config, n_burnin=80,
-                                                   n_check=6, alpha=0.02))
+    with pytest.raises(SnapshotError, match="has no det_n_burnin, "
+                       "det_n_cp_burnin, .*, det_n_tol$"):
+        restore_pipeline(snapshot, dataclasses.replace(
+            config, n_burnin=80, n_check=6, alpha=0.02))
 
 
 def cp_setup(seed=83):
@@ -316,8 +318,6 @@ def test_pending_restart_is_saved_without_its_warning(tmp_path):
     with np.load(path) as data:
         assert not bool(data["det_detection_enabled"])
         assert data["det_warnings"].size == 0
-    # files written before pending restarts also stored the warning
-    _rewrite(path, det_warnings=np.array(report.warnings))
     resumed = restore_pipeline(load_state(path), config)
     assert resumed.pending == 201 and resumed.warnings == []
     _, again = resumed.run(ObservationStream.from_matrix(full[:, :50 + 230]))
