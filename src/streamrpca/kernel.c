@@ -4,11 +4,15 @@
  * keep the numpy code's operation order; the sweep does not: it sums each
  * column's pending term in blocks and scales by reciprocals.
  *
- * kernel.py builds this file with -ffp-contract=off, so a*b + c rounds
+ * kernel.py builds this file with -O3 -ffp-contract=off, so a*b + c rounds
  * twice as numpy does, loads it as a CPython extension module and hands its
  * bind the capsules of scipy's cython_blas/cython_lapack routines: nothing
- * is linked. Matrices are column-major except A (r x r, row-major), and
- * each entry point allocates its routine's scratch.
+ * is linked. -O3 vectorizes the elementwise loops, whose lanes round as the
+ * scalar code does; with no reassociating flag, no sum is reordered, so the
+ * outputs are those of the scalar build bit for bit. Matrices are
+ * column-major except A (r x r, row-major), and each entry point allocates
+ * its routine's scratch: 3r^2 + 4r + 8m + mr doubles for srp_project (see
+ * work_size), 2m for srp_accumulate, r + b + mb for srp_sweep.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -112,14 +116,27 @@ static void residual_shrink(int m, int r, const double *U, const double *x,
     }
 }
 
-/* rhs = Um - U's, then the solve on the factor F */
+/* rhs = Um - U's, or Um where s is NULL (s = 0, whose U's is +0, so
+ * Um - U's would be Um), then the solve on the factor F */
 static void v_solve(int m, int r, const double *U, const double *Um,
                     const double *s, double *F, double *rhs)
 {
-    mv("T", m, r, U, s, rhs);
-    for (int j = 0; j < r; j++)
-        rhs[j] = Um[j] - rhs[j];
+    if (s) {
+        mv("T", m, r, U, s, rhs);
+        for (int j = 0; j < r; j++)
+            rhs[j] = Um[j] - rhs[j];
+    } else
+        memcpy(rhs, Um, sizeof(double) * r);
     solve(r, F, rhs);
+}
+
+/* Xg = the n rows idx[0..n) of an m x r X, in that order: n x r */
+static void gather(int m, int r, const double *X, const int *idx, int n,
+                   double *Xg)
+{
+    for (int j = 0; j < r; j++)
+        for (int row = 0; row < n; row++)
+            Xg[j * n + row] = X[j * m + idx[row]];
 }
 
 static double objective(int m, int r, const double *U, const double *x,
@@ -154,7 +171,8 @@ static int same_signs(int m, const double *s, const double *signs)
  * non-finite entry of U makes non-finite, as can an overflow) or U'x (an
  * overflow of finite U and x), which the numpy path rejects, -2 where a
  * Cholesky factor the numpy path would replace by a pivoted solve fails.
- * w holds 3r^2 + 4r + 7m + mr doubles. */
+ * w holds 3r^2 + 4r + 8m + mr doubles, the last m of them the int row
+ * indices of the support or of the rows off it. */
 static int srp_project(int m, int r, const double *U, const double *x,
                        double l1, double l2, double tol, int max_iter,
                        double *v_out, double *s_out, double *w)
@@ -163,7 +181,7 @@ static int srp_project(int m, int r, const double *U, const double *x,
     double *v = Um + r, *vn = v + r, *vs = vn + r;
     double *s = vs + r, *sn = s + m, *ss = sn + m, *t = ss + m;
     double *signs = t + m, *prev = signs + m, *xg = prev + m, *Ug = xg + m;
-    int n = 0, have_prev = 0;
+    int *idx = (int *)(Ug + (size_t)m * r), n = 0, have_prev = 0;
 
     for (int i = 0; i < m; i++)
         if (!isfinite(x[i]))
@@ -185,7 +203,7 @@ static int srp_project(int m, int r, const double *U, const double *x,
     memset(s, 0, sizeof(double) * m);
     while (n < max_iter) {
         n++;
-        v_solve(m, r, U, Um, s, F, vn);
+        v_solve(m, r, U, Um, n == 1 ? NULL : s, F, vn);
         residual_shrink(m, r, U, x, vn, l2, t, sn);
         /* a v step of tol or more decides both tests below on its own */
         double step = 0.0;
@@ -209,12 +227,11 @@ static int srp_project(int m, int r, const double *U, const double *x,
         /* the exact solve on the support: G downdated by its rows */
         int k = 0;
         for (int i = 0; i < m; i++)
-            if (signs[i] != 0.0)
-                xg[k++] = x[i] - l2 * signs[i];
-        for (int j = 0; j < r; j++)
-            for (int i = 0, row = 0; i < m; i++)
-                if (signs[i] != 0.0)
-                    Ug[j * k + row++] = U[j * m + i];
+            if (signs[i] != 0.0) {
+                xg[k] = x[i] - l2 * signs[i];
+                idx[k++] = i;
+            }
+        gather(m, r, U, idx, k, Ug);
         mv("T", k, r, Ug, xg, vs);
         for (int j = 0; j < r; j++)
             vs[j] = Um[j] - vs[j];
@@ -225,10 +242,10 @@ static int srp_project(int m, int r, const double *U, const double *x,
         if (factor(r, D)) {
             /* the downdate failed to factor: the Gram matrix of the rows
              * off the support */
-            for (int j = 0; j < r; j++)
-                for (int i = 0, row = 0; i < m; i++)
-                    if (signs[i] == 0.0)
-                        Ug[j * (m - k) + row++] = U[j * m + i];
+            for (int i = 0, row = 0; i < m; i++)
+                if (signs[i] == 0.0)
+                    idx[row++] = i;
+            gather(m, r, U, idx, m - k, Ug);
             gram(m - k, r, Ug, D);
             for (int j = 0; j < r; j++)
                 D[j * r + j] += l1;
@@ -264,29 +281,38 @@ static int srp_project(int m, int r, const double *U, const double *x,
 }
 
 /* A += vv' - vo vo', B += (x - s)v' - (xo - so)vo' for an m x r B; then the
- * window's oldest row (xo, vo, so) takes (x, v, s). xo NULL: no window.
- * w holds 2m doubles. */
-static void srp_accumulate(int m, int r, double *A, double *B,
-                           const double *x, const double *v, const double *s,
-                           double *xo, double *vo, double *so, double *w)
+ * window's oldest row (xo, vo, so) takes (x, v, s). xo NULL: no window, and
+ * A += vv', B += (x - s)v'. w holds 2m doubles. The rows may alias one
+ * another, but not A, B or w. */
+static void srp_accumulate(int m, int r, double *restrict A,
+                           double *restrict B, const double *x,
+                           const double *v, const double *s, double *xo,
+                           double *vo, double *so, double *restrict w)
 {
-    double *e = w, *eo = w + m;
+    double *restrict e = w, *restrict eo = w + m;
 
+    for (int i = 0; i < m; i++)
+        e[i] = x[i] - s[i];
+    if (!xo) {
+        for (int i = 0; i < r; i++)
+            for (int j = 0; j < r; j++)
+                A[i * r + j] += v[i] * v[j];
+        for (int j = 0; j < r; j++)
+            for (int i = 0; i < m; i++)
+                B[j * m + i] += v[j] * e[i];
+        return;
+    }
+    for (int i = 0; i < m; i++)
+        eo[i] = xo[i] - so[i];
     for (int i = 0; i < r; i++)
         for (int j = 0; j < r; j++)
-            A[i * r + j] += xo ? v[i] * v[j] - vo[i] * vo[j] : v[i] * v[j];
-    for (int i = 0; i < m; i++) {
-        e[i] = x[i] - s[i];
-        eo[i] = xo ? xo[i] - so[i] : 0.0;
-    }
+            A[i * r + j] += v[i] * v[j] - vo[i] * vo[j];
     for (int j = 0; j < r; j++)
         for (int i = 0; i < m; i++)
-            B[j * m + i] += xo ? v[j] * e[i] - vo[j] * eo[i] : v[j] * e[i];
-    if (xo) {
-        memcpy(xo, x, sizeof(double) * m);
-        memcpy(vo, v, sizeof(double) * r);
-        memcpy(so, s, sizeof(double) * m);
-    }
+            B[j * m + i] += v[j] * e[i] - vo[j] * eo[i];
+    memcpy(xo, x, sizeof(double) * m);
+    memcpy(vo, v, sizeof(double) * r);
+    memcpy(so, s, sizeof(double) * m);
 }
 
 /* T = X Y' + beta T for the m x k columns X of U and an n x k Y read from
@@ -315,8 +341,10 @@ static int srp_sweep(int m, int r, double *U, const double *A,
 
     for (int i = 0; i < r * r; i++)
         scale = fmax(scale, fabs(A[i]));
-    for (int i = 0; i < r; i++)
-        for (int j = 0; j < r; j++)
+    /* |a - b| = |b - a|, and the diagonal's 0 (or NaN, which fmax drops)
+     * moves no maximum: each pair off it once */
+    for (int i = 1; i < r; i++)
+        for (int j = 0; j < i; j++)
             skew = fmax(skew, fabs(A[i * r + j] - A[j * r + i]));
     if (skew > sym_tol * (1.0 + scale))
         return -1;
@@ -413,11 +441,12 @@ static double *scratch(Held *h, Py_ssize_t n)
     return h->w;
 }
 
-/* 3r^2 + 4r + 7m + mr, the scratch of srp_project, which bounds every index
- * the routines form in int; -1, with a ValueError, where it passes INT_MAX */
+/* 3r^2 + 4r + 8m + mr, the scratch of srp_project in doubles (its m row
+ * indices take m of them), which bounds every index the routines form in
+ * int; -1, with a ValueError, where it passes INT_MAX */
 static Py_ssize_t work_size(Py_ssize_t m, Py_ssize_t r)
 {
-    double n = 3.0 * r * r + 4.0 * r + 7.0 * m + (double)m * r;
+    double n = 3.0 * r * r + 4.0 * r + 8.0 * m + (double)m * r;
     if (n > INT_MAX) {
         PyErr_Format(PyExc_ValueError, "kernel: %zd x %zd is too large", m, r);
         return -1;

@@ -40,7 +40,7 @@ def _compile_command():
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     paths = sysconfig.get_paths()
     includes = dict.fromkeys((paths["include"], paths["platinclude"]))
-    return [*shlex.split(cc), "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+    return [*shlex.split(cc), "-O3", "-fPIC", "-shared", "-ffp-contract=off",
             *(f"-I{folder}" for folder in includes)]
 
 

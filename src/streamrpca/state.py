@@ -118,7 +118,13 @@ def restore_pipeline(snapshot, config):
     if int(det["next_t"]) != pipeline.t:
         raise SnapshotError(
             f"det_next_t {int(det['next_t'])} != t_start + t = {pipeline.t}")
-    pipeline.cols.extend(det["L_partial"], det["S_partial"])
+    L, S = det["L_partial"], det["S_partial"]
+    if not L.shape == S.shape == (m, pipeline.t - 1):
+        raise SnapshotError(f"det_L_partial, det_S_partial have shapes "
+                            f"{L.shape}, {S.shape}, expected "
+                            f"{(m, pipeline.t - 1)}: the columns up to "
+                            f"det_next_t")
+    pipeline.cols.extend(L, S)
     return pipeline
 
 

@@ -381,11 +381,40 @@ def test_track_resume_refuses_a_flag_buffer_the_config_cannot_hold(
         monitoring_snapshot, tmp_path, capsys, change):
     # a size above m failed once it aged into the histogram; extra sizes
     # or pairs were dropped without a word
+    def edit(arrays):
+        sizes, flags = arrays["det_fb_sizes"], arrays["det_fb_flags"]
+        assert sizes.shape == flags.shape == (10,)
+        arrays["det_fb_sizes"], arrays["det_fb_flags"] = change(sizes, flags)
+
+    assert ("error: det_fb_sizes, det_fb_flags: not up to n_check=10 pairs "
+            "of a support size in [0, 40] and a flag 0 or 1\n"
+            in resume_edited(monitoring_snapshot, tmp_path, capsys, edit))
+
+
+@pytest.mark.parametrize("cut,shapes", [
+    (lambda L, S: (L[:, :-5], S[:, :-5]), "(40, 145), (40, 145)"),
+    (lambda L, S: (L[:-1], S), "(39, 150), (40, 150)"),
+], ids=["columns", "row"])
+def test_track_resume_refuses_partial_outputs_that_do_not_fit(
+        monitoring_snapshot, tmp_path, capsys, cut, shapes):
+    # saved at det_next_t = 151 on the m = 40 stream: 5 columns cut resumed
+    # and wrote 395 of 400 columns, a row cut died in ColumnStore.append
+    def edit(arrays):
+        L, S = arrays["det_L_partial"], arrays["det_S_partial"]
+        assert L.shape == S.shape == (40, 150)
+        arrays["det_L_partial"], arrays["det_S_partial"] = cut(L, S)
+
+    assert (f"error: det_L_partial, det_S_partial have shapes {shapes}, "
+            "expected (40, 150): the columns up to det_next_t\n"
+            in resume_edited(monitoring_snapshot, tmp_path, capsys, edit))
+
+
+def resume_edited(monitoring_snapshot, tmp_path, capsys, edit):
+    """stderr of track --resume from the monitoring snapshot with its arrays
+    changed in place by edit; the run must exit 2 and write nothing."""
     with np.load(monitoring_snapshot / "snap.npz") as data:
         arrays = {name: data[name] for name in data.files}
-    sizes, flags = arrays["det_fb_sizes"], arrays["det_fb_flags"]
-    assert sizes.shape == flags.shape == (10,)
-    arrays["det_fb_sizes"], arrays["det_fb_flags"] = change(sizes, flags)
+    edit(arrays)
     path = tmp_path / "snap.npz"
     np.savez(path, **arrays)
     capsys.readouterr()
@@ -393,10 +422,8 @@ def test_track_resume_refuses_a_flag_buffer_the_config_cannot_hold(
                *CP_TRACK, "--resume", str(path),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    assert ("error: det_fb_sizes, det_fb_flags: not up to n_check=10 pairs "
-            "of a support size in [0, 40] and a flag 0 or 1\n"
-            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
 
 
 @pytest.mark.parametrize("methods", ["omw,bogus", ",", ""])

@@ -1,6 +1,7 @@
 """The compiled step kernel against the numpy code it replaces, and the
 loader that builds, caches and falls back."""
 
+import itertools
 import os
 import shlex
 import shutil
@@ -23,7 +24,8 @@ from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
                                generate)
 from streamrpca.streams import ObservationStream, write_raw_f64
 from streamrpca.changepoint import run_tracker
-from streamrpca.trackers import TrackerConfig, omw_init, omw_step
+from streamrpca.trackers import (TrackerConfig, _accumulate_numpy,
+                                 omw_init, omw_step)
 
 compiled = pytest.mark.skipif(kernel.ACTIVE != "compiled",
                               reason="no compiled kernel could be built")
@@ -79,6 +81,91 @@ def test_kernel_matches_numpy_on_rank_55_states():
     model = assert_kernel_matches_numpy_on_steps(full, 1200, config,
                                                  steps=40)
     assert model.r == 55
+
+
+@compiled
+@pytest.mark.parametrize("window", [False, True], ids=["cumulative",
+                                                       "window"])
+@pytest.mark.parametrize("m,r", [(1, 1), (100, 10), (400, 55)])
+def test_accumulate_matches_numpy_bit_for_bit(m, r, window):
+    # elementwise products and differences in the numpy code's order, with
+    # no contraction or reassociation: the vectorized loops must round each
+    # one as numpy does, and overwrite the oldest row with (x, v, s)
+    rng = np.random.Generator(np.random.PCG64(m * r))
+
+    def draw(*shape):  # entries over twelve decades, so rounding shows
+        return (rng.standard_normal(shape)
+                * 10.0 ** rng.uniform(-6, 6, shape))
+
+    half = draw(r, r)
+    x, v, s = draw(m), draw(r), draw(m) * (rng.random(m) < 0.2)
+    states = [[half + half.T, np.asfortranarray(draw(m, r)),
+               *(draw(4, k) for k in (m, r, m))]]
+    states.append([X.copy(order="K") for X in states[0]])
+    for accumulate, (A, B, *rows) in zip(
+            (kernel.accumulate, _accumulate_numpy), states):
+        accumulate(A, B, x, v, s, *([X[2] for X in rows] if window else []))
+    for X, Y in zip(*states):
+        assert X.tobytes() == Y.tobytes()
+    M, V, S = states[0][2:]
+    assert window == all(np.array_equal(X[2], y)
+                         for X, y in ((M, x), (V, v), (S, s)))
+
+
+def assert_kkt(U, x, v, s, lambda1, lambda2):
+    """The projection's KKT conditions, to rounding in U'(x - Uv - s)."""
+    resid = x - U @ v - s
+    scale = 1e-12 * (1.0 + np.abs(U).T @ np.abs(x))
+    assert np.all(np.abs(U.T @ resid - lambda1 * v) <= scale)
+    on = s != 0
+    np.testing.assert_allclose(resid[on], lambda2 * np.sign(s[on]),
+                               rtol=0, atol=1e-9)
+    assert np.all(np.abs(resid[~on]) <= lambda2 + 1e-9)
+
+
+def support_edge(case):
+    """(U, x, lambda1, lambda2, support) of a projection whose support
+    solve gathers the first or the last row, every row, or, where the
+    downdate of U'U + lambda1*I by the support rows rounds to a singular
+    matrix, the rows off the support."""
+    rng = np.random.Generator(np.random.PCG64(60))
+    m, r = 30, 4
+    U = rng.standard_normal((m, r)) / np.sqrt(m)
+    x = U @ rng.standard_normal((r,)) * 3 + 0.01 * rng.standard_normal(m)
+    if case in ("first", "last"):
+        row = 0 if case == "first" else m - 1
+        x[[row, m // 2]] += [40.0, -25.0]
+        return U, x, 0.1, 0.5, sorted([row, m // 2])
+    if case == "every":  # no fit of 4 columns leaves a residual below 0.01
+        return U, 10 * rng.standard_normal(m), 0.1, 0.01, list(range(m))
+    # rows 0 and 9 put 2**54 each into the second diagonal entry of the
+    # Gram matrix, which loses lambda1 = 1 to rounding, so its downdate by
+    # them is singular. The rows off the support fit v = (1, 0) to 0.25,
+    # and the support rows' pull on v cancels in column 2, so the answer,
+    # v = (1, 0) and s = 49, -49 on the support, is exact in floats; the
+    # solve on any other rows than those off the support misses it.
+    U = np.zeros((10, 2))
+    U[1:-1, 0] = [1, 2, 0.5, 1.5, 1, 1, 0.5, 0.5]
+    U[[0, -1]] = [[1.0, 2.0**27], [2.0, 2.0**27]]
+    x = U[:, 0] + 0.25
+    x[[0, -1]] = [51.0, -48.0]
+    return U, x, 1.0, 1.0, [0, 9]
+
+
+@compiled
+@pytest.mark.parametrize("case", ["first", "last", "every", "downdate"])
+def test_support_solve_gathers_the_edge_rows(case):
+    U, x, lambda1, lambda2, support = support_edge(case)
+    if case == "downdate":
+        G = U.T @ U + lambda1 * np.eye(U.shape[1])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(G - U[support].T @ U[support])
+    v, s, _ = kernel.project(U, x, lambda1, lambda2, 1e-7, 1000)
+    v_ref, s_ref = _project_numpy(U, x, lambda1, lambda2, ProjectionConfig())
+    assert np.flatnonzero(s_ref).tolist() == support
+    assert_close(v, v_ref)
+    assert_close(s, s_ref)
+    assert_kkt(U, x, v, s, lambda1, lambda2)
 
 
 @compiled
@@ -181,7 +268,8 @@ def test_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
     # behaviour, aborts the run. The build must be the one that runs: a
     # failed one would fall back to numpy and check nothing.
     command = kernel._compile_command()
-    cc = command[:command.index("-O2")]
+    cc = list(itertools.takewhile(lambda arg: not arg.startswith("-O"),
+                                  command))
     libasan = subprocess.run([*cc, "-print-file-name=libasan.so"],
                              capture_output=True, text=True).stdout.strip()
     if not os.path.isabs(libasan) or not os.path.isfile(libasan):
@@ -260,6 +348,16 @@ def test_second_load_reuses_the_cache(tmp_path):
     assert {p: p.stat().st_mtime_ns for p in cache.rglob("*.so")} == built
 
 
+def test_compile_command_keeps_every_rounding(monkeypatch):
+    # the vectorized loops match the scalar code bit for bit only while no
+    # a*b + c is contracted and no sum is reordered
+    monkeypatch.delenv("CC", raising=False)
+    command = kernel._compile_command()
+    assert "-ffp-contract=off" in command
+    assert not {"-Ofast", "-ffast-math", "-fassociative-math",
+                "-funsafe-math-optimizations"} & set(command)
+
+
 def test_library_name_is_keyed_on_the_compile_command(monkeypatch):
     monkeypatch.setenv("CC", "cc")
     command = kernel._compile_command()
@@ -269,7 +367,7 @@ def test_library_name_is_keyed_on_the_compile_command(monkeypatch):
     monkeypatch.setenv("CC", "clang -m64")
     assert kernel._compile_command()[:2] == ["clang", "-m64"]
     for other in (kernel._compile_command(), [*command, "-march=native"],
-                  command[:-1], ["cc -O2", *command[2:]]):
+                  command[:-1], ["cc -O3", *command[2:]]):
         assert kernel._library_name(other) != name
 
 
