@@ -21,16 +21,14 @@ from .exceptions import ContractViolation
 _SYM_TOL = 1e-8
 
 
-def _asymmetric(A):
-    """Whether A is not symmetric to _SYM_TOL * (1 + max|A|)."""
-    scale = 1.0 + np.abs(A).max(initial=0.0)
-    return np.abs(A - A.T).max(initial=0.0) > _SYM_TOL * scale
-
-
-def basis_objective(U, A, B, lambda1):
-    """g(U) = 0.5*Tr[U'(A + lambda1*I)U] - Tr(U'B)."""
-    At = A + lambda1 * np.eye(A.shape[0])
-    return 0.5 * np.trace(U.T @ U @ At) - np.trace(U.T @ B)
+def _check_accumulator(A, where):
+    """Raise ContractViolation, naming where, unless A is finite and
+    symmetric to _SYM_TOL * (1 + max|A|); numpy's max keeps a NaN."""
+    scale = np.abs(A).max(initial=0.0)
+    if not np.isfinite(scale):
+        raise ContractViolation(f"{where}: A is not finite")
+    if np.abs(A - A.T).max(initial=0.0) > _SYM_TOL * (1.0 + scale):
+        raise ContractViolation(f"{where}: A is not symmetric")
 
 
 def update_basis(U, A, B, lambda1):
@@ -55,8 +53,7 @@ def update_basis(U, A, B, lambda1):
     if kernel.ACTIVE == "compiled" and kernel.sweep(U, A, B, lambda1,
                                                     _SYM_TOL):
         return U
-    if _asymmetric(A):
-        raise ContractViolation("update_basis: A is not symmetric")
+    _check_accumulator(A, "update_basis")
     return _sweep_numpy(U, A, B, lambda1)
 
 

@@ -1,8 +1,11 @@
 /* Compiled per-sample step of the trackers: the projection of
  * projection.project_sample, the accumulator update of trackers.omw_step and
- * the basis sweep of basis.update_basis. The projection and the accumulator
- * keep the numpy code's operation order; the sweep does not: it sums each
- * column's pending term in blocks and scales by reciprocals.
+ * the basis sweep of basis.update_basis; and the warm loop of the burn-in's
+ * singular value thresholding, prox.svt_factors. The projection, the
+ * accumulator and the warm loop keep the numpy code's operation order (the
+ * loop calls numpy's LAPACK and BLAS routines in numpy's order); the sweep
+ * does not: it sums each column's pending term in blocks and scales by
+ * reciprocals.
  *
  * kernel.py builds this file with -O3 -ffp-contract=off, so a*b + c rounds
  * twice as numpy does, loads it as a CPython extension module and hands its
@@ -10,9 +13,12 @@
  * is linked. -O3 vectorizes the elementwise loops, whose lanes round as the
  * scalar code does; with no reassociating flag, no sum is reordered, so the
  * outputs are those of the scalar build bit for bit. Matrices are
- * column-major except A (r x r, row-major), and each entry point allocates
- * its routine's scratch: 3r^2 + 4r + 8m + mr doubles for srp_project (see
- * work_size), 2m for srp_accumulate, r + b + mb for srp_sweep.
+ * column-major except A (r x r, row-major) and the warm loop's, which are
+ * row-major as numpy holds them, and each entry point allocates its
+ * routine's scratch: 3r^2 + 4r + 8m + mr doubles for srp_project (see
+ * work_size), 2m for srp_accumulate, r + b + mb for srp_sweep, and
+ * 4mk + 3kn + 2k^2 + 5k plus the largest LAPACK workspace for srp_svt (see
+ * svt_query).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -27,6 +33,13 @@ typedef void gemm_t(char *, char *, int *, int *, int *, double *, double *,
 typedef void syrk_t(char *, char *, int *, int *, double *, double *, int *,
                     double *, double *, int *);
 typedef double dot_t(int *, double *, int *, double *, int *);
+typedef void geqrf_t(int *, int *, double *, int *, double *, double *,
+                     int *, int *);
+typedef void orgqr_t(int *, int *, int *, double *, int *, double *,
+                     double *, int *, int *);
+typedef void gesdd_t(char *, int *, int *, double *, int *, double *,
+                     double *, int *, double *, int *, double *, int *,
+                     int *, int *);
 typedef void potrf_t(char *, int *, double *, int *, int *);
 typedef void potrs_t(char *, int *, int *, double *, int *, double *, int *,
                      int *);
@@ -35,6 +48,9 @@ static gemv_t *gemv;
 static gemm_t *gemm;
 static syrk_t *syrk;
 static dot_t *dot;
+static geqrf_t *geqrf;
+static orgqr_t *orgqr;
+static gesdd_t *gesdd;
 static potrf_t *potrf;
 static potrs_t *potrs;
 static int ONE = 1;
@@ -42,15 +58,15 @@ static int ONE = 1;
 /* Columns per block of the sweep: the module's BLOCK */
 enum { srp_block = 8 };
 
-/* capsules hold dgemv, dgemm, dsyrk, ddot, dpotrf and dpotrs, in kernel.py's
- * ROUTINES order; -1, with nothing bound, if there are not n = 6 of them or
- * one is not a capsule */
+/* capsules hold dgemv, dgemm, dsyrk, ddot, dgeqrf, dorgqr, dgesdd, dpotrf
+ * and dpotrs, in kernel.py's ROUTINES order; -1, with nothing bound, if there
+ * are not n = 9 of them or one is not a capsule */
 static int srp_bind(PyObject *const *capsules, Py_ssize_t n)
 {
-    void *fn[6];
-    if (n != 6)
+    void *fn[9];
+    if (n != 9)
         return -1;
-    for (int i = 0; i < 6; i++)
+    for (int i = 0; i < 9; i++)
         if (!PyCapsule_CheckExact(capsules[i])
             || !(fn[i] = PyCapsule_GetPointer(
                      capsules[i], PyCapsule_GetName(capsules[i]))))
@@ -59,8 +75,11 @@ static int srp_bind(PyObject *const *capsules, Py_ssize_t n)
     gemm = (gemm_t *)fn[1];
     syrk = (syrk_t *)fn[2];
     dot = (dot_t *)fn[3];
-    potrf = (potrf_t *)fn[4];
-    potrs = (potrs_t *)fn[5];
+    geqrf = (geqrf_t *)fn[4];
+    orgqr = (orgqr_t *)fn[5];
+    gesdd = (gesdd_t *)fn[6];
+    potrf = (potrf_t *)fn[7];
+    potrs = (potrs_t *)fn[8];
     return 0;
 }
 
@@ -328,8 +347,9 @@ static void pending(int m, int n, int k, const double *X, const double *Y,
     *beta = 1.0;
 }
 
-/* One sweep of update_basis on an m x r U in place; -1 if A is not symmetric
- * to sym_tol * (1 + max|A|). A Gauss-Seidel sweep in blocks of srp_block
+/* One sweep of update_basis on an m x r U in place; -1 if A is not finite
+ * or not symmetric to sym_tol * (1 + max|A|). A Gauss-Seidel sweep in blocks
+ * of srp_block
  * columns: a block's pending sums over the columns before it (swept) and
  * after it (not yet) are two dgemm, and each column adds those of its own
  * block by dgemv. w holds r + b + mb doubles, b = min(r, srp_block). */
@@ -339,10 +359,13 @@ static int srp_sweep(int m, int r, double *U, const double *A,
     int nb = r < srp_block ? r : srp_block;
     double *rd = w, *c = rd + r, *T = c + nb, scale = 0.0, skew = 0.0;
 
-    for (int i = 0; i < r * r; i++)
+    for (int i = 0; i < r * r; i++) {
+        if (!isfinite(A[i]))  /* which fmax would drop */
+            return -1;
         scale = fmax(scale, fabs(A[i]));
-    /* |a - b| = |b - a|, and the diagonal's 0 (or NaN, which fmax drops)
-     * moves no maximum: each pair off it once */
+    }
+    /* |a - b| = |b - a|, and the diagonal's 0 moves no maximum: each pair
+     * off it once */
     for (int i = 1; i < r; i++)
         for (int j = 0; j < i; j++)
             skew = fmax(skew, fabs(A[i * r + j] - A[j * r + i]));
@@ -377,6 +400,147 @@ static int srp_sweep(int m, int r, double *U, const double *A,
     return 0;
 }
 
+/* Y = X' for a rows x cols column-major X, so Y is X row-major: the copies
+ * numpy makes between its row-major arrays and LAPACK's column-major ones */
+static void transpose(int rows, int cols, const double *X, double *Y)
+{
+    for (int j = 0; j < cols; j++)
+        for (int i = 0; i < rows; i++)
+            Y[(size_t)i * cols + j] = X[(size_t)j * rows + i];
+}
+
+/* The sum of the squares of a[0], a[stride], ... a[(n - 1) stride] as
+ * numpy's add.reduce sums a contiguous run: eight partial sums in blocks of
+ * up to 128, halved above that */
+static double pairwise_squares(const double *a, int n, int stride)
+{
+    double r[8], res = 0.0;
+    int i = 0;
+
+    if (n > 128) {
+        int half = n / 2 - n / 2 % 8;
+        return pairwise_squares(a, half, stride)
+               + pairwise_squares(a + (size_t)half * stride, n - half, stride);
+    }
+    if (n >= 8) {
+        for (int j = 0; j < 8; j++)
+            r[j] = a[(size_t)j * stride] * a[(size_t)j * stride];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) {
+                double x = a[(size_t)(i + j) * stride];
+                r[j] += x * x;
+            }
+        res = ((r[0] + r[1]) + (r[2] + r[3]))
+              + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        res += a[(size_t)i * stride] * a[(size_t)i * stride];
+    return res;
+}
+
+/* The LAPACK workspaces of srp_svt, each routine's own query as numpy's qr
+ * and svd make it, at least max(1, k) for dgeqrf and dorgqr and 1 for
+ * dgesdd, as numpy asks */
+typedef struct { int qr, gqr, sdd; } svt_lwork;
+
+static int lwork_max(svt_lwork lw)
+{
+    int most = lw.qr > lw.gqr ? lw.qr : lw.gqr;
+    return most > lw.sdd ? most : lw.sdd;
+}
+
+static svt_lwork svt_query(int m, int n, int k)
+{
+    double q, none = 0.0;
+    int query = -1, info, inone = 0;
+    svt_lwork lw;
+
+    geqrf(&m, &k, &none, &m, &none, &q, &query, &info);
+    lw.qr = (int)q > k ? (int)q : k > 1 ? k : 1;
+    orgqr(&m, &k, &k, &none, &m, &none, &q, &query, &info);
+    lw.gqr = (int)q > k ? (int)q : k > 1 ? k : 1;
+    gesdd("S", &k, &n, &none, &k, &none, &none, &k, &none, &k, &q, &query,
+          &inone, &info);
+    lw.sdd = (int)q > 1 ? (int)q : 1;
+    return lw;
+}
+
+/* The warm loop of prox.svt_factors (_svt_warm_numpy) on a row-major m x n
+ * X from an n x k block, 1 <= k <= min(m, n), row-major where trans is "N"
+ * and column-major where it is "T", as numpy's matmul takes it, with numpy's
+ * routines in numpy's order, so that its outputs are numpy's bit for bit:
+ * Z = X block, then up to max_steps times Q = orth(Z) (dgeqrf, dorgqr),
+ * (Ub, s, Vh) = the SVD of Q'X (dgesdd), Z = X Vh', U = Q Ub and R = Z - U s,
+ * each row-major as numpy holds it. It writes U (m x k), s and Vh (k x n),
+ * row-major, and returns the step it accepted (1, 2, ...); 0 where all k
+ * values exceed tau or no step is accepted; -1 where dgesdd fails. w holds
+ * 4mk + 3kn + 2k^2 + 5k + max(lw) doubles, the last 4k of them 8k ints. */
+static int srp_svt(int m, int n, int k, const double *X, char *trans,
+                   const double *block, double tau, int max_steps,
+                   double guard_tol, double ritz_tol, svt_lwork lw,
+                   double *U, double *s, double *Vh, double *w)
+{
+    int info;
+    double *Z = w, *F = Z + (size_t)m * k, *Q = F + (size_t)m * k;
+    double *R = Q + (size_t)m * k, *P = R + (size_t)m * k;
+    double *Pf = P + (size_t)k * n, *Vf = Pf + (size_t)k * n;
+    double *Uf = Vf + (size_t)k * n, *Ub = Uf + k * k, *tq = Ub + k * k;
+    double *work = tq + k, one = 1.0, zero = 0.0;
+    int *iwork = (int *)(work + lwork_max(lw));
+
+    int ldb = *trans == 'N' ? k : n;
+    gemm(trans, "N", &k, &m, &n, &one, (double *)block, &ldb, (double *)X, &n,
+         &zero, Z, &k);
+    for (int step = 1; step <= max_steps; step++) {
+        transpose(k, m, Z, F);
+        geqrf(&m, &k, F, &m, tq, work, &lw.qr, &info);
+        orgqr(&m, &k, &k, F, &m, tq, work, &lw.gqr, &info);
+        transpose(m, k, F, Q);
+        gemm("N", "T", &n, &k, &m, &one, (double *)X, &n, Q, &k, &zero, P,
+             &n);
+        transpose(n, k, P, Pf);
+        gesdd("S", &k, &n, Pf, &k, s, Uf, &k, Vf, &k, work, &lw.sdd, iwork,
+              &info);
+        if (info)
+            return -1;
+        transpose(k, k, Uf, Ub);
+        transpose(k, n, Vf, Vh);
+        int kept = 0, guards_below = 1;
+        while (kept < k && s[kept] > tau)
+            kept++;
+        if (kept == k)
+            return 0;
+        gemm("T", "N", &k, &m, &n, &one, Vh, &n, (double *)X, &n, &zero, Z,
+             &k);
+        gemm("N", "N", &k, &m, &k, &one, Ub, &k, Q, &k, &zero, U, &k);
+        for (int i = 0; i < m; i++)
+            for (int j = 0; j < k; j++)
+                R[i * k + j] = Z[i * k + j] - U[i * k + j] * s[j];
+        /* numpy's norm(R[:, kept:], axis=0): a sequential sum down each
+         * column, or the pairwise sum where there is one column */
+        for (int j = kept; j < k && guards_below; j++) {
+            double sq = 0.0;
+            if (k - kept == 1)
+                sq = pairwise_squares(R + j, m, k);
+            else
+                for (int i = 0; i < m; i++)
+                    sq += R[i * k + j] * R[i * k + j];
+            guards_below = sqrt(sq) <= guard_tol * (tau - s[j]);
+        }
+        if (!guards_below)
+            continue;
+        /* numpy's norm(R[:, :kept]): ddot of its row-major copy */
+        int size = m * kept;
+        for (int i = 0; i < m; i++)
+            memcpy(F + (size_t)i * kept, R + (size_t)i * k,
+                   sizeof(double) * kept);
+        double residual = sqrt(size ? dot(&size, F, &ONE, F, &ONE) : 0.0);
+        if (residual <= ritz_tol * s[0])
+            return step;
+    }
+    return 0;
+}
+
 /* The module. Its entry points take numpy arrays through the buffer
  * protocol, check their dtype, order and shape, raising ValueError, allocate
  * their routine's scratch and call the routine without the interpreter
@@ -396,21 +560,22 @@ static void release(Held *h)
 }
 
 /* The data of obj, a float64 array of ndim dimensions, contiguous in order
- * 'C' or 'F', writable if asked, whose extent along axis k is dims[k], or
- * is written to dims[k] where that is negative; NULL, with a ValueError,
- * if it is not such an array. */
+ * 'C' or 'F', or in either for 'A', writable if asked, whose extent along
+ * axis k is dims[k], or is written to dims[k] where that is negative; NULL,
+ * with a ValueError, if it is not such an array. */
 static double *array(Held *h, PyObject *obj, const char *name, char order,
                      int writable, int ndim, Py_ssize_t *dims)
 {
     Py_buffer *b = &h->view[h->n];
     int flags = PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0)
-                | (order == 'F' ? PyBUF_F_CONTIGUOUS : PyBUF_C_CONTIGUOUS);
+                | (order == 'F' ? PyBUF_F_CONTIGUOUS
+                   : order == 'C' ? PyBUF_C_CONTIGUOUS : PyBUF_ANY_CONTIGUOUS);
 
     if (PyObject_GetBuffer(obj, b, flags) < 0) {
         PyErr_Clear();
-        PyErr_Format(PyExc_ValueError, "kernel: %s must be a %s%c-contiguous"
+        PyErr_Format(PyExc_ValueError, "kernel: %s must be a %s%s-contiguous"
                      " float64 array", name, writable ? "writable " : "",
-                     order);
+                     order == 'F' ? "F" : order == 'C' ? "C" : "C- or F");
         return NULL;
     }
     h->n++;
@@ -486,7 +651,8 @@ static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
         Py_RETURN_NONE;
     PyErr_Clear();
     PyErr_SetString(PyExc_ValueError, "kernel: bind takes the capsules of "
-                    "dgemv, dgemm, dsyrk, ddot, dpotrf and dpotrs");
+                    "dgemv, dgemm, dsyrk, ddot, dgeqrf, dorgqr, dgesdd, "
+                    "dpotrf and dpotrs");
     return NULL;
 }
 
@@ -590,6 +756,59 @@ fail:
     return NULL;
 }
 
+static PyObject *svt(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held h = {.n = 0, .w = NULL};
+    Py_ssize_t dX[2] = {-1, -1}, dblock[2], dU[2], dk[1], dVh[2], need;
+    double *X, *block, *U, *s, *Vh, tau, guard_tol, ritz_tol;
+    int max_steps, m, n, k, steps;
+    char *trans;
+    svt_lwork lw;
+
+    if (!count(nargs, 9, "svt")
+        || !(X = array(&h, args[0], "X", 'C', 0, 2, dX)))
+        goto fail;
+    dblock[0] = dX[1];
+    dblock[1] = -1;
+    if (!(block = array(&h, args[1], "block", 'A', 0, 2, dblock)))
+        goto fail;
+    /* numpy's matmul takes a row-major block as it is, any other transposed */
+    trans = PyBuffer_IsContiguous(&h.view[h.n - 1], 'C') ? "N" : "T";
+    if (dblock[1] < 1 || dblock[1] > dX[0] || dblock[1] > dX[1]
+        || (double)dX[0] * dX[1] > INT_MAX) {
+        PyErr_Format(PyExc_ValueError, "kernel: a %zd x %zd X takes a block "
+                     "of 1 to min(m, n) columns, not %zd", dX[0], dX[1],
+                     dblock[1]);
+        goto fail;
+    }
+    m = (int)dX[0];
+    n = (int)dX[1];
+    k = (int)dblock[1];
+    dU[0] = m;
+    dk[0] = dU[1] = dVh[0] = k;
+    dVh[1] = n;
+    if (!(U = array(&h, args[2], "U", 'C', 1, 2, dU))
+        || !(s = array(&h, args[3], "s", 'C', 1, 1, dk))
+        || !(Vh = array(&h, args[4], "Vh", 'C', 1, 2, dVh))
+        || as_double(args[5], &tau) || as_int(args[6], &max_steps)
+        || as_double(args[7], &guard_tol) || as_double(args[8], &ritz_tol))
+        goto fail;
+    lw = svt_query(m, n, k);
+    need = 4 * (Py_ssize_t)m * k + 3 * (Py_ssize_t)k * n + 2 * k * k + 5 * k
+           + lwork_max(lw);
+    if (!scratch(&h, need))
+        goto fail;
+    Py_BEGIN_ALLOW_THREADS
+    steps = srp_svt(m, n, k, X, trans, block, tau, max_steps, guard_tol,
+                    ritz_tol, lw, U, s, Vh, h.w);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return PyLong_FromLong(steps);
+fail:
+    release(&h);
+    return NULL;
+}
+
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static PyMethodDef methods[] = {
@@ -602,7 +821,11 @@ static PyMethodDef methods[] = {
      "and overwrites the oldest row (m_old, v_old, s_old) with (x, v, s)"},
     {"sweep", FASTCALL(sweep),
      "sweep(U, A, B, lambda1, sym_tol): one sweep of U in place; False, U "
-     "untouched, if A is not symmetric"},
+     "untouched, if A is not finite or not symmetric"},
+    {"svt", FASTCALL(svt),
+     "svt(X, block, U, s, Vh, tau, max_steps, guard_tol, ritz_tol): the warm "
+     "loop of prox.svt_factors; writes U, s and Vh and returns the step it "
+     "accepted, 0 where it declines, -1 where dgesdd fails"},
     {NULL, NULL, 0, NULL},
 };
 

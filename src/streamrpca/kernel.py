@@ -8,10 +8,11 @@ interpreter and the compile command. It calls BLAS and LAPACK through
 scipy's cython_blas/cython_lapack capsules, so nothing is linked; those two
 modules are loaded from scipy's linalg folder, so scipy.linalg itself is not
 imported. ACTIVE is "compiled" once it is loaded and "numpy" where it could
-not be built (no compiler, or no Python headers): projection, basis and
-trackers then run their numpy code, which the tests keep as the oracle.
+not be built (no compiler, or no Python headers): projection, basis,
+trackers and prox then run their numpy code, which the tests keep as the
+oracle.
 
-The module's project, accumulate and sweep take the arrays themselves,
+The module's project, accumulate, sweep and svt take the arrays themselves,
 check their dtype, order and shape in C (raising ValueError), and each
 entry point allocates its routine's scratch before it releases the
 interpreter lock.
@@ -31,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("kernel.c")
-ROUTINES = ("dgemv", "dgemm", "dsyrk", "ddot", "dpotrf", "dpotrs")
+ROUTINES = ("dgemv", "dgemm", "dsyrk", "ddot", "dgeqrf", "dorgqr", "dgesdd",
+            "dpotrf", "dpotrs")
 
 
 def _compile_command():
@@ -112,14 +114,35 @@ def _load():
     try:
         ext = importlib.util.module_from_spec(
             importlib.util.spec_from_loader(loader.name, loader))
-        ext.bind(*_capsules())  # ValueError unless it is handed six
+        ext.bind(*_capsules())  # ValueError unless it is handed nine
     except (ImportError, AttributeError, KeyError, ValueError):
         return None
     return ext
 
 
+def _blas_threaded():
+    """Whether OpenBLAS starts more than one thread: the count it reads at
+    load, the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS that is positive, capped at the usable cores."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cores) > 1
+    return cores > 1
+
+
 _ext = _load()
 ACTIVE = "compiled" if _ext is not None else "numpy"
+# The largest m n k of an m x n X and a k-column block that svt_factors
+# hands to svt_warm. OpenBLAS runs a dgemm of at most 2^18 multiply-adds on
+# one thread. Above that, where it starts more threads, numpy keeps the
+# loop: the worker threads of numpy's OpenBLAS and of scipy's, which the
+# kernel calls, contend for the cores (a 400 x 200 burn-in took 5x longer on
+# 2 cores), and the two builds need not split a threaded product alike, so
+# the kernel's Q'X can round otherwise than numpy's.
+SVT_MAX_MNK = 2**18 if _blas_threaded() else float("inf")
 
 
 def project(U, x, lambda1, lambda2, tol, max_iter):
@@ -144,10 +167,27 @@ def accumulate(A, B, x, v, s, *oldest):
 
 def sweep(U, A, B, lambda1, sym_tol):
     """update_basis's sweep of U in place; False, U untouched, if A is not
-    symmetric to sym_tol * (1 + max|A|)."""
+    finite or not symmetric to sym_tol * (1 + max|A|)."""
     Uf = np.asfortranarray(U)
     done = _ext.sweep(Uf, np.ascontiguousarray(A, float),
                       np.asfortranarray(B, float), lambda1, sym_tol)
     if Uf is not U:
         U[...] = Uf
     return done
+
+
+def svt_warm(X, tau, block, max_steps, guard_tol, ritz_tol):
+    """svt_factors' warm loop (prox._svt_warm_numpy) in one call, bit for bit:
+    the (U, s, Vh) of the step it accepts, or None where it declines; raises
+    LinAlgError where the SVD fails, as numpy's does."""
+    (m, n), k = X.shape, block.shape[1]
+    U, s, Vh = np.empty((m, k)), np.empty(k), np.empty((k, n))
+    # numpy's matmul multiplies by an F-order block transposed, and by the
+    # Gram path's reversed views as C-order copies
+    if not block.flags.f_contiguous:
+        block = np.ascontiguousarray(block)
+    steps = _ext.svt(np.ascontiguousarray(X), block, U, s, Vh, tau, max_steps,
+                     guard_tol, ritz_tol)
+    if steps < 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return (U, s, Vh) if steps else None

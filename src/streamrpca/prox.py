@@ -1,9 +1,14 @@
-"""Elementary proximal and least-squares kernels.
+"""Elementary proximal kernels and the projection's Cholesky solve.
 
-Singular value thresholding is exact (a thin SVD) or warm-started (block
-subspace iteration, svt_factors). The exact thin SVD is read from the
-eigendecomposition of the smaller Gram matrix where every kept value is at
-least GRAM_MIN_RATIO times the largest, and is LAPACK's SVD elsewhere.
+Singular value thresholding, svt(X, tau) = U diag(max(s - tau, 0)) Vh for
+the SVD X = U diag(s) Vh, is computed in factored form by svt_factors:
+exact (a thin SVD) or warm-started (block subspace iteration). The exact
+thin SVD is read from the eigendecomposition of the smaller Gram matrix
+where every kept value is at least GRAM_MIN_RATIO times the largest, and is
+LAPACK's SVD elsewhere. The warm loop is one call of the compiled kernel
+(kernel.svt_warm) where that is loaded and the problem is within
+kernel.SVT_MAX_MNK, else numpy's (_svt_warm_numpy); the two make the same
+LAPACK and BLAS calls in the same order, bit for bit.
 
 All functions here are pure; they are safe to call from any thread.
 """
@@ -12,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ContractViolation
+from . import kernel
 
 
 def shrink(x, tau):
@@ -45,7 +50,7 @@ GRAM_MIN_RATIO = 5e-3  # Gram path only if every kept value >= this times s_1
 
 
 class SvtFactors(NamedTuple):
-    """svt(X, tau) == (U * s) @ Vh, with the start block for the next call.
+    """svt(X, tau) as (U * s) @ Vh, with the start block for the next call.
 
     U (m x r) and Vh (r x n) have orthonormal columns and rows, s holds the
     r thresholded values (descending, all > 0), and block (n x k, k <=
@@ -56,16 +61,6 @@ class SvtFactors(NamedTuple):
     s: np.ndarray
     Vh: np.ndarray
     block: np.ndarray
-
-
-def svt(X, tau):
-    """Singular value thresholding: soft-threshold the spectrum, reconstruct.
-
-    The result does not depend on the non-uniqueness of the SVD because only
-    the reconstructed product is returned.
-    """
-    U, s, Vh, _ = svt_factors(X, tau)
-    return (U * s) @ Vh
 
 
 def svt_factors(X, tau, block=None):
@@ -103,27 +98,45 @@ def svt_factors(X, tau, block=None):
     when c is below about GUARD_TOL * (tau - s_g) / sigma. When all k
     values exceed tau, or no step is accepted, the call falls back to the
     exact thin SVD: gram_factors where its guard holds, else LAPACK's SVD.
+    The steps run in the compiled kernel up to m n k = kernel.SVT_MAX_MNK,
+    and in numpy above it or where no kernel is loaded.
     """
     X = np.asarray(X, dtype=float)
     if block is not None and (OVERSAMPLING <= block.shape[1]
                               <= min(X.shape) / 4):
-        Z = X @ block
-        for _ in range(MAX_STEPS):
-            Q = np.linalg.qr(Z)[0]
-            Ub, s, Vh = np.linalg.svd(Q.T @ X, full_matrices=False)
-            kept = int(np.count_nonzero(s > tau))
-            if kept == s.size:
-                break
-            Z = X @ Vh.T
-            U = Q @ Ub
-            R = Z - U * s
-            guard_res = np.linalg.norm(R[:, kept:], axis=0)
-            guards_below = np.all(guard_res <= GUARD_TOL * (tau - s[kept:]))
-            residual = np.linalg.norm(R[:, :kept])
-            if guards_below and residual <= RITZ_TOL * s[0]:
-                return threshold_factors(U, s, Vh, tau)
+        if (kernel.ACTIVE == "compiled"
+                and X.size * block.shape[1] <= kernel.SVT_MAX_MNK):
+            warm = kernel.svt_warm(X, tau, block, MAX_STEPS, GUARD_TOL,
+                                   RITZ_TOL)
+        else:
+            warm = _svt_warm_numpy(X, tau, block)
+        if warm is not None:
+            return threshold_factors(*warm, tau)
     factors = gram_factors(X, *gram_eigh(X), tau)
     return factors if factors is not None else lapack_factors(X, tau)
+
+
+def _svt_warm_numpy(X, tau, block):
+    """svt_factors' warm loop in numpy: the (U, s, Vh) of the step it
+    accepts, with all k values, or None where it declines. It runs where no
+    compiled kernel is loaded, and it is the tests' oracle for the kernel's
+    svt, which makes the same LAPACK and BLAS calls in the same order."""
+    Z = X @ block
+    for _ in range(MAX_STEPS):
+        Q = np.linalg.qr(Z)[0]
+        Ub, s, Vh = np.linalg.svd(Q.T @ X, full_matrices=False)
+        kept = int(np.count_nonzero(s > tau))
+        if kept == s.size:
+            return None
+        Z = X @ Vh.T
+        U = Q @ Ub
+        R = Z - U * s
+        guard_res = np.linalg.norm(R[:, kept:], axis=0)
+        guards_below = np.all(guard_res <= GUARD_TOL * (tau - s[kept:]))
+        residual = np.linalg.norm(R[:, :kept])
+        if guards_below and residual <= RITZ_TOL * s[0]:
+            return U, s, Vh
+    return None
 
 
 def gram_eigh(X):
@@ -177,22 +190,6 @@ def threshold_factors(U, s, Vh, tau):
     kept = int(np.count_nonzero(s > tau))
     return SvtFactors(U[:, :kept], s[:kept] - tau, Vh[:kept],
                       Vh[:kept + OVERSAMPLING].T)
-
-
-def ridge_regress(U, y, lambda1):
-    """Solve min_v 0.5*||y - U v||^2 + (lambda1/2)*||v||^2: returns
-    (U'U + lambda1*I)^{-1} U'y (cost O(m r^2 + r^3))."""
-    U = np.asarray(U, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if U.ndim != 2 or y.ndim != 1 or U.shape[0] != y.shape[0]:
-        raise ContractViolation(
-            f"ridge_regress: incompatible shapes U{U.shape} vs y{y.shape}"
-        )
-    if not (np.isfinite(U).all() and np.isfinite(y).all()):
-        raise ContractViolation("ridge_regress: non-finite input")
-    if not lambda1 > 0:
-        raise ContractViolation("ridge_regress: lambda1 must be > 0")
-    return _cholesky_solver(U.T @ U + lambda1 * np.eye(U.shape[1]))[1](U.T @ y)
 
 
 def _cholesky_solver(G):

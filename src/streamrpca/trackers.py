@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .basis import _asymmetric, update_basis
+from .basis import _check_accumulator, update_basis
 from .exceptions import ContractViolation
 from .pcp import burnin_initialize, window_sums
 from .projection import ProjectionConfig, project_sample
@@ -56,8 +56,7 @@ class SubspaceModel:
         if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
             raise ContractViolation(
                 "SubspaceModel: lambdas must be finite and > 0")
-        if _asymmetric(self.A):
-            raise ContractViolation("SubspaceModel: A is not symmetric")
+        _check_accumulator(self.A, "SubspaceModel")
 
     @property
     def m(self):

@@ -6,6 +6,8 @@ import pytest
 
 import streamrpca
 from streamrpca import kernel
+from streamrpca.exceptions import ContractViolation
+from streamrpca.prox import _cholesky_solver, svt_factors
 
 
 class StepPath:
@@ -45,3 +47,36 @@ def child_env():
         str(Path(streamrpca.__file__).parents[1]),
         os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def svt(X, tau):
+    """Singular value thresholding: soft-threshold the spectrum, reconstruct.
+
+    The result does not depend on the non-uniqueness of the SVD because only
+    the reconstructed product is returned.
+    """
+    U, s, Vh, _ = svt_factors(X, tau)
+    return (U * s) @ Vh
+
+
+def ridge_regress(U, y, lambda1):
+    """Solve min_v 0.5*||y - U v||^2 + (lambda1/2)*||v||^2: returns
+    (U'U + lambda1*I)^{-1} U'y, through the projection's Cholesky solve."""
+    U = np.asarray(U, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if U.ndim != 2 or y.ndim != 1 or U.shape[0] != y.shape[0]:
+        raise ContractViolation(
+            f"ridge_regress: incompatible shapes U{U.shape} vs y{y.shape}"
+        )
+    if not (np.isfinite(U).all() and np.isfinite(y).all()):
+        raise ContractViolation("ridge_regress: non-finite input")
+    if not lambda1 > 0:
+        raise ContractViolation("ridge_regress: lambda1 must be > 0")
+    return _cholesky_solver(U.T @ U + lambda1 * np.eye(U.shape[1]))[1](U.T @ y)
+
+
+def basis_objective(U, A, B, lambda1):
+    """g(U) = 0.5*Tr[U'(A + lambda1*I)U] - Tr(U'B), which update_basis
+    lowers."""
+    At = A + lambda1 * np.eye(A.shape[0])
+    return 0.5 * np.trace(U.T @ U @ At) - np.trace(U.T @ B)

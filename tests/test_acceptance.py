@@ -14,12 +14,12 @@ import time
 
 import numpy as np
 
-from streamrpca.basis import basis_objective, update_basis
+from streamrpca.basis import update_basis
 from streamrpca.changepoint import run_omw_cp, support_size
 from streamrpca.metrics import cp_deviation, err_rel
 from streamrpca.pcp import PcpConfig, burnin_initialize, pcp_alm
 from streamrpca.projection import project_sample, projection_objective
-from streamrpca.prox import ridge_regress, shrink, shrink_matrix, svt
+from streamrpca.prox import shrink, shrink_matrix
 from streamrpca.simgen import (ChangePoints, Drift, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.state import (load_state, save_state, snapshot_tracker)
@@ -28,6 +28,8 @@ from streamrpca.changepoint import run_tracker
 from streamrpca.trackers import (TrackerConfig, omw_init, omw_step,
                                  state_element_count)
 from streamrpca.experiments import run_experiment
+
+from conftest import basis_objective, ridge_regress, svt
 
 
 def report(cid, ok, detail):

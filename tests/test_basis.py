@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamrpca import kernel
-from streamrpca.basis import basis_objective, update_basis
+from streamrpca.basis import update_basis
 from streamrpca.exceptions import ContractViolation
+
+from conftest import basis_objective
 
 compiled = pytest.mark.skipif(kernel.ACTIVE != "compiled",
                               reason="no compiled kernel could be built")
@@ -207,6 +209,24 @@ def test_blocked_sweep_rejects_an_asymmetric_a_untouched():
     with pytest.raises(ContractViolation):
         update_basis(U, A, B, lam)
     np.testing.assert_array_equal(U, U0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_a_is_refused_untouched(step_paths, bad):
+    # a NaN drops out of a max, so it passed the symmetry check: the kernel
+    # declines a non-finite A and update_basis names it, on both paths
+    rng = np.random.Generator(np.random.PCG64(38))
+    U, A, B, lam = random_instance(rng, m=30, r=2 * 8 + 3)
+    A[0, -1] = bad
+    U = U.copy(order="F")
+    U0 = U.copy()
+    if kernel.ACTIVE == "compiled":
+        assert not kernel.sweep(U, A, B, lam, 1e-8)
+    for path in step_paths:
+        with path, pytest.raises(ContractViolation,
+                                 match="update_basis: A is not finite"):
+            update_basis(U, A, B, lam)
+        np.testing.assert_array_equal(U, U0)
 
 
 def test_zero_rank_basis_is_unchanged():

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import streamrpca
-from streamrpca import kernel
+from streamrpca import kernel, prox
 from streamrpca.basis import _sweep_numpy
 from streamrpca.cli import main
 from streamrpca.experiments import study_spec
-from streamrpca.pcp import burnin_initialize
+from streamrpca.pcp import burnin_initialize, pcp_alm
 from streamrpca.projection import ProjectionConfig, _project_numpy
 from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
                                generate)
@@ -81,6 +81,167 @@ def test_kernel_matches_numpy_on_rank_55_states():
     model = assert_kernel_matches_numpy_on_steps(full, 1200, config,
                                                  steps=40)
     assert model.r == 55
+
+
+def warm_args():
+    return prox.MAX_STEPS, prox.GUARD_TOL, prox.RITZ_TOL
+
+
+def assert_svt_matches_numpy(X, tau, block, svt_warm=kernel.svt_warm):
+    """kernel.svt_warm against the numpy warm loop, bit for bit; its
+    result, None where both decline."""
+    got = svt_warm(X, tau, block, *warm_args())
+    want = prox._svt_warm_numpy(X, tau, block)
+    assert (got is None) == (want is None)
+    if got is not None:
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+@compiled
+def test_svt_matches_the_numpy_loop_on_desk_study_3_burn_ins(monkeypatch):
+    # every warm SVT of the start-up and restart burn-ins of desk study 3,
+    # whose blocks come from the warm loop (F-order) or from the Gram path of
+    # a square X (a reversed, non-contiguous view, which numpy copies)
+    svt_warm, outcomes = kernel.svt_warm, []
+
+    def checked(X, tau, block, *args):
+        outcomes.append(
+            assert_svt_matches_numpy(X, tau, block, svt_warm) is not None)
+        return svt_warm(X, tau, block, *args)
+
+    monkeypatch.setattr(kernel, "svt_warm", checked)
+    M = full_stream_matrix(generate(study_spec(3, "desk", 0)[0]))
+    for start in (0, 300, 600):
+        pcp_alm(M[:, start:start + 100])
+    assert any(outcomes) and not all(outcomes)  # accepts and declines
+
+
+PAPER_SVT = """
+import numpy as np
+from streamrpca import kernel, prox
+from streamrpca.experiments import study_spec
+from streamrpca.pcp import pcp_alm
+from streamrpca.simgen import full_stream_matrix, generate
+
+assert kernel.SVT_MAX_MNK == float("inf"), "BLAS runs on more threads"
+svt_warm, outcomes = kernel.svt_warm, []
+
+def checked(X, tau, block, *args):
+    got = svt_warm(X, tau, block, *args)
+    want = prox._svt_warm_numpy(X, tau, block)
+    outcomes.append(((got is None) == (want is None) and (got is None or all(
+        a.tobytes() == b.tobytes() for a, b in zip(got, want))),
+        got is not None))
+    return got
+
+kernel.svt_warm = checked
+M = full_stream_matrix(generate(study_spec(3, "paper", 0)[0]))
+for start in (0, 1200):
+    pcp_alm(M[:, start:start + 200])
+print(all(same for same, _ in outcomes), len(outcomes),
+      sum(accepted for _, accepted in outcomes))
+"""
+
+
+@compiled
+def test_svt_matches_the_numpy_loop_on_paper_burn_ins(tmp_path):
+    # paper study 3's start-up block and its first restart block (rank 10
+    # and 55, 400 x 200, so the Gram path's blocks are a tall X's) take the
+    # kernel where BLAS runs on one thread, and match numpy bit for bit
+    same, calls, accepted = run_python(
+        PAPER_SVT, tmp_path / "cache", OPENBLAS_NUM_THREADS="1").split()
+    assert same == "True" and int(calls) > int(accepted) > 0
+
+
+@compiled
+@pytest.mark.parametrize("layout", ["F", "C", "reversed"])
+@pytest.mark.parametrize("m,n", [(120, 40), (40, 120)])
+def test_svt_matches_the_numpy_loop_on_random_blocks(m, n, layout):
+    # tall and wide X, a block near X's right singular vectors or a random
+    # one, in each layout svt_factors hands over: the warm loop's (F), the
+    # Gram path's of a wide X (C) and of a tall one (a reversed view); m n k
+    # is under SVT_MAX_MNK, so every product runs on one thread
+    rng = np.random.Generator(np.random.PCG64(m * n))
+    k = min(m, n) // 4
+    X = ((rng.standard_normal((m, 6)) * 10.0 * 0.7 ** np.arange(6))
+         @ rng.standard_normal((6, n)) / np.sqrt(m * n)
+         + 0.01 * rng.standard_normal((m, n)))
+    s_all = np.linalg.svd(X, compute_uv=False)
+    accepted = 0
+    for near in (True, False):
+        base = (np.linalg.svd(X + 1e-3 * rng.standard_normal((m, n)))[2][:k].T
+                if near else rng.standard_normal((n, k)))
+        block = {"F": np.asfortranarray(base), "C": np.ascontiguousarray(base),
+                 "reversed": np.ascontiguousarray(base[:, ::-1])[:, ::-1]
+                 }[layout]
+        assert block.flags.f_contiguous == (layout == "F")
+        for tau in (0.5 * s_all[3], 0.5 * s_all[k + 2]):
+            accepted += assert_svt_matches_numpy(X, tau, block) is not None
+    assert accepted
+
+
+@compiled
+def test_svt_declines_where_the_numpy_loop_does(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(61))
+    m, n, k = 80, 60, prox.OVERSAMPLING
+    X = rng.standard_normal((m, n))
+    s_all = np.linalg.svd(X, compute_uv=False)
+    near = np.linalg.svd(X)[2][:k].T
+    # kept == k: every value of the block's projection exceeds tau
+    assert assert_svt_matches_numpy(X, 0.5 * s_all[k], near) is None
+    # no step accepted: a flat spectrum, a random block, and MAX_STEPS steps
+    # that leave the Ritz residual far above RITZ_TOL
+    tau = 0.5 * (s_all[1] + s_all[2])
+    assert assert_svt_matches_numpy(X, tau, rng.standard_normal((n, k))) \
+        is None
+    assert assert_svt_matches_numpy(X, tau, near) is not None
+    # svt_factors takes the kernel from a block of OVERSAMPLING columns and
+    # only up to SVT_MAX_MNK, and where it declines returns the exact path
+    calls = []
+    svt_warm = kernel.svt_warm
+    monkeypatch.setattr(kernel, "svt_warm",
+                        lambda *args: calls.append(1) or svt_warm(*args))
+    exact = prox.svt_factors(X, 0.5 * s_all[k])
+    for got, want in zip(prox.svt_factors(X, 0.5 * s_all[k], near), exact):
+        np.testing.assert_array_equal(got, want)
+    assert len(calls) == 1
+    prox.svt_factors(X, tau, near[:, :k - 1])
+    monkeypatch.setattr(kernel, "SVT_MAX_MNK", m * n * k - 1)
+    prox.svt_factors(X, tau, near)
+    assert len(calls) == 1
+
+
+@compiled
+def test_svt_raises_where_numpys_svd_does():
+    rng = np.random.Generator(np.random.PCG64(62))
+    X = rng.standard_normal((40, 40))
+    X[3, 7] = np.nan
+    block = rng.standard_normal((40, prox.OVERSAMPLING))
+    for warm in (lambda: kernel.svt_warm(X, 1.0, block, *warm_args()),
+                 lambda: prox._svt_warm_numpy(X, 1.0, block)):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not "):
+            warm()
+
+
+@pytest.mark.parametrize("env,threaded", [
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+    ({"GOTO_NUM_THREADS": "1"}, False),
+    ({"OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "4"}, None), ({}, None)])
+def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env,
+                                                       threaded):
+    # None: as many threads as the cores this process may use
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    if threaded is None:
+        threaded = len(os.sched_getaffinity(0)) > 1
+    assert kernel._blas_threaded() == threaded
 
 
 @compiled
@@ -208,6 +369,10 @@ def test_entry_points_refuse_bad_arrays():
     good = dict(U=U, A=np.eye(r), B=B, x=rng.standard_normal(m),
                 v=rng.standard_normal(r), s=rng.standard_normal(m),
                 m_old=window[0][1], v_old=window[1][1], s_old=window[2][1])
+    X = rng.standard_normal((m + 4, m))
+    good.update(X=X, block=rng.standard_normal((m, 3)),
+                U_svt=np.empty((m + 4, 3)), s_svt=np.empty(3),
+                Vh=np.empty((3, m)))
     ext = kernel._ext
     calls = {
         "project": lambda a: ext.project(a["U"], a["x"], a["v"], a["s"], 0.1,
@@ -216,6 +381,8 @@ def test_entry_points_refuse_bad_arrays():
             a["A"], a["B"], a["x"], a["v"], a["s"], a["m_old"], a["v_old"],
             a["s_old"]),
         "sweep": lambda a: ext.sweep(a["U"], a["A"], a["B"], 0.1, 1e-8),
+        "svt": lambda a: ext.svt(a["X"], a["block"], a["U_svt"], a["s_svt"],
+                                 a["Vh"], 0.5, 4, 0.25, 1e-6),
     }
     cases = [(name, "U", U.astype(np.float32)) for name in ("project",
                                                             "sweep")]
@@ -230,14 +397,30 @@ def test_entry_points_refuse_bad_arrays():
     cases += [("accumulate", key, bad) for key in ("m_old", "v_old", "s_old")
               for bad in (good[key][:-1], good[key][None],
                           good[key].astype(np.float32))]
-    state = [U, good["A"], B, *window]
+    # X row-major; the block C- or F-contiguous, of 1 to min(m, n) columns;
+    # the outputs row-major and writable
+    read_only = good["Vh"].copy()
+    read_only.flags.writeable = False
+    cases += [("svt", "X", bad) for bad in (
+        X.astype(np.float32), np.asfortranarray(X), X[:, :-1], X[0])]
+    cases += [("svt", "block", bad) for bad in (
+        good["block"][:-1], good["block"][:, :0], X.T,
+        np.ones((m, 6))[:, ::2], good["block"].astype(np.float32))]
+    cases += [("svt", key, bad) for key in ("U_svt", "s_svt", "Vh")
+              for bad in (good[key][:-1], good[key].astype(np.float32))]
+    cases += [("svt", "U_svt", np.asfortranarray(good["U_svt"])),
+              ("svt", "Vh", read_only)]
+    for key in ("U_svt", "s_svt", "Vh"):
+        good[key][...] = 7.0
+    state = [U, good["A"], B, *window, good["U_svt"], good["s_svt"],
+             good["Vh"]]
     before = [X.copy() for X in state]
     for name, key, value in cases:
         with pytest.raises(ValueError, match="kernel: "):
             calls[name]({**good, key: value})
         for X, X0 in zip(state, before):
             np.testing.assert_array_equal(X, X0, err_msg=f"{name} {key}")
-    for name in ("project", "accumulate", "sweep"):  # the good arrays pass
+    for name in calls:  # the good arrays pass
         calls[name](good)
     np.testing.assert_array_equal(window[1][1], good["v"])
 
@@ -257,8 +440,11 @@ def test_kernel_compiles_without_warnings(tmp_path):
 SANITIZED_STUDIES = (
     "import sys; from streamrpca import experiments, kernel; "
     "assert kernel.ACTIVE == 'compiled', 'the sanitized build failed'; "
+    "calls = []; svt_warm = kernel.svt_warm; "
+    "kernel.svt_warm = lambda *a: calls.append(1) or svt_warm(*a); "
     "[experiments.run_experiment(study, 'desk', 0, f'{sys.argv[1]}/{study}') "
-    "for study in (1, 3)]")
+    "for study in (1, 3)]; "
+    "assert calls, 'the burn-ins took no compiled svt'")
 
 
 @compiled
@@ -284,13 +470,35 @@ def test_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert result.returncode == 0, result.stderr[-4000:]
 
 
+COMPILED_RUNS = """
+import sys
+from streamrpca import kernel
+from streamrpca.changepoint import OmwCpPipeline
+from streamrpca.experiments import study_spec
+from streamrpca.simgen import full_stream_matrix, generate
+from streamrpca.streams import ObservationStream
+
+print(kernel.ACTIVE, 'scipy.linalg' in sys.modules)
+calls = []
+svt_warm = kernel.svt_warm
+kernel.svt_warm = lambda *args: calls.append(1) or svt_warm(*args)
+sim, config = study_spec(3, "desk", 0)
+M = full_stream_matrix(generate(sim))
+for mode in ("stoc", "omw", "omw-cp"):
+    pipeline = OmwCpPipeline(config, mode)
+    pipeline.run(ObservationStream.from_matrix(M))
+print(len(pipeline.change_points), bool(calls), 'scipy.linalg' in sys.modules)
+"""
+
+
 @compiled
 def test_compiled_import_leaves_out_scipy_linalg(tmp_path):
     # the BLAS/LAPACK capsules come from scipy's linalg folder without
-    # running scipy/linalg/__init__.py, and only the numpy path imports it
-    code = ("import sys, streamrpca; print(streamrpca.kernel.ACTIVE, "
-            "'scipy.linalg' in sys.modules)")
-    assert run_python(code, tmp_path / "cache") == "compiled False"
+    # running scipy/linalg/__init__.py, and only the numpy path imports it:
+    # not the import, nor a run of each mode whose burn-ins and restarts
+    # (desk study 3 has two) take the compiled svt
+    out = run_python(COMPILED_RUNS, tmp_path / "cache").splitlines()
+    assert out == ["compiled False", "2 True False"]
 
 
 def run_python(code, cache, *args, src=SRC, **env):

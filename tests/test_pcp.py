@@ -3,14 +3,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from streamrpca import kernel
 from streamrpca.exceptions import ContractViolation, InitializationError
 from streamrpca.experiments import study_spec
 from streamrpca.pcp import (DUAL_WEIGHT, MU_GROWTH, RANK_TOL, PcpConfig,
                             PcpResult, _count_rank, _first_sweep,
                             burnin_initialize, pcp_alm)
-from streamrpca.prox import (gram_eigh, shrink_matrix, svt, svt_factors,
+from streamrpca.prox import (gram_eigh, shrink_matrix, svt_factors,
                              threshold_factors)
 from streamrpca.simgen import full_stream_matrix, generate
+
+from conftest import svt
 
 
 def _lam(M):
@@ -261,19 +264,28 @@ def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
     # paper study 3, samples 0-199 (rank 10) and the two restart blocks
     # (ranks 55 and 30): the first sweep reads ||M||_2 and its iterate from
     # the Gram matrix, and every later sweep is a subspace iteration or a
-    # Gram solve; the subspace iteration's small SVDs show the patch works
-    svd, calls = np.linalg.svd, []
+    # Gram solve. The subspace iteration runs in the compiled kernel (at any
+    # size here), so its calls show the patch works; on the numpy path its
+    # small SVDs do
+    svd, calls, warm = np.linalg.svd, [], []
 
     def counting_svd(A, *args, **kwargs):
         calls.append(np.shape(A))
         return svd(A, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    if kernel.ACTIVE == "compiled":
+        svt_warm = kernel.svt_warm
+        monkeypatch.setattr(kernel, "SVT_MAX_MNK", float("inf"))
+        monkeypatch.setattr(kernel, "svt_warm",
+                            lambda *args: warm.append(1) or svt_warm(*args))
+    else:
+        warm = calls
     for M, rank in zip(_study3_blocks("paper", 0), (10, 55, 30)):
         assert M.shape == (400, 200)
         res = pcp_alm(M)
         assert res.converged and res.rank == rank
-    assert calls and (400, 200) not in calls
+    assert warm and (400, 200) not in calls
 
 
 def test_first_sweep_below_the_gram_guard_is_lapacks_bit_for_bit():

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from streamrpca.exceptions import ContractViolation
 from streamrpca.prox import (GRAM_MIN_RATIO, OVERSAMPLING, RITZ_TOL,
-                             gram_eigh, gram_factors, lapack_factors,
-                             ridge_regress, shrink, shrink_matrix, svt,
-                             svt_factors)
+                             gram_eigh, gram_factors, lapack_factors, shrink,
+                             shrink_matrix, svt_factors)
+
+from conftest import ridge_regress, svt
 
 
 def test_shrink_basic_cases():

@@ -175,6 +175,17 @@ def test_snapshot_with_an_asymmetric_a_is_refused(tmp_path):
         load_state(path)
 
 
+def test_snapshot_with_a_non_finite_a_is_refused(tmp_path):
+    gt, model, buffer = build_omw(seed=88)
+    path = tmp_path / "snap.npz"
+    save_state(path, snapshot_tracker("omw", model, buffer, cursor=20))
+    A = model.A.copy()
+    A[0, 1] = np.nan
+    _rewrite(path, A=A)
+    with pytest.raises(SnapshotError, match="A is not finite"):
+        load_state(path)
+
+
 def test_restore_checks_next_t(tmp_path):
     gt, config = cp_setup()
     pipeline = OmwCpPipeline(config)

@@ -16,7 +16,6 @@ from streamrpca.cli import main
 from streamrpca.exceptions import ContractViolation, TrackerStepError
 from streamrpca.pcp import burnin_initialize
 from streamrpca.projection import project_sample
-from streamrpca.prox import ridge_regress
 from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
                                generate)
 from streamrpca.streams import ObservationStream, write_raw_f64
@@ -26,7 +25,7 @@ from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
                                  omw_step, seed_tracker, state_element_count,
                                  stoc_step)
 
-from conftest import child_env
+from conftest import child_env, ridge_regress
 
 
 def make_burnin_init(m=20, n=15, r=2, n_win=10, seed=40, rho=0.0):
@@ -376,6 +375,19 @@ def test_model_refuses_an_asymmetric_a():
                       lambda1=0.1, lambda2=1.0)
     SubspaceModel(U=U, A=np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]]), B=U,
                   lambda1=0.1, lambda2=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_refuses_a_non_finite_a(bad):
+    # a NaN passed the symmetry check, and the first step failed in the
+    # projection, far from its cause
+    U = np.linalg.qr(np.random.Generator(np.random.PCG64(51))
+                     .standard_normal((20, 2)))[0]
+    for A in ([[1.0, bad], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]],
+              [[bad, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ContractViolation,
+                           match="SubspaceModel: A is not finite"):
+            SubspaceModel(U=U, A=np.array(A), B=U, lambda1=0.1, lambda2=1.0)
 
 
 def test_column_store_keeps_signed_zeros_and_strided_columns():
