@@ -154,9 +154,10 @@ class OmwCpPipeline:
 
     def run(self, stream):
         """Consume the stream to exhaustion. Returns (DecompositionResult,
-        ChangePointReport), the report None outside omw-cp. A stream shorter
-        than the burn-in block raises ContractViolation, and a failing step
-        raises TrackerStepError carrying its tracked time."""
+        ChangePointReport) in every mode: the report holds the run's
+        warnings, and its diagnostics are empty outside omw-cp. A stream
+        shorter than the burn-in block raises ContractViolation, and a
+        failing step raises TrackerStepError carrying its tracked time."""
         self.diagnostics = []
         detect = self.mode == "omw-cp"
         if self.model is None and self._seed(stream, 0, "before t=1") is None:
@@ -178,8 +179,6 @@ class OmwCpPipeline:
         L, S = self.cols.dense(drain=not detect)
         result = DecompositionResult(L=L, S=S,
                                      change_points=list(self.change_points))
-        if not detect:
-            return result, None
         warnings = list(self.warnings)
         if self.pending is not None:
             warnings.append(

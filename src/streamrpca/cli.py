@@ -177,10 +177,7 @@ def _cmd_track(args):
         pipeline = OmwCpPipeline(config, args.mode)
     result, report = pipeline.run(stream)
 
-    out = _out_dir(args)
-    write_raw_f64(out / "L.f64", result.L)
-    write_raw_f64(out / "S.f64", result.S)
-    experiments.write_change_points(out, result.change_points, report)
+    experiments.write_run(_out_dir(args), result, report)
     if args.save_state:
         save_state(args.save_state, snapshot_pipeline(pipeline, result))
     print(f"tracked {result.L.shape[1]} samples; "

@@ -71,7 +71,7 @@ def study_spec(study, scale, seed):
 
 def run_method(method, gt, config):
     """Run one tracker over the generated data; returns
-    (DecompositionResult, ChangePointReport-or-None, runtime_seconds)."""
+    (DecompositionResult, ChangePointReport, runtime_seconds)."""
     stream = ObservationStream.from_matrix(full_stream_matrix(gt))
     start = time.perf_counter()
     result, report = OmwCpPipeline(config, method).run(stream)
@@ -113,19 +113,19 @@ def write_ground_truth(out, gt, spec, **fields):
                     "seed": spec.seed, **fields}), encoding="ascii")
 
 
-def write_change_points(out, change_points, report):
-    """Write changepoints.json under the directory out; given the detector's
-    ChangePointReport, add its warnings there and write its diagnostics to
-    diagnostics.jsonl."""
-    payload = {"change_points": change_points}
-    if report is not None:
-        payload["warnings"] = report.warnings
-        with open(out / "diagnostics.jsonl", "w", encoding="ascii") as fh:
-            for d in report.diagnostics:
-                fh.write(_json_line({"t": d.t, "c": d.support_size, "p": d.p,
-                                     "f": d.flag, "phase": d.phase}))
-    (out / "changepoints.json").write_text(_json_line(payload),
-                                           encoding="ascii")
+def write_run(out, result, report):
+    """Write a run's output under the directory out: L.f64 and S.f64,
+    changepoints.json with the change points and the report's warnings, and
+    the report's diagnostics to diagnostics.jsonl."""
+    write_raw_f64(out / "L.f64", result.L)
+    write_raw_f64(out / "S.f64", result.S)
+    (out / "changepoints.json").write_text(
+        _json_line({"change_points": result.change_points,
+                    "warnings": report.warnings}), encoding="ascii")
+    with open(out / "diagnostics.jsonl", "w", encoding="ascii") as fh:
+        for d in report.diagnostics:
+            fh.write(_json_line({"t": d.t, "c": d.support_size, "p": d.p,
+                                 "f": d.flag, "phase": d.phase}))
 
 
 def run_experiment(study, scale, seed, out_dir, methods=MODES):
@@ -154,11 +154,8 @@ def run_experiment(study, scale, seed, out_dir, methods=MODES):
         reports[method] = report
         mdir = out / method.replace("-", "_")
         mdir.mkdir(exist_ok=True)
-        write_raw_f64(mdir / "L.f64", result.L)
-        write_raw_f64(mdir / "S.f64", result.S)
+        write_run(mdir, result, cp_report)
         _write_report(mdir / "report.json", report, result.change_points)
-        if cp_report is not None:
-            write_change_points(mdir, result.change_points, cp_report)
         print(f"study {study} ({scale}, seed {seed}) {method}: "
               f"err_L={report.err_L:.4g} err_S={report.err_S:.4g} "
               f"f_S={report.f_S:.4g} cps={result.change_points} "

@@ -95,10 +95,12 @@ def restore_pipeline(snapshot, config):
               for key in _RESTART_FIELDS if det[key] != getattr(config, key)]
     if differ:
         raise ContractViolation(f"snapshot has {'; '.join(differ)}")
-    pipeline.counts = det["hist_counts"].astype(np.int64)
-    if pipeline.counts.shape != (m + 1,):
-        raise SnapshotError(f"det_hist_counts has shape "
-                            f"{pipeline.counts.shape}, expected ({m + 1},)")
+    counts = det["hist_counts"]
+    if not (counts.shape == (m + 1,) and counts.dtype.kind in "iu"
+            and np.all(counts >= 0)):
+        raise SnapshotError(f"det_hist_counts: not {m + 1} integer counts "
+                            f">= 0 (shape {counts.shape}, {counts.dtype})")
+    pipeline.counts = counts.astype(np.int64)
     sizes, flags = det["fb_sizes"], det["fb_flags"]
     if not (sizes.shape == flags.shape == (sizes.size,)
             and sizes.size <= config.n_check and np.all(sizes >= 0)
@@ -107,17 +109,23 @@ def restore_pipeline(snapshot, config):
                             f"{config.n_check} pairs of a support size in "
                             f"[0, {m}] and a flag 0 or 1")
     pipeline.recent.extend(zip(map(int, sizes), map(int, flags)))
-    pipeline.change_points = [int(c) for c in det["change_points"]]
     pipeline.warnings = [str(w) for w in det["warnings"]]
-    if not bool(det["detection_enabled"]):
-        if not pipeline.change_points:
-            raise SnapshotError("det_detection_enabled is false, but no "
-                                "change point is pending")
-        pipeline.pending = pipeline.change_points[-1]
     pipeline.t_start = int(det["t_start"])
     if int(det["next_t"]) != pipeline.t:
         raise SnapshotError(
             f"det_next_t {int(det['next_t'])} != t_start + t = {pipeline.t}")
+    cps = pipeline.change_points = [int(c) for c in det["change_points"]]
+    if not all(a < b for a, b in zip(cps, cps[1:] + [pipeline.t])):
+        raise SnapshotError(f"det_change_points {cps}: not strictly "
+                            f"increasing and below det_next_t = {pipeline.t}")
+    if not bool(det["detection_enabled"]):
+        if not cps:
+            raise SnapshotError("det_detection_enabled is false, but no "
+                                "change point is pending")
+        if cps[-1] < pipeline.t_start:
+            raise SnapshotError(f"pending change point {cps[-1]} is before "
+                                f"det_t_start = {pipeline.t_start}")
+        pipeline.pending = cps[-1]
     L, S = det["L_partial"], det["S_partial"]
     if not L.shape == S.shape == (m, pipeline.t - 1):
         raise SnapshotError(f"det_L_partial, det_S_partial have shapes "

@@ -262,18 +262,6 @@ def stoc_step(model, m_t, projection_config=None):
     return omw_step(model, None, m_t, projection_config)
 
 
-def omw_init(init, lambda1, lambda2, n_win):
-    """Seed a tracker: the model plus the burn-in window, which only the
-    moving-window tracker keeps."""
-    seed_len = len(init.window_seed[0])
-    if seed_len != n_win:
-        raise ContractViolation(
-            f"WindowBuffer seed length {seed_len} != capacity {n_win}")
-    return (SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=lambda1,
-                          lambda2=lambda2),
-            WindowBuffer(*init.window_seed))
-
-
 def omw_step(model, buffer, m_t, projection_config=None):
     """One tracker step; buffer None is the cumulative tracker.
 
@@ -338,13 +326,14 @@ def state_element_count(model, buffer=None):
 
 def seed_tracker(stream, index, config, evict):
     """Batch burn-in on stream samples [index, index + n_burnin): returns
-    (BurninInit, model, buffer), buffer None unless evict, or None if the
-    stream ends first."""
+    (BurninInit, model, buffer), or None if the stream ends first. The
+    buffer, None unless evict, holds the burn-in's trailing n_win samples."""
     burn = [stream.get(i) for i in range(index, index + config.n_burnin)]
     if burn[-1] is None:  # get() is None at every index past the end
         return None
     M_b = np.column_stack(burn)
     lambda1, lambda2 = config.resolved_lambdas(M_b.shape[0])
     init = burnin_initialize(M_b, lambda1, lambda2, config.n_win)
-    model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
-    return init, model, buffer if evict else None
+    model = SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=lambda1,
+                          lambda2=lambda2)
+    return init, model, WindowBuffer(*init.window_seed) if evict else None

@@ -8,6 +8,7 @@ import streamrpca
 from streamrpca import kernel
 from streamrpca.exceptions import ContractViolation
 from streamrpca.prox import _cholesky_solver, svt_factors
+from streamrpca.trackers import SubspaceModel, WindowBuffer
 
 
 class StepPath:
@@ -80,3 +81,11 @@ def basis_objective(U, A, B, lambda1):
     lowers."""
     At = A + lambda1 * np.eye(A.shape[0])
     return 0.5 * np.trace(U.T @ U @ At) - np.trace(U.T @ B)
+
+
+def seeded(init, lambda1, lambda2):
+    """(model, window) of a tracker seeded from a BurninInit, as
+    trackers.seed_tracker builds them."""
+    return (SubspaceModel(U=init.U0, A=init.A0, B=init.B0, lambda1=lambda1,
+                          lambda2=lambda2),
+            WindowBuffer(*init.window_seed))

@@ -25,11 +25,10 @@ from streamrpca.simgen import (ChangePoints, Drift, SimSpec, Stable,
 from streamrpca.state import (load_state, save_state, snapshot_tracker)
 from streamrpca.streams import ObservationStream
 from streamrpca.changepoint import run_tracker
-from streamrpca.trackers import (TrackerConfig, omw_init, omw_step,
-                                 state_element_count)
+from streamrpca.trackers import TrackerConfig, omw_step, state_element_count
 from streamrpca.experiments import run_experiment
 
-from conftest import basis_objective, ridge_regress, svt
+from conftest import basis_objective, ridge_regress, seeded, svt
 
 
 def report(cid, ok, detail):
@@ -190,7 +189,7 @@ def test_c5_window_bookkeeping_500_steps():
                    variant=Stable(r=4))
     gt = generate(spec)
     init = burnin_initialize(gt.M_b, 0.1, 2.0, n_win=50)
-    model, buffer = omw_init(init, 0.1, 2.0, n_win=50)
+    model, buffer = seeded(init, 0.1, 2.0)
     worst = 0.0
     for t in range(500):
         omw_step(model, buffer, gt.M[:, t])
@@ -332,7 +331,7 @@ def test_c9_blowup_signature():
 def test_c10_constant_per_step_cost_and_memory():
     gt, full = study1_instance(seed=3)
     init = burnin_initialize(gt.M_b, 0.1, 10.0, n_win=100)
-    model, buffer = omw_init(init, 0.1, 10.0, n_win=100)
+    model, buffer = seeded(init, 0.1, 10.0)
     m, r, n_win = model.m, model.r, buffer.capacity
     expected_elements = 2 * m * r + r * r + n_win * (2 * m + r)
 
@@ -382,8 +381,8 @@ def test_c11_determinism_and_persistence(tmp_path):
     # save/load mid-stream: 100 continued steps match the uninterrupted run
     gt, full = study1_instance(seed=11)
     init = burnin_initialize(gt.M_b, 0.1, 10.0, n_win=100)
-    model_a, buffer_a = omw_init(init, 0.1, 10.0, n_win=100)
-    model_b, buffer_b = omw_init(init, 0.1, 10.0, n_win=100)
+    model_a, buffer_a = seeded(init, 0.1, 10.0)
+    model_b, buffer_b = seeded(init, 0.1, 10.0)
     for t in range(50):
         omw_step(model_a, buffer_a, gt.M[:, t])
         omw_step(model_b, buffer_b, gt.M[:, t])

@@ -2,7 +2,10 @@ import importlib
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import streamrpca
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,3 +33,26 @@ def test_bench_smoke_passes():
                           timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "smoke ok"
+
+
+# streamrpca's public names; a change to the API changes this set on purpose
+PUBLIC_API = {
+    "ChangePointReport", "ChangePoints", "ContractViolation", "CpDiagnostic",
+    "DecompositionResult", "Drift", "EvalReport", "InitializationError",
+    "ObservationStream", "OmwCpPipeline", "ParseError", "PcpConfig",
+    "PcpResult", "ProjectionConfig", "SimSpec", "SnapshotError", "Stable",
+    "SubspaceModel", "TrackerConfig", "TrackerStepError", "WindowBuffer",
+    "continue_tracker", "cp_deviation", "err_rel", "full_stream_matrix",
+    "generate", "ingest_stream", "init_tracker", "load_state", "pcp_alm",
+    "restore_pipeline", "run_omw_cp", "run_tracker", "save_state",
+    "snapshot_pipeline", "snapshot_tracker", "support_mismatch",
+    "write_raw_f64",
+}
+
+
+def test_public_api_is_pinned():
+    exported = {name for name, value in vars(streamrpca).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert len(PUBLIC_API) == 38
+    assert (exported - PUBLIC_API, PUBLIC_API - exported) == (set(), set())

@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamrpca.changepoint import (OmwCpPipeline, buffer_advance,
-                                    continue_tracker, flag_observation,
-                                    init_tracker, p_value, run_omw_cp,
-                                    run_tracker, scan_for_changepoint,
-                                    support_size)
+from streamrpca.changepoint import (ChangePointReport, OmwCpPipeline,
+                                    buffer_advance, continue_tracker,
+                                    flag_observation, init_tracker, p_value,
+                                    run_omw_cp, run_tracker,
+                                    scan_for_changepoint, support_size)
 from streamrpca.exceptions import ContractViolation
 from streamrpca.pcp import PcpConfig
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
@@ -294,6 +294,26 @@ def test_unconverged_burnin_is_reported(monkeypatch):
     note = ": batch solve unconverged after 15 iterations"
     assert report.warnings == ["burn-in before t=1" + note] + [
         f"burn-in from t={t0}" + note for t0 in result.change_points]
+
+
+@pytest.mark.parametrize("mode", ["stoc", "omw"])
+def test_every_mode_reports_an_unconverged_burnin(monkeypatch, mode):
+    # without the detector the report still carries the run's warnings,
+    # with no diagnostics
+    import streamrpca.pcp as pcp
+    solve = pcp.pcp_alm
+    monkeypatch.setattr(pcp, "pcp_alm",
+                        lambda M, config=None: solve(M, PcpConfig(max_iter=15)))
+    full = full_stream_matrix(make_cp_stream(seed=54))
+    _, report = OmwCpPipeline(desk_cp_config(), mode).run(
+        ObservationStream.from_matrix(full))
+    assert report == ChangePointReport(warnings=[
+        "burn-in before t=1: batch solve unconverged after 15 iterations"])
+
+
+def test_unknown_mode_is_refused():
+    with pytest.raises(ContractViolation, match="^unknown mode 'bogus'$"):
+        OmwCpPipeline(desk_cp_config(), "bogus")
 
 
 def test_tracer_wraps_the_bindings_the_pipeline_calls(monkeypatch, tmp_path):

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+import streamrpca.pcp
 import streamrpca.trackers
 from streamrpca.cli import main
+from streamrpca.pcp import PcpConfig
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.state import _DETECTOR_KEYS
@@ -311,6 +313,28 @@ def test_track_writes_the_detector_report(tmp_path):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_track_writes_one_output_in_every_mode(snapshots, tmp_path,
+                                               monkeypatch, mode):
+    # every mode writes the same four files, and its changepoints.json
+    # carries the run's warnings: here the start-up burn-in's, with the
+    # batch solve capped at 20 of the 44 sweeps it takes
+    solve = streamrpca.pcp.pcp_alm
+    monkeypatch.setattr(streamrpca.pcp, "pcp_alm",
+                        lambda M, config=None: solve(M, PcpConfig(max_iter=20)))
+    out = tmp_path / "out"
+    assert main(["track", "--input", str(snapshots / "stream.f64"),
+                 "--mode", mode, *SMALL_TRACK, "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "L.f64", "S.f64", "changepoints.json", "diagnostics.jsonl"]
+    assert json.loads((out / "changepoints.json").read_text()) == {
+        "change_points": [],
+        "warnings": ["burn-in before t=1: batch solve unconverged after 20 "
+                     "iterations"]}
+    lines = (out / "diagnostics.jsonl").read_text().splitlines()
+    assert len(lines) == (60 if mode == "omw-cp" else 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_track_refuses_a_stream_shorter_than_the_burn_in(snapshots, tmp_path,
                                                          capsys, mode):
     # one rule in every mode
@@ -409,6 +433,45 @@ def test_track_resume_refuses_partial_outputs_that_do_not_fit(
             in resume_edited(monitoring_snapshot, tmp_path, capsys, edit))
 
 
+@pytest.mark.parametrize("change", [
+    lambda counts: np.r_[-1000, counts[1:]],
+    lambda counts: counts + 0.5,
+    lambda counts: counts[:-1],
+], ids=["negative", "non-integer", "short"])
+def test_track_resume_refuses_a_histogram_it_cannot_test_against(
+        monitoring_snapshot, tmp_path, capsys, change):
+    # a count of -1000 resumed with exit 0: its p-values went below 0, and
+    # it reported a change point at t=169 where a single run reports 201
+    def edit(arrays):
+        assert arrays["det_hist_counts"].shape == (41,)
+        arrays["det_hist_counts"] = change(arrays["det_hist_counts"])
+
+    assert ("error: det_hist_counts: not 41 integer counts >= 0"
+            in resume_edited(monitoring_snapshot, tmp_path, capsys, edit))
+
+
+@pytest.mark.parametrize("pending,change,message", [
+    (True, lambda next_t: [next_t + 40],
+     "det_change_points [191]: not strictly increasing and below "
+     "det_next_t = 151"),
+    (True, lambda next_t: [next_t], "det_change_points [151]: not"),
+    (False, lambda next_t: [120, 110], "det_change_points [120, 110]: not"),
+    (True, lambda next_t: [0],
+     "pending change point 0 is before det_t_start = 1"),
+], ids=["pending-past-next-t", "pending-at-next-t", "decreasing",
+        "pending-before-t-start"])
+def test_track_resume_refuses_change_points_it_cannot_replay(
+        monitoring_snapshot, tmp_path, capsys, pending, change, message):
+    # a pending t0 at or past det_next_t died in a ValueError traceback
+    def edit(arrays):
+        arrays["det_detection_enabled"] = np.bool_(not pending)
+        arrays["det_change_points"] = np.array(
+            change(int(arrays["det_next_t"])), dtype=np.int64)
+
+    assert (f"error: {message}"
+            in resume_edited(monitoring_snapshot, tmp_path, capsys, edit))
+
+
 def resume_edited(monitoring_snapshot, tmp_path, capsys, edit):
     """stderr of track --resume from the monitoring snapshot with its arrays
     changed in place by edit; the run must exit 2 and write nothing."""
@@ -457,6 +520,24 @@ def test_console_entry_point(tmp_path):
          "--out-dir", str(tmp_path / "o")],
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_track_needs_an_output_directory(snapshots, capsys, monkeypatch):
+    monkeypatch.delenv("STREAMRPCA_OUT_DIR", raising=False)
+    rc = main(["track", "--input", str(snapshots / "stream.f64"),
+               *SMALL_TRACK])
+    assert rc == 1
+    assert ("error: no output directory: pass --out-dir or set "
+            "STREAMRPCA_OUT_DIR\n" in capsys.readouterr().err)
+
+
+def test_pcp_refuses_an_empty_input(tmp_path, capsys):
+    src = tmp_path / "empty.csv"
+    src.write_text("")
+    rc = main(["pcp", "--input", str(src), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error: pcp: empty input stream\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

@@ -24,8 +24,9 @@ from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
                                generate)
 from streamrpca.streams import ObservationStream, write_raw_f64
 from streamrpca.changepoint import run_tracker
-from streamrpca.trackers import (TrackerConfig, _accumulate_numpy,
-                                 omw_init, omw_step)
+from streamrpca.trackers import TrackerConfig, _accumulate_numpy, omw_step
+
+from conftest import seeded
 
 compiled = pytest.mark.skipif(kernel.ACTIVE != "compiled",
                               reason="no compiled kernel could be built")
@@ -45,7 +46,7 @@ def assert_kernel_matches_numpy_on_steps(full, start, config, steps):
     lambda1, lambda2 = config.resolved_lambdas(m)
     init = burnin_initialize(full[:, start:start + config.n_burnin], lambda1,
                              lambda2, config.n_win)
-    model, buffer = omw_init(init, lambda1, lambda2, config.n_win)
+    model, buffer = seeded(init, lambda1, lambda2)
     projection = ProjectionConfig()
     for x in full[:, start + config.n_burnin:][:, :steps].T:
         v, s, _ = kernel.project(model.U, x, lambda1, lambda2,

@@ -19,7 +19,9 @@ from streamrpca.state import (SNAPSHOT_VERSION, load_state, restore_pipeline,
                               save_state, snapshot_pipeline, snapshot_tracker)
 import streamrpca.changepoint
 from streamrpca.streams import ObservationStream
-from streamrpca.trackers import TrackerConfig, omw_init, omw_step
+from streamrpca.trackers import TrackerConfig, omw_step
+
+from conftest import seeded
 
 
 def build_omw(seed=80, m=25, t=150, n_burnin=20, n_win=20):
@@ -27,7 +29,7 @@ def build_omw(seed=80, m=25, t=150, n_burnin=20, n_win=20):
                    variant=Stable(r=3))
     gt = generate(spec)
     init = burnin_initialize(gt.M_b, 0.1, 2.0, n_win=n_win)
-    model, buffer = omw_init(init, 0.1, 2.0, n_win=n_win)
+    model, buffer = seeded(init, 0.1, 2.0)
     return gt, model, buffer
 
 
@@ -102,6 +104,19 @@ def test_version_mismatch_names_both_versions(tmp_path):
         load_state(path)
     assert "999" in str(err.value)
     assert str(SNAPSHOT_VERSION) in str(err.value)
+
+
+def test_load_refuses_an_npz_without_a_version(tmp_path):
+    path = tmp_path / "other.npz"
+    np.savez(path, U=np.eye(2))
+    with pytest.raises(SnapshotError, match="not a state snapshot"):
+        load_state(path)
+
+
+def test_unseeded_pipeline_cannot_be_saved():
+    _, config = cp_setup()
+    with pytest.raises(SnapshotError, match="uninitialized pipeline"):
+        snapshot_pipeline(OmwCpPipeline(config), None)
 
 
 V1_TRACKER_KEYS = {"version", "kind", "cursor", "U", "A", "B", "lambda1",

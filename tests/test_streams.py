@@ -29,6 +29,15 @@ def test_csv_empty_file(tmp_path):
     assert stream.get(0) is None
 
 
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("\n1.0,2.0\n  \n\n3.0,4.0\n\n")
+    stream = ingest_stream(path, "csv")
+    np.testing.assert_array_equal(stream.get(0), [1.0, 2.0])
+    np.testing.assert_array_equal(stream.get(1), [3.0, 4.0])
+    assert stream.get(2) is None
+
+
 def test_csv_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0\n3.0\n")
@@ -72,6 +81,18 @@ def test_raw_f64_bad_magic(tmp_path):
     path = tmp_path / "m.f64"
     path.write_bytes(b"\x00" * 64)
     with pytest.raises(ParseError, match="magic"):
+        ingest_stream(path, "raw-f64")
+
+
+@pytest.mark.parametrize("header,message", [
+    (struct.pack("<Q", RAW_F64_MAGIC) + b"\x00" * 2,
+     "truncated header: expected 24 bytes, got 10"),
+    (struct.pack("<QQQ", RAW_F64_MAGIC, 0, 5), "raw-f64 declares m = 0"),
+], ids=["short", "zero-m"])
+def test_raw_f64_header_is_refused(tmp_path, header, message):
+    path = tmp_path / "m.f64"
+    path.write_bytes(header)
+    with pytest.raises(ParseError, match=message):
         ingest_stream(path, "raw-f64")
 
 

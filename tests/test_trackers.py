@@ -21,19 +21,22 @@ from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
 from streamrpca.streams import ObservationStream, write_raw_f64
 from streamrpca.state import load_state, save_state, snapshot_tracker
 from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
-                                 TrackerConfig, WindowBuffer, omw_init,
-                                 omw_step, seed_tracker, state_element_count,
-                                 stoc_step)
+                                 TrackerConfig, WindowBuffer, omw_step,
+                                 seed_tracker, state_element_count, stoc_step)
 
-from conftest import child_env, ridge_regress
+from conftest import child_env, ridge_regress, seeded
 
 
-def make_burnin_init(m=20, n=15, r=2, n_win=10, seed=40, rho=0.0):
+def make_burnin_block(m=20, n=15, r=2, seed=40, rho=0.0):
     rng = np.random.Generator(np.random.PCG64(seed))
     L = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
     mask = rng.random((m, n)) < rho
-    M_b = L + np.where(mask, rng.uniform(-100, 100, (m, n)), 0.0)
-    return burnin_initialize(M_b, 0.1, 1.0, n_win=n_win)
+    return L + np.where(mask, rng.uniform(-100, 100, (m, n)), 0.0)
+
+
+def make_burnin_init(n_win=10, rho=0.0):
+    return burnin_initialize(make_burnin_block(rho=rho), 0.1, 1.0,
+                             n_win=n_win)
 
 
 def test_stoc_init_from_burnin_passthrough():
@@ -79,10 +82,17 @@ def test_stoc_noiseless_subspace_tracking():
         np.testing.assert_allclose(out.l, m_star, atol=1e-6)
 
 
-def test_omw_init_buffer_and_model():
-    init = make_burnin_init(n_win=10)
-    model, buffer = omw_init(init, 0.1, 1.0, n_win=10)
+def test_seed_tracker_buffer_and_model():
+    # the model holds the burn-in's seed and the window its trailing n_win
+    # samples; without eviction no window is built
+    M_b = make_burnin_block()
+    stream = ObservationStream.from_matrix(M_b)
+    config = TrackerConfig(n_burnin=15, n_win=10, lambda1=0.1, lambda2=1.0)
+    assert seed_tracker(stream, 0, config, evict=False)[2] is None
+    init, model, buffer = seed_tracker(stream, 0, config, evict=True)
+    assert (model.lambda1, model.lambda2) == (0.1, 1.0)
     assert buffer.capacity == 10
+    np.testing.assert_array_equal(buffer.rows()[0], M_b[:, 5:].T)
     np.testing.assert_array_equal(model.U, init.U0)
     for seed_rows, rows in zip(init.window_seed, buffer.rows()):
         np.testing.assert_array_equal(rows, seed_rows)
@@ -110,15 +120,9 @@ def test_step_calls_the_trackers_bindings_once(monkeypatch, evict):
             calls[_name] += 1
             return _f(*args, **kw)
         monkeypatch.setattr(trackers, name, counted)
-    model, buffer = omw_init(make_burnin_init(n_win=10), 0.1, 1.0, n_win=10)
+    model, buffer = seeded(make_burnin_init(n_win=10), 0.1, 1.0)
     omw_step(model, buffer if evict else None, np.ones(model.m))
     assert calls == {"project_sample": 1, "update_basis": 1}
-
-
-def test_omw_init_seed_length_mismatch():
-    init = make_burnin_init(n_win=10)
-    with pytest.raises(ContractViolation):
-        omw_init(init, 0.1, 1.0, n_win=12)
 
 
 @pytest.mark.parametrize("shapes", [
@@ -132,9 +136,18 @@ def test_window_buffer_rejects_empty_or_ragged_rows(shapes):
         WindowBuffer(*(np.zeros(shape) for shape in shapes))
 
 
+@pytest.mark.parametrize("evict", [True, False])
+def test_step_refuses_a_sample_of_another_length(evict):
+    model, buffer = seeded(make_burnin_init(n_win=10), 0.1, 1.0)
+    with pytest.raises(ContractViolation, match=r"sample dimension \(19,\) "
+                       r"!= \(20,\)"):
+        omw_step(model, buffer if evict else None, np.ones(19))
+    assert model.t == 0
+
+
 def test_omw_zero_sample_only_evicts():
     init = make_burnin_init(n_win=10)
-    model, buffer = omw_init(init, 0.1, 1.0, n_win=10)
+    model, buffer = seeded(init, 0.1, 1.0)
     v_oldest = buffer.rows()[1][0]
     A_before = model.A.copy()
     out = omw_step(model, buffer, np.zeros(model.m))
@@ -167,7 +180,7 @@ def test_omw_window_identity_and_stationary_repeats():
     n_b, n_win, k = 6, 4, 8
     M_b = np.tile(m_star[:, None], (1, n_b))
     init = burnin_initialize(M_b, 1e-9, 0.1, n_win=n_win)
-    model, buffer = omw_init(init, 1e-9, 0.1, n_win=n_win)
+    model, buffer = seeded(init, 1e-9, 0.1)
     A_init_scale = np.linalg.norm(init.A0)
     for _ in range(n_win + k):
         omw_step(model, buffer, m_star)
@@ -185,7 +198,7 @@ def test_omw_bookkeeping_500_steps_with_drift_correction():
     gt = generate(spec)
     full = full_stream_matrix(gt)
     init = burnin_initialize(gt.M_b, 0.1, 2.0, n_win=20)
-    model, buffer = omw_init(init, 0.1, 2.0, n_win=20)
+    model, buffer = seeded(init, 0.1, 2.0)
     for t in range(500):
         omw_step(model, buffer, gt.M[:, t])
         A_re, B_re = buffer.recompute_accumulators()
@@ -243,7 +256,7 @@ def test_state_element_count_structure_independent_of_t():
                    variant=Stable(r=3))
     gt = generate(spec)
     init = burnin_initialize(gt.M_b, 0.1, 2.0, n_win=20)
-    model, buffer = omw_init(init, 0.1, 2.0, n_win=20)
+    model, buffer = seeded(init, 0.1, 2.0)
     m, r, n_win = model.m, model.r, buffer.capacity
     expected = 2 * m * r + r * r + n_win * (2 * m + r)
     counts = []
@@ -423,7 +436,7 @@ def test_run_tracker_modes_agree_on_shapes():
 
 def test_step_output_low_rank_uses_post_update_basis():
     init = make_burnin_init(n_win=10, rho=0.02)
-    model, buffer = omw_init(init, 0.1, 1.0, n_win=10)
+    model, buffer = seeded(init, 0.1, 1.0)
     rng = np.random.Generator(np.random.PCG64(47))
     for _ in range(5):
         out = omw_step(model, buffer, rng.standard_normal(model.m))
