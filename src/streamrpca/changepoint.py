@@ -30,7 +30,8 @@ absolute: they are not re-based after restarts.
 
 The pipeline is a single-owner sequential state machine. Its stream must
 support replay from a retained horizon of at least n_burnin + n_check
-samples, since a restart rewinds to the detected change point.
+samples, since a restart rewinds to the detected change point:
+TrackerConfig.replay_horizon, which track and experiment use.
 """
 
 from collections import deque
@@ -128,8 +129,9 @@ class OmwCpPipeline:
     moving window and the detector, which sees each step and may restart the
     tracker at a change point). The next sample has stream index cursor and
     tracked time t_start + model.t; cols, a ColumnStore, holds the (l, s)
-    outputs in tracked-time order up to it. The detector state is plain
-    data: the histogram counts, indexed by support size, and the last
+    outputs in tracked-time order up to it: in omw-cp the last run's L and
+    S, read-only, then the columns tracked since. The detector state is
+    plain data: the histogram counts, indexed by support size, and the last
     n_check (size, flag) pairs. A change point whose burn-in block the
     stream does not hold yet is pending: its restart is retried at the next
     run().
@@ -155,9 +157,11 @@ class OmwCpPipeline:
     def run(self, stream):
         """Consume the stream to exhaustion. Returns (DecompositionResult,
         ChangePointReport) in every mode: the report holds the run's
-        warnings, and its diagnostics are empty outside omw-cp. A stream
-        shorter than the burn-in block raises ContractViolation, and a
-        failing step raises TrackerStepError carrying its tracked time."""
+        warnings, and its diagnostics are empty outside omw-cp. L and S
+        hold this run's columns, or in omw-cp every column from t = 1,
+        read-only: the next run() reads them again. A stream shorter than
+        the burn-in block raises ContractViolation, and a failing step
+        raises TrackerStepError carrying its tracked time."""
         self.diagnostics = []
         detect = self.mode == "omw-cp"
         if self.model is None and self._seed(stream, 0, "before t=1") is None:
@@ -176,7 +180,9 @@ class OmwCpPipeline:
             self.cursor += 1
             if detect:
                 self._observe(stream, t, out.s)
-        L, S = self.cols.dense(drain=not detect)
+        L, S = self.cols.dense()
+        if detect:  # a later restart may rewrite the last columns
+            self.cols.hold(L, S)
         result = DecompositionResult(L=L, S=S,
                                      change_points=list(self.change_points))
         warnings = list(self.warnings)

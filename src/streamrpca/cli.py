@@ -160,12 +160,12 @@ def _cmd_pcp(args):
 
 
 def _cmd_track(args):
-    retain = args.n_burnin + args.n_check + 8
-    stream = ingest_stream(args.input, args.format, retain=retain)
     config = TrackerConfig(
         n_burnin=args.n_burnin, n_win=args.n_win, lambda1=args.lambda1,
         lambda2=args.lambda2,
         **{name: getattr(args, name) for name in DETECTOR_FIELDS})
+    stream = ingest_stream(args.input, args.format,
+                           retain=config.replay_horizon)
     if args.resume:
         snapshot = load_state(args.resume)
         if snapshot.kind != args.mode:

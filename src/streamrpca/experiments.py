@@ -72,7 +72,8 @@ def study_spec(study, scale, seed):
 def run_method(method, gt, config):
     """Run one tracker over the generated data; returns
     (DecompositionResult, ChangePointReport, runtime_seconds)."""
-    stream = ObservationStream.from_matrix(full_stream_matrix(gt))
+    stream = ObservationStream.from_matrix(full_stream_matrix(gt),
+                                           retain=config.replay_horizon)
     start = time.perf_counter()
     result, report = OmwCpPipeline(config, method).run(stream)
     return result, report, time.perf_counter() - start

@@ -22,6 +22,7 @@ basis, the two accumulator matrices (``window_sums``, which the drift
 correction shares), and the trailing window that seeds the ring buffer.
 """
 
+import mmap
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -123,7 +124,10 @@ def pcp_alm(M, config=None):
     to ``svt``, which is ``prox.svt_factors``: it warm-starts the subspace
     iteration from the previous sweep's block, and falls back to the exact
     thin SVD where its accuracy check fails. Each sweep forms Y/mu and M - L
-    once. The result carries the last sweep's factors, L = (U * s) @ Vh.
+    once, and writes its m x n iterates into seven arrays mapped up front,
+    whose pages go back to the system when the solve returns (malloc would
+    keep those of per-sweep temporaries resident). The result carries the
+    last sweep's factors, L = (U * s) @ Vh.
 
     Non-convergence is not an error: the last iterate is returned with
     converged=False and the caller decides.
@@ -139,21 +143,29 @@ def pcp_alm(M, config=None):
     mu, J, factors = _first_sweep(M, lam, config.mu)
     norm_M = np.linalg.norm(M) or 1.0
     dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
-    Y = M / J
-    S = np.zeros_like(M)
+    # each array has the layout of the temporary it replaces, so that the
+    # SVT and the norms read it in the same order: C for L (a product) and
+    # the residual (a difference with L), M's order for the rest
+    order = "F" if M.strides[0] < M.strides[1] else "C"
+    L, residual = (_zeros(*M.shape, mapped=True) for _ in range(2))
+    Y, Y_mu, S, S_prev, work = (_zeros(*M.shape, mapped=True, order=order)
+                                for _ in range(5))
+    np.divide(M, J, out=Y)
     rank = None
     for k in range(1, config.max_iter + 1):
-        Y_mu = Y / mu
+        np.divide(Y, mu, out=Y_mu)
         if k > 1:
-            factors = svt(M - S + Y_mu, 1.0 / mu, factors.block)
-        L = (factors.U * factors.s) @ factors.Vh
-        residual = M - L
-        S_prev, S = S, shrink_matrix(np.add(residual, Y_mu, out=Y_mu),
-                                     lam / mu)
+            np.add(np.subtract(M, S, out=work), Y_mu, out=work)
+            factors = svt(work, 1.0 / mu, factors.block)
+        np.matmul(factors.U * factors.s, factors.Vh, out=L)
+        np.subtract(M, L, out=residual)
+        S_prev, S = S, S_prev
+        shrink_matrix(np.add(residual, Y_mu, out=Y_mu), lam / mu, out=S)
         residual -= S
-        Y += mu * residual
+        Y += np.multiply(mu, residual, out=work)
         primal = np.linalg.norm(residual) / norm_M
-        dual = mu * np.linalg.norm(S - S_prev) / dual_scale
+        step = np.linalg.norm(np.subtract(S, S_prev, out=work))
+        dual = mu * step / dual_scale
         if rank is None and primal <= RANK_TOL:
             rank, rank_iteration = _count_rank(factors.s), k
         converged = bool(primal <= config.tol and dual <= config.tol)
@@ -165,6 +177,16 @@ def pcp_alm(M, config=None):
         rank, rank_iteration = _count_rank(factors.s), k
     return PcpResult(L=L, S=S, iterations=k, converged=converged, rank=rank,
                      rank_iteration=rank_iteration, factors=factors)
+
+
+def _zeros(rows, cols, mapped, order="C"):
+    """A zeroed float64 rows x cols array in order "C" or "F"; mapped, in
+    private pages of its own, which dropping it hands back to the system at
+    once (shared ones, mmap's default, fault in more slowly)."""
+    if not mapped:
+        return np.zeros((rows, cols), order=order)
+    pages = mmap.mmap(-1, max(8 * rows * cols, 1), flags=mmap.MAP_PRIVATE)
+    return np.ndarray((rows, cols), buffer=pages, order=order)
 
 
 def _first_sweep(M, lam, mu):

@@ -29,15 +29,19 @@ def shrink(x, tau):
     return 0.0
 
 
-def shrink_matrix(X, tau):
-    """Apply the soft-threshold elementwise to an array (any shape).
+def shrink_matrix(X, tau, out=None):
+    """Apply the soft-threshold elementwise to an array (any shape), into
+    out (an array of X's shape, not X) or a new array.
 
     tau = 0 is an exact identity (no epsilon fuzz).
     """
     X = np.asarray(X, dtype=float)
     if tau == 0.0:
-        return X.copy()
-    out = X.clip(-tau, tau)  # the method skips np.clip's dispatch wrapper
+        if out is None:
+            return X.copy()
+        np.copyto(out, X)
+        return out
+    out = X.clip(-tau, tau, out=out)  # skips np.clip's dispatch wrapper
     return np.subtract(X, out, out=out)
 
 

@@ -71,7 +71,9 @@ def snapshot_pipeline(pipeline, result):
 
 
 def restore_pipeline(snapshot, config):
-    """Rebuild the OmwCpPipeline of a snapshot taken with the same config."""
+    """Rebuild the OmwCpPipeline of a snapshot taken with the same config.
+    An omw-cp snapshot's det_L_partial and det_S_partial become the
+    pipeline's first columns as they are: no copy, and read-only."""
     det, kind, m = snapshot.detector, snapshot.kind, snapshot.model.m
     if (kind not in MODES or (det is None) == (kind == "omw-cp")
             or (snapshot.buffer is None) != (kind == "stoc")):
@@ -132,7 +134,7 @@ def restore_pipeline(snapshot, config):
                             f"{L.shape}, {S.shape}, expected "
                             f"{(m, pipeline.t - 1)}: the columns up to "
                             f"det_next_t")
-    pipeline.cols.extend(L, S)
+    pipeline.cols.hold(L, S)
     return pipeline
 
 

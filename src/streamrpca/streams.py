@@ -27,11 +27,14 @@ WRITE_BLOCK = 1 << 17   # float64 values per write_raw_f64 block (1 MiB)
 class ObservationStream:
     """Random access over a lazily-read sequence of equal-length vectors.
 
-    retain: number of trailing samples kept for replay (None = keep all).
-    Reads behind the retained horizon raise ContractViolation.
+    retain: number of trailing samples kept for replay, at least 1 (None =
+    keep all). Reads behind the retained horizon raise ContractViolation.
     """
 
     def __init__(self, source, retain=None, dim=None):
+        if retain is not None and retain < 1:
+            raise ContractViolation(
+                f"stream retain must be >= 1, not {retain}")
         self._it = iter(source)
         self._retain = retain
         self._dim = dim

@@ -15,7 +15,6 @@ steps. Independent instances can run on different threads, and state can be
 handed between threads between steps.
 """
 
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import kernel
 from .basis import _check_accumulator, update_basis
 from .exceptions import ContractViolation
-from .pcp import burnin_initialize, window_sums
+from .pcp import _zeros, burnin_initialize, window_sums
 from .projection import ProjectionConfig, project_sample
 
 # Recompute A/B from the ring buffer every DRIFT_CORRECTION_FACTOR * n_win
@@ -108,19 +107,10 @@ class WindowBuffer:
         return window_sums(*self.rows())
 
 
-def _zeros(rows, cols, mapped):
-    """A zeroed float64 rows x cols array; mapped, in pages of its own, which
-    dropping it hands back to the system at once."""
-    if not mapped:
-        return np.zeros((rows, cols))
-    pages = mmap.mmap(-1, max(8 * rows * cols, 1))
-    return np.frombuffer(pages, count=rows * cols).reshape(rows, cols)
-
-
 class ColumnStore:
-    """Tracked (l, s) columns in row blocks of BLOCK columns: l dense, s as
-    its nonzeros (int32 row, value; -0.0 counts) with each column's end
-    offset in its block."""
+    """Tracked (l, s) columns: a read-only prefix of held m x k matrices,
+    then row blocks of BLOCK columns, l dense and s as its nonzeros (int32
+    row, value; -0.0 counts) with each column's end offset in its block."""
 
     BLOCK = 256
     # Stacked outputs of this many elements (4 MB) or more are mapped, as
@@ -130,10 +120,20 @@ class ColumnStore:
     MAPPED_OUTPUT = 2**19
 
     def __init__(self, m):
-        self.m, self.n, self.blocks = m, 0, []
+        self.m = m
+        self.hold(np.zeros((m, 0)), np.zeros((m, 0)))
+
+    def hold(self, L, S):
+        """Make m x k matrices L and S the store's only columns, without a
+        copy: they are set read-only, since the store reads them again at
+        dense(); appends go after them."""
+        for X in (L, S):
+            X.flags.writeable = False
+        self.prefix, self.blocks = (L, S), []
+        self.n = self.held = L.shape[1]
 
     def append(self, l, s):
-        b, k = divmod(self.n, self.BLOCK)
+        b, k = divmod(self.n - self.held, self.BLOCK)
         if b == len(self.blocks):
             self.blocks.append([_zeros(self.BLOCK, self.m, mapped=True),
                                 np.empty(self.BLOCK, np.int64),
@@ -155,29 +155,32 @@ class ColumnStore:
             self.append(l, s)
 
     def truncate(self, n):
-        """Drop the columns from the n-th on."""
+        """Drop the columns from the n-th on; in the prefix, only its column
+        count drops."""
+        self.held = min(self.held, n)
         self.n = n
-        del self.blocks[-(-n // self.BLOCK):]
+        del self.blocks[-(-(n - self.held) // self.BLOCK):]
 
-    def dense(self, drain=False):
-        """(L, S): m x n, C order. drain empties the store, dropping each l
-        block once copied and before S is allocated: the blocks, L and S
-        are then not all held at once."""
-        n, blocks = self.n, self.blocks
-        if drain:
-            self.n, self.blocks = 0, []
-        spans = [(lo, min(self.BLOCK, n - lo))
-                 for lo in range(0, n, self.BLOCK)]
+    def dense(self):
+        """(L, S): m x n, C order, and the store is emptied. Each l block is
+        dropped once copied, and the prefix's L too, before S is allocated:
+        the blocks, L and S are not all held at once."""
+        n, k, blocks, (L_p, S_p) = self.n, self.held, self.blocks, self.prefix
+        self.hold(np.zeros((self.m, 0)), np.zeros((self.m, 0)))
         mapped = self.m * n >= self.MAPPED_OUTPUT
+        spans = [(lo, min(self.BLOCK, n - lo))
+                 for lo in range(k, n, self.BLOCK)]
         L = _zeros(self.m, n, mapped)
-        for (lo, k), block in zip(spans, blocks):
-            L[:, lo:lo + k] = block[0][:k].T
-            if drain:
-                block[0] = None
+        L[:, :k] = L_p[:, :k]
+        del L_p
+        for (lo, w), block in zip(spans, blocks):
+            L[:, lo:lo + w] = block[0][:w].T
+            block[0] = None
         S = _zeros(self.m, n, mapped)
-        for (lo, k), (_, ends, rows, values) in zip(spans, blocks):
-            cols = lo + np.repeat(np.arange(k), np.diff(ends[:k], prepend=0))
-            S[rows[:ends[k - 1]], cols] = values[:ends[k - 1]]
+        S[:, :k] = S_p[:, :k]
+        for (lo, w), (_, ends, rows, values) in zip(spans, blocks):
+            cols = lo + np.repeat(np.arange(w), np.diff(ends[:w], prepend=0))
+            S[rows[:ends[w - 1]], cols] = values[:ends[w - 1]]
         return L, S
 
 
@@ -249,6 +252,13 @@ class TrackerConfig:
                 "TrackerConfig: n_positive must be <= n_check")
         if self.n_tol < 0:
             raise ContractViolation("TrackerConfig: n_tol must be >= 0")
+
+    @property
+    def replay_horizon(self):
+        """The samples a stream retains for omw-cp's restarts: a change
+        point lies at most n_check samples back, or n_burnin + n_check
+        while its restart is pending; 8 more are slack."""
+        return self.n_burnin + self.n_check + 8
 
     def resolved_lambdas(self, m):
         scale = 1.0 / np.sqrt(max(m, self.n_win))

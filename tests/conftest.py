@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,41 @@ def child_env():
         str(Path(streamrpca.__file__).parents[1]),
         os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+needs_proc_status = pytest.mark.skipif(
+    not Path("/proc/self/status").is_file(),
+    reason="reads the peak RSS from /proc/self/status")
+
+
+def child_memory(setup):
+    """Measure run(), which the Python source setup defines and which
+    returns a DecompositionResult, in a fresh process: its first call by
+    the growth of the peak RSS (VmHWM: ru_maxrss starts from the parent's
+    peak after a fork), which covers mapped pages that tracemalloc does not
+    see, and its second by tracemalloc's heap peak. Returns (RSS growth,
+    heap peak, bytes of the first result's L and S)."""
+    code = textwrap.dedent(setup) + textwrap.dedent("""
+        import tracemalloc
+
+        def peak_rss():
+            with open("/proc/self/status", encoding="ascii") as fh:
+                return 1024 * next(int(line.split()[1]) for line in fh
+                                   if line.startswith("VmHWM:"))
+
+        before = peak_rss()
+        result = run()
+        outputs = result.L.nbytes + result.S.nbytes
+        rss = peak_rss() - before
+        del result
+        tracemalloc.start()
+        run()
+        print(rss, tracemalloc.get_traced_memory()[1], outputs)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=600,
+                         env=child_env())
+    return tuple(map(int, out.stdout.split()))
 
 
 def svt(X, tau):

@@ -14,8 +14,10 @@ from streamrpca.pcp import PcpConfig
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.state import load_state, save_state, snapshot_tracker
-from streamrpca.streams import ObservationStream
+from streamrpca.streams import ObservationStream, write_raw_f64
 from streamrpca.trackers import TrackerConfig
+
+from conftest import child_memory, needs_proc_status
 
 
 def test_support_size():
@@ -383,3 +385,30 @@ def test_tracer_wraps_the_bindings_the_pipeline_calls(monkeypatch, tmp_path):
     tracer, tracked = traced(chunked)
     assert tracked == n_tracked
     assert_spans(tracer, n_tracked, 1)
+
+
+@needs_proc_status
+def test_omw_cp_output_memory_is_about_one_stacked_copy(tmp_path):
+    # the omw-cp twin of the omw test in test_trackers, over a stream whose
+    # change point restarts the tracker at t = 3001. The run drops each l
+    # block once it is stacked, as omw does: its peak RSS read 1.37x the
+    # bytes of L and S (16 MB), against 1.88x while omw-cp kept every block
+    # until its L and S were both built. Both read 0.15x in tracemalloc.
+    sim = SimSpec(m=100, t=10000, n_burnin=100, rho=0.01, seed=11,
+                  variant=ChangePoints(ranks=(5, 12), cps=(3000,), r0=3,
+                                       t_p=125))
+    write_raw_f64(tmp_path / "in.f64", full_stream_matrix(generate(sim)))
+    rss, traced, outputs = child_memory(f"""
+        from streamrpca import OmwCpPipeline, TrackerConfig, ingest_stream
+
+        def run():
+            config = TrackerConfig(n_burnin=100, n_win=100, lambda2=3.0)
+            stream = ingest_stream({str(tmp_path / "in.f64")!r}, "raw-f64",
+                                   retain=config.replay_horizon)
+            result, _ = OmwCpPipeline(config).run(stream)
+            assert result.change_points == [3001]
+            return result
+    """)
+    assert outputs == 2 * 100 * 10000 * 8
+    assert rss <= 1.6 * outputs
+    assert traced <= 0.25 * outputs

@@ -2,10 +2,11 @@ import dataclasses
 
 import pytest
 
+from streamrpca import experiments
 from streamrpca.exceptions import ContractViolation
 from streamrpca.experiments import run_experiment, study_spec
 from streamrpca.projection import ProjectionConfig
-from streamrpca.simgen import ChangePoints, Drift, SimSpec, Stable
+from streamrpca.simgen import ChangePoints, Drift, SimSpec, Stable, generate
 
 DESK = dict(n_burnin=100, n_win=100, lambda1=None, lambda2=None,
             projection=ProjectionConfig(), n_cp_burnin=100, n_test=100,
@@ -46,3 +47,20 @@ def test_run_experiment_checks_the_methods_before_writing(tmp_path):
     with pytest.raises(ContractViolation, match="'bogus'"):
         run_experiment(1, "desk", 0, out, methods=("omw", "bogus"))
     assert not out.exists()
+
+
+def test_run_method_streams_through_the_replay_horizon(monkeypatch):
+    # the stream keeps the horizon that track gives its own, not a copy of
+    # every sample beside the full matrix
+    horizons = []
+    from_matrix = experiments.ObservationStream.from_matrix
+
+    def spy(M, retain=None):
+        horizons.append(retain)
+        return from_matrix(M, retain=retain)
+
+    monkeypatch.setattr(experiments.ObservationStream, "from_matrix", spy)
+    sim, config = study_spec(3, "desk", 0)
+    result, _, _ = experiments.run_method("omw-cp", generate(sim), config)
+    assert horizons == [config.replay_horizon] == [100 + 20 + 8]
+    assert result.change_points

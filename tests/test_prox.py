@@ -64,10 +64,12 @@ def test_shrink_matrix_matches_the_clip_formula_bit_for_bit(tau, order):
                -5e-324]
     X = np.concatenate([special, rng.standard_normal(36) * 3.0])
     X = np.asarray(X.reshape(6, 8), order=order)
+    out = np.full((6, 8), 7.0, order=order)  # written through, in place
     with np.errstate(invalid="ignore"):  # inf - inf at tau = inf
         got, expected = shrink_matrix(X, tau), _clip_shrink(X, tau)
+        assert shrink_matrix(X, tau, out=out) is out
     assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    assert got.tobytes() == expected.tobytes() == out.tobytes()
 
 
 def test_svt_diagonal():

@@ -430,13 +430,15 @@ class StackedColumns:
         for l, s in zip(L.T, S.T):
             self.append(l, s)
 
+    def hold(self, L, S):
+        self.cols = []
+        self.extend(L, S)
+
     def truncate(self, n):
         del self.cols[n:]
 
-    def dense(self, drain=False):
-        cols = self.cols
-        if drain:
-            self.cols = []
+    def dense(self):
+        cols, self.cols = self.cols, []
         if not cols:
             return np.zeros((self.m, 0)), np.zeros((self.m, 0))
         L, S = zip(*cols)
@@ -474,3 +476,30 @@ def test_outputs_are_the_stacked_step_outputs(tmp_path, monkeypatch, case):
     for X, Y in ((blocks.L, stacked.L), (blocks.S, stacked.S)):
         assert X.flags.c_contiguous and X.shape == Y.shape
         assert X.tobytes() == Y.tobytes()
+
+
+def test_omw_cp_outputs_are_held_read_only_until_the_next_run(tmp_path):
+    # omw-cp keeps its L and S as the first columns of its next run(), and a
+    # resumed pipeline the snapshot's, without a copy: writing into them
+    # raises, and the next run reads them and leaves their bytes as they were
+    gt, config = cp_setup()
+    full = full_stream_matrix(gt)
+    pipeline = OmwCpPipeline(config)
+    first, _ = pipeline.run(ObservationStream.from_matrix(full[:, :50 + 300]))
+    save_state(tmp_path / "snap.npz", snapshot_pipeline(pipeline, first))
+    snap = load_state(tmp_path / "snap.npz")
+    resumed = restore_pipeline(snap, config)
+    held = [first.L, first.S, snap.detector["L_partial"],
+            snap.detector["S_partial"]]
+    saved = [X.tobytes() for X in held]
+    for X in held:
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 1.0
+    for p in (pipeline, resumed):
+        result, _ = p.run(ObservationStream.from_matrix(full))
+        assert result.L.shape == (40, 400) and not result.L.flags.writeable
+    assert [X.tobytes() for X in held] == saved
+    for mode in ("stoc", "omw"):
+        result = OmwCpPipeline(config, mode).run(
+            ObservationStream.from_matrix(full))[0]
+        assert result.L.flags.writeable and result.S.flags.writeable

@@ -171,6 +171,21 @@ def test_stream_retention_and_replay():
         stream.get(3)
 
 
+@pytest.mark.parametrize("retain", [0, -3])
+def test_stream_refuses_a_horizon_below_one(tmp_path, retain):
+    # such a stream kept no sample: every get() raised a bare IndexError
+    M = np.arange(8, dtype=float).reshape(2, 4)
+    write_raw_f64(tmp_path / "m.f64", M)
+    for build in (lambda: ObservationStream.from_matrix(M, retain=retain),
+                  lambda: ingest_stream(tmp_path / "m.f64", "raw-f64",
+                                        retain=retain)):
+        with pytest.raises(ContractViolation,
+                           match=f"retain must be >= 1, not {retain}"):
+            build()
+    np.testing.assert_array_equal(
+        ObservationStream.from_matrix(M, retain=1).get(3), M[:, 3])
+
+
 def test_stream_get_probes_forward():
     M = np.arange(8, dtype=float).reshape(2, 4)
     stream = ObservationStream.from_matrix(M)

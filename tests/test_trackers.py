@@ -1,8 +1,3 @@
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +19,7 @@ from streamrpca.trackers import (DRIFT_CORRECTION_FACTOR, SubspaceModel,
                                  TrackerConfig, WindowBuffer, omw_step,
                                  seed_tracker, state_element_count, stoc_step)
 
-from conftest import child_env, ridge_regress, seeded
+from conftest import child_memory, needs_proc_status, ridge_regress, seeded
 
 
 def make_burnin_block(m=20, n=15, r=2, seed=40, rho=0.0):
@@ -415,6 +410,36 @@ def test_column_store_keeps_signed_zeros_and_strided_columns():
     assert S_out.tobytes() == S.tobytes()
 
 
+def test_column_store_reads_its_prefix_and_never_writes_it(monkeypatch):
+    # a held prefix of 6 columns, 5 appended over two blocks of 4, a
+    # truncate to 9 in the blocks and to 4 in the prefix, 7 more appended:
+    # dense() gives the stacked columns' bytes and empties the store
+    monkeypatch.setattr(trackers.ColumnStore, "BLOCK", 4)
+    rng = np.random.Generator(np.random.PCG64(7))
+    L, S = rng.standard_normal((2, 5, 18))
+    S[rng.random(S.shape) < 0.5] = 0.0
+    S[0, ::3] = -0.0
+    L_p, S_p = L[:, :6].copy(), S[:, :6].copy()
+    saved = L_p.tobytes(), S_p.tobytes()
+    store = trackers.ColumnStore(5)
+    store.hold(L_p, S_p)
+    store.extend(L[:, 6:11], S[:, 6:11])
+    store.truncate(9)
+    store.extend(L[:, 9:11], S[:, 9:11])
+    assert store.n == 11
+    store.truncate(4)
+    store.extend(L[:, 11:], S[:, 11:])
+    kept = np.r_[0:4, 11:18]
+    L_out, S_out = store.dense()
+    assert L_out.tobytes() == np.column_stack(L.T[kept]).tobytes()
+    assert S_out.tobytes() == np.column_stack(S.T[kept]).tobytes()
+    assert store.n == 0 and store.dense()[0].shape == (5, 0)
+    assert (L_p.tobytes(), S_p.tobytes()) == saved
+    for X in (L_p, S_p):
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 1.0
+
+
 def test_run_tracker_rejects_omw_cp():
     # run_tracker is the shell of the two modes without a detector
     stream = ObservationStream.from_matrix(np.zeros((5, 30)))
@@ -549,22 +574,18 @@ def test_step_failure_names_tracked_time(tmp_path, capsys, mode, resume):
     assert "error: step t=71: " in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
-                    reason="reads the peak RSS from /proc/self/status")
+@needs_proc_status
 def test_tracked_output_memory_is_about_one_stacked_copy(tmp_path):
     # 10k omw steps at m = 100 from a file, in a fresh process. The column
     # blocks and the stacked L and S map their own pages, which tracemalloc
-    # does not see, so the run is measured twice: the growth of the peak
-    # RSS (VmHWM: ru_maxrss starts from the parent's peak after a fork)
-    # covers them, and tracemalloc the heap. They read 1.2x and 0.06x the
-    # bytes of L and S (16 MB); per-step (l, s) arrays, as Tracker kept them
-    # before, read 2.5x and 2.3x, and blocks, L and S on the heap 1.7x and
-    # 1.5x.
+    # does not see, so the peak RSS covers them, and tracemalloc the heap.
+    # They read 1.2x and 0.06x the bytes of L and S (16 MB); per-step (l, s)
+    # arrays, as Tracker kept them before, read 2.5x and 2.3x, and blocks,
+    # L and S on the heap 1.7x and 1.5x.
     sim = SimSpec(m=100, t=10000, n_burnin=100, rho=0.01, seed=11,
                   variant=Drift(r=10, r0=3, t_p=125))
     write_raw_f64(tmp_path / "in.f64", full_stream_matrix(generate(sim)))
-    code = textwrap.dedent(f"""
-        import tracemalloc
+    rss, traced, outputs = child_memory(f"""
         from streamrpca import TrackerConfig, ingest_stream, run_tracker
 
         def run():
@@ -572,23 +593,7 @@ def test_tracked_output_memory_is_about_one_stacked_copy(tmp_path):
                                    retain=8)
             return run_tracker(stream, "omw",
                                TrackerConfig(n_burnin=100, n_win=100))
-
-        def peak_rss():
-            with open("/proc/self/status", encoding="ascii") as fh:
-                return 1024 * next(int(line.split()[1]) for line in fh
-                                   if line.startswith("VmHWM:"))
-
-        before = peak_rss()
-        outputs = run().L.nbytes * 2
-        rss = peak_rss() - before
-        tracemalloc.start()
-        run()
-        print(rss, tracemalloc.get_traced_memory()[1], outputs)
     """)
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True, timeout=600,
-                         env=child_env())
-    rss, traced, outputs = map(int, out.stdout.split())
     assert outputs == 2 * 100 * 10000 * 8
     assert rss <= 1.45 * outputs
     assert traced <= 0.25 * outputs
