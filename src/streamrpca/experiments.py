@@ -25,8 +25,7 @@ from pathlib import Path
 from .changepoint import MODES, OmwCpPipeline
 from .exceptions import ContractViolation
 from .metrics import EvalReport, cp_deviation, err_rel, support_mismatch
-from .simgen import (ChangePoints, Drift, SimSpec, Stable, full_stream_matrix,
-                     generate)
+from .simgen import ChangePoints, Drift, SimSpec, Stable, generate
 from .streams import ObservationStream, write_raw_f64
 from .trackers import TrackerConfig
 
@@ -70,10 +69,10 @@ def study_spec(study, scale, seed):
 
 
 def run_method(method, gt, config):
-    """Run one tracker over the generated data; returns
-    (DecompositionResult, ChangePointReport, runtime_seconds)."""
-    stream = ObservationStream.from_matrix(full_stream_matrix(gt),
-                                           retain=config.replay_horizon)
+    """Run one tracker over gt's burn-in block and then its stream, column
+    by column; returns (DecompositionResult, ChangePointReport, seconds)."""
+    samples = (x.copy() for X in (gt.M_b, gt.M) for x in X.T)
+    stream = ObservationStream(samples, retain=config.replay_horizon)
     start = time.perf_counter()
     result, report = OmwCpPipeline(config, method).run(stream)
     return result, report, time.perf_counter() - start

@@ -17,8 +17,8 @@
  * row-major as numpy holds them, and each entry point allocates its
  * routine's scratch: 3r^2 + 4r + 8m + mr doubles for srp_project (see
  * work_size), 2m for srp_accumulate, r + b + mb for srp_sweep, and
- * 4mk + 3kn + 2k^2 + 5k plus the largest LAPACK workspace for srp_svt (see
- * svt_query).
+ * svt_size for srp_svt (4mk + 3kn + 2k^2 + k plus the largest LAPACK
+ * workspace and the integer one, see svt_query).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -43,6 +43,8 @@ typedef void gesdd_t(char *, int *, int *, double *, int *, double *,
 typedef void potrf_t(char *, int *, double *, int *, int *);
 typedef void potrs_t(char *, int *, int *, double *, int *, double *, int *,
                      int *);
+typedef void syevd_t(char *, char *, int *, double *, int *, double *,
+                     double *, int *, int *, int *, int *);
 
 static gemv_t *gemv;
 static gemm_t *gemm;
@@ -53,20 +55,21 @@ static orgqr_t *orgqr;
 static gesdd_t *gesdd;
 static potrf_t *potrf;
 static potrs_t *potrs;
+static syevd_t *syevd;
 static int ONE = 1;
 
 /* Columns per block of the sweep: the module's BLOCK */
 enum { srp_block = 8 };
 
-/* capsules hold dgemv, dgemm, dsyrk, ddot, dgeqrf, dorgqr, dgesdd, dpotrf
- * and dpotrs, in kernel.py's ROUTINES order; -1, with nothing bound, if there
- * are not n = 9 of them or one is not a capsule */
+/* capsules hold dgemv, dgemm, dsyrk, ddot, dgeqrf, dorgqr, dgesdd, dpotrf,
+ * dpotrs and dsyevd, in kernel.py's ROUTINES order; -1, with nothing bound,
+ * if there are not n = 10 of them or one is not a capsule */
 static int srp_bind(PyObject *const *capsules, Py_ssize_t n)
 {
-    void *fn[9];
-    if (n != 9)
+    void *fn[10];
+    if (n != 10)
         return -1;
-    for (int i = 0; i < 9; i++)
+    for (int i = 0; i < 10; i++)
         if (!PyCapsule_CheckExact(capsules[i])
             || !(fn[i] = PyCapsule_GetPointer(
                      capsules[i], PyCapsule_GetName(capsules[i]))))
@@ -80,6 +83,7 @@ static int srp_bind(PyObject *const *capsules, Py_ssize_t n)
     gesdd = (gesdd_t *)fn[6];
     potrf = (potrf_t *)fn[7];
     potrs = (potrs_t *)fn[8];
+    syevd = (syevd_t *)fn[9];
     return 0;
 }
 
@@ -438,15 +442,17 @@ static double pairwise_squares(const double *a, int n, int stride)
     return res;
 }
 
-/* The LAPACK workspaces of srp_svt, each routine's own query as numpy's qr
- * and svd make it, at least max(1, k) for dgeqrf and dorgqr and 1 for
- * dgesdd, as numpy asks */
-typedef struct { int qr, gqr, sdd; } svt_lwork;
+/* The LAPACK workspaces of srp_svt, each routine's own query as numpy's qr,
+ * svd and eigh make it: at least max(1, k) for dgeqrf and dorgqr and 1 for
+ * dgesdd, as numpy asks, and dsyevd's answers as they are (evd doubles,
+ * ievd ints) */
+typedef struct { int qr, gqr, sdd, evd, ievd; } svt_lwork;
 
 static int lwork_max(svt_lwork lw)
 {
     int most = lw.qr > lw.gqr ? lw.qr : lw.gqr;
-    return most > lw.sdd ? most : lw.sdd;
+    most = most > lw.sdd ? most : lw.sdd;
+    return most > lw.evd ? most : lw.evd;
 }
 
 static svt_lwork svt_query(int m, int n, int k)
@@ -462,7 +468,69 @@ static svt_lwork svt_query(int m, int n, int k)
     gesdd("S", &k, &n, &none, &k, &none, &none, &k, &none, &k, &q, &query,
           &inone, &info);
     lw.sdd = (int)q > 1 ? (int)q : 1;
+    syevd("V", "L", &k, &none, &k, &none, &q, &query, &lw.ievd, &query,
+          &info);
+    lw.evd = (int)q;
     return lw;
+}
+
+/* The scratch of srp_svt in doubles: 4mk + 3kn + 2k^2 + k, the largest
+ * LAPACK workspace, and the ints of dgesdd (8k) or dsyevd, if more */
+static Py_ssize_t svt_size(int m, int n, int k, svt_lwork lw)
+{
+    Py_ssize_t ints = 8 * k > lw.ievd ? 8 * k : lw.ievd;
+    return 4 * (Py_ssize_t)m * k + 3 * (Py_ssize_t)k * n + 2 * k * k + k
+           + lwork_max(lw) + (ints + 1) / 2;
+}
+
+/* (Ub, s, Vh) of the Ritz step on P = Q'X (row-major k x n) as
+ * prox._ritz_triplets makes it: G = PP' (dsyrk, as numpy's matmul forms
+ * P @ P.T), and where G is finite its eigendecomposition (dsyevd), s = the
+ * square roots of its eigenvalues, descending, Ub = its eigenvectors in that
+ * order and Vh = diag(1/s) Ub'P; where G is not finite or s_k <= min_ratio
+ * s_1, the SVD of P (dgesdd). G and its eigenvectors take Uf and the
+ * eigenvalues lam. Returns 0; -1 where dgesdd fails, -2 where dsyevd does. */
+static int ritz_triplets(int n, int k, const double *P, double min_ratio,
+                         svt_lwork lw, double *Ub, double *s, double *Vh,
+                         double *Pf, double *Uf, double *Vf, double *lam,
+                         double *work, int *iwork)
+{
+    double one = 1.0, zero = 0.0;
+    int info, finite = 1;
+
+    syrk("L", "T", &k, &n, &one, (double *)P, &n, &zero, Uf, &k);
+    for (int j = 0; j < k; j++)
+        for (int i = j; i < k; i++)
+            finite &= isfinite(Uf[i + j * k]) != 0;
+    if (finite) {
+        syevd("V", "L", &k, Uf, &k, lam, work, &lw.evd, iwork, &lw.ievd,
+              &info);
+        if (info)
+            return -2;
+        for (int j = 0; j < k; j++) {
+            double l = lam[k - 1 - j];
+            s[j] = sqrt(l < 0.0 ? 0.0 : l);
+        }
+        if (s[k - 1] > min_ratio * s[0]) {
+            for (int i = 0; i < k; i++)
+                for (int j = 0; j < k; j++)
+                    Ub[i * k + j] = Uf[i + (k - 1 - j) * k];
+            gemm("N", "T", &n, &k, &k, &one, (double *)P, &n, Ub, &k, &zero,
+                 Vh, &n);
+            for (int i = 0; i < k; i++)
+                for (int j = 0; j < n; j++)
+                    Vh[(size_t)i * n + j] /= s[i];
+            return 0;
+        }
+    }
+    transpose(n, k, P, Pf);
+    gesdd("S", &k, &n, Pf, &k, s, Uf, &k, Vf, &k, work, &lw.sdd, iwork,
+          &info);
+    if (info)
+        return -1;
+    transpose(k, k, Uf, Ub);
+    transpose(k, n, Vf, Vh);
+    return 0;
 }
 
 /* The warm loop of prox.svt_factors (_svt_warm_numpy) on a row-major m x n
@@ -470,15 +538,15 @@ static svt_lwork svt_query(int m, int n, int k)
  * and column-major where it is "T", as numpy's matmul takes it, with numpy's
  * routines in numpy's order, so that its outputs are numpy's bit for bit:
  * Z = X block, then up to max_steps times Q = orth(Z) (dgeqrf, dorgqr),
- * (Ub, s, Vh) = the SVD of Q'X (dgesdd), Z = X Vh', U = Q Ub and R = Z - U s,
+ * (Ub, s, Vh) = ritz_triplets(Q'X), Z = X Vh', U = Q Ub and R = Z - U s,
  * each row-major as numpy holds it. It writes U (m x k), s and Vh (k x n),
  * row-major, and returns the step it accepted (1, 2, ...); 0 where all k
- * values exceed tau or no step is accepted; -1 where dgesdd fails. w holds
- * 4mk + 3kn + 2k^2 + 5k + max(lw) doubles, the last 4k of them 8k ints. */
+ * values exceed tau or no step is accepted; -1 where dgesdd fails and -2
+ * where dsyevd does. w holds svt_size(m, n, k, lw) doubles. */
 static int srp_svt(int m, int n, int k, const double *X, char *trans,
                    const double *block, double tau, int max_steps,
-                   double guard_tol, double ritz_tol, svt_lwork lw,
-                   double *U, double *s, double *Vh, double *w)
+                   double guard_tol, double ritz_tol, double min_ratio,
+                   svt_lwork lw, double *U, double *s, double *Vh, double *w)
 {
     int info;
     double *Z = w, *F = Z + (size_t)m * k, *Q = F + (size_t)m * k;
@@ -498,13 +566,11 @@ static int srp_svt(int m, int n, int k, const double *X, char *trans,
         transpose(m, k, F, Q);
         gemm("N", "T", &n, &k, &m, &one, (double *)X, &n, Q, &k, &zero, P,
              &n);
-        transpose(n, k, P, Pf);
-        gesdd("S", &k, &n, Pf, &k, s, Uf, &k, Vf, &k, work, &lw.sdd, iwork,
-              &info);
+        /* tq is free once dorgqr has read it: it takes the eigenvalues */
+        info = ritz_triplets(n, k, P, min_ratio, lw, Ub, s, Vh, Pf, Uf, Vf,
+                             tq, work, iwork);
         if (info)
-            return -1;
-        transpose(k, k, Uf, Ub);
-        transpose(k, n, Vf, Vh);
+            return info;
         int kept = 0, guards_below = 1;
         while (kept < k && s[kept] > tau)
             kept++;
@@ -652,7 +718,7 @@ static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
     PyErr_Clear();
     PyErr_SetString(PyExc_ValueError, "kernel: bind takes the capsules of "
                     "dgemv, dgemm, dsyrk, ddot, dgeqrf, dorgqr, dgesdd, "
-                    "dpotrf and dpotrs");
+                    "dpotrf, dpotrs and dsyevd");
     return NULL;
 }
 
@@ -759,13 +825,13 @@ fail:
 static PyObject *svt(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Held h = {.n = 0, .w = NULL};
-    Py_ssize_t dX[2] = {-1, -1}, dblock[2], dU[2], dk[1], dVh[2], need;
-    double *X, *block, *U, *s, *Vh, tau, guard_tol, ritz_tol;
+    Py_ssize_t dX[2] = {-1, -1}, dblock[2], dU[2], dk[1], dVh[2];
+    double *X, *block, *U, *s, *Vh, tau, guard_tol, ritz_tol, min_ratio;
     int max_steps, m, n, k, steps;
     char *trans;
     svt_lwork lw;
 
-    if (!count(nargs, 9, "svt")
+    if (!count(nargs, 10, "svt")
         || !(X = array(&h, args[0], "X", 'C', 0, 2, dX)))
         goto fail;
     dblock[0] = dX[1];
@@ -791,16 +857,15 @@ static PyObject *svt(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         || !(s = array(&h, args[3], "s", 'C', 1, 1, dk))
         || !(Vh = array(&h, args[4], "Vh", 'C', 1, 2, dVh))
         || as_double(args[5], &tau) || as_int(args[6], &max_steps)
-        || as_double(args[7], &guard_tol) || as_double(args[8], &ritz_tol))
+        || as_double(args[7], &guard_tol) || as_double(args[8], &ritz_tol)
+        || as_double(args[9], &min_ratio))
         goto fail;
     lw = svt_query(m, n, k);
-    need = 4 * (Py_ssize_t)m * k + 3 * (Py_ssize_t)k * n + 2 * k * k + 5 * k
-           + lwork_max(lw);
-    if (!scratch(&h, need))
+    if (!scratch(&h, svt_size(m, n, k, lw)))
         goto fail;
     Py_BEGIN_ALLOW_THREADS
     steps = srp_svt(m, n, k, X, trans, block, tau, max_steps, guard_tol,
-                    ritz_tol, lw, U, s, Vh, h.w);
+                    ritz_tol, min_ratio, lw, U, s, Vh, h.w);
     Py_END_ALLOW_THREADS
     release(&h);
     return PyLong_FromLong(steps);
@@ -823,9 +888,10 @@ static PyMethodDef methods[] = {
      "sweep(U, A, B, lambda1, sym_tol): one sweep of U in place; False, U "
      "untouched, if A is not finite or not symmetric"},
     {"svt", FASTCALL(svt),
-     "svt(X, block, U, s, Vh, tau, max_steps, guard_tol, ritz_tol): the warm "
-     "loop of prox.svt_factors; writes U, s and Vh and returns the step it "
-     "accepted, 0 where it declines, -1 where dgesdd fails"},
+     "svt(X, block, U, s, Vh, tau, max_steps, guard_tol, ritz_tol, "
+     "min_ratio): the warm loop of prox.svt_factors; writes U, s and Vh and "
+     "returns the step it accepted, 0 where it declines, -1 where dgesdd "
+     "fails, -2 where dsyevd does"},
     {NULL, NULL, 0, NULL},
 };
 

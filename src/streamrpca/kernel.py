@@ -33,7 +33,7 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("kernel.c")
 ROUTINES = ("dgemv", "dgemm", "dsyrk", "ddot", "dgeqrf", "dorgqr", "dgesdd",
-            "dpotrf", "dpotrs")
+            "dpotrf", "dpotrs", "dsyevd")
 
 
 def _compile_command():
@@ -114,7 +114,7 @@ def _load():
     try:
         ext = importlib.util.module_from_spec(
             importlib.util.spec_from_loader(loader.name, loader))
-        ext.bind(*_capsules())  # ValueError unless it is handed nine
+        ext.bind(*_capsules())  # ValueError unless it is handed ten
     except (ImportError, AttributeError, KeyError, ValueError):
         return None
     return ext
@@ -176,10 +176,10 @@ def sweep(U, A, B, lambda1, sym_tol):
     return done
 
 
-def svt_warm(X, tau, block, max_steps, guard_tol, ritz_tol):
+def svt_warm(X, tau, block, max_steps, guard_tol, ritz_tol, gram_min_ratio):
     """svt_factors' warm loop (prox._svt_warm_numpy) in one call, bit for bit:
     the (U, s, Vh) of the step it accepts, or None where it declines; raises
-    LinAlgError where the SVD fails, as numpy's does."""
+    LinAlgError where LAPACK fails, as numpy does."""
     (m, n), k = X.shape, block.shape[1]
     U, s, Vh = np.empty((m, k)), np.empty(k), np.empty((k, n))
     # numpy's matmul multiplies by an F-order block transposed, and by the
@@ -187,7 +187,8 @@ def svt_warm(X, tau, block, max_steps, guard_tol, ritz_tol):
     if not block.flags.f_contiguous:
         block = np.ascontiguousarray(block)
     steps = _ext.svt(np.ascontiguousarray(X), block, U, s, Vh, tau, max_steps,
-                     guard_tol, ritz_tol)
+                     guard_tol, ritz_tol, gram_min_ratio)
     if steps < 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("SVD did not converge" if steps == -1
+                                    else "Eigenvalues did not converge")
     return (U, s, Vh) if steps else None

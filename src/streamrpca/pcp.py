@@ -1,9 +1,9 @@
 """Batch low-rank + sparse decomposition and burn-in model construction.
 
 The batch solver is the inexact ALM of Lin, Chen & Ma (2010) with a penalty
-mu that grows only while the primal residual outweighs the dual one (residual
-balancing, Boyd et al. 2011, 3.4.1; growing it every sweep stalls short of
-the optimum). The rank is read at a loose-tolerance iterate, because a large
+mu that grows while the primal residual outweighs the dual one and shrinks
+while the dual one outweighs it tenfold (residual balancing, Boyd et al.
+2011, 3.4.1). The rank is read at a loose-tolerance iterate, because a large
 final mu leaves small spurious singular values in L.
 
 The solve's first sweep reads ||M||_2 and the first thresholded iterate
@@ -33,7 +33,8 @@ from .prox import (SvtFactors, gram_eigh, gram_factors, lapack_factors,
                    shrink_matrix, threshold_factors)
 from .prox import svt_factors as svt
 
-MU_GROWTH = 1.2     # penalty growth per sweep (Lin et al. use 1.5)
+MU_GROWTH = 1.5     # penalty growth (and shrink) per sweep, Lin et al.'s
+DUAL_RATIO = 10.0   # mu shrinks while the dual residual is over this * primal
 DUAL_WEIGHT = 3.0   # the dual residual is relative to DUAL_WEIGHT * sqrt(m*n)
 RANK_TOL = 1e-3     # relative primal residual at which the rank is read
 RANK_REL_TOL = 1e-6  # singular values counted: above this times the largest
@@ -112,11 +113,11 @@ def pcp_alm(M, config=None):
         L <- svt(M - S + Y/mu, 1/mu)
         S <- shrink(M - L + Y/mu, lam/mu)
         Y <- Y + mu*(M - L - S)
-    and mu *= MU_GROWTH while p > d, until p <= tol and d <= tol or max_iter
-    sweeps; p = ||M - L - S||_F / ||M||_F, d = mu*||S - S_prev||_F /
-    (DUAL_WEIGHT * sqrt(m*n)). rank counts the thresholded spectrum of the
-    first L with p <= RANK_TOL (rank_iteration is its sweep), or of the
-    last L; see _count_rank.
+    and mu *= MU_GROWTH while p > d, mu /= MU_GROWTH while d > DUAL_RATIO p,
+    until p, d <= tol or max_iter sweeps; p = ||M - L - S||_F / ||M||_F, d =
+    mu*||S - S_prev||_F / (DUAL_WEIGHT * sqrt(m*n)). rank counts the
+    thresholded spectrum of the first L with p <= RANK_TOL (rank_iteration
+    is its sweep), or of the last L; see _count_rank.
 
     The first thresholding input (1 + 1/(J*mu)) * M is a multiple of M, so
     the first sweep reads ||M||_2 and its iterate from one eigendecomposition
@@ -173,6 +174,8 @@ def pcp_alm(M, config=None):
             break
         if primal > dual:
             mu *= MU_GROWTH
+        elif dual > DUAL_RATIO * primal:
+            mu /= MU_GROWTH
     if rank is None:
         rank, rank_iteration = _count_rank(factors.s), k
     return PcpResult(L=L, S=S, iterations=k, converged=converged, rank=rank,

@@ -75,8 +75,8 @@ def svt_factors(X, tau, block=None):
     this is the exact thin SVD of X, as at the end of this docstring. With
     an n x k block from the previous call on a nearby matrix, it takes up
     to MAX_STEPS block subspace-iteration steps (Halko, Martinsson & Tropp
-    2011): Q = orth(X V), and the SVD of the k x n projection Q'X gives the
-    Ritz triplets (s_i, u_i, v_i), whose v_i start the next step.
+    2011): Q = orth(X V), and Rayleigh-Ritz on the k x n projection Q'X
+    (_ritz_triplets) gives the triplets (s_i, u_i, v_i); v_i start the next.
     The r values above tau are kept, the other k - r pairs are guards, and
     a step is accepted when
 
@@ -111,7 +111,7 @@ def svt_factors(X, tau, block=None):
         if (kernel.ACTIVE == "compiled"
                 and X.size * block.shape[1] <= kernel.SVT_MAX_MNK):
             warm = kernel.svt_warm(X, tau, block, MAX_STEPS, GUARD_TOL,
-                                   RITZ_TOL)
+                                   RITZ_TOL, GRAM_MIN_RATIO)
         else:
             warm = _svt_warm_numpy(X, tau, block)
         if warm is not None:
@@ -128,7 +128,7 @@ def _svt_warm_numpy(X, tau, block):
     Z = X @ block
     for _ in range(MAX_STEPS):
         Q = np.linalg.qr(Z)[0]
-        Ub, s, Vh = np.linalg.svd(Q.T @ X, full_matrices=False)
+        Ub, s, Vh = _ritz_triplets(Q.T @ X)
         kept = int(np.count_nonzero(s > tau))
         if kept == s.size:
             return None
@@ -141,6 +141,18 @@ def _svt_warm_numpy(X, tau, block):
         if guards_below and residual <= RITZ_TOL * s[0]:
             return U, s, Vh
     return None
+
+
+def _ritz_triplets(P):
+    """(Ub, s, Vh) of P = Q'X: G = PP' = Ub diag(s^2) Ub', Vh = diag(1/s)
+    Ub'P; LAPACK's SVD where G is not finite or s_k <= GRAM_MIN_RATIO s_1."""
+    G = P @ P.T
+    if np.isfinite(G).all():
+        lam, W = np.linalg.eigh(G)
+        s, Ub = np.sqrt(np.maximum(lam[::-1], 0.0)), W[:, ::-1].copy()
+        if s[-1] > GRAM_MIN_RATIO * s[0]:
+            return Ub, s, (Ub.T @ P) / s[:, None]
+    return np.linalg.svd(P, full_matrices=False)
 
 
 def gram_eigh(X):

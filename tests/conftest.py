@@ -10,7 +10,9 @@ import pytest
 import streamrpca
 from streamrpca import kernel
 from streamrpca.exceptions import ContractViolation
+from streamrpca.experiments import study_spec
 from streamrpca.prox import _cholesky_solver, svt_factors
+from streamrpca.simgen import full_stream_matrix, generate
 from streamrpca.trackers import SubspaceModel, WindowBuffer
 
 
@@ -86,6 +88,16 @@ def child_memory(setup):
                          capture_output=True, text=True, timeout=600,
                          env=child_env())
     return tuple(map(int, out.stdout.split()))
+
+
+def study3_blocks(scale, seed):
+    """Burn-in block and the blocks starting 3 samples after each change
+    point of study 3, with the study's burn-in length."""
+    sim, cp = study_spec(3, scale, seed)
+    gt = generate(sim)
+    X = full_stream_matrix(gt)
+    starts = [0] + [sim.n_burnin + c + 3 for c in gt.cps]
+    return [X[:, i:i + cp.n_burnin] for i in starts]
 
 
 def svt(X, tau):

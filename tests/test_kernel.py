@@ -85,7 +85,7 @@ def test_kernel_matches_numpy_on_rank_55_states():
 
 
 def warm_args():
-    return prox.MAX_STEPS, prox.GUARD_TOL, prox.RITZ_TOL
+    return prox.MAX_STEPS, prox.GUARD_TOL, prox.RITZ_TOL, prox.GRAM_MIN_RATIO
 
 
 def assert_svt_matches_numpy(X, tau, block, svt_warm=kernel.svt_warm):
@@ -181,6 +181,32 @@ def test_svt_matches_the_numpy_loop_on_random_blocks(m, n, layout):
         for tau in (0.5 * s_all[3], 0.5 * s_all[k + 2]):
             accepted += assert_svt_matches_numpy(X, tau, block) is not None
     assert accepted
+
+
+@compiled
+@pytest.mark.parametrize("spectrum,gram", [
+    ((10.0, 8.0, 6.0, 5.0, 4.0, 0.5, 0.4, 0.3), True),
+    ((10.0, 8.0, 6.0, 5.0, 4.0), False)])
+def test_svt_matches_the_numpy_loop_on_both_ritz_paths(monkeypatch, spectrum,
+                                                       gram):
+    # k = 8 block values: all of them above GRAM_MIN_RATIO times the top
+    # one take the Gram step (dsyrk, dsyevd); a rank-5 X leaves three at
+    # the noise level, far below it, and every step takes dgesdd
+    rng = np.random.Generator(np.random.PCG64(63))
+    m, n, k = 90, 70, 8
+    left = np.linalg.qr(rng.standard_normal((m, len(spectrum))))[0]
+    right = np.linalg.qr(rng.standard_normal((n, len(spectrum))))[0]
+    X = (left * spectrum) @ right.T + 1e-7 * rng.standard_normal((m, n))
+    block = np.linalg.svd(X + 1e-3 * rng.standard_normal((m, n)))[2][:k].T
+    calls = {"svd": 0, "eigh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert assert_svt_matches_numpy(X, 2.0, block) is not None
+    assert calls["eigh"] > 0
+    assert calls["svd"] == (0 if gram else calls["eigh"])
 
 
 @compiled
@@ -372,8 +398,8 @@ def test_entry_points_refuse_bad_arrays():
                 m_old=window[0][1], v_old=window[1][1], s_old=window[2][1])
     X = rng.standard_normal((m + 4, m))
     good.update(X=X, block=rng.standard_normal((m, 3)),
-                U_svt=np.empty((m + 4, 3)), s_svt=np.empty(3),
-                Vh=np.empty((3, m)))
+                U_svt=np.zeros((m + 4, 3)), s_svt=np.zeros(3),
+                Vh=np.zeros((3, m)))
     ext = kernel._ext
     calls = {
         "project": lambda a: ext.project(a["U"], a["x"], a["v"], a["s"], 0.1,
@@ -383,7 +409,7 @@ def test_entry_points_refuse_bad_arrays():
             a["s_old"]),
         "sweep": lambda a: ext.sweep(a["U"], a["A"], a["B"], 0.1, 1e-8),
         "svt": lambda a: ext.svt(a["X"], a["block"], a["U_svt"], a["s_svt"],
-                                 a["Vh"], 0.5, 4, 0.25, 1e-6),
+                                 a["Vh"], 0.5, 4, 0.25, 1e-6, 5e-3),
     }
     cases = [(name, "U", U.astype(np.float32)) for name in ("project",
                                                             "sweep")]
@@ -595,8 +621,8 @@ def test_routines_the_kernel_does_not_expect_leave_the_numpy_path(tmp_path):
     copy = copy_package(tmp_path)
     loader = copy / "streamrpca" / "kernel.py"
     source = loader.read_text(encoding="ascii")
-    assert source.count(', "dpotrs")') == 1
-    loader.write_text(source.replace(', "dpotrs")', ")"), encoding="ascii")
+    assert source.count(', "dsyevd")') == 1
+    loader.write_text(source.replace(', "dsyevd")', ")"), encoding="ascii")
     assert run_python(ACTIVE, tmp_path / "cache", src=copy) == "numpy"
 
 

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from streamrpca import kernel
+from streamrpca import kernel, prox
 from streamrpca.exceptions import ContractViolation, InitializationError
 from streamrpca.experiments import study_spec
-from streamrpca.pcp import (DUAL_WEIGHT, MU_GROWTH, RANK_TOL, PcpConfig,
-                            PcpResult, _count_rank, _first_sweep,
+from streamrpca.pcp import (DUAL_RATIO, DUAL_WEIGHT, MU_GROWTH, RANK_TOL,
+                            PcpConfig, PcpResult, _count_rank, _first_sweep,
                             burnin_initialize, pcp_alm)
 from streamrpca.prox import (gram_eigh, shrink_matrix, svt_factors,
                              threshold_factors)
 from streamrpca.simgen import full_stream_matrix, generate
 
-from conftest import svt
+from conftest import study3_blocks, svt
 
 
 def _lam(M):
@@ -189,24 +189,16 @@ def _full_svd_pcp(M):
             break
         if primal > dual:
             mu *= MU_GROWTH
+        elif dual > DUAL_RATIO * primal:
+            mu /= MU_GROWTH
     return L, S, k, converged, rank
-
-
-def _study3_blocks(scale, seed):
-    """Burn-in block and the blocks starting 3 samples after each change
-    point of study 3, with the study's burn-in length."""
-    sim, cp = study_spec(3, scale, seed)
-    gt = generate(sim)
-    X = full_stream_matrix(gt)
-    starts = [0] + [sim.n_burnin + c + 3 for c in gt.cps]
-    return [X[:, i:i + cp.n_burnin] for i in starts]
 
 
 def test_partial_svt_solve_matches_full_svd_loop():
     # paper study 3: the 400 x 200 burn-in (rank 10) and restart blocks
     # (ranks 55 and 30); desk study 3: the rank-28 restart block, outside
     # PCP's recovery regime, which takes hundreds of sweeps
-    for M in _study3_blocks("paper", 0) + _study3_blocks("desk", 0)[1:2]:
+    for M in study3_blocks("paper", 0) + study3_blocks("desk", 0)[1:2]:
         L0, S0, it0, conv0, rank0 = _full_svd_pcp(M)
         res = pcp_alm(M)
         assert conv0 and res.converged
@@ -246,6 +238,8 @@ def _pcp_first_loop(M):
             break
         if primal > dual:
             mu *= MU_GROWTH
+        elif dual > DUAL_RATIO * primal:
+            mu /= MU_GROWTH
     if rank is None:
         rank, rank_iteration = _count_rank(factors.s), k
     return PcpResult(L=L, S=S, iterations=k, converged=converged, rank=rank,
@@ -254,7 +248,7 @@ def _pcp_first_loop(M):
 
 def test_sweep_reuses_its_temporaries_bit_for_bit():
     # paper study 3: the rank-10 burn-in and the rank-55 restart block
-    for M in _study3_blocks("paper", 0)[:2]:
+    for M in study3_blocks("paper", 0)[:2]:
         res, ref = pcp_alm(M), _pcp_first_loop(M)
         _same_result(res, ref)
         assert res.rank_iteration == ref.rank_iteration
@@ -265,8 +259,7 @@ def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
     # (ranks 55 and 30): the first sweep reads ||M||_2 and its iterate from
     # the Gram matrix, and every later sweep is a subspace iteration or a
     # Gram solve. The subspace iteration runs in the compiled kernel (at any
-    # size here), so its calls show the patch works; on the numpy path its
-    # small SVDs do
+    # size here) or in numpy, and its calls show that it ran
     svd, calls, warm = np.linalg.svd, [], []
 
     def counting_svd(A, *args, **kwargs):
@@ -274,14 +267,13 @@ def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
         return svd(A, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    if kernel.ACTIVE == "compiled":
-        svt_warm = kernel.svt_warm
-        monkeypatch.setattr(kernel, "SVT_MAX_MNK", float("inf"))
-        monkeypatch.setattr(kernel, "svt_warm",
-                            lambda *args: warm.append(1) or svt_warm(*args))
-    else:
-        warm = calls
-    for M, rank in zip(_study3_blocks("paper", 0), (10, 55, 30)):
+    module, name = ((kernel, "svt_warm") if kernel.ACTIVE == "compiled"
+                    else (prox, "_svt_warm_numpy"))
+    loop = getattr(module, name)
+    monkeypatch.setattr(kernel, "SVT_MAX_MNK", float("inf"))
+    monkeypatch.setattr(module, name,
+                        lambda *args: warm.append(1) or loop(*args))
+    for M, rank in zip(study3_blocks("paper", 0), (10, 55, 30)):
         assert M.shape == (400, 200)
         res = pcp_alm(M)
         assert res.converged and res.rank == rank
@@ -414,7 +406,7 @@ def test_rank_is_estimate_rank_of_the_rank_tol_iterate():
     # iterate within RANK_TOL; re-running it to that sweep reproduces the
     # iterate, whose rank count must agree
     for seed in range(3):
-        for M in _study3_blocks("desk", seed):
+        for M in study3_blocks("desk", seed):
             res = pcp_alm(M)
             head = pcp_alm(M, PcpConfig(max_iter=res.rank_iteration))
             assert head.rank_iteration == res.rank_iteration

@@ -4,12 +4,14 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from streamrpca import kernel, prox
 from streamrpca.exceptions import ContractViolation
+from streamrpca.pcp import pcp_alm
 from streamrpca.prox import (GRAM_MIN_RATIO, OVERSAMPLING, RITZ_TOL,
                              gram_eigh, gram_factors, lapack_factors, shrink,
                              shrink_matrix, svt_factors)
 
-from conftest import ridge_regress, svt
+from conftest import ridge_regress, study3_blocks, svt
 
 
 def test_shrink_basic_cases():
@@ -250,6 +252,33 @@ def test_gram_path_matches_gesvd_and_falls_back_below_its_guard(
     np.testing.assert_allclose(Vh @ Vh.T, np.eye(s.size), atol=1e-10)
     assert block.shape == (n, min(s.size + OVERSAMPLING, m, n))
     np.testing.assert_array_equal(block[:, :s.size], Vh.T)
+
+
+def test_gram_ritz_steps_are_orthonormal_on_paper_study_3(monkeypatch):
+    # the warm loop's steps on paper study 3's start-up and restart blocks
+    # (ranks 10, 55 and 30): where the Ritz triplets come from the k x k
+    # Gram matrix, Vh's rows are orthonormal to 1e-10, as the guard on s_k
+    # / s_1 promises; the steps below the guard take LAPACK's SVD
+    ritz, svd = prox._ritz_triplets, np.linalg.svd
+    svd_calls, gram_steps = [], []
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    def checked(P):
+        before = len(svd_calls)
+        Ub, s, Vh = ritz(P)
+        if len(svd_calls) == before:
+            gram_steps.append(np.abs(Vh @ Vh.T - np.eye(s.size)).max())
+        return Ub, s, Vh
+
+    monkeypatch.setattr(kernel, "ACTIVE", "numpy")  # the loop runs in numpy
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(prox, "_ritz_triplets", checked)
+    for M in study3_blocks("paper", 0):
+        assert pcp_alm(M).converged
+    assert gram_steps and max(gram_steps) <= 1e-10
 
 
 def test_ridge_identity_basis():
