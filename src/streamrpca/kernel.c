@@ -9,8 +9,11 @@
  *
  * kernel.py builds this file with -O3 -ffp-contract=off, so a*b + c rounds
  * twice as numpy does, loads it as a CPython extension module and hands its
- * bind the capsules of scipy's cython_blas/cython_lapack routines: nothing
- * is linked. -O3 vectorizes the elementwise loops, whose lanes round as the
+ * bind the addresses of the routines in the OpenBLAS that numpy calls
+ * (scipy-openblas64's scipy_<name>_64_): nothing is linked, and the kernel
+ * and numpy share one library and one thread pool. That build takes 64-bit
+ * integers, so every integer a BLAS or LAPACK routine reads or writes is a
+ * blas_int. -O3 vectorizes the elementwise loops, whose lanes round as the
  * scalar code does; with no reassociating flag, no sum is reordered, so the
  * outputs are those of the scalar build bit for bit. Matrices are
  * column-major except A (r x r, row-major) and the warm loop's, which are
@@ -24,27 +27,33 @@
 #include <Python.h>
 #include <limits.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
-typedef void gemv_t(char *, int *, int *, double *, double *, int *,
-                    double *, int *, double *, double *, int *);
-typedef void gemm_t(char *, char *, int *, int *, int *, double *, double *,
-                    int *, double *, int *, double *, double *, int *);
-typedef void syrk_t(char *, char *, int *, int *, double *, double *, int *,
-                    double *, double *, int *);
-typedef double dot_t(int *, double *, int *, double *, int *);
-typedef void geqrf_t(int *, int *, double *, int *, double *, double *,
-                     int *, int *);
-typedef void orgqr_t(int *, int *, int *, double *, int *, double *,
-                     double *, int *, int *);
-typedef void gesdd_t(char *, int *, int *, double *, int *, double *,
-                     double *, int *, double *, int *, double *, int *,
-                     int *, int *);
-typedef void potrf_t(char *, int *, double *, int *, int *);
-typedef void potrs_t(char *, int *, int *, double *, int *, double *, int *,
-                     int *);
-typedef void syevd_t(char *, char *, int *, double *, int *, double *,
-                     double *, int *, int *, int *, int *);
+typedef int64_t blas_int;
+
+typedef void gemv_t(char *, blas_int *, blas_int *, double *, double *,
+                    blas_int *, double *, blas_int *, double *, double *,
+                    blas_int *);
+typedef void gemm_t(char *, char *, blas_int *, blas_int *, blas_int *,
+                    double *, double *, blas_int *, double *, blas_int *,
+                    double *, double *, blas_int *);
+typedef void syrk_t(char *, char *, blas_int *, blas_int *, double *,
+                    double *, blas_int *, double *, double *, blas_int *);
+typedef double dot_t(blas_int *, double *, blas_int *, double *, blas_int *);
+typedef void geqrf_t(blas_int *, blas_int *, double *, blas_int *, double *,
+                     double *, blas_int *, blas_int *);
+typedef void orgqr_t(blas_int *, blas_int *, blas_int *, double *, blas_int *,
+                     double *, double *, blas_int *, blas_int *);
+typedef void gesdd_t(char *, blas_int *, blas_int *, double *, blas_int *,
+                     double *, double *, blas_int *, double *, blas_int *,
+                     double *, blas_int *, blas_int *, blas_int *);
+typedef void potrf_t(char *, blas_int *, double *, blas_int *, blas_int *);
+typedef void potrs_t(char *, blas_int *, blas_int *, double *, blas_int *,
+                     double *, blas_int *, blas_int *);
+typedef void syevd_t(char *, char *, blas_int *, double *, blas_int *,
+                     double *, double *, blas_int *, blas_int *, blas_int *,
+                     blas_int *);
 
 static gemv_t *gemv;
 static gemm_t *gemm;
@@ -56,23 +65,23 @@ static gesdd_t *gesdd;
 static potrf_t *potrf;
 static potrs_t *potrs;
 static syevd_t *syevd;
-static int ONE = 1;
+static blas_int ONE = 1;
 
 /* Columns per block of the sweep: the module's BLOCK */
 enum { srp_block = 8 };
 
-/* capsules hold dgemv, dgemm, dsyrk, ddot, dgeqrf, dorgqr, dgesdd, dpotrf,
- * dpotrs and dsyevd, in kernel.py's ROUTINES order; -1, with nothing bound,
- * if there are not n = 10 of them or one is not a capsule */
-static int srp_bind(PyObject *const *capsules, Py_ssize_t n)
+/* addresses hold dgemv, dgemm, dsyrk, ddot, dgeqrf, dorgqr, dgesdd, dpotrf,
+ * dpotrs and dsyevd, in kernel.py's ROUTINES order, as ints; -1, with
+ * nothing bound, if there are not n = 10 of them or one is not a nonzero
+ * int */
+static int srp_bind(PyObject *const *addresses, Py_ssize_t n)
 {
     void *fn[10];
     if (n != 10)
         return -1;
     for (int i = 0; i < 10; i++)
-        if (!PyCapsule_CheckExact(capsules[i])
-            || !(fn[i] = PyCapsule_GetPointer(
-                     capsules[i], PyCapsule_GetName(capsules[i]))))
+        if (!PyLong_CheckExact(addresses[i])
+            || !(fn[i] = PyLong_AsVoidPtr(addresses[i])))
             return -1;
     gemv = (gemv_t *)fn[0];
     gemm = (gemm_t *)fn[1];
@@ -87,14 +96,14 @@ static int srp_bind(PyObject *const *capsules, Py_ssize_t n)
     return 0;
 }
 
-static int lead(int n) { return n > 1 ? n : 1; }
+static blas_int lead(blas_int n) { return n > 1 ? n : 1; }
 
 /* y = op(X) z for a rows x cols X; op is "N" or "T" */
-static void mv(char *op, int rows, int cols, const double *X, const double *z,
-               double *y)
+static void mv(char *op, blas_int rows, blas_int cols, const double *X,
+               const double *z, double *y)
 {
     double one = 1.0, zero = 0.0;
-    int ld = lead(rows);
+    blas_int ld = lead(rows);
     if (rows == 0 || cols == 0) {  /* BLAS would leave y as it is */
         memset(y, 0, sizeof(double) * (*op == 'N' ? rows : cols));
         return;
@@ -104,10 +113,10 @@ static void mv(char *op, int rows, int cols, const double *X, const double *z,
 }
 
 /* upper triangle of G = X'X for a rows x r X */
-static void gram(int rows, int r, const double *X, double *G)
+static void gram(blas_int rows, blas_int r, const double *X, double *G)
 {
     double one = 1.0, zero = 0.0;
-    int ld = lead(rows), ldg = lead(r);
+    blas_int ld = lead(rows), ldg = lead(r);
     if (rows == 0) {
         memset(G, 0, sizeof(double) * r * r);
         return;
@@ -115,16 +124,16 @@ static void gram(int rows, int r, const double *X, double *G)
     syrk("U", "T", &r, &rows, &one, (double *)X, &ld, &zero, G, &ldg);
 }
 
-static int factor(int r, double *G)
+static int factor(blas_int r, double *G)
 {
-    int ldg = lead(r), info;
+    blas_int ldg = lead(r), info;
     potrf("U", &r, G, &ldg, &info);
-    return info;
+    return info != 0;
 }
 
-static void solve(int r, double *F, double *rhs)
+static void solve(blas_int r, double *F, double *rhs)
 {
-    int ldg = lead(r), info;
+    blas_int ldg = lead(r), info;
     potrs("U", &r, &ONE, F, &ldg, rhs, &ldg, &info);
 }
 
@@ -162,9 +171,9 @@ static void gather(int m, int r, const double *X, const int *idx, int n,
             Xg[j * n + row] = X[j * m + idx[row]];
 }
 
-static double objective(int m, int r, const double *U, const double *x,
-                        const double *v, const double *s, double l1,
-                        double l2, double *t)
+static double objective(blas_int m, blas_int r, const double *U,
+                        const double *x, const double *v, const double *s,
+                        double l1, double l2, double *t)
 {
     double abs_sum = 0.0;
     mv("N", m, r, U, v, t);
@@ -340,8 +349,8 @@ static void srp_accumulate(int m, int r, double *restrict A,
 
 /* T = X Y' + beta T for the m x k columns X of U and an n x k Y read from
  * A with leading dimension r, then beta = 1; nothing if k = 0 */
-static void pending(int m, int n, int k, const double *X, const double *Y,
-                    int r, double *beta, double *T)
+static void pending(blas_int m, blas_int n, blas_int k, const double *X,
+                    const double *Y, blas_int r, double *beta, double *T)
 {
     double one = 1.0;
     if (k == 0)
@@ -357,10 +366,10 @@ static void pending(int m, int n, int k, const double *X, const double *Y,
  * columns: a block's pending sums over the columns before it (swept) and
  * after it (not yet) are two dgemm, and each column adds those of its own
  * block by dgemv. w holds r + b + mb doubles, b = min(r, srp_block). */
-static int srp_sweep(int m, int r, double *U, const double *A,
+static int srp_sweep(blas_int m, blas_int r, double *U, const double *A,
                      const double *B, double l1, double sym_tol, double *w)
 {
-    int nb = r < srp_block ? r : srp_block;
+    blas_int nb = r < srp_block ? r : srp_block;
     double *rd = w, *c = rd + r, *T = c + nb, scale = 0.0, skew = 0.0;
 
     for (int i = 0; i < r * r; i++) {
@@ -379,15 +388,15 @@ static int srp_sweep(int m, int r, double *U, const double *A,
         return 0;
     for (int j = 0; j < r; j++)
         rd[j] = 1.0 / (A[j * r + j] + l1);
-    for (int j0 = 0; j0 < r; j0 += nb) {
-        int n = r - j0 < nb ? r - j0 : nb, j1 = j0 + n;
+    for (blas_int j0 = 0; j0 < r; j0 += nb) {
+        blas_int n = r - j0 < nb ? r - j0 : nb, j1 = j0 + n;
         double one = 1.0, beta = 0.0;
         pending(m, n, j0, U, A + j0, r, &beta, T);
         pending(m, n, r - j1, U + (size_t)j1 * m, A + j0 + (size_t)j1 * r,
                 r, &beta, T);
-        for (int j = j0; j < j1; j++) {
+        for (blas_int j = j0; j < j1; j++) {
             double *u = U + (size_t)j * m, *t = T + (size_t)(j - j0) * m;
-            for (int k = j0; k < j1; k++)
+            for (blas_int k = j0; k < j1; k++)
                 c[k - j0] = k == j ? 0.0 : A[k * r + j];
             gemv("N", &m, &n, &one, U + (size_t)j0 * m, &m, c, &ONE,
                  &beta, t, &ONE);
@@ -446,41 +455,42 @@ static double pairwise_squares(const double *a, int n, int stride)
  * svd and eigh make it: at least max(1, k) for dgeqrf and dorgqr and 1 for
  * dgesdd, as numpy asks, and dsyevd's answers as they are (evd doubles,
  * ievd ints) */
-typedef struct { int qr, gqr, sdd, evd, ievd; } svt_lwork;
+typedef struct { blas_int qr, gqr, sdd, evd, ievd; } svt_lwork;
 
-static int lwork_max(svt_lwork lw)
+static blas_int lwork_max(svt_lwork lw)
 {
-    int most = lw.qr > lw.gqr ? lw.qr : lw.gqr;
+    blas_int most = lw.qr > lw.gqr ? lw.qr : lw.gqr;
     most = most > lw.sdd ? most : lw.sdd;
     return most > lw.evd ? most : lw.evd;
 }
 
-static svt_lwork svt_query(int m, int n, int k)
+static svt_lwork svt_query(blas_int m, blas_int n, blas_int k)
 {
     double q, none = 0.0;
-    int query = -1, info, inone = 0;
+    blas_int query = -1, info, inone = 0;
     svt_lwork lw;
 
     geqrf(&m, &k, &none, &m, &none, &q, &query, &info);
-    lw.qr = (int)q > k ? (int)q : k > 1 ? k : 1;
+    lw.qr = (blas_int)q > k ? (blas_int)q : k > 1 ? k : 1;
     orgqr(&m, &k, &k, &none, &m, &none, &q, &query, &info);
-    lw.gqr = (int)q > k ? (int)q : k > 1 ? k : 1;
+    lw.gqr = (blas_int)q > k ? (blas_int)q : k > 1 ? k : 1;
     gesdd("S", &k, &n, &none, &k, &none, &none, &k, &none, &k, &q, &query,
           &inone, &info);
-    lw.sdd = (int)q > 1 ? (int)q : 1;
+    lw.sdd = (blas_int)q > 1 ? (blas_int)q : 1;
     syevd("V", "L", &k, &none, &k, &none, &q, &query, &lw.ievd, &query,
           &info);
-    lw.evd = (int)q;
+    lw.evd = (blas_int)q;
     return lw;
 }
 
 /* The scratch of srp_svt in doubles: 4mk + 3kn + 2k^2 + k, the largest
- * LAPACK workspace, and the ints of dgesdd (8k) or dsyevd, if more */
-static Py_ssize_t svt_size(int m, int n, int k, svt_lwork lw)
+ * LAPACK workspace, and the blas_ints of dgesdd (8k) or dsyevd, if more,
+ * each the size of a double */
+static Py_ssize_t svt_size(blas_int m, blas_int n, blas_int k, svt_lwork lw)
 {
     Py_ssize_t ints = 8 * k > lw.ievd ? 8 * k : lw.ievd;
     return 4 * (Py_ssize_t)m * k + 3 * (Py_ssize_t)k * n + 2 * k * k + k
-           + lwork_max(lw) + (ints + 1) / 2;
+           + lwork_max(lw) + ints;
 }
 
 /* (Ub, s, Vh) of the Ritz step on P = Q'X (row-major k x n) as
@@ -490,13 +500,14 @@ static Py_ssize_t svt_size(int m, int n, int k, svt_lwork lw)
  * order and Vh = diag(1/s) Ub'P; where G is not finite or s_k <= min_ratio
  * s_1, the SVD of P (dgesdd). G and its eigenvectors take Uf and the
  * eigenvalues lam. Returns 0; -1 where dgesdd fails, -2 where dsyevd does. */
-static int ritz_triplets(int n, int k, const double *P, double min_ratio,
-                         svt_lwork lw, double *Ub, double *s, double *Vh,
-                         double *Pf, double *Uf, double *Vf, double *lam,
-                         double *work, int *iwork)
+static int ritz_triplets(blas_int n, blas_int k, const double *P,
+                         double min_ratio, svt_lwork lw, double *Ub, double *s,
+                         double *Vh, double *Pf, double *Uf, double *Vf,
+                         double *lam, double *work, blas_int *iwork)
 {
     double one = 1.0, zero = 0.0;
-    int info, finite = 1;
+    blas_int info;
+    int finite = 1;
 
     syrk("L", "T", &k, &n, &one, (double *)P, &n, &zero, Uf, &k);
     for (int j = 0; j < k; j++)
@@ -543,20 +554,20 @@ static int ritz_triplets(int n, int k, const double *P, double min_ratio,
  * row-major, and returns the step it accepted (1, 2, ...); 0 where all k
  * values exceed tau or no step is accepted; -1 where dgesdd fails and -2
  * where dsyevd does. w holds svt_size(m, n, k, lw) doubles. */
-static int srp_svt(int m, int n, int k, const double *X, char *trans,
-                   const double *block, double tau, int max_steps,
+static int srp_svt(blas_int m, blas_int n, blas_int k, const double *X,
+                   char *trans, const double *block, double tau, int max_steps,
                    double guard_tol, double ritz_tol, double min_ratio,
                    svt_lwork lw, double *U, double *s, double *Vh, double *w)
 {
-    int info;
+    blas_int info;
     double *Z = w, *F = Z + (size_t)m * k, *Q = F + (size_t)m * k;
     double *R = Q + (size_t)m * k, *P = R + (size_t)m * k;
     double *Pf = P + (size_t)k * n, *Vf = Pf + (size_t)k * n;
     double *Uf = Vf + (size_t)k * n, *Ub = Uf + k * k, *tq = Ub + k * k;
     double *work = tq + k, one = 1.0, zero = 0.0;
-    int *iwork = (int *)(work + lwork_max(lw));
+    blas_int *iwork = (blas_int *)(work + lwork_max(lw));
 
-    int ldb = *trans == 'N' ? k : n;
+    blas_int ldb = *trans == 'N' ? k : n;
     gemm(trans, "N", &k, &m, &n, &one, (double *)block, &ldb, (double *)X, &n,
          &zero, Z, &k);
     for (int step = 1; step <= max_steps; step++) {
@@ -567,11 +578,12 @@ static int srp_svt(int m, int n, int k, const double *X, char *trans,
         gemm("N", "T", &n, &k, &m, &one, (double *)X, &n, Q, &k, &zero, P,
              &n);
         /* tq is free once dorgqr has read it: it takes the eigenvalues */
-        info = ritz_triplets(n, k, P, min_ratio, lw, Ub, s, Vh, Pf, Uf, Vf,
-                             tq, work, iwork);
-        if (info)
-            return info;
-        int kept = 0, guards_below = 1;
+        int triplets = ritz_triplets(n, k, P, min_ratio, lw, Ub, s, Vh, Pf,
+                                     Uf, Vf, tq, work, iwork);
+        if (triplets)
+            return triplets;
+        blas_int kept = 0;
+        int guards_below = 1;
         while (kept < k && s[kept] > tau)
             kept++;
         if (kept == k)
@@ -584,7 +596,7 @@ static int srp_svt(int m, int n, int k, const double *X, char *trans,
                 R[i * k + j] = Z[i * k + j] - U[i * k + j] * s[j];
         /* numpy's norm(R[:, kept:], axis=0): a sequential sum down each
          * column, or the pairwise sum where there is one column */
-        for (int j = kept; j < k && guards_below; j++) {
+        for (blas_int j = kept; j < k && guards_below; j++) {
             double sq = 0.0;
             if (k - kept == 1)
                 sq = pairwise_squares(R + j, m, k);
@@ -596,7 +608,7 @@ static int srp_svt(int m, int n, int k, const double *X, char *trans,
         if (!guards_below)
             continue;
         /* numpy's norm(R[:, :kept]): ddot of its row-major copy */
-        int size = m * kept;
+        blas_int size = m * kept;
         for (int i = 0; i < m; i++)
             memcpy(F + (size_t)i * kept, R + (size_t)i * k,
                    sizeof(double) * kept);
@@ -716,7 +728,7 @@ static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
     if (srp_bind(args, n) == 0)
         Py_RETURN_NONE;
     PyErr_Clear();
-    PyErr_SetString(PyExc_ValueError, "kernel: bind takes the capsules of "
+    PyErr_SetString(PyExc_ValueError, "kernel: bind takes the addresses of "
                     "dgemv, dgemm, dsyrk, ddot, dgeqrf, dorgqr, dgesdd, "
                     "dpotrf, dpotrs and dsyevd");
     return NULL;
@@ -877,7 +889,7 @@ fail:
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static PyMethodDef methods[] = {
-    {"bind", FASTCALL(bind), "bind(*capsules): the ROUTINES of kernel.py"},
+    {"bind", FASTCALL(bind), "bind(*addresses): the ROUTINES of kernel.py"},
     {"project", FASTCALL(project),
      "project(U, x, v, s, lambda1, lambda2, tol, max_iter): writes v and s; "
      "the number of alternations, or -1 or -2 where it declines"},

@@ -4,13 +4,13 @@ extension module and cached.
 It is compiled with $CC, else sysconfig's CC, against Python's headers into
 $XDG_CACHE_HOME/streamrpca (~/.cache/streamrpca), or a folder in the temp dir
 where that is not writable, under a name keyed by the source, the
-interpreter and the compile command. It calls BLAS and LAPACK through
-scipy's cython_blas/cython_lapack capsules, so nothing is linked; those two
-modules are loaded from scipy's linalg folder, so scipy.linalg itself is not
-imported. ACTIVE is "compiled" once it is loaded and "numpy" where it could
-not be built (no compiler, or no Python headers): projection, basis,
-trackers and prox then run their numpy code, which the tests keep as the
-oracle.
+interpreter and the compile command. It calls BLAS and LAPACK in the
+OpenBLAS that numpy has loaded, scipy-openblas64, whose routines it finds by
+name (scipy_<name>_64_, 64-bit integers), so nothing is linked and numpy
+and the kernel share one library and one thread pool. ACTIVE is "compiled"
+once it is loaded and "numpy" where it could not be built (no compiler, or
+no Python headers) or numpy calls another BLAS: projection, basis, trackers
+and prox then run their numpy code, which the tests keep as the oracle.
 
 The module's project, accumulate, sweep and svt take the arrays themselves,
 check their dtype, order and shape in C (raising ValueError), and each
@@ -18,6 +18,7 @@ entry point allocates its routine's scratch before it releases the
 interpreter lock.
 """
 
+import ctypes
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -89,20 +90,15 @@ def _build():
     return None
 
 
-def _capsules():
-    """The capsules of the ROUTINES, in order, from scipy's cython_blas and
-    cython_lapack, loaded straight from scipy's linalg folder: importing
-    them as submodules would run scipy/linalg/__init__.py, which imports
-    all of scipy.linalg."""
-    folders = [os.path.join(folder, "linalg") for folder in
-               importlib.util.find_spec("scipy").submodule_search_locations]
-    capi = {}
-    for name in ("scipy.linalg.cython_blas", "scipy.linalg.cython_lapack"):
-        spec = importlib.machinery.PathFinder.find_spec(name, folders)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        capi.update(module.__pyx_capi__)
-    return [capi[name] for name in ROUTINES]
+def _routines():
+    """The addresses of the ROUTINES, in order, in numpy's scipy-openblas64:
+    dlsym on numpy.linalg's LAPACK module searches the libraries it links.
+    ImportError, OSError or AttributeError where numpy calls another BLAS."""
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    return [ctypes.cast(getattr(lib, f"scipy_{name}_64_"), ctypes.c_void_p)
+            .value for name in ROUTINES]
 
 
 def _load():
@@ -114,35 +110,14 @@ def _load():
     try:
         ext = importlib.util.module_from_spec(
             importlib.util.spec_from_loader(loader.name, loader))
-        ext.bind(*_capsules())  # ValueError unless it is handed ten
-    except (ImportError, AttributeError, KeyError, ValueError):
+        ext.bind(*_routines())  # ValueError unless it is handed ten
+    except (ImportError, OSError, AttributeError, ValueError):
         return None
     return ext
 
 
-def _blas_threaded():
-    """Whether OpenBLAS starts more than one thread: the count it reads at
-    load, the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS that is positive, capped at the usable cores."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cores) > 1
-    return cores > 1
-
-
 _ext = _load()
 ACTIVE = "compiled" if _ext is not None else "numpy"
-# The largest m n k of an m x n X and a k-column block that svt_factors
-# hands to svt_warm. OpenBLAS runs a dgemm of at most 2^18 multiply-adds on
-# one thread. Above that, where it starts more threads, numpy keeps the
-# loop: the worker threads of numpy's OpenBLAS and of scipy's, which the
-# kernel calls, contend for the cores (a 400 x 200 burn-in took 5x longer on
-# 2 cores), and the two builds need not split a threaded product alike, so
-# the kernel's Q'X can round otherwise than numpy's.
-SVT_MAX_MNK = 2**18 if _blas_threaded() else float("inf")
 
 
 def project(U, x, lambda1, lambda2, tol, max_iter):

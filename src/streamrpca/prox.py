@@ -6,9 +6,9 @@ exact (a thin SVD) or warm-started (block subspace iteration). The exact
 thin SVD is read from the eigendecomposition of the smaller Gram matrix
 where every kept value is at least GRAM_MIN_RATIO times the largest, and is
 LAPACK's SVD elsewhere. The warm loop is one call of the compiled kernel
-(kernel.svt_warm) where that is loaded and the problem is within
-kernel.SVT_MAX_MNK, else numpy's (_svt_warm_numpy); the two make the same
-LAPACK and BLAS calls in the same order, bit for bit.
+(kernel.svt_warm) where that is loaded, else numpy's (_svt_warm_numpy); the
+two make the same calls to the same LAPACK and BLAS in the same order, bit
+for bit.
 
 All functions here are pure; they are safe to call from any thread.
 """
@@ -102,14 +102,12 @@ def svt_factors(X, tau, block=None):
     when c is below about GUARD_TOL * (tau - s_g) / sigma. When all k
     values exceed tau, or no step is accepted, the call falls back to the
     exact thin SVD: gram_factors where its guard holds, else LAPACK's SVD.
-    The steps run in the compiled kernel up to m n k = kernel.SVT_MAX_MNK,
-    and in numpy above it or where no kernel is loaded.
+    The steps run in the compiled kernel, or in numpy where none is loaded.
     """
     X = np.asarray(X, dtype=float)
     if block is not None and (OVERSAMPLING <= block.shape[1]
                               <= min(X.shape) / 4):
-        if (kernel.ACTIVE == "compiled"
-                and X.size * block.shape[1] <= kernel.SVT_MAX_MNK):
+        if kernel.ACTIVE == "compiled":
             warm = kernel.svt_warm(X, tau, block, MAX_STEPS, GUARD_TOL,
                                    RITZ_TOL, GRAM_MIN_RATIO)
         else:
@@ -214,7 +212,7 @@ def _cholesky_solver(G):
     cho_factor/cho_solve wrap in per-call checks. If potrf fails, or r = 0
     (which potrs rejects), factor is None and solve is a pivoted solve.
     scipy.linalg is imported here, not with the module: the compiled step
-    never calls this, so its import leaves scipy.linalg out."""
+    never calls this, so a compiled run imports no scipy module."""
     import scipy.linalg
 
     factor, info = scipy.linalg.lapack.dpotrf(G)

@@ -126,7 +126,6 @@ from streamrpca.experiments import study_spec
 from streamrpca.pcp import pcp_alm
 from streamrpca.simgen import full_stream_matrix, generate
 
-assert kernel.SVT_MAX_MNK == float("inf"), "BLAS runs on more threads"
 svt_warm, outcomes = kernel.svt_warm, []
 
 def checked(X, tau, block, *args):
@@ -146,14 +145,25 @@ print(all(same for same, _ in outcomes), len(outcomes),
 """
 
 
+def assert_paper_svt_matches_numpy(tmp_path, threads):
+    same, calls, accepted = run_python(
+        PAPER_SVT, tmp_path / "cache", OPENBLAS_NUM_THREADS=threads).split()
+    assert same == "True" and int(calls) > int(accepted) > 0
+
+
 @compiled
 def test_svt_matches_the_numpy_loop_on_paper_burn_ins(tmp_path):
     # paper study 3's start-up block and its first restart block (rank 10
     # and 55, 400 x 200, so the Gram path's blocks are a tall X's) take the
-    # kernel where BLAS runs on one thread, and match numpy bit for bit
-    same, calls, accepted = run_python(
-        PAPER_SVT, tmp_path / "cache", OPENBLAS_NUM_THREADS="1").split()
-    assert same == "True" and int(calls) > int(accepted) > 0
+    # kernel, and match numpy bit for bit
+    assert_paper_svt_matches_numpy(tmp_path, "1")
+
+
+@compiled
+def test_svt_matches_the_numpy_loop_on_two_blas_threads(tmp_path):
+    # the kernel calls numpy's OpenBLAS, so a product split over two threads
+    # is split, and rounds, as numpy's is
+    assert_paper_svt_matches_numpy(tmp_path, "2")
 
 
 @compiled
@@ -162,8 +172,7 @@ def test_svt_matches_the_numpy_loop_on_paper_burn_ins(tmp_path):
 def test_svt_matches_the_numpy_loop_on_random_blocks(m, n, layout):
     # tall and wide X, a block near X's right singular vectors or a random
     # one, in each layout svt_factors hands over: the warm loop's (F), the
-    # Gram path's of a wide X (C) and of a tall one (a reversed view); m n k
-    # is under SVT_MAX_MNK, so every product runs on one thread
+    # Gram path's of a wide X (C) and of a tall one (a reversed view)
     rng = np.random.Generator(np.random.PCG64(m * n))
     k = min(m, n) // 4
     X = ((rng.standard_normal((m, 6)) * 10.0 * 0.7 ** np.arange(6))
@@ -224,8 +233,8 @@ def test_svt_declines_where_the_numpy_loop_does(monkeypatch):
     assert assert_svt_matches_numpy(X, tau, rng.standard_normal((n, k))) \
         is None
     assert assert_svt_matches_numpy(X, tau, near) is not None
-    # svt_factors takes the kernel from a block of OVERSAMPLING columns and
-    # only up to SVT_MAX_MNK, and where it declines returns the exact path
+    # svt_factors takes the kernel from a block of OVERSAMPLING columns, and
+    # where it declines returns the exact path
     calls = []
     svt_warm = kernel.svt_warm
     monkeypatch.setattr(kernel, "svt_warm",
@@ -235,8 +244,6 @@ def test_svt_declines_where_the_numpy_loop_does(monkeypatch):
         np.testing.assert_array_equal(got, want)
     assert len(calls) == 1
     prox.svt_factors(X, tau, near[:, :k - 1])
-    monkeypatch.setattr(kernel, "SVT_MAX_MNK", m * n * k - 1)
-    prox.svt_factors(X, tau, near)
     assert len(calls) == 1
 
 
@@ -250,25 +257,6 @@ def test_svt_raises_where_numpys_svd_does():
                  lambda: prox._svt_warm_numpy(X, 1.0, block)):
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not "):
             warm()
-
-
-@pytest.mark.parametrize("env,threaded", [
-    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
-    ({"GOTO_NUM_THREADS": "1"}, False),
-    ({"OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "4"}, None), ({}, None)])
-def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env,
-                                                       threaded):
-    # None: as many threads as the cores this process may use
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    if threaded is None:
-        threaded = len(os.sched_getaffinity(0)) > 1
-    assert kernel._blas_threaded() == threaded
 
 
 @compiled
@@ -505,7 +493,7 @@ from streamrpca.experiments import study_spec
 from streamrpca.simgen import full_stream_matrix, generate
 from streamrpca.streams import ObservationStream
 
-print(kernel.ACTIVE, 'scipy.linalg' in sys.modules)
+print(kernel.ACTIVE, 'scipy' in sys.modules)
 calls = []
 svt_warm = kernel.svt_warm
 kernel.svt_warm = lambda *args: calls.append(1) or svt_warm(*args)
@@ -514,16 +502,15 @@ M = full_stream_matrix(generate(sim))
 for mode in ("stoc", "omw", "omw-cp"):
     pipeline = OmwCpPipeline(config, mode)
     pipeline.run(ObservationStream.from_matrix(M))
-print(len(pipeline.change_points), bool(calls), 'scipy.linalg' in sys.modules)
+print(len(pipeline.change_points), bool(calls), 'scipy' in sys.modules)
 """
 
 
 @compiled
 def test_compiled_import_leaves_out_scipy_linalg(tmp_path):
-    # the BLAS/LAPACK capsules come from scipy's linalg folder without
-    # running scipy/linalg/__init__.py, and only the numpy path imports it:
-    # not the import, nor a run of each mode whose burn-ins and restarts
-    # (desk study 3 has two) take the compiled svt
+    # the kernel calls numpy's OpenBLAS, and only the numpy path imports
+    # scipy: not the import, nor a run of each mode whose burn-ins and
+    # restarts (desk study 3 has two) take the compiled svt
     out = run_python(COMPILED_RUNS, tmp_path / "cache").splitlines()
     assert out == ["compiled False", "2 True False"]
 
@@ -543,24 +530,65 @@ TRACK = ("import sys; from streamrpca.cli import main; "
          "sys.exit(main(sys.argv[1:]))")
 
 
-def test_without_a_compiler_the_numpy_path_runs(tmp_path, monkeypatch):
-    # with no compiler and an empty cache, import works and the outputs are
-    # the numpy path's, bit for bit
+def track_args(tmp_path):
+    """`track` arguments of an omw run on a small stable stream, up to the
+    output folder."""
     sim = SimSpec(m=30, t=200, n_burnin=40, rho=0.02, seed=7,
                   variant=Stable(r=3))
     src = tmp_path / "in.f64"
     write_raw_f64(src, full_stream_matrix(generate(sim)))
-    args = ["track", "--input", str(src), "--format", "raw-f64", "--mode",
+    return ["track", "--input", str(src), "--format", "raw-f64", "--mode",
             "omw", "--n-burnin", "40", "--n-win", "40", "--out-dir"]
-    cache = tmp_path / "cache"
-    assert run_python(ACTIVE, cache, CC="/bin/false") == "numpy"
-    run_python(TRACK, cache, *args, str(tmp_path / "fallback"),
-               CC="/bin/false")
+
+
+def assert_outputs_are_the_numpy_paths(tmp_path, monkeypatch, args):
+    """tmp_path/fallback holds the L and S of the numpy path, bit for bit."""
     monkeypatch.setattr(kernel, "ACTIVE", "numpy")
     assert main([*args, str(tmp_path / "numpy")]) == 0
     for name in ("L.f64", "S.f64"):
         assert ((tmp_path / "fallback" / name).read_bytes()
                 == (tmp_path / "numpy" / name).read_bytes())
+
+
+def test_without_a_compiler_the_numpy_path_runs(tmp_path, monkeypatch):
+    # with no compiler and an empty cache, import works and the outputs are
+    # the numpy path's, bit for bit
+    args = track_args(tmp_path)
+    cache = tmp_path / "cache"
+    assert run_python(ACTIVE, cache, CC="/bin/false") == "numpy"
+    run_python(TRACK, cache, *args, str(tmp_path / "fallback"),
+               CC="/bin/false")
+    assert_outputs_are_the_numpy_paths(tmp_path, monkeypatch, args)
+
+
+LOOKUP_FAILS = """
+import ctypes, sys
+import numpy
+
+def library(name, *args, **kwargs):
+    if sys.argv[1] == "open":
+        raise OSError(name)
+    return object()  # a library without scipy-openblas64's names
+
+ctypes.CDLL = library
+from streamrpca import kernel
+from streamrpca.cli import main
+print(kernel.ACTIVE)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("fails", ["open", "symbol"])
+def test_without_numpys_openblas_the_numpy_path_runs(tmp_path, monkeypatch,
+                                                     fails):
+    # a numpy on another BLAS: its LAPACK module's libraries do not open, or
+    # export no scipy_<name>_64_. The loader falls back, and the outputs are
+    # the numpy path's, bit for bit
+    args = track_args(tmp_path)
+    out = run_python(LOOKUP_FAILS, tmp_path / "cache", fails, *args,
+                     str(tmp_path / "fallback"))
+    assert out.splitlines()[0] == "numpy"
+    assert_outputs_are_the_numpy_paths(tmp_path, monkeypatch, args)
 
 
 @compiled

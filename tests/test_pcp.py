@@ -258,8 +258,8 @@ def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
     # paper study 3, samples 0-199 (rank 10) and the two restart blocks
     # (ranks 55 and 30): the first sweep reads ||M||_2 and its iterate from
     # the Gram matrix, and every later sweep is a subspace iteration or a
-    # Gram solve. The subspace iteration runs in the compiled kernel (at any
-    # size here) or in numpy, and its calls show that it ran
+    # Gram solve. The subspace iteration runs in the compiled kernel or in
+    # numpy, and its calls show that it ran
     svd, calls, warm = np.linalg.svd, [], []
 
     def counting_svd(A, *args, **kwargs):
@@ -270,7 +270,6 @@ def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
     module, name = ((kernel, "svt_warm") if kernel.ACTIVE == "compiled"
                     else (prox, "_svt_warm_numpy"))
     loop = getattr(module, name)
-    monkeypatch.setattr(kernel, "SVT_MAX_MNK", float("inf"))
     monkeypatch.setattr(module, name,
                         lambda *args: warm.append(1) or loop(*args))
     for M, rank in zip(study3_blocks("paper", 0), (10, 55, 30)):

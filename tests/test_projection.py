@@ -350,8 +350,8 @@ def max_iter_one_instance():
 
 
 def assert_one_alternation(U, m_t, v, s, rtol=0.0):
-    # rtol: scipy's BLAS, which the kernel calls, may round U @ v unlike
-    # numpy's
+    # rtol: the kernel's U v is dgemv on a column-major U; numpy's U @ v on
+    # a row-major U calls the transposed dgemv, which sums in another order
     v_ref = np.linalg.solve(U.T @ U + 0.1 * np.eye(3), U.T @ m_t)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(s, shrink_matrix(m_t - U @ v, 0.5), rtol=rtol,
