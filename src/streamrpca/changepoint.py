@@ -8,8 +8,8 @@ segment goes through three phases:
   test-fill    record support sizes into the normal-period histogram.
   monitoring   per step, compute the empirical tail p-value of the current
                support size against the histogram, flag it if p <= alpha,
-               and keep the last n_check (size, flag) pairs in FIFO buffers.
-               A pair aging out of the FIFO is absorbed into the histogram,
+               and keep the last n_check sizes and flags in two FIFOs. A
+               size aging out of its FIFO is absorbed into the histogram,
                so no observation ever contributes to its own test.
 
 When at least alpha_prop * n_check of the buffered flags are abnormal, the
@@ -85,12 +85,13 @@ def flag_observation(p, alpha):
     return 1 if p <= alpha else 0
 
 
-def buffer_advance(recent, counts, c_t, f_t):
-    """Append (c_t, f_t) to the deque recent (maxlen n_check); once it is
-    full, its oldest pair ages out and that support size is counted."""
-    if len(recent) == recent.maxlen:
-        counts[recent[0][0]] += 1
-    recent.append((c_t, f_t))
+def buffer_advance(sizes, flags, counts, c_t, f_t):
+    """Append c_t to sizes and f_t to flags, deques of maxlen n_check; once
+    they are full, the oldest size ages out and is counted."""
+    if len(sizes) == sizes.maxlen:
+        counts[sizes[0]] += 1
+    sizes.append(c_t)
+    flags.append(f_t)
 
 
 def scan_for_changepoint(flags, alpha_prop, n_check, n_positive, current_t):
@@ -102,7 +103,6 @@ def scan_for_changepoint(flags, alpha_prop, n_check, n_positive, current_t):
     element returned; otherwise (including threshold met but no such run)
     returns None.
     """
-    flags = list(flags)
     if len(flags) != n_check:
         raise ContractViolation(
             f"scan_for_changepoint: buffer holds {len(flags)} flags, "
@@ -132,7 +132,7 @@ class OmwCpPipeline:
     outputs in tracked-time order up to it: in omw-cp the last run's L and
     S, read-only, then the columns tracked since. The detector state is
     plain data: the histogram counts, indexed by support size, and the last
-    n_check (size, flag) pairs. A change point whose burn-in block the
+    n_check support sizes and flags. A change point whose burn-in block the
     stream does not hold yet is pending: its restart is retried at the next
     run().
     """
@@ -145,7 +145,8 @@ class OmwCpPipeline:
         self.model = self.buffer = self.cursor = self.cols = None
         self.t_start = 1
         self.counts = None
-        self.recent = deque(maxlen=config.n_check)  # (size, flag) pairs
+        self.sizes = deque(maxlen=config.n_check)
+        self.flags = deque(maxlen=config.n_check)
         self.change_points = []
         self.pending = None    # t0 of a restart waiting for its burn-in block
         self.warnings = []
@@ -214,15 +215,16 @@ class OmwCpPipeline:
         """Track on from (model, buffer) at stream index cursor, with an
         empty histogram and flag buffer; the outputs so far are kept."""
         if buffer is not None:
-            M, V, S = (X.shape for X in buffer._rows)
-            if (M[1], V[1], S[1]) != (model.m, model.r, model.m):
-                raise ContractViolation(f"window rows M{M} V{V} S{S} do not "
-                                        f"fit a model with U{model.U.shape}")
+            E, V = (X.shape for X in buffer._rows)
+            if (E[1], V[1]) != (model.m, model.r):
+                raise ContractViolation(f"window rows E{E} V{V} do not fit a "
+                                        f"model with U{model.U.shape}")
         self.model, self.buffer, self.cursor = model, buffer, cursor
         if self.cols is None:
             self.cols = ColumnStore(model.m)
         self.counts = np.zeros(model.m + 1, dtype=np.int64)
-        self.recent.clear()
+        self.sizes.clear()
+        self.flags.clear()
 
     def _restart(self, stream, t0):
         """Seed afresh from tracked time t0, rewriting the outputs from t0
@@ -256,11 +258,11 @@ class OmwCpPipeline:
         elif phase == "monitoring" and self.pending is None:
             p = p_value(self.counts, c_t, cfg.n_tol)
             f = flag_observation(p, cfg.alpha)
-            buffer_advance(self.recent, self.counts, c_t, f)
-            if len(self.recent) == cfg.n_check:
-                t0 = scan_for_changepoint(
-                    [flag for _, flag in self.recent], cfg.alpha_prop,
-                    cfg.n_check, cfg.n_positive, current_t=t)
+            buffer_advance(self.sizes, self.flags, self.counts, c_t, f)
+            if len(self.flags) == cfg.n_check:
+                t0 = scan_for_changepoint(self.flags, cfg.alpha_prop,
+                                          cfg.n_check, cfg.n_positive,
+                                          current_t=t)
         self.diagnostics.append(CpDiagnostic(
             t=t, support_size=c_t, p=p, flag=f, phase=phase))
         if t0 is not None:

@@ -19,7 +19,7 @@
  * column-major except A (r x r, row-major) and the warm loop's, which are
  * row-major as numpy holds them, and each entry point allocates its
  * routine's scratch: 3r^2 + 4r + 8m + mr doubles for srp_project (see
- * work_size), 2m for srp_accumulate, r + b + mb for srp_sweep, and
+ * work_size), m for srp_accumulate, r + b + mb for srp_sweep, and
  * svt_size for srp_svt (4mk + 3kn + 2k^2 + k plus the largest LAPACK
  * workspace and the integer one, see svt_query).
  */
@@ -312,20 +312,17 @@ static int srp_project(int m, int r, const double *U, const double *x,
     return n;
 }
 
-/* A += vv' - vo vo', B += (x - s)v' - (xo - so)vo' for an m x r B; then the
- * window's oldest row (xo, vo, so) takes (x, v, s). xo NULL: no window, and
- * A += vv', B += (x - s)v'. w holds 2m doubles. The rows may alias one
- * another, but not A, B or w. */
+/* A += vv' - vo vo', B += ev' - eo vo' for e = x - s, m doubles of scratch,
+ * and an m x r B; then the window's oldest row (eo, vo) takes (e, v). eo NULL:
+ * no window, A += vv', B += ev'. The rows may alias, but not A, B or e. */
 static void srp_accumulate(int m, int r, double *restrict A,
                            double *restrict B, const double *x,
-                           const double *v, const double *s, double *xo,
-                           double *vo, double *so, double *restrict w)
+                           const double *v, const double *s, double *eo,
+                           double *vo, double *restrict e)
 {
-    double *restrict e = w, *restrict eo = w + m;
-
     for (int i = 0; i < m; i++)
         e[i] = x[i] - s[i];
-    if (!xo) {
+    if (!eo) {
         for (int i = 0; i < r; i++)
             for (int j = 0; j < r; j++)
                 A[i * r + j] += v[i] * v[j];
@@ -334,17 +331,14 @@ static void srp_accumulate(int m, int r, double *restrict A,
                 B[j * m + i] += v[j] * e[i];
         return;
     }
-    for (int i = 0; i < m; i++)
-        eo[i] = xo[i] - so[i];
     for (int i = 0; i < r; i++)
         for (int j = 0; j < r; j++)
             A[i * r + j] += v[i] * v[j] - vo[i] * vo[j];
     for (int j = 0; j < r; j++)
         for (int i = 0; i < m; i++)
             B[j * m + i] += v[j] * e[i] - vo[j] * eo[i];
-    memcpy(xo, x, sizeof(double) * m);
+    memcpy(eo, e, sizeof(double) * m);
     memcpy(vo, v, sizeof(double) * r);
-    memcpy(so, s, sizeof(double) * m);
 }
 
 /* T = X Y' + beta T for the m x k columns X of U and an n x k Y read from
@@ -771,10 +765,10 @@ static PyObject *accumulate(PyObject *self, PyObject *const *args,
 {
     Held h = {.n = 0, .w = NULL};
     Py_ssize_t dB[2] = {-1, -1}, dA[2], dm[1], dr[1];
-    double *A, *B, *x, *v, *s, *w, *xo = NULL, *vo = NULL, *so = NULL;
+    double *A, *B, *x, *v, *s, *w, *eo = NULL, *vo = NULL;
 
-    if (nargs != 5 && nargs != 8) {
-        PyErr_Format(PyExc_TypeError, "accumulate takes 5 or 8 arguments "
+    if (nargs != 5 && nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "accumulate takes 5 or 7 arguments "
                      "(%zd given)", nargs);
         return NULL;
     }
@@ -788,15 +782,14 @@ static PyObject *accumulate(PyObject *self, PyObject *const *args,
         || !(v = array(&h, args[3], "v", 'C', 0, 1, dr))
         || !(s = array(&h, args[4], "s", 'C', 0, 1, dm)))
         goto fail;
-    if (nargs == 8
-        && (!(xo = array(&h, args[5], "m_old", 'C', 1, 1, dm))
-            || !(vo = array(&h, args[6], "v_old", 'C', 1, 1, dr))
-            || !(so = array(&h, args[7], "s_old", 'C', 1, 1, dm))))
+    if (nargs == 7
+        && (!(eo = array(&h, args[5], "e_old", 'C', 1, 1, dm))
+            || !(vo = array(&h, args[6], "v_old", 'C', 1, 1, dr))))
         goto fail;
-    if (!(w = scratch(&h, 2 * dm[0])))
+    if (!(w = scratch(&h, dm[0])))
         goto fail;
     Py_BEGIN_ALLOW_THREADS
-    srp_accumulate((int)dm[0], (int)dr[0], A, B, x, v, s, xo, vo, so, w);
+    srp_accumulate((int)dm[0], (int)dr[0], A, B, x, v, s, eo, vo, w);
     Py_END_ALLOW_THREADS
     release(&h);
     Py_RETURN_NONE;
@@ -894,8 +887,8 @@ static PyMethodDef methods[] = {
      "project(U, x, v, s, lambda1, lambda2, tol, max_iter): writes v and s; "
      "the number of alternations, or -1 or -2 where it declines"},
     {"accumulate", FASTCALL(accumulate),
-     "accumulate(A, B, x, v, s[, m_old, v_old, s_old]): updates A and B, "
-     "and overwrites the oldest row (m_old, v_old, s_old) with (x, v, s)"},
+     "accumulate(A, B, x, v, s[, e_old, v_old]): updates A and B, and "
+     "overwrites the oldest row (e_old, v_old) with (x - s, v)"},
     {"sweep", FASTCALL(sweep),
      "sweep(U, A, B, lambda1, sym_tol): one sweep of U in place; False, U "
      "untouched, if A is not finite or not symmetric"},

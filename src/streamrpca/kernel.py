@@ -134,9 +134,8 @@ def project(U, x, lambda1, lambda2, tol, max_iter):
 
 def accumulate(A, B, x, v, s, *oldest):
     """omw_step's update of A (r x r, C order) and B (m x r, F order) by
-    (x, v, s); given the window's oldest row as three 1-d views (m_old,
-    v_old, s_old), less that row's terms, and the row then takes (x, v, s).
-    """
+    (x, v, s); given the window's oldest row (e_old, v_old), 1-d views, less
+    its terms, and the row then takes (x - s, v)."""
     _ext.accumulate(A, B, np.ascontiguousarray(x), v, s, *oldest)
 
 

@@ -89,7 +89,7 @@ class PcpResult:
 class BurninInit:
     """Seed state for the online trackers, derived from a burn-in block.
 
-    window_seed is the trailing window's (M_w, V_w, S_w), n_win x m, r, m,
+    window_seed is the trailing window's (M_w - S_w, V_w), n_win x m and r,
     one sample per row, oldest first. L_b and S_b are the full burn-in
     decomposition, kept so that restarts can report burn-in estimates.
     """
@@ -228,10 +228,10 @@ def _count_rank(s):
     return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
-def window_sums(M, V, S):
-    """Accumulators of a window whose rows are the samples (m_i, v_i, s_i):
-    A = sum v_i v_i' = V'V and B = sum (m_i - s_i) v_i' = (M - S)'V."""
-    return V.T @ V, (M - S).T @ V
+def window_sums(E, V):
+    """Accumulators of a window whose rows are the samples' (e_i, v_i), with
+    e_i = m_i - s_i: A = sum v_i v_i' = V'V and B = sum e_i v_i' = E'V."""
+    return V.T @ V, E.T @ V
 
 
 def burnin_initialize(M_b, lambda1, lambda2, n_win):
@@ -242,9 +242,9 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win):
 
         U0   = U_hat[:, :r] * sqrt(s[:r])
         v_i  = sqrt(s[:r]) * Vh[:r, i]          (per-sample coefficients)
-        A0, B0 = window_sums(M_w, V_w, S_w)     over the trailing n_win samples
+        A0, B0 = window_sums(E_w, V_w)          over the trailing n_win samples
 
-    window_seed is that (M_w, V_w, S_w), one sample per row, oldest first.
+    window_seed is that (E_w, V_w) = (M_w - S_w, V_w), oldest row first.
     """
     M_b = np.asarray(M_b, dtype=float)
     if M_b.ndim != 2:
@@ -271,7 +271,7 @@ def burnin_initialize(M_b, lambda1, lambda2, n_win):
     V = scale[:, None] * Vh[:r, :]
 
     window = slice(n_burnin - n_win, n_burnin)
-    window_seed = (M_b[:, window].T, V[:, window].T, result.S[:, window].T)
+    window_seed = (M_b[:, window].T - result.S[:, window].T, V[:, window].T)
     A0, B0 = window_sums(*window_seed)
 
     return BurninInit(r=r, U0=U0, A0=A0, B0=B0, window_seed=window_seed,

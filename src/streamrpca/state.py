@@ -17,8 +17,7 @@ from .changepoint import MODES, OmwCpPipeline
 from .exceptions import ContractViolation, SnapshotError
 from .trackers import DETECTOR_FIELDS, SubspaceModel, WindowBuffer
 
-SNAPSHOT_VERSION = 1
-_BUFFER_KEYS = ("buffer_m", "buffer_v", "buffer_s")
+SNAPSHOT_VERSION = 2
 # the config fields a restart reads, stored in omw-cp files as det_<field>
 _RESTART_FIELDS = ("n_burnin", *DETECTOR_FIELDS)
 # every det_<key> entry that an omw-cp file must hold
@@ -29,7 +28,6 @@ _DETECTOR_KEYS = ("hist_counts", "fb_sizes", "fb_flags", "t_start", "next_t",
 
 @dataclass
 class StateSnapshot:
-    version: int
     kind: str                 # "stoc" | "omw" | "omw-cp"
     model: SubspaceModel
     buffer: WindowBuffer | None
@@ -38,8 +36,7 @@ class StateSnapshot:
 
 
 def snapshot_tracker(kind, model, buffer=None, cursor=0, detector=None):
-    return StateSnapshot(version=SNAPSHOT_VERSION, kind=kind, model=model,
-                         buffer=buffer, cursor=cursor, detector=detector)
+    return StateSnapshot(kind, model, buffer, cursor, detector)
 
 
 def snapshot_pipeline(pipeline, result):
@@ -55,8 +52,8 @@ def snapshot_pipeline(pipeline, result):
     if pipeline.mode == "omw-cp":
         detector = {
             "hist_counts": pipeline.counts.copy(),
-            "fb_sizes": np.array([c for c, _ in pipeline.recent], np.int64),
-            "fb_flags": np.array([f for _, f in pipeline.recent], np.int64),
+            "fb_sizes": np.array(pipeline.sizes, np.int64),
+            "fb_flags": np.array(pipeline.flags, np.int64),
             "t_start": pipeline.t_start,
             "next_t": pipeline.t,
             "change_points": np.array(pipeline.change_points, dtype=np.int64),
@@ -110,7 +107,8 @@ def restore_pipeline(snapshot, config):
         raise SnapshotError(f"det_fb_sizes, det_fb_flags: not up to n_check="
                             f"{config.n_check} pairs of a support size in "
                             f"[0, {m}] and a flag 0 or 1")
-    pipeline.recent.extend(zip(map(int, sizes), map(int, flags)))
+    pipeline.sizes.extend(map(int, sizes))
+    pipeline.flags.extend(map(int, flags))
     pipeline.warnings = [str(w) for w in det["warnings"]]
     pipeline.t_start = int(det["t_start"])
     if int(det["next_t"]) != pipeline.t:
@@ -139,61 +137,72 @@ def restore_pipeline(snapshot, config):
 
 
 def save_state(path, snapshot):
-    """Write a snapshot to an .npz file."""
+    """Write a snapshot, as an .npz container, to path as given."""
     arrays = {
-        "version": np.int64(snapshot.version),
+        "version": np.int64(SNAPSHOT_VERSION),
         "kind": np.str_(snapshot.kind),
         "cursor": np.int64(snapshot.cursor),
-        # C order, so that a column-major model writes the bytes of v1 files
+        # C order, so that a column-major model writes a row-major one's bytes
         "U": np.ascontiguousarray(snapshot.model.U),
         "A": snapshot.model.A,
         "B": np.ascontiguousarray(snapshot.model.B),
         "lambda1": np.float64(snapshot.model.lambda1),
         "lambda2": np.float64(snapshot.model.lambda2),
         "t": np.int64(snapshot.model.t),
-        "has_buffer": np.bool_(snapshot.buffer is not None),
     }
     if snapshot.buffer is not None:
-        arrays["buffer_capacity"] = np.int64(snapshot.buffer.capacity)
-        arrays.update(zip(_BUFFER_KEYS, snapshot.buffer.rows()))
+        arrays["buffer_e"], arrays["buffer_v"] = snapshot.buffer.rows()
     for key, value in (snapshot.detector or {}).items():
         arrays[f"det_{key}"] = np.asarray(value)
-    np.savez(path, **arrays)
+    # np.savez(path) would append .npz to a path without it
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _read_window(path, data, version, model):
+    """The WindowBuffer a file holds, or None. Version 1 stored the rows
+    (m, v, s), read here as the tracker's (m - s, v)."""
+    if version == 1:
+        if not bool(data["has_buffer"]):
+            return None
+        keys, source = ("buffer_m", "buffer_v", "buffer_s"), "buffer_capacity"
+    elif "buffer_e" in data:
+        keys, source = ("buffer_e", "buffer_v"), "buffer_e"
+    else:
+        return None
+    rows = [data[key] for key in keys]
+    n_win = int(data[source]) if version == 1 else len(rows[0])
+    for key, X in zip(keys, rows):
+        width = model.r if key == "buffer_v" else model.m
+        if X.shape != (n_win, width):
+            raise SnapshotError(f"{path}: {key} has shape {X.shape}, expected "
+                                f"({n_win}, {width}) from {source} and U")
+    if version == 1:
+        rows = (rows[0] - rows[2], rows[1])
+    return WindowBuffer(*rows)
 
 
 def load_state(path):
-    """Read a snapshot; corrupt or version-mismatched files raise
-    SnapshotError without returning partial state."""
+    """Read a snapshot of version 1 or 2; corrupt or version-mismatched
+    files raise SnapshotError without returning partial state."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if "version" not in data:
                 raise SnapshotError(f"{path}: not a state snapshot")
             version = int(data["version"])
-            if version != SNAPSHOT_VERSION:
+            if version not in (1, SNAPSHOT_VERSION):
                 raise SnapshotError(
                     f"{path}: snapshot version {version} unsupported "
-                    f"(expected {SNAPSHOT_VERSION})")
-            kind = str(data["kind"])
+                    f"(expected 1 or {SNAPSHOT_VERSION})")
             model = SubspaceModel(U=data["U"], A=data["A"], B=data["B"],
                                   lambda1=float(data["lambda1"]),
                                   lambda2=float(data["lambda2"]),
                                   t=int(data["t"]))
-            buffer = None
-            if bool(data["has_buffer"]):
-                n_win = int(data["buffer_capacity"])
-                rows = [data[key] for key in _BUFFER_KEYS]
-                for key, X, width in zip(_BUFFER_KEYS, rows,
-                                         (model.m, model.r, model.m)):
-                    if X.shape != (n_win, width):
-                        raise SnapshotError(
-                            f"{path}: {key} has shape {X.shape}, expected "
-                            f"({n_win}, {width}) from buffer_capacity and U")
-                buffer = WindowBuffer(*rows)
             detector = {key[4:]: data[key].copy() for key in data.files
                         if key.startswith("det_")} or None
-            return StateSnapshot(version=version, kind=kind, model=model,
-                                 buffer=buffer, cursor=int(data["cursor"]),
-                                 detector=detector)
+            return StateSnapshot(str(data["kind"]), model,
+                                 _read_window(path, data, version, model),
+                                 int(data["cursor"]), detector)
     except SnapshotError:
         raise
     except Exception as exc:

@@ -9,7 +9,8 @@ Two file formats are supported:
 
   csv      one sample per line, comma-separated decimal numbers.
   raw-f64  header of three little-endian u64 words (magic, m, T) followed
-           by T*m little-endian float64 values, sample-major.
+           by T*m little-endian float64 values, sample-major, and nothing
+           else.
 """
 
 import io
@@ -95,7 +96,8 @@ class ObservationStream:
 
 def _iter_csv(path):
     dim = None
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte outside ASCII reads as a lone surrogate, which float() refuses
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -129,10 +131,11 @@ def _read_raw_header(path):
         fh.seek(0, io.SEEK_END)
         actual = fh.tell()
         expected = _HEADER.size + 8 * m * t
-        if actual < expected:
+        if actual != expected:
             raise ParseError(
-                f"truncated data: expected {expected} bytes, got {actual}",
-                path=path, offset=actual)
+                f"{'truncated' if actual < expected else 'trailing'} data: "
+                f"expected {expected} bytes, got {actual}",
+                path=path, offset=min(actual, expected))
     return m, t
 
 

@@ -67,22 +67,20 @@ class SubspaceModel:
 
 
 class WindowBuffer:
-    """The last n_win samples' (m_i, v_i, s_i) as the rows of three arrays.
+    """The last n_win samples' (m_i - s_i, v_i), all that eviction reads.
 
-    Built full from a window's (M, V, S), one sample per row, oldest first
-    (n_win x m, n_win x r, n_win x m); the arrays are copied. Each step
-    overwrites the oldest row, the views of oldest(), in place and then
-    advances the head, so the buffer stays full and the head index points
-    at the oldest row.
+    Built full from a window's (E, V), one sample per row, oldest first
+    (n_win x m, n_win x r); the arrays are copied. Each step overwrites the
+    oldest row, the views of oldest(), in place and then advances the head,
+    so the buffer stays full and the head index points at the oldest row.
     """
 
-    def __init__(self, M, V, S):
-        M, V, S = self._rows = tuple(np.array(X, dtype=float, order="C")
-                                     for X in (M, V, S))
-        if not (M.ndim == V.ndim == 2 and S.shape == M.shape
-                and len(V) == len(M) > 0):
+    def __init__(self, E, V):
+        E, V = self._rows = tuple(np.array(X, dtype=float, order="C")
+                                  for X in (E, V))
+        if not (E.ndim == V.ndim == 2 and len(V) == len(E) > 0):
             raise ContractViolation(f"WindowBuffer: empty or ragged rows "
-                                    f"M{M.shape} V{V.shape} S{S.shape}")
+                                    f"E{E.shape} V{V.shape}")
         self._head = 0
 
     @property
@@ -90,20 +88,19 @@ class WindowBuffer:
         return len(self._rows[0])
 
     def oldest(self):
-        """The oldest row (m, v, s), as views for the step to overwrite."""
-        M, V, S = self._rows
-        return M[self._head], V[self._head], S[self._head]
+        """The oldest row (e, v), as views for the step to overwrite."""
+        return tuple(X[self._head] for X in self._rows)
 
     def advance(self):
         """Make the oldest row, once overwritten, the newest."""
         self._head = (self._head + 1) % self.capacity
 
     def rows(self):
-        """(M, V, S) with one sample per row, oldest first (copies)."""
+        """(E, V) with one sample per row, oldest first (copies)."""
         return tuple(np.roll(X, -self._head, axis=0) for X in self._rows)
 
     def recompute_accumulators(self):
-        """Rebuild A = sum v v' and B = sum (m - s) v' from the window."""
+        """Rebuild A = sum v v' and B = sum e v' from the window."""
         return window_sums(*self.rows())
 
 
@@ -277,7 +274,7 @@ def omw_step(model, buffer, m_t, projection_config=None):
 
     Projects the sample and adds its outer products to A and B. With a
     window, one eviction rule: the oldest row's terms are subtracted, the
-    row is overwritten in place with (m_t, v, s), and only then does the
+    row is overwritten in place with (m_t - s, v), and only then does the
     head advance. Then it updates the basis. A step that fails before the
     basis update leaves the model and the window as they were. Every
     DRIFT_CORRECTION_FACTOR * n_win steps a window recomputes A and B from
@@ -307,21 +304,22 @@ def omw_step(model, buffer, m_t, projection_config=None):
 def _accumulate_numpy(A, B, x, v, s, *oldest):
     """kernel.accumulate in numpy, with its argument list: the path where
     no compiled kernel is loaded. The oldest row's shapes are checked
-    against (x, v, x) before anything is written."""
+    against (x, v) before anything is written."""
     # the evicted terms are subtracted from the increment before it is
     # added, so A += outer(v, v) - outer(v_old, v_old) keeps its bits; B's
     # increment is built transposed, on the contiguous rows of B.T
+    e = x - s
     dA = np.outer(v, v)
-    dBt = np.outer(v, x - s)
+    dBt = np.outer(v, e)
     if oldest:
         shapes = tuple(np.shape(X) for X in oldest)
-        if shapes != (x.shape, v.shape, x.shape):
+        if shapes != (x.shape, v.shape):
             raise ContractViolation(f"omw_step: oldest row shapes {shapes} "
                                     f"do not fit {(x.shape, v.shape)}")
-        m_old, v_old, s_old = oldest
+        e_old, v_old = oldest
         dA -= np.outer(v_old, v_old)
-        dBt -= np.outer(v_old, m_old - s_old)
-        m_old[...], v_old[...], s_old[...] = x, v, s
+        dBt -= np.outer(v_old, e_old)
+        e_old[...], v_old[...] = e, v
     A += dA
     np.add(B.T, dBt, out=B.T)
 

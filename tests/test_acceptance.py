@@ -333,7 +333,7 @@ def test_c10_constant_per_step_cost_and_memory():
     init = burnin_initialize(gt.M_b, 0.1, 10.0, n_win=100)
     model, buffer = seeded(init, 0.1, 10.0)
     m, r, n_win = model.m, model.r, buffer.capacity
-    expected_elements = 2 * m * r + r * r + n_win * (2 * m + r)
+    expected_elements = 2 * m * r + r * r + n_win * (m + r)
 
     times = np.empty(1000)
     counts = {}

@@ -63,18 +63,19 @@ def test_flag_boundary_inclusive():
 
 def test_buffer_advance_fifo_mechanics():
     hist = np.zeros(11, dtype=np.int64)
-    buffers = deque(maxlen=2)
-    buffer_advance(buffers, hist, 5, 0)
-    buffer_advance(buffers, hist, 6, 0)
+    sizes, flags = deque(maxlen=2), deque(maxlen=2)
+    buffer_advance(sizes, flags, hist, 5, 0)
+    buffer_advance(sizes, flags, hist, 6, 0)
     assert hist.sum() == 0
-    buffer_advance(buffers, hist, 7, 1)
-    assert list(buffers) == [(6, 0), (7, 1)]
+    buffer_advance(sizes, flags, hist, 7, 1)
+    assert list(sizes) == [6, 7] and list(flags) == [0, 1]
     assert hist.sum() == 1 and hist[5] == 1
     # flags never enter the histogram; size stays capped
     for c in (8, 9):
-        buffer_advance(buffers, hist, c, 1)
-    assert len(buffers) == 2
-    assert hist.sum() == 3
+        buffer_advance(sizes, flags, hist, c, 1)
+    assert len(sizes) == len(flags) == 2
+    assert list(sizes) == [8, 9] and list(flags) == [1, 1]
+    assert hist.sum() == 3 and hist[6] == hist[7] == 1
 
 
 def test_scan_finds_first_run():

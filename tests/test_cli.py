@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from streamrpca.pcp import PcpConfig
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.state import _DETECTOR_KEYS
-from streamrpca.streams import ingest_stream, write_raw_f64
+from streamrpca.streams import RAW_F64_MAGIC, ingest_stream, write_raw_f64
 
 from conftest import child_env, write_csv
 
@@ -155,6 +156,22 @@ def test_track_missing_input_is_io_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("data,fmt,where", [
+    (b"1,2\n3,\xff\n", "csv", "line=2"),
+    (struct.pack("<QQQ", RAW_F64_MAGIC, 2, 1) + bytes(24), "raw-f64",
+     "byte-offset=40"),
+], ids=["csv-non-ascii", "raw-trailing"])
+def test_track_malformed_input_is_a_parse_error(tmp_path, capsys, data, fmt,
+                                                where):
+    src = tmp_path / "m.in"
+    src.write_bytes(data)
+    rc = main(["track", "--input", str(src), "--format", fmt,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
 def test_track_bad_config_is_contract_violation(tmp_path):
     src = tmp_path / "m.csv"
     write_csv(src, np.zeros((4, 30)))
@@ -179,7 +196,9 @@ def test_track_save_and_resume_matches_single_run(tmp_path):
                  "--mode", "omw", "--n-burnin", "15", "--n-win", "15",
                  "--out-dir", str(out_once)]) == 0
 
-    snap = tmp_path / "snap.npz"
+    # the snapshot is written to the path as given: np.savez(path) would
+    # append .npz to it
+    snap = tmp_path / "snap.state"
     out_head = tmp_path / "head_out"
     assert main(["track", "--input", str(head), "--format", "raw-f64",
                  "--mode", "omw", "--n-burnin", "15", "--n-win", "15",
@@ -188,6 +207,7 @@ def test_track_save_and_resume_matches_single_run(tmp_path):
     assert main(["track", "--input", str(whole), "--format", "raw-f64",
                  "--mode", "omw", "--n-burnin", "15", "--n-win", "15",
                  "--resume", str(snap), "--out-dir", str(out_tail)]) == 0
+    assert not (tmp_path / "snap.state.npz").exists()
 
     L_once = read_matrix(out_once / "L.f64")
     L_head = read_matrix(out_head / "L.f64")

@@ -266,7 +266,7 @@ def test_svt_raises_where_numpys_svd_does():
 def test_accumulate_matches_numpy_bit_for_bit(m, r, window):
     # elementwise products and differences in the numpy code's order, with
     # no contraction or reassociation: the vectorized loops must round each
-    # one as numpy does, and overwrite the oldest row with (x, v, s)
+    # one as numpy does, and overwrite the oldest row with (x - s, v)
     rng = np.random.Generator(np.random.PCG64(m * r))
 
     def draw(*shape):  # entries over twelve decades, so rounding shows
@@ -276,16 +276,16 @@ def test_accumulate_matches_numpy_bit_for_bit(m, r, window):
     half = draw(r, r)
     x, v, s = draw(m), draw(r), draw(m) * (rng.random(m) < 0.2)
     states = [[half + half.T, np.asfortranarray(draw(m, r)),
-               *(draw(4, k) for k in (m, r, m))]]
+               *(draw(4, k) for k in (m, r))]]
     states.append([X.copy(order="K") for X in states[0]])
     for accumulate, (A, B, *rows) in zip(
             (kernel.accumulate, _accumulate_numpy), states):
         accumulate(A, B, x, v, s, *([X[2] for X in rows] if window else []))
     for X, Y in zip(*states):
         assert X.tobytes() == Y.tobytes()
-    M, V, S = states[0][2:]
+    E, V = states[0][2:]
     assert window == all(np.array_equal(X[2], y)
-                         for X, y in ((M, x), (V, v), (S, s)))
+                         for X, y in ((E, x - s), (V, v)))
 
 
 def assert_kkt(U, x, v, s, lambda1, lambda2):
@@ -374,16 +374,16 @@ def test_trackers_on_threads_match_their_sequential_runs():
 @compiled
 def test_entry_points_refuse_bad_arrays():
     # the module checks each array's dtype, order and shape in C, the
-    # window's oldest row as three 1-d views like x, v and s: a bad one
-    # raises ValueError before anything is written
+    # window's oldest row as two 1-d views like x and v: a bad one raises
+    # ValueError before anything is written
     rng = np.random.Generator(np.random.PCG64(46))
     m, r, n = 12, 3, 4
     U = np.asfortranarray(rng.standard_normal((m, r)))
     B = np.asfortranarray(rng.standard_normal((m, r)))
-    window = [rng.standard_normal((n, k)) for k in (m, r, m)]
+    window = [rng.standard_normal((n, k)) for k in (m, r)]
     good = dict(U=U, A=np.eye(r), B=B, x=rng.standard_normal(m),
                 v=rng.standard_normal(r), s=rng.standard_normal(m),
-                m_old=window[0][1], v_old=window[1][1], s_old=window[2][1])
+                e_old=window[0][1], v_old=window[1][1])
     X = rng.standard_normal((m + 4, m))
     good.update(X=X, block=rng.standard_normal((m, 3)),
                 U_svt=np.zeros((m + 4, 3)), s_svt=np.zeros(3),
@@ -393,8 +393,7 @@ def test_entry_points_refuse_bad_arrays():
         "project": lambda a: ext.project(a["U"], a["x"], a["v"], a["s"], 0.1,
                                          1.0, 1e-7, 100),
         "accumulate": lambda a: ext.accumulate(
-            a["A"], a["B"], a["x"], a["v"], a["s"], a["m_old"], a["v_old"],
-            a["s_old"]),
+            a["A"], a["B"], a["x"], a["v"], a["s"], a["e_old"], a["v_old"]),
         "sweep": lambda a: ext.sweep(a["U"], a["A"], a["B"], 0.1, 1e-8),
         "svt": lambda a: ext.svt(a["X"], a["block"], a["U_svt"], a["s_svt"],
                                  a["Vh"], 0.5, 4, 0.25, 1e-6, 5e-3),
@@ -409,7 +408,7 @@ def test_entry_points_refuse_bad_arrays():
                                                        "accumulate")
               for key in ("x", "v", "s")]
     # the oldest row too short, 2-D (a view into the window) or float32
-    cases += [("accumulate", key, bad) for key in ("m_old", "v_old", "s_old")
+    cases += [("accumulate", key, bad) for key in ("e_old", "v_old")
               for bad in (good[key][:-1], good[key][None],
                           good[key].astype(np.float32))]
     # X row-major; the block C- or F-contiguous, of 1 to min(m, n) columns;
@@ -435,8 +434,17 @@ def test_entry_points_refuse_bad_arrays():
             calls[name]({**good, key: value})
         for X, X0 in zip(state, before):
             np.testing.assert_array_equal(X, X0, err_msg=f"{name} {key}")
+    # the oldest row is (e_old, v_old): 6 arguments, or the 8 of a row
+    # (m_old, v_old, s_old), are refused
+    args = [good[key] for key in ("A", "B", "x", "v", "s", "e_old", "v_old")]
+    for bad in (args[:6], args + [good["s"]]):
+        with pytest.raises(TypeError, match="5 or 7 arguments"):
+            ext.accumulate(*bad)
+        for X, X0 in zip(state, before):
+            np.testing.assert_array_equal(X, X0, err_msg=f"{len(bad)} args")
     for name in calls:  # the good arrays pass
         calls[name](good)
+    np.testing.assert_array_equal(window[0][1], good["x"] - good["s"])
     np.testing.assert_array_equal(window[1][1], good["v"])
 
 

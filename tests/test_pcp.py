@@ -348,12 +348,12 @@ def test_burnin_rank_one_subspace():
     cos = abs(u_hat @ u) / (np.linalg.norm(u_hat) * np.linalg.norm(u))
     assert 1.0 - cos <= 1e-6
     # Accumulators match their definitions on the window.
-    M_w, V_w, S_w = init.window_seed
-    assert M_w.shape == S_w.shape == (10, 20) and V_w.shape == (10, 1)
-    np.testing.assert_array_equal(M_w, M_b.T)
+    E_w, V_w = init.window_seed
+    assert E_w.shape == (10, 20) and V_w.shape == (10, 1)
+    np.testing.assert_array_equal(E_w, M_b.T - init.S_b.T)
     A_expect = sum(v @ v for v in V_w)
     np.testing.assert_allclose(init.A0[0, 0], A_expect, rtol=1e-10)
-    B_expect = sum((m_i - s_i) * v[0] for m_i, v, s_i in zip(M_w, V_w, S_w))
+    B_expect = sum(e_i * v[0] for e_i, v in zip(E_w, V_w))
     np.testing.assert_allclose(init.B0[:, 0], B_expect, rtol=1e-8)
 
 

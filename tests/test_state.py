@@ -97,9 +97,8 @@ def test_truncated_snapshot_rejected(tmp_path):
 def test_version_mismatch_names_both_versions(tmp_path):
     gt, model, buffer = build_omw(seed=82)
     path = tmp_path / "snap.npz"
-    snap = snapshot_tracker("omw", model, buffer, cursor=0)
-    snap.version = 999
-    save_state(path, snap)
+    save_state(path, snapshot_tracker("omw", model, buffer, cursor=0))
+    _rewrite(path, version=np.int64(999))
     with pytest.raises(SnapshotError) as err:
         load_state(path)
     assert "999" in str(err.value)
@@ -119,30 +118,28 @@ def test_unseeded_pipeline_cannot_be_saved():
         snapshot_pipeline(OmwCpPipeline(config), None)
 
 
-V1_TRACKER_KEYS = {"version", "kind", "cursor", "U", "A", "B", "lambda1",
-                   "lambda2", "t", "has_buffer", "buffer_capacity",
-                   "buffer_m", "buffer_v", "buffer_s"}
+TRACKER_KEYS = {"version", "kind", "cursor", "U", "A", "B", "lambda1",
+                "lambda2", "t", "buffer_e", "buffer_v"}
 
 
 def test_omw_snapshot_format_past_a_ring_wrap(tmp_path):
     # 47 steps wrap the 20-row ring twice and leave its head mid-array; the
-    # file keeps the v1 layout with the window's rows oldest first, and the
-    # resumed run crosses the drift correction at t = 200 bit for bit
+    # file keeps the v2 layout with the window's rows (m_t - s_t, v_t) oldest
+    # first, and the resumed run crosses the drift correction at t = 200 bit
+    # for bit
     gt, model, buffer = build_omw(seed=85, t=260)
     steps = [(gt.M[:, t], omw_step(model, buffer, gt.M[:, t]))
              for t in range(47)]
     path = tmp_path / "snap.npz"
     save_state(path, snapshot_tracker("omw", model, buffer, cursor=67))
     with np.load(path) as data:
-        assert set(data.files) == V1_TRACKER_KEYS
-        assert int(data["version"]) == 1 and int(data["buffer_capacity"]) == 20
+        assert set(data.files) == TRACKER_KEYS
+        assert int(data["version"]) == SNAPSHOT_VERSION == 2
         window = steps[-20:]
-        np.testing.assert_array_equal(data["buffer_m"],
-                                      [m_t for m_t, _ in window])
+        np.testing.assert_array_equal(data["buffer_e"],
+                                      [m_t - out.s for m_t, out in window])
         np.testing.assert_array_equal(data["buffer_v"],
                                       [out.v for _, out in window])
-        np.testing.assert_array_equal(data["buffer_s"],
-                                      [out.s for _, out in window])
     snap = load_state(path)
     for t in range(47, 260):
         resumed = omw_step(snap.model, snap.buffer, gt.M[:, t])
@@ -159,24 +156,77 @@ def _rewrite(path, **changes):
     np.savez(path, **{**arrays, **changes})
 
 
-@pytest.mark.parametrize("key,change", [
-    ("buffer_v", lambda X: X[:-1]),                  # one row short
-    ("buffer_capacity", lambda n: n + 1),            # rows != capacity
-    ("buffer_m", lambda X: X[:, :-1]),               # narrower than U
-    ("buffer_v", lambda X: X[:, :1]),                # one column, r = 3
-    ("buffer_s", lambda X: np.hstack([X, X[:, :1]])),  # wider than U
-], ids=["short-rows", "capacity", "m-width", "v-width", "s-width"])
-def test_snapshot_window_shape_is_checked(tmp_path, key, change):
-    gt, model, buffer = build_omw(seed=86)
-    for t in range(25):
-        omw_step(model, buffer, gt.M[:, t])
+DATA = Path(__file__).with_name("data")
+
+
+@pytest.mark.parametrize("version,key,change", [
+    (1, "buffer_v", lambda X: X[:-1]),                  # one row short
+    (1, "buffer_capacity", lambda n: n + 1),            # rows != capacity
+    (1, "buffer_m", lambda X: X[:, :-1]),               # narrower than U
+    (1, "buffer_v", lambda X: X[:, :1]),                # one column, r = 2
+    (1, "buffer_s", lambda X: np.hstack([X, X[:, :1]])),  # wider than U
+    (2, "buffer_v", lambda X: X[:-1]),                  # one row short
+    (2, "buffer_e", lambda X: X[:, :-1]),               # narrower than U
+    (2, "buffer_v", lambda X: X[:, :1]),                # one column, r = 3
+], ids=["short-rows", "capacity", "m-width", "v-width", "s-width",
+        "v2-short-rows", "v2-e-width", "v2-v-width"])
+def test_snapshot_window_shape_is_checked(tmp_path, version, key, change):
+    # a version-1 file's rows are checked against its buffer_capacity and
+    # U, a version-2 file's against buffer_e's row count and U
     path = tmp_path / "snap.npz"
-    save_state(path, snapshot_tracker("omw", model, buffer, cursor=45))
+    if version == 1:
+        path.write_bytes((DATA / "snapshot-v1-omw.npz").read_bytes())
+    else:
+        gt, model, buffer = build_omw(seed=86)
+        for t in range(25):
+            omw_step(model, buffer, gt.M[:, t])
+        save_state(path, snapshot_tracker("omw", model, buffer, cursor=45))
     with np.load(path) as data:
+        assert int(data["version"]) == version
         changed = change(data[key])
     _rewrite(path, **{key: changed})
     with pytest.raises(SnapshotError, match=key):
         load_state(path)
+
+
+def v1_fixture_setup():
+    """The stream and config of tests/data/snapshot-v1-*.npz, which the
+    version-1 writer saved from OmwCpPipeline(config, mode) after its run()
+    over the stream's first n_burnin + cut samples: omw at cut 57 (the
+    ring's head mid-array) and omw-cp at cut 210 (past the restart at
+    t = 101, monitoring with a full flag buffer)."""
+    spec = SimSpec(m=16, t=440, n_burnin=40, rho=0.01, seed=3,
+                   variant=ChangePoints(ranks=(2, 8), cps=(100,), r0=2,
+                                        t_p=60))
+    config = TrackerConfig(n_burnin=40, n_win=40, n_cp_burnin=20, n_test=30,
+                           n_check=10, lambda2=3.0)
+    return full_stream_matrix(generate(spec)), config
+
+
+@pytest.mark.parametrize("mode,cut", [("omw", 57), ("omw-cp", 210)])
+def test_version_1_snapshot_resumes_bit_for_bit(mode, cut):
+    # a v1 window loads as buffer_m - buffer_s, bit for bit the rows of the
+    # tracker run to the cut, and the resumed run is the uninterrupted one
+    # (omw crosses the drift correction at t = 400)
+    full, config = v1_fixture_setup()
+    path = DATA / f"snapshot-v1-{mode}.npz"
+    with np.load(path) as data:
+        assert int(data["version"]) == 1 and "buffer_m" in data
+    snapshot = load_state(path)
+    assert snapshot.cursor == config.n_burnin + cut
+    head = OmwCpPipeline(config, mode)
+    head.run(ObservationStream.from_matrix(full[:, :config.n_burnin + cut]))
+    for X, Y in zip(snapshot.buffer.rows(), head.buffer.rows()):
+        assert X.tobytes() == Y.tobytes()
+    result = restore_pipeline(snapshot, config).run(
+        ObservationStream.from_matrix(full))[0]
+    ref = OmwCpPipeline(config, mode).run(
+        ObservationStream.from_matrix(full))[0]
+    first = 0 if mode == "omw-cp" else cut
+    assert result.change_points == ref.change_points
+    assert ref.change_points == ([101] if mode == "omw-cp" else [])
+    np.testing.assert_array_equal(result.L, ref.L[:, first:])
+    np.testing.assert_array_equal(result.S, ref.S[:, first:])
 
 
 def test_snapshot_with_an_asymmetric_a_is_refused(tmp_path):

@@ -55,6 +55,15 @@ def test_csv_non_numeric(tmp_path):
         stream.get(0)
 
 
+def test_csv_non_ascii_byte_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n3,\xff\n")
+    stream = ingest_stream(path, "csv")
+    stream.get(0)
+    with pytest.raises(ParseError, match=f"path={path}; line=2"):
+        stream.get(1)
+
+
 def test_raw_f64_round_trip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(70))
     M = rng.standard_normal((5, 9))
@@ -74,6 +83,18 @@ def test_raw_f64_truncation_names_byte_counts(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ParseError, match="expected 216 bytes, got 208"):
+        ingest_stream(path, "raw-f64")
+
+
+def test_raw_f64_trailing_data_is_refused(tmp_path):
+    # a header of 4 samples over 6 samples' data: the last 2 were dropped
+    path = tmp_path / "m.f64"
+    write_raw_f64(path, np.ones((4, 6)))
+    data = bytearray(path.read_bytes())
+    data[16:24] = struct.pack("<Q", 4)
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="trailing data: expected 152 bytes, "
+                       "got 216; .*byte-offset=152"):
         ingest_stream(path, "raw-f64")
 
 

@@ -87,7 +87,8 @@ def test_seed_tracker_buffer_and_model():
     init, model, buffer = seed_tracker(stream, 0, config, evict=True)
     assert (model.lambda1, model.lambda2) == (0.1, 1.0)
     assert buffer.capacity == 10
-    np.testing.assert_array_equal(buffer.rows()[0], M_b[:, 5:].T)
+    np.testing.assert_array_equal(buffer.rows()[0],
+                                  M_b[:, 5:].T - init.S_b[:, 5:].T)
     np.testing.assert_array_equal(model.U, init.U0)
     for seed_rows, rows in zip(init.window_seed, buffer.rows()):
         np.testing.assert_array_equal(rows, seed_rows)
@@ -96,8 +97,8 @@ def test_seed_tracker_buffer_and_model():
     for v_i in buffer.rows()[1]:
         A -= np.outer(v_i, v_i)
     np.testing.assert_allclose(A, 0.0, atol=1e-8)
-    # the buffer owns its rows: a step leaves the seed (views of the
-    # burn-in block and of S_b, which restarts report) untouched
+    # the buffer owns its rows: a step leaves the seed (V_w a view of the
+    # burn-in's coefficients) untouched
     seed = [X.copy() for X in init.window_seed]
     omw_step(model, buffer, np.ones(model.m))
     for X, X_before in zip(init.window_seed, seed):
@@ -121,11 +122,11 @@ def test_step_calls_the_trackers_bindings_once(monkeypatch, evict):
 
 
 @pytest.mark.parametrize("shapes", [
-    ((0, 3), (0, 1), (0, 3)),       # empty
-    ((2, 3), (1, 1), (2, 3)),       # V has fewer rows
-    ((2, 3), (2, 1), (2, 4)),       # S wider than M
-    ((2, 3), (2,), (2, 3)),         # V not 2-D
-], ids=["empty", "short-v", "wide-s", "flat-v"])
+    ((0, 3), (0, 1)),       # empty
+    ((2, 3), (1, 1)),       # V has fewer rows
+    ((2,), (2, 1)),         # E not 2-D
+    ((2, 3), (2,)),         # V not 2-D
+], ids=["empty", "short-v", "flat-e", "flat-v"])
 def test_window_buffer_rejects_empty_or_ragged_rows(shapes):
     with pytest.raises(ContractViolation):
         WindowBuffer(*(np.zeros(shape) for shape in shapes))
@@ -215,9 +216,9 @@ def test_step_accumulators_match_their_terms(m, r, n_win, lambda2, seed,
     # logged term
     rng = np.random.Generator(np.random.PCG64(seed))
     U = rng.standard_normal((m, r))
-    M0, V0 = zip(*((rng.standard_normal(m), rng.standard_normal(r))
+    E0, V0 = zip(*((rng.standard_normal(m), rng.standard_normal(r))
                    for _ in range(n_win)))
-    buffer = WindowBuffer(M0, V0, np.zeros((n_win, m)))
+    buffer = WindowBuffer(E0, V0)
     A0, B0 = buffer.recompute_accumulators()
     model = SubspaceModel(U=U, A=A0.copy(), B=B0.copy(), lambda1=0.1,
                           lambda2=lambda2)
@@ -228,12 +229,12 @@ def test_step_accumulators_match_their_terms(m, r, n_win, lambda2, seed,
         x = U @ rng.standard_normal(r) + np.where(
             rng.random(m) < 0.2, rng.uniform(-10, 10, m), 0.0)
         if buffer is not None:
-            m_old, v_old, s_old = (X[0] for X in buffer.rows())
+            e_old, v_old = (X[0] for X in buffer.rows())
         out = omw_step(model, buffer, x)
         A_exp += np.outer(out.v, out.v) - (
             np.outer(v_old, v_old) if buffer is not None else 0.0)
         B_exp += np.outer(x - out.s, out.v) - (
-            np.outer(m_old - s_old, v_old) if buffer is not None else 0.0)
+            np.outer(e_old, v_old) if buffer is not None else 0.0)
         if buffer is not None:
             A_re, B_re = buffer.recompute_accumulators()
             assert np.abs(model.A - A_re).max() <= 1e-8 * max(
@@ -253,7 +254,7 @@ def test_state_element_count_structure_independent_of_t():
     init = burnin_initialize(gt.M_b, 0.1, 2.0, n_win=20)
     model, buffer = seeded(init, 0.1, 2.0)
     m, r, n_win = model.m, model.r, buffer.capacity
-    expected = 2 * m * r + r * r + n_win * (2 * m + r)
+    expected = 2 * m * r + r * r + n_win * (m + r)
     counts = []
     for t in range(120):
         omw_step(model, buffer, gt.M[:, t])
@@ -301,20 +302,19 @@ def test_window_that_does_not_fit_the_model_is_refused(step_paths):
     U = np.linalg.qr(rng.standard_normal((30, 3)))[0]
     model = SubspaceModel(U=U, A=np.eye(3), B=U.copy(), lambda1=0.1,
                           lambda2=1.0)
-    buffer = WindowBuffer(np.zeros((5, 29)), np.zeros((5, 2)),
-                          np.zeros((5, 29)))
+    buffer = WindowBuffer(np.zeros((5, 29)), np.zeros((5, 2)))
     stream = ObservationStream.from_matrix(rng.standard_normal((30, 10)))
     before = [X.copy() for X in (model.U, model.A, model.B)]
     for path in step_paths:
         with path, pytest.raises(ContractViolation,
-                                 match=r"M\(5, 29\) V\(5, 2\) S\(5, 29\)"):
+                                 match=r"E\(5, 29\) V\(5, 2\)"):
             continue_tracker(stream, "omw", model, buffer, 0)
         assert model.t == 0
         for X, X0 in zip((model.U, model.A, model.B), before):
             np.testing.assert_array_equal(X, X0)
 
 
-@pytest.mark.parametrize("widths", [(29, 2, 29), (30, 1, 30)],
+@pytest.mark.parametrize("widths", [(29, 2), (30, 1)],
                          ids=["narrow-rows", "v-width-1"])
 def test_step_with_a_misfit_window_changes_nothing(step_paths, widths):
     # a direct omw_step with window rows that do not fit the m = 30, r = 3
@@ -516,11 +516,11 @@ def test_model_owns_column_major_u_and_b(tmp_path, evict):
 
 
 def test_window_buffer_fifo_and_capacity():
-    # sample k is (k * ones(3), [k], -k * ones(3)); the window starts with
-    # samples 1 and 2 and takes 3, 4, 5, wrapping the ring twice: as in
-    # omw_step, each sample overwrites the oldest row, then the head advances
+    # sample k is (k * ones(3), [k]); the window starts with samples 1 and 2
+    # and takes 3, 4, 5, wrapping the ring twice: as in omw_step, each
+    # sample overwrites the oldest row, then the head advances
     def sample(k):
-        return k * np.ones(3), np.array([float(k)]), -k * np.ones(3)
+        return k * np.ones(3), np.array([float(k)])
 
     buf = WindowBuffer(*(np.stack(X) for X in zip(sample(1), sample(2))))
     for k in (3, 4, 5):
