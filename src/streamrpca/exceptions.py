@@ -1,4 +1,12 @@
-"""Shared exception types for the streamrpca package."""
+"""Shared exception types for the streamrpca package, and the count check
+of its contracts."""
+
+from numbers import Integral
+
+
+def is_count(x):
+    """Whether x is an integer (Python's or numpy's) and not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 class ContractViolation(ValueError):

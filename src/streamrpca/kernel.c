@@ -546,8 +546,9 @@ static int ritz_triplets(blas_int n, blas_int k, const double *P,
  * (Ub, s, Vh) = ritz_triplets(Q'X), Z = X Vh', U = Q Ub and R = Z - U s,
  * each row-major as numpy holds it. It writes U (m x k), s and Vh (k x n),
  * row-major, and returns the step it accepted (1, 2, ...); 0 where all k
- * values exceed tau or no step is accepted; -1 where dgesdd fails and -2
- * where dsyevd does. w holds svt_size(m, n, k, lw) doubles. */
+ * values exceed tau or no step is accepted, s and Vh then being its last
+ * step's; -1 where dgesdd fails and -2 where dsyevd does. w holds
+ * svt_size(m, n, k, lw) doubles. */
 static int srp_svt(blas_int m, blas_int n, blas_int k, const double *X,
                    char *trans, const double *block, double tau, int max_steps,
                    double guard_tol, double ritz_tol, double min_ratio,
@@ -895,8 +896,8 @@ static PyMethodDef methods[] = {
     {"svt", FASTCALL(svt),
      "svt(X, block, U, s, Vh, tau, max_steps, guard_tol, ritz_tol, "
      "min_ratio): the warm loop of prox.svt_factors; writes U, s and Vh and "
-     "returns the step it accepted, 0 where it declines, -1 where dgesdd "
-     "fails, -2 where dsyevd does"},
+     "returns the step it accepted, 0 where it declines (s and Vh are then "
+     "its last step's), -1 where dgesdd fails, -2 where dsyevd does"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -152,8 +152,9 @@ def sweep(U, A, B, lambda1, sym_tol):
 
 def svt_warm(X, tau, block, max_steps, guard_tol, ritz_tol, gram_min_ratio):
     """svt_factors' warm loop (prox._svt_warm_numpy) in one call, bit for bit:
-    the (U, s, Vh) of the step it accepts, or None where it declines; raises
-    LinAlgError where LAPACK fails, as numpy does."""
+    the (U, s, Vh) of the step it accepts, or (None, s, Vh) of its last step
+    where it declines; raises LinAlgError where LAPACK fails, as numpy
+    does."""
     (m, n), k = X.shape, block.shape[1]
     U, s, Vh = np.empty((m, k)), np.empty(k), np.empty((k, n))
     # numpy's matmul multiplies by an F-order block transposed, and by the
@@ -165,4 +166,4 @@ def svt_warm(X, tau, block, max_steps, guard_tol, ritz_tol, gram_min_ratio):
     if steps < 0:
         raise np.linalg.LinAlgError("SVD did not converge" if steps == -1
                                     else "Eigenvalues did not converge")
-    return (U, s, Vh) if steps else None
+    return (U if steps else None), s, Vh

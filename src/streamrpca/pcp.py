@@ -10,11 +10,12 @@ The solve's first sweep reads ||M||_2 and the first thresholded iterate
 from one eigendecomposition of M's Gram matrix (``prox.gram_eigh``). Every
 later sweep thresholds through ``prox.svt_factors``, warm-started from the
 previous sweep's leading right singular vectors: a few block subspace-
-iteration steps sized to the kept count plus a few guard columns, with an
-accuracy check and an exact thin-SVD fallback, itself read from the Gram
-matrix where its guard holds. The solve returns its last thresholded
-factors, from which the rank and the burn-in basis are read without
-another SVD.
+iteration steps with an accuracy check, on a block that widens where the
+check fails and narrows to the kept count plus a few guard columns once
+that count holds; the exact thin SVD, read from the Gram matrix where its
+guard holds, is left for blocks past min(m, n) / 4. The solve returns its
+last thresholded factors, from which the rank and the burn-in basis are
+read without another SVD.
 
 ``burnin_initialize`` turns the batch decomposition of an initial sample
 block into the seed state of the online trackers: estimated rank, a scaled
@@ -24,13 +25,12 @@ correction shares), and the trailing window that seeds the ring buffer.
 
 import mmap
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .exceptions import ContractViolation, InitializationError
-from .prox import (SvtFactors, gram_eigh, gram_factors, lapack_factors,
-                   shrink_matrix, threshold_factors)
+from .exceptions import ContractViolation, InitializationError, is_count
+from .prox import (OVERSAMPLING, SvtFactors, gram_eigh, gram_factors,
+                   lapack_factors, shrink_matrix, threshold_factors)
 from .prox import svt_factors as svt
 
 MU_GROWTH = 1.5     # penalty growth (and shrink) per sweep, Lin et al.'s
@@ -60,7 +60,7 @@ class PcpConfig:
             raise ContractViolation("PcpConfig: lam must be finite and > 0")
         if not (0 < self.tol < 1):
             raise ContractViolation("PcpConfig: tol must be in (0, 1)")
-        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+        if not (is_count(self.max_iter) and self.max_iter >= 1):
             raise ContractViolation("PcpConfig: max_iter must be an int >= 1")
         if self.mu != "auto" and not (np.isscalar(self.mu)
                                       and 0 < self.mu < np.inf):
@@ -123,8 +123,13 @@ def pcp_alm(M, config=None):
     the first sweep reads ||M||_2 and its iterate from one eigendecomposition
     of M's Gram matrix (see _first_sweep). Every later sweep makes one call
     to ``svt``, which is ``prox.svt_factors``: it warm-starts the subspace
-    iteration from the previous sweep's block, and falls back to the exact
-    thin SVD where its accuracy check fails. Each sweep forms Y/mu and M - L
+    iteration from the previous sweep's block, widens the block where the
+    loop declines, and takes the exact thin SVD only past min(m, n) / 4
+    columns. The block keeps every column that call hands on while the kept
+    count changes, and narrows to the kept count plus OVERSAMPLING guards
+    once two sweeps in a row keep the same count: the count falls to 0 in
+    the early sweeps and then climbs to the rank, and a block cut to it in
+    between declines when the count jumps. Each sweep forms Y/mu and M - L
     once, and writes its m x n iterates into seven arrays mapped up front,
     whose pages go back to the system when the solve returns (malloc would
     keep those of per-sweep temporaries resident). The result carries the
@@ -152,12 +157,15 @@ def pcp_alm(M, config=None):
     Y, Y_mu, S, S_prev, work = (_zeros(*M.shape, mapped=True, order=order)
                                 for _ in range(5))
     np.divide(M, J, out=Y)
-    rank = None
+    rank, block = None, factors.block
     for k in range(1, config.max_iter + 1):
         np.divide(Y, mu, out=Y_mu)
         if k > 1:
             np.add(np.subtract(M, S, out=work), Y_mu, out=work)
-            factors = svt(work, 1.0 / mu, factors.block)
+            kept = factors.s.size
+            factors = svt(work, 1.0 / mu, block)
+            block = (factors.block[:, :kept + OVERSAMPLING]
+                     if factors.s.size == kept else factors.block)
         np.matmul(factors.U * factors.s, factors.Vh, out=L)
         np.subtract(M, L, out=residual)
         S_prev, S = S, S_prev

@@ -9,12 +9,11 @@ meets the KKT conditions is the unique minimizer.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import kernel, prox
-from .exceptions import ContractViolation
+from .exceptions import ContractViolation, is_count
 from .prox import _cholesky_solver, shrink_matrix
 
 
@@ -31,7 +30,7 @@ class ProjectionConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ContractViolation("ProjectionConfig: tol must be > 0")
-        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+        if not (is_count(self.max_iter) and self.max_iter >= 1):
             raise ContractViolation(
                 "ProjectionConfig: max_iter must be an int >= 1")
 

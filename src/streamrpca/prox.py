@@ -46,8 +46,8 @@ def shrink_matrix(X, tau, out=None):
 
 
 # Subspace-iteration parameters of svt_factors.
-OVERSAMPLING = 5    # guard columns carried past the kept count
-MAX_STEPS = 4       # iteration steps before the exact thin SVD
+OVERSAMPLING = 6    # guard columns past the kept count; also the widening step
+MAX_STEPS = 4       # iteration steps before the block widens
 RITZ_TOL = 1e-6     # kept pairs' Ritz residual, relative to the top Ritz value
 GUARD_TOL = 0.25    # guard pairs' residual, relative to their gap below tau
 GRAM_MIN_RATIO = 5e-3  # Gram path only if every kept value >= this times s_1
@@ -57,8 +57,9 @@ class SvtFactors(NamedTuple):
     """svt(X, tau) as (U * s) @ Vh, with the start block for the next call.
 
     U (m x r) and Vh (r x n) have orthonormal columns and rows, s holds the
-    r thresholded values (descending, all > 0), and block (n x k, k <=
-    r + OVERSAMPLING) holds the leading right singular (or Ritz) vectors.
+    r thresholded values (descending, all > 0), and block (n x k) holds the
+    leading right singular (or Ritz) vectors: every vector of the warm
+    loop's block, or r + OVERSAMPLING of the exact path's.
     """
 
     U: np.ndarray
@@ -99,37 +100,56 @@ def svt_factors(X, tau, block=None):
     columns. A singular direction above tau that the block (nearly) misses
     is beyond any check on the block: a guard holding a share c of it has
     a residual of about c times its singular value, so (b) accepts only
-    when c is below about GUARD_TOL * (tau - s_g) / sigma. When all k
-    values exceed tau, or no step is accepted, the call falls back to the
-    exact thin SVD: gram_factors where its guard holds, else LAPACK's SVD.
-    The steps run in the compiled kernel, or in numpy where none is loaded.
+    when c is below about GUARD_TOL * (tau - s_g) / sigma.
+
+    Where the loop declines, because all k values exceed tau or no step is
+    accepted, the block widens by OVERSAMPLING columns (_widened) and the
+    loop runs again from it, up to min(m, n) / 4 columns; past that the call
+    takes the exact thin SVD: gram_factors where its guard holds, else
+    LAPACK's SVD. An accepted call hands on its whole block, so the caller
+    decides when to narrow it. The steps run in the compiled kernel, or in
+    numpy where none is loaded.
     """
     X = np.asarray(X, dtype=float)
-    if block is not None and (OVERSAMPLING <= block.shape[1]
-                              <= min(X.shape) / 4):
+    widest = min(X.shape) // 4
+    while block is not None and OVERSAMPLING <= block.shape[1] <= widest:
         if kernel.ACTIVE == "compiled":
-            warm = kernel.svt_warm(X, tau, block, MAX_STEPS, GUARD_TOL,
-                                   RITZ_TOL, GRAM_MIN_RATIO)
+            U, s, Vh = kernel.svt_warm(X, tau, block, MAX_STEPS, GUARD_TOL,
+                                       RITZ_TOL, GRAM_MIN_RATIO)
         else:
-            warm = _svt_warm_numpy(X, tau, block)
-        if warm is not None:
-            return threshold_factors(*warm, tau)
+            U, s, Vh = _svt_warm_numpy(X, tau, block)
+        if U is not None:
+            return threshold_factors(U, s, Vh, tau)._replace(block=Vh.T)
+        block = (_widened(X, Vh) if Vh.shape[0] + OVERSAMPLING <= widest
+                 else None)
     factors = gram_factors(X, *gram_eigh(X), tau)
     return factors if factors is not None else lapack_factors(X, tau)
 
 
+def _widened(X, Vh):
+    """The start block after a declined loop: its k Ritz vectors Vh', then
+    an orthonormal basis of the parts of X'X v_i orthogonal to them (one
+    Krylov step past the block) for the last OVERSAMPLING of them, whose
+    share of the directions beyond the block is the largest."""
+    V = Vh.T
+    W = X.T @ (X @ V[:, -OVERSAMPLING:])
+    W -= V @ (V.T @ W)
+    return np.hstack([V, np.linalg.qr(W)[0]])
+
+
 def _svt_warm_numpy(X, tau, block):
     """svt_factors' warm loop in numpy: the (U, s, Vh) of the step it
-    accepts, with all k values, or None where it declines. It runs where no
-    compiled kernel is loaded, and it is the tests' oracle for the kernel's
-    svt, which makes the same LAPACK and BLAS calls in the same order."""
+    accepts, with all k values, or (None, s, Vh) of its last step where it
+    declines. It runs where no compiled kernel is loaded, and it is the
+    tests' oracle for the kernel's svt, which makes the same LAPACK and BLAS
+    calls in the same order."""
     Z = X @ block
     for _ in range(MAX_STEPS):
         Q = np.linalg.qr(Z)[0]
         Ub, s, Vh = _ritz_triplets(Q.T @ X)
         kept = int(np.count_nonzero(s > tau))
         if kept == s.size:
-            return None
+            return None, s, Vh
         Z = X @ Vh.T
         U = Q @ Ub
         R = Z - U * s
@@ -138,7 +158,7 @@ def _svt_warm_numpy(X, tau, block):
         residual = np.linalg.norm(R[:, :kept])
         if guards_below and residual <= RITZ_TOL * s[0]:
             return U, s, Vh
-    return None
+    return None, s, Vh
 
 
 def _ritz_triplets(P):

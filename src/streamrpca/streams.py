@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .exceptions import ContractViolation, ParseError
+from .exceptions import ContractViolation, ParseError, is_count
 
 RAW_F64_MAGIC = int.from_bytes(b"SRPCAF64", "little")
 _HEADER = struct.Struct("<QQQ")
@@ -33,6 +33,9 @@ class ObservationStream:
     """
 
     def __init__(self, source, retain=None, dim=None):
+        if retain is not None and not is_count(retain):
+            raise ContractViolation(
+                f"stream retain must be an int or None, not {retain!r}")
         if retain is not None and retain < 1:
             raise ContractViolation(
                 f"stream retain must be >= 1, not {retain}")

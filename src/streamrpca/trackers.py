@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernel
 from .basis import _check_accumulator, update_basis
-from .exceptions import ContractViolation
+from .exceptions import ContractViolation, is_count
 from .pcp import _zeros, burnin_initialize, window_sums
 from .projection import ProjectionConfig, project_sample
 
@@ -200,6 +200,8 @@ class DecompositionResult:
 # TrackerConfig's fields that only the detector reads
 DETECTOR_FIELDS = ("n_cp_burnin", "n_test", "n_check", "alpha", "alpha_prop",
                    "n_positive", "n_tol")
+COUNT_FIELDS = ("n_burnin", "n_win", "n_cp_burnin", "n_test", "n_check",
+                "n_positive", "n_tol")
 
 
 @dataclass
@@ -227,6 +229,11 @@ class TrackerConfig:
     n_tol: int = 0
 
     def __post_init__(self):
+        for name in COUNT_FIELDS:
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ContractViolation(
+                    f"TrackerConfig: {name} must be an int, not {value!r}")
         if self.n_burnin < 1 or self.n_win < 1:
             raise ContractViolation(
                 "TrackerConfig: n_burnin, n_win must be >= 1")

@@ -89,15 +89,16 @@ def warm_args():
 
 
 def assert_svt_matches_numpy(X, tau, block, svt_warm=kernel.svt_warm):
-    """kernel.svt_warm against the numpy warm loop, bit for bit; its
-    result, None where both decline."""
+    """kernel.svt_warm against the numpy warm loop, bit for bit, the last
+    step's s and Vh of a declined loop included; its U, None where both
+    decline."""
     got = svt_warm(X, tau, block, *warm_args())
     want = prox._svt_warm_numpy(X, tau, block)
-    assert (got is None) == (want is None)
-    if got is not None:
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    return got
+    assert (got[0] is None) == (want[0] is None)
+    for a, b in zip(got, want):
+        assert a is None or (a.shape == b.shape
+                             and a.tobytes() == b.tobytes())
+    return got[0]
 
 
 @compiled
@@ -131,9 +132,9 @@ svt_warm, outcomes = kernel.svt_warm, []
 def checked(X, tau, block, *args):
     got = svt_warm(X, tau, block, *args)
     want = prox._svt_warm_numpy(X, tau, block)
-    outcomes.append(((got is None) == (want is None) and (got is None or all(
-        a.tobytes() == b.tobytes() for a, b in zip(got, want))),
-        got is not None))
+    outcomes.append(((got[0] is None) == (want[0] is None) and all(
+        a is None or a.tobytes() == b.tobytes() for a, b in zip(got, want)),
+        got[0] is not None))
     return got
 
 kernel.svt_warm = checked
@@ -234,17 +235,32 @@ def test_svt_declines_where_the_numpy_loop_does(monkeypatch):
         is None
     assert assert_svt_matches_numpy(X, tau, near) is not None
     # svt_factors takes the kernel from a block of OVERSAMPLING columns, and
-    # where it declines returns the exact path
-    calls = []
+    # where it declines widens the block by OVERSAMPLING columns up to
+    # min(m, n) / 4 = 15, then returns the exact path
+    widths = []
     svt_warm = kernel.svt_warm
-    monkeypatch.setattr(kernel, "svt_warm",
-                        lambda *args: calls.append(1) or svt_warm(*args))
+    monkeypatch.setattr(kernel, "svt_warm", lambda X, tau, block, *args:
+                        widths.append(block.shape[1])
+                        or svt_warm(X, tau, block, *args))
     exact = prox.svt_factors(X, 0.5 * s_all[k])
     for got, want in zip(prox.svt_factors(X, 0.5 * s_all[k], near), exact):
         np.testing.assert_array_equal(got, want)
-    assert len(calls) == 1
+    assert widths == list(range(k, 15 + 1, k))
+    widths.clear()
     prox.svt_factors(X, tau, near[:, :k - 1])
-    assert len(calls) == 1
+    assert not widths
+    # a rank-8 X whose 6 values above tau saturate the block: one widening
+    # takes the leading directions, and the loop accepts them
+    left = np.linalg.qr(rng.standard_normal((m, 8)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, 8)))[0]
+    X = (left * 0.8 ** np.arange(8)) @ right.T + 1e-6 * rng.standard_normal(
+        (m, n))
+    tau = 0.5 * (0.8 ** 5 + 0.8 ** 6)
+    U, s, Vh, block = prox.svt_factors(X, tau, right[:, :k])
+    assert widths == [k, 2 * k] and block.shape == (n, 2 * k)
+    want = prox.svt_factors(X, tau)
+    assert s.size == 6 and np.linalg.norm(
+        (U * s) @ Vh - (want.U * want.s) @ want.Vh) <= prox.RITZ_TOL
 
 
 @compiled

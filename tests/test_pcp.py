@@ -3,15 +3,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from streamrpca import kernel, prox
+from streamrpca import kernel, pcp, prox
 from streamrpca.exceptions import ContractViolation, InitializationError
 from streamrpca.experiments import study_spec
 from streamrpca.pcp import (DUAL_RATIO, DUAL_WEIGHT, MU_GROWTH, RANK_TOL,
                             PcpConfig, PcpResult, _count_rank, _first_sweep,
                             burnin_initialize, pcp_alm)
-from streamrpca.prox import (gram_eigh, shrink_matrix, svt_factors,
-                             threshold_factors)
-from streamrpca.simgen import full_stream_matrix, generate
+from streamrpca.prox import (OVERSAMPLING, gram_eigh, shrink_matrix,
+                             svt_factors, threshold_factors)
+from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
+                               generate)
 
 from conftest import study3_blocks, svt
 
@@ -213,7 +214,8 @@ def test_partial_svt_solve_matches_full_svd_loop():
 
 def _pcp_first_loop(M):
     """pcp_alm with its sweep loop as first written, which formed Y / mu
-    twice and M - L twice per sweep: the reference for bit identity."""
+    twice and M - L twice per sweep, and with pcp_alm's block rule: the
+    reference for bit identity."""
     config = PcpConfig()
     lam = _lam(M)
     mu, J, factors = _first_sweep(M, lam, config.mu)
@@ -221,10 +223,15 @@ def _pcp_first_loop(M):
     dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
     Y = M / J
     S = np.zeros_like(M)
-    rank = None
+    rank, block = None, factors.block
     for k in range(1, config.max_iter + 1):
         if k > 1:
-            factors = svt_factors(M - S + Y / mu, 1.0 / mu, factors.block)
+            kept = factors.s.size
+            factors = svt_factors(M - S + Y / mu, 1.0 / mu, block)
+            # the block narrows once two sweeps keep the same count
+            block = factors.block
+            if factors.s.size == kept:
+                block = block[:, :kept + OVERSAMPLING]
         L = (factors.U * factors.s) @ factors.Vh
         S_prev, S = S, shrink_matrix(M - L + Y / mu, lam / mu)
         residual = M - L - S
@@ -279,6 +286,41 @@ def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
     assert warm and (400, 200) not in calls
 
 
+def _burnin_blocks():
+    """The first burn-in blocks of the benchmark's streams: drift-omw's
+    100 x 100 (data seeds 0, 6 and 12), stable-stoc-resume's (seed 1) and
+    switch-omw-cp's (paper study 3, seed 0) 400 x 200, with the sweeps each
+    solve took when it thresholded through 2 or 3 exact SVDs after its
+    first sweep (all rank 10)."""
+    drift = [generate(SimSpec(m=100, t=10000, n_burnin=100, rho=0.01,
+                              seed=seed, variant=Drift(r=10, r0=3, t_p=125)))
+             .M_b for seed in (0, 6, 12)]
+    stable = generate(SimSpec(m=400, t=5000, n_burnin=200, rho=0.01, seed=1,
+                              variant=Stable(r=10))).M_b
+    return zip(drift + [stable, study3_blocks("paper", 0)[0]],
+               (24, 23, 24, 17, 26))
+
+
+def test_burnin_takes_one_gram_eigendecomposition(monkeypatch):
+    # the first sweep's is the solve's only exact SVD: the warm block does
+    # not narrow while the kept count changes, and a declined warm loop
+    # widens its block. Before, these solves declined where the kept count
+    # jumped past a block cut to a count of 0, and took 2-3 more
+    eigh, calls = prox.gram_eigh, []
+
+    def counting(X):
+        calls.append(X.shape)
+        return eigh(X)
+
+    monkeypatch.setattr(prox, "gram_eigh", counting)
+    monkeypatch.setattr(pcp, "gram_eigh", counting)
+    for M, sweeps in _burnin_blocks():
+        calls.clear()
+        res = pcp_alm(M)
+        assert (res.iterations, res.rank, res.converged) == (sweeps, 10, True)
+        assert calls == [M.shape]
+
+
 def test_first_sweep_below_the_gram_guard_is_lapacks_bit_for_bit():
     # an explicit mu of 1e4 / ||M||_2 keeps values down to about 1e-4 of
     # ||M||_2, below the Gram guard: the sweep reads ||M||_2, J and its
@@ -302,7 +344,7 @@ def test_pcp_config_validation():
     with pytest.raises(ContractViolation):
         PcpConfig(tol=2.0)
     # NaN and fractional caps failed later, inside pcp_alm
-    for bad in (0, np.nan, 2.5, 100.0):
+    for bad in (0, np.nan, 2.5, 100.0, True):
         with pytest.raises(ContractViolation, match="an int >= 1"):
             PcpConfig(max_iter=bad)
     with pytest.raises(ContractViolation):

@@ -57,6 +57,7 @@ def oracle_multistart(U, m_t, lambda1, lambda2, restarts=200, seed=0):
     ("max_iter", np.nan, "an int >= 1"),
     ("max_iter", 2.5, "an int >= 1"),
     ("max_iter", 0, "an int >= 1"),
+    ("max_iter", True, "an int >= 1"),
 ])
 def test_projection_config_refuses_what_it_cannot_run(field, value, match):
     # before: NaN tol was accepted and never stopped the alternation, and a

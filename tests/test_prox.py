@@ -140,8 +140,10 @@ def _right_block(A, k):
 
 
 @settings(max_examples=150, deadline=None)
-# the block holds only values above tau: the call must fall back
+# the block holds only values above tau: the call widens it to 6 +
+# OVERSAMPLING columns, and where they would pass min(m, n) / 4, falls back
 @example(m=60, n=48, rank=8, k=6, tau_frac=0.05, case="full_block", seed=1)
+@example(m=36, n=48, rank=8, k=6, tau_frac=0.05, case="full_block", seed=1)
 # an unrelated block whose guards still mix in a value above tau: accepted
 # without the guard condition, 0.24 relative away from the oracle
 @example(m=28, n=41, rank=0, k=7, tau_frac=0.811, case="unrelated",
@@ -159,9 +161,12 @@ def test_svt_factors_matches_svt_within_the_ritz_bound(m, n, rank, k,
     docstring states: ||result - svt(X, tau)||_F <= RITZ_TOL * ||X||_2 (plus
     rounding). Tall and wide shapes; a block from a perturbed copy of X or
     from an unrelated matrix; a block whose values all exceed tau, which
-    must fall back to the full SVD; tau above every singular value, and the
-    zero matrix, which must give L = 0. Blocks narrower than OVERSAMPLING
-    or wider than min(m, n) / 4 take the full SVD directly."""
+    must widen, or fall back to the full SVD where the wider block would
+    pass min(m, n) / 4; tau above every singular value, and the zero
+    matrix, which must give L = 0. Blocks narrower than OVERSAMPLING or
+    wider than min(m, n) / 4 take the full SVD directly. The next block
+    leads with the kept vectors: the whole (maybe widened) block of the
+    warm loop, or the kept count plus OVERSAMPLING of the exact path."""
     rng = np.random.Generator(np.random.PCG64(seed))
     k = min(k, min(m, n) // 4) or 1
     rank = min(rank, m, n)
@@ -190,8 +195,9 @@ def test_svt_factors_matches_svt_within_the_ritz_bound(m, n, rank, k,
     np.testing.assert_allclose(U.T @ U, np.eye(s.size), atol=1e-10)
     np.testing.assert_allclose(Vh @ Vh.T, np.eye(s.size), atol=1e-10)
     assert next_block.shape[0] == n
-    assert next_block.shape[1] <= s.size + OVERSAMPLING
-    if case == "full_block":
+    assert next_block.shape[1] <= max(s.size + OVERSAMPLING, min(m, n) // 4)
+    np.testing.assert_array_equal(next_block[:, :s.size], Vh.T)
+    if case == "full_block" and k + OVERSAMPLING > min(m, n) // 4:
         for got, want in zip((U, s, Vh), svt_factors(X, tau)[:3]):
             np.testing.assert_array_equal(got, want)
     # (tau equal to the top singular value may keep a rounding residue)

@@ -207,6 +207,20 @@ def test_stream_refuses_a_horizon_below_one(tmp_path, retain):
         ObservationStream.from_matrix(M, retain=1).get(3), M[:, 3])
 
 
+@pytest.mark.parametrize("retain", [2.5, 3.0, True, "4"])
+def test_stream_refuses_a_horizon_that_is_not_an_int(tmp_path, retain):
+    # retain=2.5 was accepted and the third get raised a bare TypeError
+    M = np.arange(8, dtype=float).reshape(2, 4)
+    write_raw_f64(tmp_path / "m.f64", M)
+    for build in (lambda: ObservationStream.from_matrix(M, retain=retain),
+                  lambda: ingest_stream(tmp_path / "m.f64", "raw-f64",
+                                        retain=retain)):
+        with pytest.raises(ContractViolation, match="retain must be an int"):
+            build()
+    np.testing.assert_array_equal(
+        ObservationStream.from_matrix(M, retain=np.int64(2)).get(3), M[:, 3])
+
+
 def test_stream_get_probes_forward():
     M = np.arange(8, dtype=float).reshape(2, 4)
     stream = ObservationStream.from_matrix(M)

@@ -373,6 +373,20 @@ def test_config_refuses_detector_settings_it_cannot_run(settings):
         TrackerConfig(n_burnin=40, n_win=40, **settings)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_burnin", 50.0), ("n_win", True), ("n_cp_burnin", 100.5),
+    ("n_test", "100"), ("n_check", np.float64(20.0)), ("n_positive", False),
+    ("n_tol", 0.0)])
+def test_config_refuses_counts_that_are_not_ints(field, value):
+    # n_burnin=50.0 passed and run() raised a bare TypeError; a bool passed
+    # as 0 or 1
+    settings = {"n_burnin": 50, "n_win": 20, field: value}
+    with pytest.raises(ContractViolation,
+                       match=f"^TrackerConfig: {field} must be an int"):
+        TrackerConfig(**settings)
+    TrackerConfig(n_burnin=np.int64(50), n_win=20)
+
+
 def test_model_refuses_an_asymmetric_a():
     # update_basis's tolerance, checked where A enters: a step would find
     # it only after A, B and the window had moved
