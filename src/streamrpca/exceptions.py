@@ -1,12 +1,20 @@
 """Shared exception types for the streamrpca package, and the count check
 of its contracts."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 def is_count(x):
     """Whether x is an integer (Python's or numpy's) and not a bool."""
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def is_positive_real(x):
+    """Whether x is a finite real number > 0 (Python's or numpy's) and not a
+    bool: not a string, an array or None."""
+    return (isinstance(x, Real) and not isinstance(x, bool)
+            and 0 < x < math.inf)
 
 
 class ContractViolation(ValueError):

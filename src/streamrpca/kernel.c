@@ -1,11 +1,13 @@
 /* Compiled per-sample step of the trackers: the projection of
  * projection.project_sample, the accumulator update of trackers.omw_step and
- * the basis sweep of basis.update_basis; and the warm loop of the burn-in's
- * singular value thresholding, prox.svt_factors. The projection, the
- * accumulator and the warm loop keep the numpy code's operation order (the
- * loop calls numpy's LAPACK and BLAS routines in numpy's order); the sweep
- * does not: it sums each column's pending term in blocks and scales by
- * reciprocals.
+ * the basis sweep of basis.update_basis; and of the burn-in, the warm loop
+ * of its singular value thresholding, prox.svt_factors, and the two
+ * elementwise passes of each pcp_alm sweep. The projection, the
+ * accumulator, the warm loop and the ALM passes keep the numpy code's
+ * operation order (the loop calls numpy's LAPACK and BLAS routines in
+ * numpy's order); the sweep does not: it sums each column's pending term in
+ * blocks and scales by reciprocals, and the ALM passes' sums of squares are
+ * summed by rows, not by numpy's ddot.
  *
  * kernel.py builds this file with -O3 -ffp-contract=off, so a*b + c rounds
  * twice as numpy does, loads it as a CPython extension module and hands its
@@ -16,12 +18,13 @@
  * blas_int. -O3 vectorizes the elementwise loops, whose lanes round as the
  * scalar code does; with no reassociating flag, no sum is reordered, so the
  * outputs are those of the scalar build bit for bit. Matrices are
- * column-major except A (r x r, row-major) and the warm loop's, which are
- * row-major as numpy holds them, and each entry point allocates its
- * routine's scratch: 3r^2 + 4r + 8m + mr doubles for srp_project (see
- * work_size), m for srp_accumulate, r + b + mb for srp_sweep, and
- * svt_size for srp_svt (4mk + 3kn + 2k^2 + k plus the largest LAPACK
- * workspace and the integer one, see svt_query).
+ * column-major except A (r x r, row-major) and the warm loop's and the ALM
+ * passes', which are row-major as numpy holds them (M's rows may lie
+ * further apart than n), and each entry point allocates its routine's
+ * scratch: 3r^2 + 4r + 8m + mr doubles for srp_project (see work_size), m
+ * for srp_accumulate, r + b + mb for srp_sweep, svt_size for srp_svt (4mk +
+ * 3kn + 2k^2 + k plus the largest LAPACK workspace and the integer one, see
+ * svt_query), and 2n for srp_alm_update.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -614,6 +617,64 @@ static int srp_svt(blas_int m, blas_int n, blas_int k, const double *X,
     return 0;
 }
 
+/* The SVT input of a pcp_alm sweep, out = (M - S) + Y / mu, for m x n
+ * row-major arrays, M's rows ldm doubles apart */
+static void srp_alm_input(Py_ssize_t m, Py_ssize_t n, const double *M,
+                          Py_ssize_t ldm, const double *S, const double *Y,
+                          double mu, double *restrict out)
+{
+    for (Py_ssize_t i = 0; i < m; i++) {
+        const double *Mi = M + i * ldm, *Si = S + i * n, *Yi = Y + i * n;
+        double *restrict oi = out + i * n;
+        for (Py_ssize_t j = 0; j < n; j++)
+            oi[j] = (Mi[j] - Si[j]) + Yi[j] / mu;
+    }
+}
+
+/* One row of srp_alm_update: its r and s - S_old into r and d */
+static void alm_row(Py_ssize_t n, const double *restrict M,
+                    const double *restrict L, double *restrict Y,
+                    double *restrict S, double mu, double tau,
+                    double *restrict r, double *restrict d)
+{
+    for (Py_ssize_t j = 0; j < n; j++) {
+        double rj = M[j] - L[j];
+        double t = rj + Y[j] / mu;
+        double c = t > -tau ? t : -tau;
+        c = c < tau ? c : tau;
+        double s = t - c;
+        d[j] = s - S[j];
+        S[j] = s;
+        rj -= s;
+        r[j] = rj;
+        Y[j] += mu * rj;
+    }
+}
+
+/* The rest of a pcp_alm sweep once L is formed, per element in numpy's
+ * order: r = M - L, t = r + Y / mu, s = t - clip(t, -tau, tau) for tau =
+ * lam / mu, r -= s and Y += mu r; s overwrites S. The clip is numpy's, two
+ * selects, which gcc vectorizes; at tau = 0 it is +0.0, so s = t, signed
+ * zeros included, as prox.shrink_matrix's copy. sums[0] = sum r^2 and
+ * sums[1] = sum (s - S_old)^2, each the sum over rows of pairwise_squares
+ * of the row. m x n row-major arrays, M's rows ldm doubles apart; w holds
+ * 2n doubles. */
+static void srp_alm_update(Py_ssize_t m, Py_ssize_t n, const double *M,
+                           Py_ssize_t ldm, const double *L, double *Y,
+                           double *S, double mu, double lam, double *sums,
+                           double *w)
+{
+    double tau = lam / mu;
+
+    sums[0] = sums[1] = 0.0;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        alm_row(n, M + i * ldm, L + i * n, Y + i * n, S + i * n, mu, tau, w,
+                w + n);
+        sums[0] += pairwise_squares(w, (int)n, 1);
+        sums[1] += pairwise_squares(w + n, (int)n, 1);
+    }
+}
+
 /* The module. Its entry points take numpy arrays through the buffer
  * protocol, check their dtype, order and shape, raising ValueError, allocate
  * their routine's scratch and call the routine without the interpreter
@@ -666,6 +727,48 @@ static double *array(Held *h, PyObject *obj, const char *name, char order,
                          dims[k]);
             return NULL;
         }
+    }
+    return b->buf;
+}
+
+/* The data of obj, a 2-d float64 array read by rows: each row contiguous,
+ * rows *ld doubles apart and *ld >= dims[1] (a row-major array or a slice
+ * of its columns), with dims as array() takes them; NULL, with a
+ * ValueError, if it is not such an array. */
+static double *rows(Held *h, PyObject *obj, const char *name,
+                    Py_ssize_t *dims, Py_ssize_t *ld)
+{
+    Py_buffer *b = &h->view[h->n];
+
+    if (PyObject_GetBuffer(obj, b, PyBUF_FORMAT | PyBUF_STRIDES) < 0) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_ValueError, "kernel: %s must be a float64 array",
+                     name);
+        return NULL;
+    }
+    h->n++;
+    if (b->ndim != 2 || !b->format || strcmp(b->format, "d") != 0) {
+        PyErr_Format(PyExc_ValueError, "kernel: %s must be a 2-d float64 "
+                     "array", name);
+        return NULL;
+    }
+    *ld = b->shape[0] > 1 ? b->strides[0] / (Py_ssize_t)sizeof(double)
+                          : b->shape[1];
+    if ((b->shape[1] > 1 && b->strides[1] != sizeof(double))
+        || (b->shape[0] > 1 && (b->strides[0] % sizeof(double) != 0
+                                || *ld < b->shape[1]))) {
+        PyErr_Format(PyExc_ValueError, "kernel: %s must have contiguous rows"
+                     " in row order", name);
+        return NULL;
+    }
+    for (int k = 0; k < 2; k++)
+        if (dims[k] < 0)
+            dims[k] = b->shape[k];
+    if (b->shape[0] != dims[0] || b->shape[1] != dims[1]) {
+        PyErr_Format(PyExc_ValueError, "kernel: %s is %zd x %zd, expected "
+                     "%zd x %zd", name, b->shape[0], b->shape[1], dims[0],
+                     dims[1]);
+        return NULL;
     }
     return b->buf;
 }
@@ -880,6 +983,61 @@ fail:
     return NULL;
 }
 
+static PyObject *alm_input(PyObject *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    Held h = {.n = 0, .w = NULL};
+    Py_ssize_t dM[2] = {-1, -1}, ldm;
+    double *M, *S, *Y, *out, mu;
+
+    if (!count(nargs, 5, "alm_input")
+        || !(M = rows(&h, args[0], "M", dM, &ldm))
+        || !(S = array(&h, args[1], "S", 'C', 0, 2, dM))
+        || !(Y = array(&h, args[2], "Y", 'C', 0, 2, dM))
+        || as_double(args[3], &mu)
+        || !(out = array(&h, args[4], "out", 'C', 1, 2, dM)))
+        goto fail;
+    Py_BEGIN_ALLOW_THREADS
+    srp_alm_input(dM[0], dM[1], M, ldm, S, Y, mu, out);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    Py_RETURN_NONE;
+fail:
+    release(&h);
+    return NULL;
+}
+
+static PyObject *alm_update(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    Held h = {.n = 0, .w = NULL};
+    Py_ssize_t dM[2] = {-1, -1}, ldm;
+    double *M, *L, *Y, *S, mu, lam, sums[2];
+
+    if (!count(nargs, 6, "alm_update")
+        || !(M = rows(&h, args[0], "M", dM, &ldm))
+        || !(L = array(&h, args[1], "L", 'C', 0, 2, dM))
+        || !(Y = array(&h, args[2], "Y", 'C', 1, 2, dM))
+        || !(S = array(&h, args[3], "S", 'C', 1, 2, dM))
+        || as_double(args[4], &mu) || as_double(args[5], &lam))
+        goto fail;
+    if (dM[1] > INT_MAX) {  /* pairwise_squares counts a row in int */
+        PyErr_Format(PyExc_ValueError, "kernel: rows of %zd are too long",
+                     dM[1]);
+        goto fail;
+    }
+    if (!scratch(&h, 2 * dM[1]))
+        goto fail;
+    Py_BEGIN_ALLOW_THREADS
+    srp_alm_update(dM[0], dM[1], M, ldm, L, Y, S, mu, lam, sums, h.w);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return Py_BuildValue("(dd)", sums[0], sums[1]);
+fail:
+    release(&h);
+    return NULL;
+}
+
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static PyMethodDef methods[] = {
@@ -898,6 +1056,12 @@ static PyMethodDef methods[] = {
      "min_ratio): the warm loop of prox.svt_factors; writes U, s and Vh and "
      "returns the step it accepted, 0 where it declines (s and Vh are then "
      "its last step's), -1 where dgesdd fails, -2 where dsyevd does"},
+    {"alm_input", FASTCALL(alm_input),
+     "alm_input(M, S, Y, mu, out): writes pcp_alm's SVT input (M - S) + "
+     "Y / mu to out"},
+    {"alm_update", FASTCALL(alm_update),
+     "alm_update(M, L, Y, S, mu, lam): the rest of a pcp_alm sweep; writes "
+     "S and Y and returns (sum of r^2, sum of (S - S_old)^2)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,7 +15,10 @@ and prox then run their numpy code, which the tests keep as the oracle.
 The module's project, accumulate, sweep and svt take the arrays themselves,
 check their dtype, order and shape in C (raising ValueError), and each
 entry point allocates its routine's scratch before it releases the
-interpreter lock.
+interpreter lock. alm_input and alm_update are the two elementwise passes
+of each pcp_alm sweep: the SVT input, and everything after L, both norms'
+sums included, so that a sweep's m x n arithmetic runs in two loops over
+pcp_alm's four arrays (L, Y, S and the SVT input).
 """
 
 import ctypes
@@ -167,3 +170,17 @@ def svt_warm(X, tau, block, max_steps, guard_tol, ritz_tol, gram_min_ratio):
         raise np.linalg.LinAlgError("SVD did not converge" if steps == -1
                                     else "Eigenvalues did not converge")
     return (U if steps else None), s, Vh
+
+
+def alm_input(M, S, Y, mu, out):
+    """pcp_alm's SVT input (M - S) + Y / mu into out, bit for bit as numpy
+    forms it (pcp._alm_input_numpy); M by rows, S, Y and out C-order."""
+    _ext.alm_input(M, S, Y, mu, out)
+
+
+def alm_update(M, L, Y, S, mu, lam):
+    """pcp._alm_update_numpy in one pass, S and Y bit for bit: writes the
+    shrunk S and the updated Y in place and returns (sum r^2, sum (S -
+    S_old)^2), summed by rows in the pass, so they differ from numpy's
+    in the last bits. M by rows, L, Y and S C-order."""
+    return _ext.alm_update(M, L, Y, S, mu, lam)

@@ -25,10 +25,13 @@ correction shares), and the trailing window that seeds the ring buffer.
 
 import mmap
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .exceptions import ContractViolation, InitializationError, is_count
+from . import kernel
+from .exceptions import (ContractViolation, InitializationError, is_count,
+                         is_positive_real)
 from .prox import (OVERSAMPLING, SvtFactors, gram_eigh, gram_factors,
                    lapack_factors, shrink_matrix, threshold_factors)
 from .prox import svt_factors as svt
@@ -56,16 +59,18 @@ class PcpConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.lam is not None and not 0 < self.lam < np.inf:
-            raise ContractViolation("PcpConfig: lam must be finite and > 0")
-        if not (0 < self.tol < 1):
-            raise ContractViolation("PcpConfig: tol must be in (0, 1)")
+        if self.lam is not None and not is_positive_real(self.lam):
+            raise ContractViolation(
+                f"PcpConfig: lam must be finite and > 0, not {self.lam!r}")
+        if not (is_positive_real(self.tol) and self.tol < 1):
+            raise ContractViolation(
+                f"PcpConfig: tol must be in (0, 1), not {self.tol!r}")
         if not (is_count(self.max_iter) and self.max_iter >= 1):
             raise ContractViolation("PcpConfig: max_iter must be an int >= 1")
-        if self.mu != "auto" and not (np.isscalar(self.mu)
-                                      and 0 < self.mu < np.inf):
+        if not (is_positive_real(self.mu)
+                or isinstance(self.mu, str) and self.mu == "auto"):
             raise ContractViolation("PcpConfig: mu must be finite and > 0, "
-                                    "or 'auto'")
+                                    f"or 'auto', not {self.mu!r}")
 
 
 @dataclass
@@ -129,11 +134,17 @@ def pcp_alm(M, config=None):
     count changes, and narrows to the kept count plus OVERSAMPLING guards
     once two sweeps in a row keep the same count: the count falls to 0 in
     the early sweeps and then climbs to the rank, and a block cut to it in
-    between declines when the count jumps. Each sweep forms Y/mu and M - L
-    once, and writes its m x n iterates into seven arrays mapped up front,
-    whose pages go back to the system when the solve returns (malloc would
-    keep those of per-sweep temporaries resident). The result carries the
-    last sweep's factors, L = (U * s) @ Vh.
+    between declines when the count jumps. The rest of a sweep is two
+    elementwise passes (kernel.alm_input, the SVT input, and
+    kernel.alm_update, everything after L with both norms' sums), each one
+    loop of the compiled kernel over four arrays mapped up front: L, Y, S
+    and the SVT input. Their pages go back to the system when the solve
+    returns (malloc would keep those of per-sweep temporaries resident).
+    Without the kernel, or for an M whose rows are not contiguous, the
+    passes are numpy's (_alm_input_numpy, _alm_update_numpy), on three more
+    mapped arrays, with the same S, Y and L bit for bit; the kernel's sums
+    differ from numpy's in the last bits. The result carries the last
+    sweep's factors, L = (U * s) @ Vh.
 
     Non-convergence is not an error: the last iterate is returned with
     converged=False and the caller decides.
@@ -145,36 +156,40 @@ def pcp_alm(M, config=None):
         raise ContractViolation("pcp_alm: M contains non-finite entries")
     if config is None:
         config = PcpConfig()
-    lam = 1.0 / np.sqrt(max(M.shape)) if config.lam is None else config.lam
+    lam = (1.0 / np.sqrt(max(M.shape)) if config.lam is None
+           else float(config.lam))
     mu, J, factors = _first_sweep(M, lam, config.mu)
     norm_M = np.linalg.norm(M) or 1.0
     dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
     # each array has the layout of the temporary it replaces, so that the
     # SVT and the norms read it in the same order: C for L (a product) and
-    # the residual (a difference with L), M's order for the rest
+    # the numpy path's residual (a difference with L), M's order for the rest
     order = "F" if M.strides[0] < M.strides[1] else "C"
-    L, residual = (_zeros(*M.shape, mapped=True) for _ in range(2))
-    Y, Y_mu, S, S_prev, work = (_zeros(*M.shape, mapped=True, order=order)
-                                for _ in range(5))
+    L = _zeros(*M.shape, mapped=True)
+    Y, S, work = (_zeros(*M.shape, mapped=True, order=order)
+                  for _ in range(3))
+    if (kernel.ACTIVE == "compiled" and order == "C"
+            and M.strides[1] == M.itemsize):
+        alm_input, alm_update = kernel.alm_input, kernel.alm_update
+    else:
+        scratch = (_zeros(*M.shape, mapped=True),
+                   *(_zeros(*M.shape, mapped=True, order=order)
+                     for _ in range(2)))
+        alm_input = partial(_alm_input_numpy, scratch=scratch)
+        alm_update = partial(_alm_update_numpy, scratch=scratch)
     np.divide(M, J, out=Y)
     rank, block = None, factors.block
     for k in range(1, config.max_iter + 1):
-        np.divide(Y, mu, out=Y_mu)
         if k > 1:
-            np.add(np.subtract(M, S, out=work), Y_mu, out=work)
+            alm_input(M, S, Y, mu, work)
             kept = factors.s.size
             factors = svt(work, 1.0 / mu, block)
             block = (factors.block[:, :kept + OVERSAMPLING]
                      if factors.s.size == kept else factors.block)
         np.matmul(factors.U * factors.s, factors.Vh, out=L)
-        np.subtract(M, L, out=residual)
-        S_prev, S = S, S_prev
-        shrink_matrix(np.add(residual, Y_mu, out=Y_mu), lam / mu, out=S)
-        residual -= S
-        Y += np.multiply(mu, residual, out=work)
-        primal = np.linalg.norm(residual) / norm_M
-        step = np.linalg.norm(np.subtract(S, S_prev, out=work))
-        dual = mu * step / dual_scale
+        residual_sq, step_sq = alm_update(M, L, Y, S, mu, lam)
+        primal = np.sqrt(residual_sq) / norm_M
+        dual = mu * np.sqrt(step_sq) / dual_scale
         if rank is None and primal <= RANK_TOL:
             rank, rank_iteration = _count_rank(factors.s), k
         converged = bool(primal <= config.tol and dual <= config.tol)
@@ -188,6 +203,40 @@ def pcp_alm(M, config=None):
         rank, rank_iteration = _count_rank(factors.s), k
     return PcpResult(L=L, S=S, iterations=k, converged=converged, rank=rank,
                      rank_iteration=rank_iteration, factors=factors)
+
+
+def _alm_input_numpy(M, S, Y, mu, out, scratch=None):
+    """kernel.alm_input in numpy, with its argument list: the path where no
+    compiled kernel is loaded. scratch is _alm_update_numpy's, whose second
+    array takes Y / mu."""
+    Y_mu = np.divide(Y, mu, out=None if scratch is None else scratch[1])
+    np.add(np.subtract(M, S, out=out), Y_mu, out=out)
+
+
+def _alm_update_numpy(M, L, Y, S, mu, lam, scratch=None):
+    """kernel.alm_update in numpy, with its argument list: the path where no
+    compiled kernel is loaded, and the tests' oracle. S <- shrink(M - L +
+    Y/mu, lam/mu) and Y <- Y + mu*(M - L - S) in place; returns the squared
+    norms of M - L - S and of S - S_old as np.linalg.norm sums them.
+    scratch holds three arrays of M's shape, for the residual (C order),
+    Y/mu and S_old (S's order); new ones where it is None."""
+    residual, Y_mu, S_old = scratch or (np.empty(M.shape), np.empty_like(S),
+                                        np.empty_like(S))
+    np.copyto(S_old, S)
+    np.subtract(M, L, out=residual)
+    np.add(residual, np.divide(Y, mu, out=Y_mu), out=Y_mu)
+    shrink_matrix(Y_mu, lam / mu, out=S)
+    residual -= S
+    Y += np.multiply(mu, residual, out=Y_mu)
+    return (_sum_squares(residual),
+            _sum_squares(np.subtract(S, S_old, out=S_old)))
+
+
+def _sum_squares(X):
+    """The sum of the squares of X's entries as np.linalg.norm takes it:
+    one dot product of X raveled in memory order."""
+    x = X.ravel(order="K")
+    return x.dot(x)
 
 
 def _zeros(rows, cols, mapped, order="C"):

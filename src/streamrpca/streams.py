@@ -143,10 +143,18 @@ def _read_raw_header(path):
 
 
 def _iter_raw_f64(path, m, t):
+    """The samples of a raw-f64 file whose header declared m and t. A file
+    cut short after _read_raw_header checked its size raises ParseError at
+    the first sample it cuts."""
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
-        for _ in range(t):
+        for i in range(t):
             buf = fh.read(8 * m)
+            if len(buf) < 8 * m:
+                raise ParseError(
+                    f"truncated data: sample {i} has {len(buf)} of {8 * m} "
+                    "bytes", path=path, offset=_HEADER.size + 8 * m * i
+                    + len(buf))
             yield np.frombuffer(buf, dtype="<f8").astype(float)
 
 

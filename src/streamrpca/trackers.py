@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernel
 from .basis import _check_accumulator, update_basis
-from .exceptions import ContractViolation, is_count
+from .exceptions import ContractViolation, is_count, is_positive_real
 from .pcp import _zeros, burnin_initialize, window_sums
 from .projection import ProjectionConfig, project_sample
 
@@ -239,10 +239,11 @@ class TrackerConfig:
                 "TrackerConfig: n_burnin, n_win must be >= 1")
         if self.n_win > self.n_burnin:
             raise ContractViolation("TrackerConfig: n_win must be <= n_burnin")
-        if not all(0 < x < np.inf for x in (self.lambda1, self.lambda2)
-                   if x is not None):
-            raise ContractViolation(
-                "TrackerConfig: lambda1, lambda2 must be finite and > 0")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if value is not None and not is_positive_real(value):
+                raise ContractViolation(f"TrackerConfig: {name} must be "
+                                        f"finite and > 0, not {value!r}")
         if min(self.n_cp_burnin, self.n_test, self.n_check,
                self.n_positive) < 1:
             raise ContractViolation("TrackerConfig: counts must be >= 1")

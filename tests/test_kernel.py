@@ -18,7 +18,8 @@ from streamrpca import kernel, prox
 from streamrpca.basis import _sweep_numpy
 from streamrpca.cli import main
 from streamrpca.experiments import study_spec
-from streamrpca.pcp import burnin_initialize, pcp_alm
+from streamrpca.pcp import (_alm_input_numpy, _alm_update_numpy,
+                            burnin_initialize, pcp_alm)
 from streamrpca.projection import ProjectionConfig, _project_numpy
 from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
                                generate)
@@ -387,6 +388,63 @@ def test_trackers_on_threads_match_their_sequential_runs():
         assert got.S.tobytes() == want.S.tobytes()
 
 
+def alm_state(rng, m, n, mu, lam):
+    """(M, L, Y, S) of a pcp_alm sweep whose shrink input M - L + Y/mu
+    takes each value that rounds at an edge: exactly +-tau, +-0.0 (one from
+    a zero difference, one a true negative zero) and +-1e150, beside
+    entries over twelve decades; S_old has zeros, as a shrunk S does."""
+    tau = lam / mu
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+
+    M, L, S = draw(m, n), draw(m, n), draw(m, n) * (rng.random((m, n)) < 0.3)
+    Y = draw(m, n)
+    edges = [tau, -tau, 0.0, -0.0, 1e150, -1e150, np.nextafter(tau, 0.0),
+             np.nextafter(-tau, 0.0)]
+    for k, value in enumerate(edges):  # M - L = value, Y = +-0.0 there
+        i, j = divmod(7 * k + 3, n)
+        M[i, j], L[i, j], Y[i, j] = value, 0.0, 0.0 * value
+    M[0, 0] = L[0, 0] = 2.5  # M - L = +0.0, then +0.0 + Y/mu
+    Y[0, 0] = -0.0
+    return M, L, Y, S
+
+
+@compiled
+@pytest.mark.parametrize("columns", ["all", "slice"])
+@pytest.mark.parametrize("m,n", [(1, 60), (13, 9), (40, 200)])
+def test_alm_passes_match_numpy_bit_for_bit(m, n, columns):
+    # the SVT input, S and Y match numpy's arithmetic bit for bit, the
+    # shrink's edges included, on an M that is row-major or a slice of a
+    # row-major array's columns; the sums in the pass match numpy's norms
+    rng = np.random.Generator(np.random.PCG64(m * n + 1))
+    mu, lam = 0.37, 1.0 / np.sqrt(max(m, n))
+    M, L, Y, S = alm_state(rng, m, n, mu, lam)
+    if columns == "slice":
+        wide = rng.standard_normal((m, n + 5))
+        wide[:, 2:n + 2] = M
+        M = wide[:, 2:n + 2]
+        assert m == 1 or not M.flags.c_contiguous
+    out = [np.empty((m, n)) for _ in range(2)]
+    kernel.alm_input(M, S, Y, mu, out[0])
+    _alm_input_numpy(M, S, Y, mu, out[1])
+    assert out[0].tobytes() == out[1].tobytes()
+    states = [(Y.copy(), S.copy()) for _ in range(2)]
+    sums = [update(M, L, *state, mu, lam) for update, state in zip(
+        (kernel.alm_update, _alm_update_numpy), states)]
+    for X, Z in zip(*states):
+        assert X.tobytes() == Z.tobytes()
+    np.testing.assert_allclose(sums[0], sums[1], rtol=1e-12, atol=0.0)
+    # tau = 0 (lam / mu underflows): S is the shrink input, as
+    # prox.shrink_matrix copies it, signed zeros included
+    zero_tau = [(Y.copy(), S.copy()) for _ in range(2)]
+    for update, state in zip((kernel.alm_update, _alm_update_numpy),
+                             zero_tau):
+        update(M, L, *state, 1e300, 1e-300)
+    for X, Z in zip(*zero_tau):
+        assert X.tobytes() == Z.tobytes()
+
+
 @compiled
 def test_entry_points_refuse_bad_arrays():
     # the module checks each array's dtype, order and shape in C, the
@@ -404,6 +462,8 @@ def test_entry_points_refuse_bad_arrays():
     good.update(X=X, block=rng.standard_normal((m, 3)),
                 U_svt=np.zeros((m + 4, 3)), s_svt=np.zeros(3),
                 Vh=np.zeros((3, m)))
+    good.update({key: rng.standard_normal((m, n))
+                 for key in ("M", "L", "Y", "S_alm", "work")})
     ext = kernel._ext
     calls = {
         "project": lambda a: ext.project(a["U"], a["x"], a["v"], a["s"], 0.1,
@@ -413,6 +473,10 @@ def test_entry_points_refuse_bad_arrays():
         "sweep": lambda a: ext.sweep(a["U"], a["A"], a["B"], 0.1, 1e-8),
         "svt": lambda a: ext.svt(a["X"], a["block"], a["U_svt"], a["s_svt"],
                                  a["Vh"], 0.5, 4, 0.25, 1e-6, 5e-3),
+        "alm_input": lambda a: ext.alm_input(a["M"], a["S_alm"], a["Y"], 0.5,
+                                             a["work"]),
+        "alm_update": lambda a: ext.alm_update(a["M"], a["L"], a["Y"],
+                                               a["S_alm"], 0.5, 0.1),
     }
     cases = [(name, "U", U.astype(np.float32)) for name in ("project",
                                                             "sweep")]
@@ -440,10 +504,26 @@ def test_entry_points_refuse_bad_arrays():
               for bad in (good[key][:-1], good[key].astype(np.float32))]
     cases += [("svt", "U_svt", np.asfortranarray(good["U_svt"])),
               ("svt", "Vh", read_only)]
+    # M by rows (row-major, or a slice of a row-major array's columns), the
+    # other m x n arrays row-major, of M's shape, float64, Y, S and the
+    # SVT input writable
+    alm = {"alm_input": ("M", "S_alm", "Y", "work"),
+           "alm_update": ("M", "L", "Y", "S_alm")}
+    for name, keys in alm.items():
+        cases += [(name, key, bad) for key in keys for bad in (
+            good[key][:-1], good[key][:, :-1], good[key][0],
+            good[key].astype(np.float32), np.asfortranarray(good[key]))]
+        cases += [(name, "M", np.ones((m, 2 * n))[:, ::2]),
+                  (name, "M", np.ones((m + 1, n))[:0:-1])]
+    read_only_alm = good["Y"].copy()
+    read_only_alm.flags.writeable = False
+    cases += [("alm_input", "work", read_only_alm),
+              ("alm_update", "Y", read_only_alm),
+              ("alm_update", "S_alm", read_only_alm)]
     for key in ("U_svt", "s_svt", "Vh"):
         good[key][...] = 7.0
     state = [U, good["A"], B, *window, good["U_svt"], good["s_svt"],
-             good["Vh"]]
+             good["Vh"], good["Y"], good["S_alm"], good["work"]]
     before = [X.copy() for X in state]
     for name, key, value in cases:
         with pytest.raises(ValueError, match="kernel: "):
@@ -458,18 +538,22 @@ def test_entry_points_refuse_bad_arrays():
             ext.accumulate(*bad)
         for X, X0 in zip(state, before):
             np.testing.assert_array_equal(X, X0, err_msg=f"{len(bad)} args")
-    for name in calls:  # the good arrays pass
+    for name in calls:  # the good arrays pass, M also as a column slice
         calls[name](good)
+    wide = np.hstack([good["M"], np.ones((m, 3))])
+    for name in alm:
+        calls[name]({**good, "M": wide[:, :n]})
     np.testing.assert_array_equal(window[0][1], good["x"] - good["s"])
     np.testing.assert_array_equal(window[1][1], good["v"])
 
 
-@compiled
 def test_kernel_compiles_without_warnings(tmp_path):
     # the cached build hides compiler warnings: -Wall -Werror shows them
     # (-Wextra would flag the unused self parameters and PyModuleDef's
-    # m_slots, both idiomatic)
+    # m_slots, both idiomatic). It needs a compiler, not a loaded kernel
     command = kernel._compile_command() + ["-Wall", "-Werror"]
+    if shutil.which(command[0]) is None:
+        pytest.skip(f"no compiler {command[0]!r} found")
     result = subprocess.run([*command, "-o", str(tmp_path / "kernel.so"),
                              str(kernel.SOURCE), "-lm"],
                             capture_output=True, text=True, timeout=300)

@@ -13,6 +13,7 @@ from streamrpca.prox import (OVERSAMPLING, gram_eigh, shrink_matrix,
                              svt_factors, threshold_factors)
 from streamrpca.simgen import (Drift, SimSpec, Stable, full_stream_matrix,
                                generate)
+from streamrpca.trackers import TrackerConfig
 
 from conftest import study3_blocks, svt
 
@@ -253,12 +254,16 @@ def _pcp_first_loop(M):
                      rank_iteration=rank_iteration, factors=factors)
 
 
-def test_sweep_reuses_its_temporaries_bit_for_bit():
-    # paper study 3: the rank-10 burn-in and the rank-55 restart block
+def test_sweep_reuses_its_temporaries_bit_for_bit(step_paths):
+    # paper study 3: the rank-10 burn-in and the rank-55 restart block, on
+    # the kernel's passes and on numpy's
     for M in study3_blocks("paper", 0)[:2]:
-        res, ref = pcp_alm(M), _pcp_first_loop(M)
-        _same_result(res, ref)
-        assert res.rank_iteration == ref.rank_iteration
+        ref = _pcp_first_loop(M)
+        for path in step_paths:
+            with path:
+                res = pcp_alm(M)
+            _same_result(res, ref)
+            assert res.rank_iteration == ref.rank_iteration
 
 
 def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
@@ -301,7 +306,8 @@ def _burnin_blocks():
                (24, 23, 24, 17, 26))
 
 
-def test_burnin_takes_one_gram_eigendecomposition(monkeypatch):
+def test_burnin_takes_one_gram_eigendecomposition(monkeypatch,
+                                                   step_paths):
     # the first sweep's is the solve's only exact SVD: the warm block does
     # not narrow while the kept count changes, and a declined warm loop
     # widens its block. Before, these solves declined where the kept count
@@ -315,10 +321,15 @@ def test_burnin_takes_one_gram_eigendecomposition(monkeypatch):
     monkeypatch.setattr(prox, "gram_eigh", counting)
     monkeypatch.setattr(pcp, "gram_eigh", counting)
     for M, sweeps in _burnin_blocks():
-        calls.clear()
-        res = pcp_alm(M)
-        assert (res.iterations, res.rank, res.converged) == (sweeps, 10, True)
-        assert calls == [M.shape]
+        ref = _pcp_first_loop(M)
+        for path in step_paths:
+            calls.clear()
+            with path:
+                res = pcp_alm(M)
+            assert (res.iterations, res.rank, res.converged) == (sweeps, 10,
+                                                                 True)
+            assert calls == [M.shape]
+            _same_result(res, ref)
 
 
 def test_first_sweep_below_the_gram_guard_is_lapacks_bit_for_bit():
@@ -354,6 +365,30 @@ def test_pcp_config_validation():
             PcpConfig(lam=bad)
         with pytest.raises(ContractViolation, match="mu must be finite"):
             PcpConfig(mu=bad)
+
+
+BAD_PENALTIES = ["fast", np.array([1.0, 2.0]), np.array(1.0), True,
+                 np.bool_(True), 0, -1.0, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("field,bad", [
+    (field, bad) for field in ("lam", "mu", "lambda1", "lambda2")
+    for bad in BAD_PENALTIES] + [("mu", None)], ids=repr)
+def test_penalties_refuse_anything_but_a_positive_real(field, bad):
+    # a string, an array or a bool raised TypeError or numpy's ValueError,
+    # or ran as 1.0. None picks lam and the lambdas, but not mu
+    with pytest.raises(ContractViolation, match=f"{field} must be finite"):
+        if field in ("lam", "mu"):
+            PcpConfig(**{field: bad})
+        else:
+            TrackerConfig(n_burnin=10, n_win=10, **{field: bad})
+
+
+def test_penalties_take_any_positive_real():
+    for good in (2, 0.5, np.float32(0.5), np.int64(3)):
+        PcpConfig(lam=good, mu=good)
+        TrackerConfig(n_burnin=10, n_win=10, lambda1=good, lambda2=good)
+    assert PcpConfig(mu="auto").mu == "auto"
 
 
 def test_estimate_rank_thresholding():

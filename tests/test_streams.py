@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -84,6 +85,23 @@ def test_raw_f64_truncation_names_byte_counts(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ParseError, match="expected 216 bytes, got 208"):
         ingest_stream(path, "raw-f64")
+
+
+@pytest.mark.parametrize("size", [24 + 32 + 13, 24 + 32 + 16])
+def test_raw_f64_cut_after_opening_names_the_sample(tmp_path, size):
+    # the size is checked when the stream opens, and the samples are read
+    # at the first get; a file cut in between, mid-value or on a value
+    # boundary, is refused as truncated at the sample it cuts, not with
+    # numpy's buffer error or as a short sample
+    path = tmp_path / "m.f64"
+    write_raw_f64(path, np.ones((4, 3)))
+    stream = ingest_stream(path, "raw-f64")
+    os.truncate(path, size)
+    np.testing.assert_array_equal(stream.get(0), np.ones(4))
+    with pytest.raises(ParseError, match=f"truncated data: sample 1 has "
+                       f"{size - 56} of 32 bytes; path={path}; "
+                       f"byte-offset={size}"):
+        stream.get(1)
 
 
 def test_raw_f64_trailing_data_is_refused(tmp_path):
