@@ -9,8 +9,9 @@ OpenBLAS that numpy has loaded, scipy-openblas64, whose routines it finds by
 name (scipy_<name>_64_, 64-bit integers), so nothing is linked and numpy
 and the kernel share one library and one thread pool. ACTIVE is "compiled"
 once it is loaded and "numpy" where it could not be built (no compiler, or
-no Python headers) or numpy calls another BLAS: projection, basis, trackers
-and prox then run their numpy code, which the tests keep as the oracle.
+no Python headers) or numpy calls another BLAS: projection, basis,
+trackers, prox and pcp then run their numpy code, which the tests keep as
+the oracle.
 
 The module's project, accumulate, sweep and svt take the arrays themselves,
 check their dtype, order and shape in C (raising ValueError), and each
@@ -127,7 +128,7 @@ def project(U, x, lambda1, lambda2, tol, max_iter):
     """project_sample's (v, s) and its number of alternations, for a float64
     U and an x that fits it; None where an input, U'U or U'x is not finite
     (the numpy path rejects them) or a Cholesky factor fails (the numpy path
-    solves by pivoting there)."""
+    solves by LU with pivoting)."""
     m, r = U.shape
     v, s = np.empty(r), np.empty(m)
     n = _ext.project(np.asfortranarray(U), np.ascontiguousarray(x), v, s,

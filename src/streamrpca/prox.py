@@ -1,4 +1,4 @@
-"""Elementary proximal kernels and the projection's Cholesky solve.
+"""Elementary proximal kernels.
 
 Singular value thresholding, svt(X, tau) = U diag(max(s - tau, 0)) Vh for
 the SVD X = U diag(s) Vh, is computed in factored form by svt_factors:
@@ -18,15 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-
-
-def shrink(x, tau):
-    """Soft-threshold a scalar: sgn(x) * max(|x| - tau, 0)."""
-    if x > tau:
-        return x - tau
-    if x < -tau:
-        return x + tau
-    return 0.0
 
 
 def shrink_matrix(X, tau, out=None):
@@ -225,17 +216,3 @@ def threshold_factors(U, s, Vh, tau):
     return SvtFactors(U[:, :kept], s[:kept] - tau, Vh[:kept],
                       Vh[:kept + OVERSAMPLING].T)
 
-
-def _cholesky_solver(G):
-    """(factor, solve) for a symmetric r x r G: solve(rhs) returns
-    G^{-1} rhs by LAPACK's potrs on the Cholesky factor from potrf, which
-    cho_factor/cho_solve wrap in per-call checks. If potrf fails, or r = 0
-    (which potrs rejects), factor is None and solve is a pivoted solve.
-    scipy.linalg is imported here, not with the module: the compiled step
-    never calls this, so a compiled run imports no scipy module."""
-    import scipy.linalg
-
-    factor, info = scipy.linalg.lapack.dpotrf(G)
-    if info != 0 or not G.size:
-        return None, lambda rhs: scipy.linalg.solve(G, rhs)
-    return factor, lambda rhs: scipy.linalg.lapack.dpotrs(factor, rhs)[0]

@@ -11,7 +11,7 @@ import streamrpca
 from streamrpca import kernel
 from streamrpca.exceptions import ContractViolation
 from streamrpca.experiments import study_spec
-from streamrpca.prox import _cholesky_solver, svt_factors
+from streamrpca.prox import svt_factors
 from streamrpca.simgen import full_stream_matrix, generate
 from streamrpca.trackers import SubspaceModel, WindowBuffer
 
@@ -112,7 +112,7 @@ def svt(X, tau):
 
 def ridge_regress(U, y, lambda1):
     """Solve min_v 0.5*||y - U v||^2 + (lambda1/2)*||v||^2: returns
-    (U'U + lambda1*I)^{-1} U'y, through the projection's Cholesky solve."""
+    (U'U + lambda1*I)^{-1} U'y, by numpy's LU solve."""
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
     if U.ndim != 2 or y.ndim != 1 or U.shape[0] != y.shape[0]:
@@ -123,7 +123,7 @@ def ridge_regress(U, y, lambda1):
         raise ContractViolation("ridge_regress: non-finite input")
     if not lambda1 > 0:
         raise ContractViolation("ridge_regress: lambda1 must be > 0")
-    return _cholesky_solver(U.T @ U + lambda1 * np.eye(U.shape[1]))[1](U.T @ y)
+    return np.linalg.solve(U.T @ U + lambda1 * np.eye(U.shape[1]), U.T @ y)
 
 
 def basis_objective(U, A, B, lambda1):

@@ -19,7 +19,7 @@ from streamrpca.changepoint import run_omw_cp, support_size
 from streamrpca.metrics import cp_deviation, err_rel
 from streamrpca.pcp import PcpConfig, burnin_initialize, pcp_alm
 from streamrpca.projection import project_sample, projection_objective
-from streamrpca.prox import shrink, shrink_matrix
+from streamrpca.prox import shrink_matrix
 from streamrpca.simgen import (ChangePoints, Drift, SimSpec, Stable,
                                full_stream_matrix, generate)
 from streamrpca.state import (load_state, save_state, snapshot_tracker)
@@ -63,10 +63,11 @@ def test_c2_prox_property_suite():
     for _ in range(1000):
         x, y = rng.uniform(-20, 20, size=2)
         tau = rng.uniform(0, 8)
-        if shrink(-x, tau) != -shrink(x, tau):
+        sx, sy, s_neg = shrink_matrix(np.array([x, y, -x]), tau)
+        if s_neg != -sx:
             failures += 1
         fuzz = 1e-13 * max(abs(x), abs(y), 1.0)
-        if abs(shrink(x, tau) - shrink(y, tau)) > abs(x - y) + fuzz:
+        if abs(sx - sy) > abs(x - y) + fuzz:
             failures += 1
     for _ in range(1000):
         X = rng.standard_normal((5, 4))

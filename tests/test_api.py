@@ -5,6 +5,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import streamrpca
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +58,16 @@ def test_public_api_is_pinned():
                 and not isinstance(value, types.ModuleType)}
     assert len(PUBLIC_API) == 38
     assert (exported - PUBLIC_API, PUBLIC_API - exported) == (set(), set())
+
+
+def test_numpy_is_the_only_run_time_dependency():
+    # scipy is the tests' independent SVD reference, so the test extra
+    # holds it; nothing in the package imports it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    name = re.compile(r"[A-Za-z0-9_.-]+")
+    assert [name.match(dep).group() for dep in project["dependencies"]] == [
+        "numpy"]
+    assert "scipy" in [name.match(dep).group()
+                       for dep in project["optional-dependencies"]["test"]]

@@ -593,15 +593,21 @@ def test_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert result.returncode == 0, result.stderr[-4000:]
 
 
-COMPILED_RUNS = """
+SCIPY_BLOCKED_RUNS = """
 import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
 from streamrpca import kernel
 from streamrpca.changepoint import OmwCpPipeline
 from streamrpca.experiments import study_spec
 from streamrpca.simgen import full_stream_matrix, generate
 from streamrpca.streams import ObservationStream
 
-print(kernel.ACTIVE, 'scipy' in sys.modules)
 calls = []
 svt_warm = kernel.svt_warm
 kernel.svt_warm = lambda *args: calls.append(1) or svt_warm(*args)
@@ -610,17 +616,20 @@ M = full_stream_matrix(generate(sim))
 for mode in ("stoc", "omw", "omw-cp"):
     pipeline = OmwCpPipeline(config, mode)
     pipeline.run(ObservationStream.from_matrix(M))
-print(len(pipeline.change_points), bool(calls), 'scipy' in sys.modules)
+print(kernel.ACTIVE, len(pipeline.change_points), bool(calls))
 """
 
 
-@compiled
-def test_compiled_import_leaves_out_scipy_linalg(tmp_path):
-    # the kernel calls numpy's OpenBLAS, and only the numpy path imports
-    # scipy: not the import, nor a run of each mode whose burn-ins and
-    # restarts (desk study 3 has two) take the compiled svt
-    out = run_python(COMPILED_RUNS, tmp_path / "cache").splitlines()
-    assert out == ["compiled False", "2 True False"]
+@pytest.mark.parametrize("path", [pytest.param("compiled", marks=compiled),
+                                  "numpy"])
+def test_every_mode_runs_with_scipy_blocked(tmp_path, path):
+    # numpy is the only run-time dependency: with every scipy import
+    # refused, each mode runs on either path, through the burn-ins and the
+    # restarts (desk study 3 has two) that take the compiled svt where the
+    # kernel is built; the numpy path is the one without a compiler
+    env = {} if path == "compiled" else {"CC": "/bin/false"}
+    out = run_python(SCIPY_BLOCKED_RUNS, tmp_path / "cache", **env)
+    assert out == f"{path} 2 {path == 'compiled'}"
 
 
 def run_python(code, cache, *args, src=SRC, **env):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamrpca.projection
-import streamrpca.prox
 from streamrpca import kernel
 from streamrpca.changepoint import continue_tracker
 from streamrpca.exceptions import ContractViolation, TrackerStepError
@@ -54,14 +53,19 @@ def oracle_multistart(U, m_t, lambda1, lambda2, restarts=200, seed=0):
 @pytest.mark.parametrize("field,value,match", [
     ("tol", np.nan, "tol must be > 0"),
     ("tol", 0.0, "tol must be > 0"),
+    ("tol", "x", "tol must be > 0"),
+    ("tol", None, "tol must be > 0"),
+    ("tol", True, "tol must be > 0"),
+    ("tol", np.inf, "tol must be > 0"),
     ("max_iter", np.nan, "an int >= 1"),
     ("max_iter", 2.5, "an int >= 1"),
     ("max_iter", 0, "an int >= 1"),
     ("max_iter", True, "an int >= 1"),
 ])
 def test_projection_config_refuses_what_it_cannot_run(field, value, match):
-    # before: NaN tol was accepted and never stopped the alternation, and a
-    # NaN or fractional max_iter failed later inside a step
+    # refused at construction, with ContractViolation: a tol that is not a
+    # finite real > 0 (a NaN tol never stops the alternation), and a
+    # max_iter that is not an int >= 1 (it would fail inside a step)
     with pytest.raises(ContractViolation, match=match):
         ProjectionConfig(**{field: value})
 
@@ -249,8 +253,9 @@ def count_alternations(monkeypatch):
 @example(m=5, r=1, n_outliers=2, seed=4, lambda1=0.0078125, lambda2=0.25)
 @example(m=21, r=1, n_outliers=2, seed=22075, lambda1=0.81640625,
          lambda2=0.01)
-# The support covers most rows and lambda1 is small, so the support solve
-# works on a Gram matrix downdated to near lambda1*I.
+# The support covers most rows and lambda1 is small, so the support solve's
+# Gram matrix of the rows off it is near lambda1*I (the kernel downdates G to
+# it).
 @example(m=12, r=3, n_outliers=10, seed=0, lambda1=1e-3, lambda2=0.01)
 @example(m=40, r=6, n_outliers=36, seed=2, lambda1=1e-3, lambda2=0.01)
 @example(m=40, r=1, n_outliers=40, seed=7, lambda1=1e-3, lambda2=0.01)
@@ -373,81 +378,3 @@ def test_kernel_max_iter_one_is_one_alternation():
     v, s, alternations = kernel.project(U, m_t, 0.1, 0.5, 1e-7, 1)
     assert alternations == 1
     assert_one_alternation(U, m_t, v, s, rtol=1e-12)
-
-
-def outlier_instance(m, r, n_outliers, seed):
-    """The sample of test_output_meets_kkt_conditions."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    U = rng.standard_normal((m, r))
-    m_t = U @ rng.standard_normal(r) + 0.1 * rng.standard_normal(m)
-    idx = rng.choice(m, size=min(n_outliers, m), replace=False)
-    m_t[idx] += rng.uniform(5, 50, idx.size) * rng.choice([-1, 1], idx.size)
-    return U, m_t
-
-
-def test_downdated_support_solve_matches_off_support_rows(monkeypatch):
-    # Each support solve factors G - U_S'U_S, the Gram matrix G = U'U +
-    # lambda1*I downdated by the rows on the support S of the last
-    # alternation's signs. It must agree with forming the Gram matrix of the
-    # rows off S: (U_off'U_off + lambda1*I) v = U_off'm_off + lambda2*U'sigma.
-    U, m_t = outlier_instance(40, 6, 36, seed=2)
-    lam1, lam2 = 1e-3, 0.01
-    G_full = U.T @ U + lam1 * np.eye(6)
-    last_s, support_solves = [], []
-
-    def shrink(X, tau):
-        last_s.append(shrink_matrix(X, tau))
-        return last_s[-1]
-
-    def solver(G):
-        factor, solve = streamrpca.prox._cholesky_solver(G)
-        if np.array_equal(G, G_full):
-            return factor, solve
-        signs = np.sign(last_s[-1])
-
-        def recorded(rhs):
-            x = solve(rhs)
-            support_solves.append((signs, G, rhs, x, factor is not None))
-            return x
-
-        return factor, recorded
-
-    monkeypatch.setattr(streamrpca.projection, "shrink_matrix", shrink)
-    monkeypatch.setattr(streamrpca.projection, "_cholesky_solver", solver)
-    _project_numpy(U, m_t, lam1, lam2, ProjectionConfig())
-
-    assert support_solves
-    for signs, G, rhs, x, factored in support_solves:
-        assert factored and (signs != 0).sum() >= 30
-        off = signs == 0
-        G_off = U[off].T @ U[off] + lam1 * np.eye(6)
-        rhs_off = U[off].T @ m_t[off] + lam2 * (U.T @ signs)
-        np.testing.assert_allclose(G, G_off, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rhs, rhs_off, rtol=0, atol=1e-12)
-        x_off = np.linalg.solve(G_off, rhs_off)
-        np.testing.assert_allclose(x, x_off, rtol=0,
-                                   atol=1e-10 * max(1.0, np.abs(x_off).max()))
-
-
-def test_support_solve_falls_back_when_the_downdate_fails(monkeypatch):
-    U, m_t = outlier_instance(40, 6, 36, seed=2)
-    config = ProjectionConfig()
-    v_ref, s_ref = _project_numpy(U, m_t, 1e-3, 0.01, config)
-    G = U.T @ U + 1e-3 * np.eye(6)
-    formed = []
-
-    def solver(M):
-        factor, solve = streamrpca.prox._cholesky_solver(M)
-        if np.array_equal(M, G):
-            return factor, solve
-        if formed and formed[-1] is None:  # the fallback's own factor
-            formed[-1] = M
-            return factor, solve
-        formed.append(None)  # a downdate: report it as failed
-        return None, solve
-
-    monkeypatch.setattr(streamrpca.projection, "_cholesky_solver", solver)
-    v, s = _project_numpy(U, m_t, 1e-3, 0.01, config)
-    assert formed and all(M is not None for M in formed)
-    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10)

@@ -8,33 +8,10 @@ from streamrpca import kernel, prox
 from streamrpca.exceptions import ContractViolation
 from streamrpca.pcp import pcp_alm
 from streamrpca.prox import (GRAM_MIN_RATIO, OVERSAMPLING, RITZ_TOL,
-                             gram_eigh, gram_factors, lapack_factors, shrink,
+                             gram_eigh, gram_factors, lapack_factors,
                              shrink_matrix, svt_factors)
 
 from conftest import ridge_regress, study3_blocks, svt
-
-
-def test_shrink_basic_cases():
-    assert shrink(1.2, 0.5) == pytest.approx(0.7)
-    assert shrink(-0.3, 0.5) == 0.0
-    assert shrink(-2.0, 0.5) == pytest.approx(-1.5)
-
-
-def test_shrink_is_odd():
-    rng = np.random.Generator(np.random.PCG64(0))
-    for _ in range(1000):
-        x = rng.uniform(-10, 10)
-        tau = rng.uniform(0, 5)
-        assert shrink(-x, tau) == -shrink(x, tau)
-
-
-def test_shrink_is_nonexpansive():
-    rng = np.random.Generator(np.random.PCG64(1))
-    for _ in range(1000):
-        x, y = rng.uniform(-10, 10, size=2)
-        tau = rng.uniform(0, 5)
-        fuzz = 1e-14 * max(abs(x), abs(y), 1.0)  # float rounding headroom
-        assert abs(shrink(x, tau) - shrink(y, tau)) <= abs(x - y) + fuzz
 
 
 def test_shrink_matrix_cases():
