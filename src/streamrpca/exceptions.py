@@ -1,4 +1,4 @@
-"""Shared exception types for the streamrpca package, and the count check
+"""Shared exception types for the streamrpca package, and the number checks
 of its contracts."""
 
 import math
@@ -10,11 +10,15 @@ def is_count(x):
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
+def is_real(x):
+    """Whether x is a real number (Python's or numpy's) and not a bool: not
+    a string, an array or None."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def is_positive_real(x):
-    """Whether x is a finite real number > 0 (Python's or numpy's) and not a
-    bool: not a string, an array or None."""
-    return (isinstance(x, Real) and not isinstance(x, bool)
-            and 0 < x < math.inf)
+    """Whether x is a finite real number > 0 and not a bool (is_real)."""
+    return is_real(x) and 0 < x < math.inf
 
 
 class ContractViolation(ValueError):

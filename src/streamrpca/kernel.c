@@ -19,12 +19,12 @@
  * scalar code does; with no reassociating flag, no sum is reordered, so the
  * outputs are those of the scalar build bit for bit. Matrices are
  * column-major except A (r x r, row-major) and the warm loop's and the ALM
- * passes', which are row-major as numpy holds them (M's rows may lie
- * further apart than n), and each entry point allocates its routine's
- * scratch: 3r^2 + 4r + 8m + mr doubles for srp_project (see work_size), m
- * for srp_accumulate, r + b + mb for srp_sweep, svt_size for srp_svt (4mk +
- * 3kn + 2k^2 + k plus the largest LAPACK workspace and the integer one, see
- * svt_query), and 2n for srp_alm_update.
+ * passes', which are row-major as numpy holds them, and each entry point
+ * allocates its routine's scratch: 3r^2 + 4r + 8m + mr doubles for
+ * srp_project (see work_size), m for srp_accumulate, r + b + mb for
+ * srp_sweep, svt_size for srp_svt (4mk + 3kn + 2k^2 + k plus the largest
+ * LAPACK workspace and the integer one, see svt_query), and 2n for
+ * srp_alm_update.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -618,17 +618,13 @@ static int srp_svt(blas_int m, blas_int n, blas_int k, const double *X,
 }
 
 /* The SVT input of a pcp_alm sweep, out = (M - S) + Y / mu, for m x n
- * row-major arrays, M's rows ldm doubles apart */
+ * row-major arrays */
 static void srp_alm_input(Py_ssize_t m, Py_ssize_t n, const double *M,
-                          Py_ssize_t ldm, const double *S, const double *Y,
-                          double mu, double *restrict out)
+                          const double *S, const double *Y, double mu,
+                          double *restrict out)
 {
-    for (Py_ssize_t i = 0; i < m; i++) {
-        const double *Mi = M + i * ldm, *Si = S + i * n, *Yi = Y + i * n;
-        double *restrict oi = out + i * n;
-        for (Py_ssize_t j = 0; j < n; j++)
-            oi[j] = (Mi[j] - Si[j]) + Yi[j] / mu;
-    }
+    for (Py_ssize_t i = 0; i < m * n; i++)
+        out[i] = (M[i] - S[i]) + Y[i] / mu;
 }
 
 /* One row of srp_alm_update: its r and s - S_old into r and d */
@@ -657,18 +653,16 @@ static void alm_row(Py_ssize_t n, const double *restrict M,
  * selects, which gcc vectorizes; at tau = 0 it is +0.0, so s = t, signed
  * zeros included, as prox.shrink_matrix's copy. sums[0] = sum r^2 and
  * sums[1] = sum (s - S_old)^2, each the sum over rows of pairwise_squares
- * of the row. m x n row-major arrays, M's rows ldm doubles apart; w holds
- * 2n doubles. */
+ * of the row. m x n row-major arrays; w holds 2n doubles. */
 static void srp_alm_update(Py_ssize_t m, Py_ssize_t n, const double *M,
-                           Py_ssize_t ldm, const double *L, double *Y,
-                           double *S, double mu, double lam, double *sums,
-                           double *w)
+                           const double *L, double *Y, double *S, double mu,
+                           double lam, double *sums, double *w)
 {
     double tau = lam / mu;
 
     sums[0] = sums[1] = 0.0;
     for (Py_ssize_t i = 0; i < m; i++) {
-        alm_row(n, M + i * ldm, L + i * n, Y + i * n, S + i * n, mu, tau, w,
+        alm_row(n, M + i * n, L + i * n, Y + i * n, S + i * n, mu, tau, w,
                 w + n);
         sums[0] += pairwise_squares(w, (int)n, 1);
         sums[1] += pairwise_squares(w + n, (int)n, 1);
@@ -727,48 +721,6 @@ static double *array(Held *h, PyObject *obj, const char *name, char order,
                          dims[k]);
             return NULL;
         }
-    }
-    return b->buf;
-}
-
-/* The data of obj, a 2-d float64 array read by rows: each row contiguous,
- * rows *ld doubles apart and *ld >= dims[1] (a row-major array or a slice
- * of its columns), with dims as array() takes them; NULL, with a
- * ValueError, if it is not such an array. */
-static double *rows(Held *h, PyObject *obj, const char *name,
-                    Py_ssize_t *dims, Py_ssize_t *ld)
-{
-    Py_buffer *b = &h->view[h->n];
-
-    if (PyObject_GetBuffer(obj, b, PyBUF_FORMAT | PyBUF_STRIDES) < 0) {
-        PyErr_Clear();
-        PyErr_Format(PyExc_ValueError, "kernel: %s must be a float64 array",
-                     name);
-        return NULL;
-    }
-    h->n++;
-    if (b->ndim != 2 || !b->format || strcmp(b->format, "d") != 0) {
-        PyErr_Format(PyExc_ValueError, "kernel: %s must be a 2-d float64 "
-                     "array", name);
-        return NULL;
-    }
-    *ld = b->shape[0] > 1 ? b->strides[0] / (Py_ssize_t)sizeof(double)
-                          : b->shape[1];
-    if ((b->shape[1] > 1 && b->strides[1] != sizeof(double))
-        || (b->shape[0] > 1 && (b->strides[0] % sizeof(double) != 0
-                                || *ld < b->shape[1]))) {
-        PyErr_Format(PyExc_ValueError, "kernel: %s must have contiguous rows"
-                     " in row order", name);
-        return NULL;
-    }
-    for (int k = 0; k < 2; k++)
-        if (dims[k] < 0)
-            dims[k] = b->shape[k];
-    if (b->shape[0] != dims[0] || b->shape[1] != dims[1]) {
-        PyErr_Format(PyExc_ValueError, "kernel: %s is %zd x %zd, expected "
-                     "%zd x %zd", name, b->shape[0], b->shape[1], dims[0],
-                     dims[1]);
-        return NULL;
     }
     return b->buf;
 }
@@ -987,18 +939,18 @@ static PyObject *alm_input(PyObject *self, PyObject *const *args,
                            Py_ssize_t nargs)
 {
     Held h = {.n = 0, .w = NULL};
-    Py_ssize_t dM[2] = {-1, -1}, ldm;
+    Py_ssize_t dM[2] = {-1, -1};
     double *M, *S, *Y, *out, mu;
 
     if (!count(nargs, 5, "alm_input")
-        || !(M = rows(&h, args[0], "M", dM, &ldm))
+        || !(M = array(&h, args[0], "M", 'C', 0, 2, dM))
         || !(S = array(&h, args[1], "S", 'C', 0, 2, dM))
         || !(Y = array(&h, args[2], "Y", 'C', 0, 2, dM))
         || as_double(args[3], &mu)
         || !(out = array(&h, args[4], "out", 'C', 1, 2, dM)))
         goto fail;
     Py_BEGIN_ALLOW_THREADS
-    srp_alm_input(dM[0], dM[1], M, ldm, S, Y, mu, out);
+    srp_alm_input(dM[0], dM[1], M, S, Y, mu, out);
     Py_END_ALLOW_THREADS
     release(&h);
     Py_RETURN_NONE;
@@ -1011,11 +963,11 @@ static PyObject *alm_update(PyObject *self, PyObject *const *args,
                             Py_ssize_t nargs)
 {
     Held h = {.n = 0, .w = NULL};
-    Py_ssize_t dM[2] = {-1, -1}, ldm;
+    Py_ssize_t dM[2] = {-1, -1};
     double *M, *L, *Y, *S, mu, lam, sums[2];
 
     if (!count(nargs, 6, "alm_update")
-        || !(M = rows(&h, args[0], "M", dM, &ldm))
+        || !(M = array(&h, args[0], "M", 'C', 0, 2, dM))
         || !(L = array(&h, args[1], "L", 'C', 0, 2, dM))
         || !(Y = array(&h, args[2], "Y", 'C', 1, 2, dM))
         || !(S = array(&h, args[3], "S", 'C', 1, 2, dM))
@@ -1029,7 +981,7 @@ static PyObject *alm_update(PyObject *self, PyObject *const *args,
     if (!scratch(&h, 2 * dM[1]))
         goto fail;
     Py_BEGIN_ALLOW_THREADS
-    srp_alm_update(dM[0], dM[1], M, ldm, L, Y, S, mu, lam, sums, h.w);
+    srp_alm_update(dM[0], dM[1], M, L, Y, S, mu, lam, sums, h.w);
     Py_END_ALLOW_THREADS
     release(&h);
     return Py_BuildValue("(dd)", sums[0], sums[1]);

@@ -175,7 +175,7 @@ def svt_warm(X, tau, block, max_steps, guard_tol, ritz_tol, gram_min_ratio):
 
 def alm_input(M, S, Y, mu, out):
     """pcp_alm's SVT input (M - S) + Y / mu into out, bit for bit as numpy
-    forms it (pcp._alm_input_numpy); M by rows, S, Y and out C-order."""
+    forms it (pcp._alm_input_numpy); M, S, Y and out C-order."""
     _ext.alm_input(M, S, Y, mu, out)
 
 
@@ -183,5 +183,5 @@ def alm_update(M, L, Y, S, mu, lam):
     """pcp._alm_update_numpy in one pass, S and Y bit for bit: writes the
     shrunk S and the updated Y in place and returns (sum r^2, sum (S -
     S_old)^2), summed by rows in the pass, so they differ from numpy's
-    in the last bits. M by rows, L, Y and S C-order."""
+    in the last bits. M, L, Y and S C-order."""
     return _ext.alm_update(M, L, Y, S, mu, lam)

@@ -140,16 +140,17 @@ def pcp_alm(M, config=None):
     loop of the compiled kernel over four arrays mapped up front: L, Y, S
     and the SVT input. Their pages go back to the system when the solve
     returns (malloc would keep those of per-sweep temporaries resident).
-    Without the kernel, or for an M whose rows are not contiguous, the
-    passes are numpy's (_alm_input_numpy, _alm_update_numpy), on three more
-    mapped arrays, with the same S, Y and L bit for bit; the kernel's sums
-    differ from numpy's in the last bits. The result carries the last
-    sweep's factors, L = (U * s) @ Vh.
+    Without the kernel, the passes are numpy's (_alm_input_numpy,
+    _alm_update_numpy), on three more mapped arrays, with the same S, Y and
+    L bit for bit; the kernel's sums differ from numpy's in the last bits.
+    M is made row-major first (a copy for any other layout), so every array
+    of the solve is, and its result does not depend on M's layout. The
+    result carries the last sweep's factors, L = (U * s) @ Vh.
 
     Non-convergence is not an error: the last iterate is returned with
     converged=False and the caller decides.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ContractViolation("pcp_alm: M must be a non-empty 2-D matrix")
     if not np.isfinite(M).all():
@@ -161,20 +162,11 @@ def pcp_alm(M, config=None):
     mu, J, factors = _first_sweep(M, lam, config.mu)
     norm_M = np.linalg.norm(M) or 1.0
     dual_scale = DUAL_WEIGHT * np.sqrt(M.size)
-    # each array has the layout of the temporary it replaces, so that the
-    # SVT and the norms read it in the same order: C for L (a product) and
-    # the numpy path's residual (a difference with L), M's order for the rest
-    order = "F" if M.strides[0] < M.strides[1] else "C"
-    L = _zeros(*M.shape, mapped=True)
-    Y, S, work = (_zeros(*M.shape, mapped=True, order=order)
-                  for _ in range(3))
-    if (kernel.ACTIVE == "compiled" and order == "C"
-            and M.strides[1] == M.itemsize):
+    L, Y, S, work = (_zeros(*M.shape, mapped=True) for _ in range(4))
+    if kernel.ACTIVE == "compiled":
         alm_input, alm_update = kernel.alm_input, kernel.alm_update
     else:
-        scratch = (_zeros(*M.shape, mapped=True),
-                   *(_zeros(*M.shape, mapped=True, order=order)
-                     for _ in range(2)))
+        scratch = tuple(_zeros(*M.shape, mapped=True) for _ in range(3))
         alm_input = partial(_alm_input_numpy, scratch=scratch)
         alm_update = partial(_alm_update_numpy, scratch=scratch)
     np.divide(M, J, out=Y)
@@ -218,35 +210,28 @@ def _alm_update_numpy(M, L, Y, S, mu, lam, scratch=None):
     compiled kernel is loaded, and the tests' oracle. S <- shrink(M - L +
     Y/mu, lam/mu) and Y <- Y + mu*(M - L - S) in place; returns the squared
     norms of M - L - S and of S - S_old as np.linalg.norm sums them.
-    scratch holds three arrays of M's shape, for the residual (C order),
-    Y/mu and S_old (S's order); new ones where it is None."""
-    residual, Y_mu, S_old = scratch or (np.empty(M.shape), np.empty_like(S),
-                                        np.empty_like(S))
+    scratch holds three C-order arrays of M's shape, for the residual, Y/mu
+    and S_old; new ones where it is None."""
+    residual, Y_mu, S_old = scratch or tuple(np.empty(M.shape)
+                                             for _ in range(3))
     np.copyto(S_old, S)
     np.subtract(M, L, out=residual)
     np.add(residual, np.divide(Y, mu, out=Y_mu), out=Y_mu)
     shrink_matrix(Y_mu, lam / mu, out=S)
     residual -= S
     Y += np.multiply(mu, residual, out=Y_mu)
-    return (_sum_squares(residual),
-            _sum_squares(np.subtract(S, S_old, out=S_old)))
+    r, d = residual.ravel(), np.subtract(S, S_old, out=S_old).ravel()
+    return r.dot(r), d.dot(d)
 
 
-def _sum_squares(X):
-    """The sum of the squares of X's entries as np.linalg.norm takes it:
-    one dot product of X raveled in memory order."""
-    x = X.ravel(order="K")
-    return x.dot(x)
-
-
-def _zeros(rows, cols, mapped, order="C"):
-    """A zeroed float64 rows x cols array in order "C" or "F"; mapped, in
-    private pages of its own, which dropping it hands back to the system at
-    once (shared ones, mmap's default, fault in more slowly)."""
+def _zeros(rows, cols, mapped):
+    """A zeroed C-order float64 rows x cols array; mapped, in private pages
+    of its own, which dropping it hands back to the system at once (shared
+    ones, mmap's default, fault in more slowly)."""
     if not mapped:
-        return np.zeros((rows, cols), order=order)
+        return np.zeros((rows, cols))
     pages = mmap.mmap(-1, max(8 * rows * cols, 1), flags=mmap.MAP_PRIVATE)
-    return np.ndarray((rows, cols), buffer=pages, order=order)
+    return np.ndarray((rows, cols), buffer=pages)
 
 
 def _first_sweep(M, lam, mu):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContractViolation
+from .exceptions import ContractViolation, is_count, is_real
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,14 @@ class SimSpec:
     variant: object
 
     def __post_init__(self):
-        if self.m < 1 or self.t < 0 or self.n_burnin < 1:
-            raise ContractViolation("SimSpec: bad dimensions")
-        if not 0.0 <= self.rho < 1.0:
-            raise ContractViolation("SimSpec: rho must be in [0, 1)")
+        for name, low in (("m", 1), ("t", 0), ("n_burnin", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_count(value) and value >= low):
+                raise ContractViolation(
+                    f"SimSpec: {name} must be an int >= {low}, not {value!r}")
+        if not (is_real(self.rho) and 0.0 <= self.rho < 1.0):
+            raise ContractViolation(
+                f"SimSpec: rho must be in [0, 1), not {self.rho!r}")
 
 
 @dataclass

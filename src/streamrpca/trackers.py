@@ -52,9 +52,12 @@ class SubspaceModel:
                 f"SubspaceModel: inconsistent shapes U{self.U.shape} "
                 f"A{self.A.shape} B{self.B.shape}"
             )
-        if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
+        if not all(map(is_positive_real, (self.lambda1, self.lambda2))):
             raise ContractViolation(
                 "SubspaceModel: lambdas must be finite and > 0")
+        if not (is_count(self.t) and self.t >= 0):
+            raise ContractViolation(
+                f"SubspaceModel: t must be an int >= 0, not {self.t!r}")
         _check_accumulator(self.A, "SubspaceModel")
 
     @property
@@ -247,11 +250,12 @@ class TrackerConfig:
         if min(self.n_cp_burnin, self.n_test, self.n_check,
                self.n_positive) < 1:
             raise ContractViolation("TrackerConfig: counts must be >= 1")
-        if not (0 < self.alpha < 1):
-            raise ContractViolation("TrackerConfig: alpha must be in (0, 1)")
-        if not (0 < self.alpha_prop <= 1):
-            raise ContractViolation(
-                "TrackerConfig: alpha_prop must be in (0, 1]")
+        if not (is_positive_real(self.alpha) and self.alpha < 1):
+            raise ContractViolation("TrackerConfig: alpha must be in (0, 1), "
+                                    f"not {self.alpha!r}")
+        if not (is_positive_real(self.alpha_prop) and self.alpha_prop <= 1):
+            raise ContractViolation("TrackerConfig: alpha_prop must be in "
+                                    f"(0, 1], not {self.alpha_prop!r}")
         if self.n_positive > self.n_check:
             raise ContractViolation(
                 "TrackerConfig: n_positive must be <= n_check")

@@ -9,10 +9,11 @@ import pytest
 import streamrpca.pcp
 import streamrpca.trackers
 from streamrpca.cli import main
+from streamrpca.exceptions import SnapshotError
 from streamrpca.pcp import PcpConfig
 from streamrpca.simgen import (ChangePoints, SimSpec, Stable,
                                full_stream_matrix, generate)
-from streamrpca.state import _DETECTOR_KEYS
+from streamrpca.state import _DETECTOR_KEYS, load_state
 from streamrpca.streams import RAW_F64_MAGIC, ingest_stream, write_raw_f64
 
 from conftest import child_env, write_csv
@@ -287,6 +288,25 @@ def test_track_resume_rejects_detector_settings_that_are_not_the_snapshots(
     assert rc == 1
     assert f"error: snapshot has {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "L.f64").exists()
+
+
+@pytest.mark.parametrize("mode", ["stoc", "omw"])
+def test_track_resume_refuses_a_negative_step_count(snapshots, tmp_path,
+                                                    capsys, mode):
+    # a snapshot rewritten with t = -5 loaded, and the run tracked on
+    with np.load(snapshots / f"{mode}.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    path = tmp_path / "snap.npz"
+    np.savez(path, **{**arrays, "t": np.int64(-5)})
+    with pytest.raises(SnapshotError, match="t must be an int >= 0, not -5"):
+        load_state(path)
+    capsys.readouterr()
+    rc = main(["track", "--input", str(snapshots / "stream.f64"),
+               "--mode", mode, *SMALL_TRACK, "--resume", str(path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "t must be an int >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_track_save_state_stacks_the_columns_once(snapshots, tmp_path,

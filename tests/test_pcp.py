@@ -266,6 +266,23 @@ def test_sweep_reuses_its_temporaries_bit_for_bit(step_paths):
             assert res.rank_iteration == ref.rank_iteration
 
 
+def test_result_does_not_depend_on_the_layout_of_m(step_paths):
+    # desk study 3's burn-in and last restart block as a C-order M, its
+    # F-order copy, a slice of a wider array's columns and a view of every
+    # other column: each solve runs on the same row-major M, bit for bit
+    for X in study3_blocks("desk", 0)[::2]:
+        M = np.ascontiguousarray(X)
+        m, n = M.shape
+        wide, strided = np.zeros((m, n + 5)), np.zeros((m, 2 * n))
+        wide[:, 2:n + 2] = strided[:, ::2] = M
+        layouts = [np.asfortranarray(M), wide[:, 2:n + 2], strided[:, ::2]]
+        for path in step_paths:
+            with path:
+                ref = pcp_alm(M)
+                for other in layouts:
+                    _same_result(pcp_alm(other), ref)
+
+
 def test_paper_burnin_takes_no_full_size_svd(monkeypatch):
     # paper study 3, samples 0-199 (rank 10) and the two restart blocks
     # (ranks 55 and 30): the first sweep reads ||M||_2 and its iterate from

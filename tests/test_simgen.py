@@ -202,6 +202,24 @@ def test_generate_refuses_a_variant_it_cannot_build(variant, match):
                          variant=variant))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("m", 2.5, "m must be an int >= 1"), ("t", "100", "t must be an int"),
+    ("n_burnin", True, "n_burnin must be an int"), ("m", 0, "m must be"),
+    ("t", -1, "t must be an int >= 0"), ("n_burnin", 0, "n_burnin must be"),
+    ("seed", 1.5, "seed must be an int"), ("seed", None, "seed must be an int"),
+    ("seed", -1, "seed must be an int >= 0"),
+    ("rho", "x", "rho must be in"), ("rho", None, "rho must be in"),
+    ("rho", True, "rho must be in"), ("rho", 1.0, "rho must be in")])
+def test_spec_refuses_values_it_cannot_generate_from(field, value, message):
+    # m=2.5 and seed=1.5 passed and generate raised a bare TypeError;
+    # rho="x" raised one in __post_init__, and seed=-1 numpy's ValueError
+    settings = dict(m=30, t=200, n_burnin=20, rho=0.01, seed=0,
+                    variant=Stable(r=3))
+    with pytest.raises(ContractViolation, match=f"^SimSpec: {message}"):
+        SimSpec(**{**settings, field: value})
+    SimSpec(**{**settings, "m": np.int64(30), "rho": np.float64(0.0)})
+
+
 def test_generate_dispatch_and_full_stream():
     spec = stable_spec()
     gt = generate(spec)

@@ -367,9 +367,14 @@ def test_penalties_must_be_finite_and_positive(step_paths, bad):
 @pytest.mark.parametrize("settings", [
     {"n_cp_burnin": 0}, {"n_test": 0}, {"n_check": 0}, {"n_positive": 0},
     {"alpha": 0.0}, {"alpha": 1.0}, {"alpha_prop": 0.0}, {"alpha_prop": 1.5},
-    {"n_check": 3, "n_positive": 4}, {"n_tol": -1}])
+    {"n_check": 3, "n_positive": 4}, {"n_tol": -1},
+    # a bare TypeError, numpy's ambiguous truth value, or True taken as 1.0
+    {"alpha": "x"}, {"alpha_prop": None}, {"alpha": np.array([0.1, 0.2])},
+    {"alpha_prop": True}])
 def test_config_refuses_detector_settings_it_cannot_run(settings):
-    with pytest.raises(ContractViolation, match="^TrackerConfig: "):
+    name = "|".join(settings)
+    with pytest.raises(ContractViolation,
+                       match=f"^TrackerConfig: ({name}|counts)"):
         TrackerConfig(n_burnin=40, n_win=40, **settings)
 
 
@@ -385,6 +390,24 @@ def test_config_refuses_counts_that_are_not_ints(field, value):
                        match=f"^TrackerConfig: {field} must be an int"):
         TrackerConfig(**settings)
     TrackerConfig(n_burnin=np.int64(50), n_win=20)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("lambda1", "x", "lambdas must be finite"),
+    ("lambda2", True, "lambdas must be finite"),
+    ("t", -5, "t must be an int >= 0"), ("t", 2.0, "t must be an int"),
+    ("t", None, "t must be an int")])
+def test_model_refuses_penalties_and_step_counts_it_cannot_run(field, value,
+                                                               message):
+    # lambda1="x" raised a bare TypeError, lambda2=True passed as 1.0, and
+    # a negative t passed
+    U = np.linalg.qr(np.random.Generator(np.random.PCG64(52))
+                     .standard_normal((20, 2)))[0]
+    settings = {"U": U, "A": np.eye(2), "B": U, "lambda1": 0.1,
+                "lambda2": 1.0}
+    with pytest.raises(ContractViolation, match=f"^SubspaceModel: {message}"):
+        SubspaceModel(**{**settings, field: value})
+    SubspaceModel(**{**settings, "t": np.int64(3)})
 
 
 def test_model_refuses_an_asymmetric_a():
